@@ -28,6 +28,7 @@ reproduces the seed's homogeneous model bit-for-bit.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -235,47 +236,6 @@ class ThroughputModel:
         return batch_size / self.t_iter(num_nodes, num_gpus, batch_size, speed)
 
 
-@dataclass
-class _FitData:
-    """Precomputed observation arrays shared by every RMSLE evaluation.
-
-    ``single_node``/``single_gpu`` are the boolean masks that Eqn. 10
-    branches on; hoisting them (and the retrogression term ``extra``) out
-    of the objective keeps per-evaluation work to the parameter-dependent
-    arithmetic only, with the exact same floating-point operation order as
-    the original formulation.
-    """
-
-    nodes: np.ndarray
-    gpus: np.ndarray
-    batch: np.ndarray
-    speeds: np.ndarray
-    t_obs_log: np.ndarray
-    extra: np.ndarray
-    single_node: np.ndarray
-    single_gpu: np.ndarray
-
-    @classmethod
-    def build(
-        cls,
-        nodes: np.ndarray,
-        gpus: np.ndarray,
-        batch: np.ndarray,
-        speeds: np.ndarray,
-        t_obs_log: np.ndarray,
-    ) -> "_FitData":
-        return cls(
-            nodes=nodes,
-            gpus=gpus,
-            batch=batch,
-            speeds=speeds,
-            t_obs_log=t_obs_log,
-            extra=np.maximum(gpus - 2.0, 0.0),
-            single_node=nodes <= 1,
-            single_gpu=gpus <= 1,
-        )
-
-
 def t_iter_scalar(
     params: ThroughputParams,
     num_nodes: int,
@@ -324,192 +284,102 @@ def throughput_scalar(
     return batch_size / t_iter_scalar(params, num_nodes, num_gpus, batch_size, speed)
 
 
-def _rmsle_full(full: np.ndarray, data: _FitData) -> float:
-    """RMSLE of one complete 7-vector against the observations.
+#: Floor under ``max(T_grad, T_sync)``: keeps the ratio, the logs and the
+#: reciprocals below finite when every free alpha/beta sits at its zero
+#: bound.  Far below the prediction clamp, so it never changes a loss.
+_T_FLOOR = 1e-300
 
-    Identical arithmetic (same operations, same order) to the original
-    per-call formulation; the observation-dependent pieces come
-    precomputed via ``data``.
-    """
-    av = np.abs(full[:6])
-    ag, bg, asl, bsl, asn, bsn = av
-    g = full[6]
-    gamma = GAMMA_MAX if g > GAMMA_MAX else (GAMMA_MIN if g < GAMMA_MIN else float(g))
-    t_grad = (ag + bg * data.batch / data.gpus) / data.speeds
-    t_sync = np.where(data.single_node, asl + bsl * data.extra, asn + bsn * data.extra)
-    t_sync = np.where(data.single_gpu, 0.0, t_sync)
-    hi = np.maximum(t_grad, t_sync)
-    lo = np.minimum(t_grad, t_sync)
-    safe_hi = np.where(hi > 0, hi, 1.0)
-    ratio = np.where(hi > 0, lo / safe_hi, 0.0)
-    pred = hi * np.power(1.0 + np.power(ratio, gamma), 1.0 / gamma)
-    err = np.log(np.maximum(pred, 1e-12)) - data.t_obs_log
-    # add.reduce is np.mean's own pairwise summation without the dispatch
-    # overhead; dividing by the count afterwards is the same operation
-    # np.mean performs, so the value is bit-identical.
-    return float(np.sqrt(np.add.reduce(err * err) / err.size))
+#: Predictions are clamped at 1e-12 s before taking logs (so an all-zero
+#: theta has a finite loss); a clamped observation has zero gradient.
+_LOG_PRED_FLOOR = float(np.log(1e-12))
+
+#: scipy's default L-BFGS-B ``ftol``: the solver stops once an iteration
+#: lowers the loss by less than this (absolute, for losses under 1), so it
+#: cannot improve on a fit this close.  Beneath it, which start ends lower
+#: is rounding residue; the multi-start treats such a fit as exact.
+_EXACT_FIT_LOSS = 2.220446049250313e-09
 
 
-def _rmsle_batch(full: np.ndarray, data: _FitData, gamma: float) -> np.ndarray:
-    """RMSLE for a ``(B, 7)`` batch of vectors sharing one scalar gamma.
+class _RmsleObjective:
+    """RMSLE of Eqn. 11 against a profile, with its exact gradient.
 
-    Evaluates every row in one set of broadcast array operations.  Numpy's
-    elementwise ufuncs and axis-wise pairwise mean are bit-identical between
-    a 1-D row and the rows of a contiguous 2-D batch (verified by
-    ``tests/test_perf_paths.py``), so each entry of the result equals
-    :func:`_rmsle_full` of the corresponding row exactly — which is what
-    makes the batched finite-difference jacobian below a drop-in for
-    scipy's sequential one.  The one trap is gamma: ``np.power`` with an
-    *array* exponent takes a different kernel than with a scalar exponent
-    and rounds differently by 1 ulp on rare inputs, so this function
-    requires all rows to share gamma (the jacobian's gamma-perturbed row is
-    evaluated separately) and ``full[:, 6]`` is ignored.
-    """
-    av = np.abs(full[:, :6])
-    ag = av[:, 0:1]
-    bg = av[:, 1:2]
-    asl = av[:, 2:3]
-    bsl = av[:, 3:4]
-    asn = av[:, 4:5]
-    bsn = av[:, 5:6]
-    g = (
-        GAMMA_MAX
-        if gamma > GAMMA_MAX
-        else (GAMMA_MIN if gamma < GAMMA_MIN else float(gamma))
-    )
-    batch = data.batch[None, :]
-    gpus = data.gpus[None, :]
-    speeds = data.speeds[None, :]
-    extra = data.extra[None, :]
-    t_grad = (ag + bg * batch / gpus) / speeds
-    t_sync = np.where(data.single_node[None, :], asl + bsl * extra, asn + bsn * extra)
-    t_sync = np.where(data.single_gpu[None, :], 0.0, t_sync)
-    hi = np.maximum(t_grad, t_sync)
-    lo = np.minimum(t_grad, t_sync)
-    safe_hi = np.where(hi > 0, hi, 1.0)
-    ratio = np.where(hi > 0, lo / safe_hi, 0.0)
-    pred = hi * np.power(1.0 + np.power(ratio, g), 1.0 / g)
-    err = np.log(np.maximum(pred, 1e-12)) - data.t_obs_log[None, :]
-    sq = err * err
-    return np.sqrt(np.add.reduce(sq, axis=1) / sq.shape[1])
+    ``objective(x) -> (loss, grad)`` over the free parameters, scipy's
+    ``jac=True`` protocol; the fitting hot path.  T_grad and T_sync are
+    linear in the alpha/beta parameters, so one stacked design matrix maps
+    ``x[:-1]`` to both (rows ``[:n]`` and ``[n:]``) and chains the gradient
+    back.  With ``hi/lo = max/min(T_grad, T_sync)``,
+    ``r = lo / hi`` and ``q = r^gamma``::
 
+        log T_iter        = log hi + log1p(q) / gamma
+        d log T_iter/d hi = 1 / (hi (1 + q))
+        d log T_iter/d lo = r^(gamma - 1) / (hi (1 + q))
+        d log T_iter/d g  = (q ln r / (1 + q) - log1p(q) / gamma) / gamma
 
-#: Index of gamma in the canonical parameter vector.
-_GAMMA_IDX = _PARAM_NAMES.index("gamma")
-
-#: Absolute finite-difference step L-BFGS-B passes to its internal 2-point
-#: differences (the legacy ``eps`` option), and the relative fallback step
-#: (sqrt(machine eps)) scipy substitutes where the absolute step vanishes.
-_FD_ABS_STEP = 1e-8
-_FD_RSTEP = float(np.sqrt(np.finfo(np.float64).eps))
-
-
-class _FitObjective:
-    """RMSLE objective with a batched finite-difference jacobian.
-
-    The fitting hot path.  ``fun`` evaluates the loss for the free
-    parameters; ``jac`` reproduces *exactly* the 2-point forward-difference
-    gradient scipy's L-BFGS-B computes internally when ``jac=None`` — same
-    step-size rule (the solver's absolute ``eps=1e-8`` with scipy's
-    relative-step fallback), same one-sided bounds adjustment, same
-    ``(f(x + h e_i) - f(x)) / ((x_i + h_i) - x_i)``
-    quotient — but evaluates all perturbed points in a single broadcast
-    batch instead of one sequential call per free parameter.  The resulting
-    optimizer trajectory is bit-for-bit identical to ``jac=None`` (asserted
-    by ``tests/test_perf_paths.py``) at roughly a 5x lower cost per
-    gradient.
+    and d RMSLE / d log T_iter = err / (n RMSLE).  L-BFGS-B only evaluates
+    feasible points, so ``x`` is taken as is (no ``abs``, no gamma clip):
+    the gradient at a zero bound is the one-sided derivative from inside,
+    which is what lets a parameter the priors just unpinned leave 0.0.
+    Every expression stays finite at the corners the solver visits — all
+    alpha/beta at zero, ``lo == 0`` with gamma == 1 (numpy's ``0**0`` is 1,
+    the right limit), profiles without any sync term, T_grad == T_sync ties
+    (both one-sided derivatives agree there).
     """
 
     def __init__(
         self,
         free_idx: np.ndarray,
-        base: np.ndarray,
-        data: _FitData,
-        lb: np.ndarray,
-        ub: np.ndarray,
+        nodes: np.ndarray,
+        gpus: np.ndarray,
+        batch: np.ndarray,
+        speeds: np.ndarray,
+        t_obs: np.ndarray,
     ):
-        self.free_idx = free_idx
-        self.base = base
-        self.data = data
-        self.lb = lb
-        self.ub = ub
-        self._lb_list = lb.tolist()
-        self._ub_list = ub.tolist()
-        self._gamma_row = int(np.nonzero(free_idx == _GAMMA_IDX)[0][0])
-        self._last_x: Optional[bytes] = None
-        self._last_f = 0.0
-        # Reusable jacobian buffers (jac is called tens of thousands of
-        # times per simulation; every row is fully overwritten each call).
-        n = free_idx.size
-        self._row_idx = np.arange(n)
-        self._full_buf = np.empty((n, base.size), dtype=float)
-        self._fun_buf = np.empty(base.size, dtype=float)
+        n = gpus.size
+        extra = np.maximum(gpus - 2.0, 0.0)
+        local = (gpus > 1) & (nodes <= 1)
+        remote = (gpus > 1) & (nodes > 1)
+        design = np.zeros((2 * n, len(_PARAM_NAMES) - 1))
+        design[:n, 0] = 1.0 / speeds
+        design[:n, 1] = batch / gpus / speeds
+        design[n:, 2] = local
+        design[n:, 3] = local * extra
+        design[n:, 4] = remote
+        design[n:, 5] = remote * extra
+        # gamma is the last free parameter and is never pinned.
+        self._design = np.ascontiguousarray(design[:, free_idx[:-1]])
+        self._log_t_obs = np.log(t_obs)
 
-    def fun(self, vec: np.ndarray) -> float:
-        full = self._fun_buf
-        full[:] = self.base
-        full[self.free_idx] = vec
-        f = _rmsle_full(full, self.data)
-        # L-BFGS-B always evaluates the gradient at the point it just
-        # evaluated the function at; remember f so jac() can skip the
-        # duplicate evaluation.
-        self._last_x = vec.tobytes()
-        self._last_f = f
-        return f
-
-    def jac(self, vec: np.ndarray) -> np.ndarray:
-        if self._last_x == vec.tobytes():
-            f0 = self._last_f
-        else:
-            f0 = self.fun(vec)
-        # Step selection, replicated from scipy _numdiff in exact (python
-        # float) arithmetic: L-BFGS-B passes its legacy absolute step
-        # eps=1e-8, falling back to the relative rule
-        # sqrt(eps) * sign(+1 at 0) * max(1, |x|) wherever the absolute
-        # step is indistinguishable from x, then adjusts '1-sided' steps
-        # that would leave the bounds.
-        n = vec.size
-        xs = vec.tolist()
-        hs = [0.0] * n
-        dxs = [0.0] * n
-        for i in range(n):
-            x = xs[i]
-            h = _FD_ABS_STEP
-            if (x + h) - x == 0.0:
-                h = _FD_RSTEP * (1.0 if x >= 0 else -1.0) * max(1.0, abs(x))
-            lb, ub = self._lb_list[i], self._ub_list[i]
-            lower_dist = x - lb
-            upper_dist = ub - x
-            x1 = x + h
-            fitting = abs(h) <= max(lower_dist, upper_dist)
-            if (x1 < lb or x1 > ub) and fitting:
-                h = -h
-            if not fitting:
-                h = upper_dist if upper_dist >= lower_dist else -lower_dist
-            hs[i] = h
-            dxs[i] = (x + h) - x
-        stepped = np.array([xs[i] + hs[i] for i in range(n)])
-        dx = np.array(dxs)
-        full = self._full_buf
-        full[:] = self.base
-        full[:, self.free_idx] = vec
-        full[self._row_idx, self.free_idx] = stepped
-        # All rows except the gamma-perturbed one share the unperturbed
-        # gamma, which lets the batch use the scalar-exponent pow kernel
-        # (see _rmsle_batch); the gamma row (whose batch entry would be
-        # wrong anyway) is excluded and goes through the 1-D path.
-        gamma_row = self._gamma_row
-        fs = np.empty(n)
-        if gamma_row > 0:
-            fs[:gamma_row] = _rmsle_batch(
-                full[:gamma_row], self.data, xs[gamma_row]
-            )
-        fs[gamma_row] = _rmsle_full(full[gamma_row], self.data)
-        if gamma_row + 1 < n:
-            fs[gamma_row + 1 :] = _rmsle_batch(
-                full[gamma_row + 1 :], self.data, xs[gamma_row]
-            )
-        return (fs - f0) / dx
+    def __call__(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
+        n = self._log_t_obs.size
+        gamma = float(x[-1])
+        t = self._design @ x[:-1]
+        t_grad = t[:n]
+        t_sync = t[n:]
+        hi = np.maximum(np.maximum(t_grad, t_sync), _T_FLOOR)
+        ratio = np.minimum(t_grad, t_sync) / hi
+        q = np.power(ratio, gamma)
+        one_q = 1.0 + q
+        overlap = np.log1p(q) / gamma
+        log_pred = np.log(hi) + overlap
+        err = np.maximum(log_pred, _LOG_PRED_FLOOR) - self._log_t_obs
+        loss = math.sqrt(err.dot(err) / n)
+        grad = np.zeros(x.size)
+        if loss == 0.0:
+            # Exact fit: sqrt is not differentiable here; 0 is a
+            # subgradient and stops the solver where it stands.
+            return loss, grad
+        d_log = err * (log_pred > _LOG_PRED_FLOOR)
+        d_log /= n * loss
+        d_hi = d_log / (hi * one_q)
+        d_lo = d_hi * np.power(ratio, gamma - 1.0)
+        sync_bound = t_sync > t_grad
+        d_t = np.concatenate(
+            (np.where(sync_bound, d_lo, d_hi), np.where(sync_bound, d_hi, d_lo))
+        )
+        grad[:-1] = d_t @ self._design
+        log_ratio = np.log(np.maximum(ratio, _T_FLOOR))
+        grad[-1] = d_log.dot(q * log_ratio / one_q - overlap) / gamma
+        return loss, grad
 
 
 def project_throughput_params(
@@ -536,7 +406,6 @@ def fit_throughput_params(
     initial: Optional[ThroughputParams] = None,
     num_restarts: int = 4,
     seed: int = 0,
-    use_fd_jac: bool = True,
 ) -> ThroughputParams:
     """Fit theta_sys to observed profile entries (Sec. 4.1, online fitting).
 
@@ -552,12 +421,6 @@ def fit_throughput_params(
         initial: Optional warm-start parameters (e.g. the previous fit).
         num_restarts: Number of random restarts in addition to the warm start.
         seed: Seed for the random restarts.
-        use_fd_jac: Use the batched finite-difference jacobian
-            (:class:`_FitObjective`), which reproduces scipy's internal
-            2-point differences bit-for-bit at a fraction of the cost.
-            ``False`` falls back to scipy's sequential differences; both
-            settings return identical parameters (tested), so this is only
-            an escape hatch for verifying that equivalence.
 
     Returns:
         The fitted :class:`ThroughputParams`.
@@ -619,31 +482,41 @@ def fit_throughput_params(
             start[gidx] = rng.uniform(GAMMA_MIN, GAMMA_MAX)
         starts.append(start)
 
-    best_vec: Optional[np.ndarray] = None
-    best_loss = np.inf
     lb = np.array([b[0] for b in bounds], dtype=float)
     ub = np.array(
         [b[1] if b[1] is not None else np.inf for b in bounds], dtype=float
     )
-    data = _FitData.build(nodes, gpus, batch, speeds, np.log(t_obs))
-    objective = _FitObjective(free_idx, base, data, lb, ub)
-    jac = objective.jac if use_fd_jac else None
+    objective = _RmsleObjective(free_idx, nodes, gpus, batch, speeds, t_obs)
+    best_vec: Optional[np.ndarray] = None
+    best_loss = np.inf
     for start in starts:
-        clipped = np.clip(start, lb, ub)
         result = minimize(
-            objective.fun,
-            clipped,
-            jac=jac,
+            objective,
+            np.clip(start, lb, ub),
+            jac=True,
             method="L-BFGS-B",
             bounds=bounds,
             options={"maxiter": 60},
         )
-        if result.fun < best_loss:
-            best_loss = float(result.fun)
+        # Score the vector that comes back, not ``result.fun``: after an
+        # aborted line search scipy pairs the previous iterate with the
+        # last trial's loss.
+        loss = objective(result.x)[0]
+        if loss < best_loss:
+            best_loss = loss
             best_vec = np.asarray(result.x, dtype=float)
+        if best_loss <= _EXACT_FIT_LOSS:
+            # No later start can end meaningfully lower.  Every job's first
+            # fit (one observation, three free parameters) ends here at 0.0
+            # from the default start; an under-determined profile keeps the
+            # exact fit next to its warm (else default) start.
+            break
 
-    assert best_vec is not None
+    if best_vec is None:
+        raise RuntimeError(
+            f"theta_sys fit produced no finite loss from {len(starts)} starts "
+            f"over {len(obs)} observations"
+        )
     full = base.copy()
-    full[free_idx] = np.abs(best_vec)
-    full[-1] = float(np.clip(full[-1], GAMMA_MIN, GAMMA_MAX))
+    full[free_idx] = np.clip(best_vec, lb, ub)
     return ThroughputParams.from_vector(full)

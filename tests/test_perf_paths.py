@@ -1,15 +1,24 @@
-"""Bit-identity tests for the hot-path fast implementations.
+"""Tests for the hot-path fast implementations.
 
 The perf subsystem (PR 2) replaced several numpy-array code paths with
-cheaper equivalents — a batched finite-difference jacobian for the theta_sys
-fit, scalar evaluations for golden-section search and the simulator's ground
-truth, and restricted re-checks in the GA's interference repair.  Every one
-of them is required to be *bit-for-bit* identical to the original
-formulation (the homogeneous default-config invariant from PR 1), which is
-what these tests pin down.
+cheaper equivalents — scalar evaluations for golden-section search and the
+simulator's ground truth, restricted re-checks in the GA's interference
+repair — each required to be *bit-for-bit* identical to the original
+formulation (the homogeneous default-config invariant from PR 1).  The
+theta_sys fit is held differently since PR 17: its objective hands L-BFGS-B
+an exact gradient, checked here against central differences, at the corners
+of the bounds, and for fit quality against scipy's own finite differences.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
+
+import repro.core.throughput as throughput_module
 
 from repro.core.efficiency import efficiency, efficiency_scalar
 from repro.core.goodput import BatchSizeLimits, GoodputModel
@@ -19,9 +28,8 @@ from repro.core.throughput import (
     ProfileEntry,
     ThroughputModel,
     ThroughputParams,
-    _FitData,
-    _rmsle_batch,
-    _rmsle_full,
+    _PARAM_NAMES,
+    _RmsleObjective,
     fit_throughput_params,
     t_iter_scalar,
     throughput_scalar,
@@ -98,56 +106,353 @@ class TestScalarThroughputPaths:
                 assert gns.phi_scalar(float(p)) == float(gns.phi(float(p)))
 
 
-class TestBatchedRmsle:
-    def test_batch_rows_match_full(self):
-        """2-D batched RMSLE equals the 1-D evaluation row by row."""
-        rng = np.random.default_rng(4)
-        for n_obs in (1, 3, 17, 60):
-            nodes = rng.integers(1, 5, n_obs).astype(float)
-            gpus = (nodes * rng.integers(1, 5, n_obs)).astype(float)
-            batch = rng.uniform(8, 2048, n_obs)
-            speeds = rng.choice([1.0, 2.0], n_obs)
-            t_obs_log = np.log(rng.uniform(0.01, 1.0, n_obs))
-            data = _FitData.build(nodes, gpus, batch, speeds, t_obs_log)
-            gamma = float(rng.uniform(1.0, 10.0))
-            full = np.abs(rng.normal(0, 0.1, (12, 7)))
-            full[:, 6] = gamma
-            batched = _rmsle_batch(full, data, gamma)
-            for i in range(full.shape[0]):
-                assert batched[i] == _rmsle_full(full[i], data)
+def _columns(entries):
+    """(nodes, gpus, batch, speed, t_iter) arrays of a profile."""
+    return np.array(
+        [(e.num_nodes, e.num_gpus, e.batch_size, e.speed, e.t_iter) for e in entries]
+    ).T
 
 
-class TestFitJacobianEquivalence:
-    def test_fd_jac_matches_scipy_internal_differences(self):
-        """The batched jacobian reproduces jac=None fits bit-for-bit."""
-        rng = np.random.default_rng(5)
-        for trial in range(8):
-            p = _random_params(rng)
-            model = ThroughputModel(p)
-            obs = []
-            exploration = ExplorationState()
-            for _ in range(int(rng.integers(4, 40))):
-                gpus = int(rng.integers(1, 17))
-                nodes = int(rng.integers(1, gpus + 1))
-                bs = float(rng.uniform(8, 2048))
-                speed = float(rng.choice([1.0, 2.0]))
-                t = float(model.t_iter(nodes, gpus, bs, speed)) * float(
-                    rng.lognormal(0, 0.05)
+def _objective(entries, exploration=None):
+    """The fit's objective for a profile, as fit_throughput_params builds it."""
+    pinned = exploration.pinned_params() if exploration is not None else ()
+    free_idx = np.array(
+        [i for i, name in enumerate(_PARAM_NAMES) if name not in pinned], dtype=int
+    )
+    return _RmsleObjective(free_idx, *_columns(entries)), free_idx
+
+
+def _public_rmsle(full, columns):
+    """RMSLE of a complete 7-vector through the public ThroughputModel."""
+    nodes, gpus, batch, speed, t_obs = columns
+    model = ThroughputModel(ThroughputParams.from_vector(full))
+    pred = model.t_iter(nodes, gpus, batch, speed)
+    err = np.log(np.maximum(pred, 1e-12)) - np.log(t_obs)
+    return float(np.sqrt(np.mean(err * err)))
+
+
+def _written_out_rmsle(columns, free_idx):
+    """Eqns. 9-11 and the RMSLE written out over a profile's columns: what
+    ``_public_rmsle`` computes, at a fifth of the cost per evaluation (the
+    reference minimisation below differences it ~100,000 times)."""
+    nodes, gpus, batch, speed, t_obs = columns
+    local_bsz = batch / gpus
+    extra = np.maximum(gpus - 2.0, 0.0)
+    multi_gpu = gpus > 1
+    multi_node = nodes > 1
+    log_t_obs = np.log(t_obs)
+    full = np.zeros(7)
+
+    def rmsle(x):
+        full[free_idx] = x
+        a_grad, b_grad, a_local, b_local, a_node, b_node, gamma = full
+        t_grad = (a_grad + b_grad * local_bsz) / speed
+        t_sync = multi_gpu * np.where(
+            multi_node, a_node + b_node * extra, a_local + b_local * extra
+        )
+        t_iter = (t_grad**gamma + t_sync**gamma) ** (1.0 / gamma)
+        err = np.log(np.maximum(t_iter, 1e-12)) - log_t_obs
+        return float(np.sqrt(np.mean(err * err)))
+
+    return rmsle
+
+
+entry_st = st.builds(
+    lambda nodes, per_node, local_bsz, t, speed: ProfileEntry(
+        nodes, nodes * per_node, local_bsz * nodes * per_node, t, speed
+    ),
+    nodes=st.integers(1, 4),
+    per_node=st.integers(1, 4),
+    local_bsz=st.floats(4.0, 512.0),
+    t=st.floats(0.01, 2.0),
+    speed=st.sampled_from([0.5, 1.0, 2.0]),
+)
+
+
+class TestRmsleGradient:
+    @given(
+        entries=st.lists(entry_st, min_size=1, max_size=24),
+        seen=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        alpha_beta=st.lists(st.floats(1e-3, 0.5), min_size=6, max_size=6),
+        gamma=st.one_of(st.sampled_from([1.0, 10.0]), st.floats(1.0, 10.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_exact_gradient_matches_central_differences(
+        self, entries, seen, alpha_beta, gamma
+    ):
+        objective, free_idx = _objective(entries, ExplorationState(*seen))
+        full = np.array(alpha_beta + [gamma])
+        x = full[free_idx]
+        with np.errstate(all="raise"):
+            loss, grad = objective(x)
+        # RMSLE is |err| for one observation: not differentiable at a fit.
+        assume(loss > 1e-4)
+        pinned_full = np.zeros(7)
+        pinned_full[free_idx] = x
+        # gamma may leave [1, 10] under the differences below: the objective
+        # extends smoothly, the public model does not, so compare at x only.
+        public = _public_rmsle(pinned_full, _columns(entries))
+        assert loss == pytest.approx(public, rel=1e-9)
+        numeric = np.empty_like(grad)
+        # Only the values are used below; the gradient the objective also
+        # computes is singular at lo == 0 once gamma steps under 1.
+        with np.errstate(all="ignore"):
+            for i in range(x.size):
+                step = np.zeros_like(x)
+                step[i] = 1e-6 * x[i]
+                numeric[i] = (objective(x + step)[0] - objective(x - step)[0]) / (
+                    2.0 * step[i]
                 )
-                obs.append(ProfileEntry(nodes, gpus, bs, t, speed))
-                exploration.observe(nodes, gpus)
-            initial = (
-                ThroughputParams(0.05, 0.01, 0.01, 0.001, 0.05, 0.002, 2.0)
-                if trial % 2
-                else None
+        scale = np.abs(numeric).max()
+        assert np.allclose(grad, numeric, rtol=1e-5, atol=1e-5 * scale)
+
+    def test_all_alpha_beta_at_zero_bound(self):
+        """Prediction clamps at 1e-12: finite loss, zero gradient."""
+        entries = [ProfileEntry(1, 1, 128, 0.5), ProfileEntry(2, 8, 1024, 0.9)]
+        objective, _ = _objective(entries)
+        with np.errstate(all="raise"):
+            loss, grad = objective(np.array([0, 0, 0, 0, 0, 0, 2.0]))
+        expected = np.log(1e-12) - np.log([0.5, 0.9])
+        assert loss == pytest.approx(float(np.sqrt(np.mean(expected**2))))
+        assert np.array_equal(grad, np.zeros(7))
+
+    def test_zero_sync_at_gamma_one(self):
+        """lo == 0 with gamma == 1 is 0**0: T_iter = T_grad + T_sync there."""
+        entries = [ProfileEntry(1, 1, 128, 0.5), ProfileEntry(2, 8, 1024, 0.9)]
+        objective, _ = _objective(entries)
+        x = np.array([0.1, 0.002, 0.0, 0.0, 0.0, 0.0, 1.0])
+        with np.errstate(all="raise"):
+            loss, grad = objective(x)
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        # One-sided derivative from inside the bounds: the multi-node entry
+        # is under-predicted, so raising alpha_sync_node lowers the loss.
+        step = np.zeros(7)
+        step[4] = 1e-7
+        forward = (objective(x + step)[0] - loss) / 1e-7
+        assert grad[4] < 0.0
+        assert grad[4] == pytest.approx(forward, rel=1e-4)
+
+    def test_single_gpu_only_profile(self):
+        """T_sync == 0 everywhere: gamma is flat, nothing divides by zero."""
+        entries = [ProfileEntry(1, 1, m, 0.1 + 0.001 * m) for m in (64, 128, 256)]
+        state = ExplorationState()
+        state.observe(1, 1)
+        objective, free_idx = _objective(entries, state)
+        assert list(free_idx) == [0, 1, 6]
+        for gamma in (1.0, 3.0, 10.0):
+            with np.errstate(all="raise"):
+                loss, grad = objective(np.array([0.05, 0.002, gamma]))
+            assert np.isfinite(loss) and np.all(np.isfinite(grad))
+            assert grad[-1] == 0.0
+
+    def test_grad_sync_tie(self):
+        """T_grad == T_sync: max/min switch branches, the derivative does not."""
+        entries = [ProfileEntry(1, 2, 64, 0.3), ProfileEntry(1, 2, 64, 0.2)]
+        objective, _ = _objective(entries)
+        x = np.array([0.125, 0.0, 0.125, 0.0, 0.0, 0.0, 2.0])
+        with np.errstate(all="raise"):
+            loss, grad = objective(x)
+        assert np.isfinite(loss)
+        assert grad[0] == pytest.approx(grad[2], rel=1e-12)
+        for i in (0, 2):
+            step = np.zeros(7)
+            step[i] = 1e-7
+            numeric = (objective(x + step)[0] - objective(x - step)[0]) / 2e-7
+            assert grad[i] == pytest.approx(numeric, rel=1e-5)
+
+    def test_exact_fit_has_zero_gradient(self):
+        objective, _ = _objective([ProfileEntry(1, 1, 128, 0.5)])
+        loss, grad = objective(np.array([0.25, 0.25 / 128, 0, 0, 0, 0, 2.0]))
+        assert loss == 0.0
+        assert np.array_equal(grad, np.zeros(7))
+
+
+class _MinimizeSpy:
+    """Stands in for ``repro.core.throughput.minimize`` and records each start."""
+
+    def __init__(self, after=None):
+        self.starts = []
+        self._after = after
+
+    def __call__(self, fun, x0, **kwargs):
+        result = minimize(fun, x0, **kwargs)
+        self.starts.append(
+            SimpleNamespace(
+                x0=np.array(x0), kwargs=kwargs, fun=result.fun, status=result.status
             )
-            fast = fit_throughput_params(
-                obs, exploration, initial=initial, seed=trial, use_fd_jac=True
+        )
+        if self._after is not None:
+            self._after(result)
+        return result
+
+
+class TestFitMultiStart:
+    def test_exact_first_fit_runs_one_start(self, monkeypatch):
+        """A job's first fit (1 observation, 3 free parameters) is exact at
+        the default start; the other four starts cannot displace it."""
+        entry = ProfileEntry(1, 1, 128.0, 0.37)
+        state = ExplorationState()
+        state.observe(1, 1)
+        spy = _MinimizeSpy()
+        monkeypatch.setattr(throughput_module, "minimize", spy)
+        early = fit_throughput_params([entry], state, seed=3)
+        assert len(spy.starts) == 1
+
+        # No loss is below -1: the exit never fires, ties still go to the
+        # first start.
+        monkeypatch.setattr(throughput_module, "_EXACT_FIT_LOSS", -1.0)
+        all_starts = _MinimizeSpy()
+        monkeypatch.setattr(throughput_module, "minimize", all_starts)
+        full = fit_throughput_params([entry], state, seed=3)
+        assert len(all_starts.starts) == 5
+        assert all_starts.starts[0].fun == 0.0
+        assert early == full
+        assert _public_rmsle(early.as_vector(), _columns([entry])) == 0.0
+
+    def test_under_determined_fit_keeps_its_first_exact_start(self, monkeypatch):
+        """1 observation against 7 free parameters: every start ends on the
+        surface of exact fits, at a loss of 1e-11..1e-13 that is rounding
+        residue.  The fit is the one next to the first start, and the loss
+        it won with is the public RMSLE of the parameters it returns."""
+        entry = ProfileEntry(2, 8, 32.0, 0.0357)
+        columns = _columns([entry])
+        spy = _MinimizeSpy()
+        monkeypatch.setattr(throughput_module, "minimize", spy)
+        cold = fit_throughput_params([entry], seed=0)
+        assert len(spy.starts) == 1
+        loss = _public_rmsle(cold.as_vector(), columns)
+        assert loss <= throughput_module._EXACT_FIT_LOSS
+        assert loss == pytest.approx(spy.starts[0].fun, abs=1e-14)
+
+        # The next fit starts from the previous one and stays beside it
+        # instead of jumping to whichever restart rounds lowest.
+        moved = ProfileEntry(2, 8, 32.0, 0.0356)
+        spy.starts.clear()
+        warm = fit_throughput_params([moved], initial=cold, seed=0)
+        assert len(spy.starts) == 1
+        assert warm.as_vector() == pytest.approx(cold.as_vector(), rel=0.02)
+
+    def test_start_is_scored_at_the_vector_it_returns(self, monkeypatch):
+        """After an aborted line search scipy 1.17 returns the previous
+        iterate with the last trial's loss; a ``result.fun`` that does not
+        belong to ``result.x`` must neither win nor end the loop."""
+        truth = ThroughputModel(
+            ThroughputParams(0.05, 0.002, 0.01, 0.002, 0.03, 0.004, 2.0)
+        )
+        entries = [
+            ProfileEntry(nodes, gpus, m, float(truth.t_iter(nodes, gpus, m)) * noise)
+            for nodes, gpus in [(1, 1), (1, 4), (2, 8)]
+            for m, noise in [(128, 1.03), (256, 0.98), (512, 1.01)]
+        ]
+        honest = fit_throughput_params(entries, seed=5)
+
+        def claim_exact(result):
+            result.fun = 0.0
+
+        spy = _MinimizeSpy(after=claim_exact)
+        monkeypatch.setattr(throughput_module, "minimize", spy)
+        assert fit_throughput_params(entries, seed=5) == honest
+        assert len(spy.starts) == 5
+
+    def test_warm_start_leaves_a_just_unpinned_zero(self, cifar_params, monkeypatch):
+        """The priors unpin alpha_sync_node at the first multi-node
+        observation, and the previous fit holds it at exactly 0.0.  With
+        gamma at 1 the loss has a slope there (T_iter = T_grad + T_sync);
+        a gradient through ``sign(x)`` would report none and stay put."""
+        true_params = cifar_params.replace(alpha_sync_node=0.05, gamma=1.0)
+        truth = ThroughputModel(true_params)
+        state = ExplorationState()
+        entries = []
+        for nodes, gpus in [(1, 1), (1, 2), (2, 2)]:
+            for m in (128, 256, 512):
+                entries.append(
+                    ProfileEntry(nodes, gpus, m, float(truth.t_iter(nodes, gpus, m)))
+                )
+                state.observe(nodes, gpus)
+        assert state.pinned_params() == ("beta_sync_local", "beta_sync_node")
+        previous = true_params.replace(
+            alpha_sync_node=0.0, beta_sync_local=0.0, beta_sync_node=0.0
+        )
+        spy = _MinimizeSpy()
+        monkeypatch.setattr(throughput_module, "minimize", spy)
+        fitted = fit_throughput_params(
+            entries, state, initial=previous, num_restarts=0
+        )
+        warm, default = spy.starts
+        assert warm.fun <= default.fun
+        assert fitted.alpha_sync_node == pytest.approx(0.05, rel=0.1)
+
+    def test_no_finite_loss_raises(self, monkeypatch):
+        def nan_result(fun, x0, **kwargs):
+            result = minimize(fun, x0, **kwargs)
+            result.x = np.full_like(result.x, np.nan)
+            return result
+
+        monkeypatch.setattr(throughput_module, "minimize", nan_result)
+        with pytest.raises(RuntimeError, match="no finite loss"):
+            fit_throughput_params([ProfileEntry(1, 1, 128.0, 0.37)])
+
+
+class TestFitQuality:
+    def test_not_worse_than_finite_difference_reference(self, monkeypatch):
+        """Against scipy's own 2-point differences on the public RMSLE, from
+        the same starts: no higher mean loss, rarely a worse fit, and no
+        start lost to an aborted line search.
+
+        Every placement is observed at least three times, so no profile can
+        be fitted exactly: RMSLE is a square root, not differentiable at a
+        zero loss, and no gradient spares a line search there (those fits
+        are ``test_exact_first_fit_runs_one_start``'s subject).
+        """
+        from repro.workload import MODEL_ZOO
+
+        placements = [(1, 1), (1, 2), (1, 4), (2, 4), (2, 8), (4, 16)]
+        models = list(MODEL_ZOO.values())
+        fitted_losses, reference_losses, statuses = [], [], []
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            profile = models[seed % len(models)]
+            state = ExplorationState()
+            entries = []
+            for nodes, gpus in placements[: int(rng.integers(1, len(placements) + 1))]:
+                for _ in range(int(rng.integers(3, 6))):
+                    local = rng.uniform(
+                        profile.init_batch_size / 8.0, profile.max_local_bsz
+                    )
+                    m = float(min(local * gpus, profile.max_batch_size))
+                    t = float(profile.throughput_true.t_iter(nodes, gpus, m))
+                    t *= float(rng.lognormal(sigma=0.05))
+                    entries.append(ProfileEntry(nodes, gpus, m, t))
+                    state.observe(nodes, gpus)
+            columns = _columns(entries)
+            free_idx = [
+                i
+                for i, name in enumerate(_PARAM_NAMES)
+                if name not in state.pinned_params()
+            ]
+            reference = _written_out_rmsle(columns, free_idx)
+
+            spy = _MinimizeSpy()
+            monkeypatch.setattr(throughput_module, "minimize", spy)
+            fitted = fit_throughput_params(entries, state, seed=seed)
+            fitted_losses.append(_public_rmsle(fitted.as_vector(), columns))
+            statuses += [start.status for start in spy.starts]
+            best = min(
+                (
+                    minimize(reference, start.x0, **{**start.kwargs, "jac": None})
+                    for start in spy.starts
+                ),
+                key=lambda result: result.fun,
             )
-            slow = fit_throughput_params(
-                obs, exploration, initial=initial, seed=trial, use_fd_jac=False
-            )
-            assert fast == slow
+            full = np.zeros(7)
+            full[free_idx] = best.x
+            assert best.fun == pytest.approx(_public_rmsle(full, columns), rel=1e-9)
+            reference_losses.append(best.fun)
+        fitted_losses = np.array(fitted_losses)
+        reference_losses = np.array(reference_losses)
+        assert fitted_losses.mean() <= reference_losses.mean()
+        assert np.mean(fitted_losses > reference_losses + 1e-3) <= 0.05
+        assert 2 not in statuses
 
 
 class TestSimJobDerivedCache:
