@@ -65,6 +65,23 @@ __all__ = [
     "GA_ENGINES",
 ]
 
+#: Row width from which the v2 repair operators go sparse.  Both are batched
+#: over rows: ``_repair_interference`` over population members, each a
+#: ``(J, N)`` matrix of ``J * N`` cells, ``_batched_remove`` over violating
+#: rows of ``max(J, N)`` columns.  The sparse forms add numpy calls (~9 a pass
+#: to keep the interference counts current, ~15 to pack a removal), so they
+#: pay only once a row's dense work outweighs those.  Measured, sparse over
+#: dense.  Interference, a scheduling round of 24 members on 4 nodes: +3..+5%
+#: at 8-24 cells a member, +0.5..+2.6% at 32, -0.7% at 40, -2..-3% at 64, -13%
+#: at 384 (16 nodes x 24 jobs); per call 0.55x at 384 cells, 0.16x at 16384
+#: (64 nodes x 256 jobs).  With 8 members it pays from ~96 cells, with 48-100
+#: already from 16-32 (0.68-0.82x per call), which this rule leaves unused.
+#: Removal, per call on 20 and 200 rows of 4-8 non-zeros: 0.5-0.7x at 8-16
+#: columns, 0.7-0.9x at 24-32, 0.8-1.4x at 64, 1.1-2.0x at 128, 2.0-2.9x at
+#: 256.  With sparse interference on everywhere, a 16-GPU trace simulation
+#: (4 nodes, 1-10 jobs) read +4.4% on its steady round over ten pairs.
+_SPARSE_MIN_WIDTH = 64
+
 
 @dataclass(frozen=True)
 class GAConfig:
@@ -523,11 +540,12 @@ class GeneticOptimizerV2(GeneticOptimizer):
       call — the excess is split proportionally to the entry counts with
       the fractional remainder rounded by random priorities (randomized
       largest-remainder rounding), instead of per-violation hypergeometric
-      draws (see :meth:`_repair_caps_capacity`).
+      draws (see :meth:`_repair_caps_capacity`), sorting only each row's
+      non-zero support once rows are wide.
       Interference repair runs node-major passes batched over the whole
       population — every member's first violating node keeps one uniformly
-      random distributed job — with the distributed set recomputed between
-      passes (see :meth:`_repair_interference` for why single-pass
+      random distributed job — with the distributed set updated in place
+      between passes (see :meth:`_repair_interference` for why single-pass
       resolution over-removes).
     - **Same search structure as legacy, batched.**  Each generation
       mutates the population, scores the repaired mutants, and recombines
@@ -601,7 +619,32 @@ class GeneticOptimizerV2(GeneticOptimizer):
         ``removal.sum(1) >= excess`` row-wise (equality except in
         pathological float-rounding corners, where a deterministic top-up
         keeps the constraint satisfied).
+
+        Rows of ``_SPARSE_MIN_WIDTH`` columns and up are resolved on their
+        *non-zero support* only: a violating row holds a handful of entries
+        (6 of 256 on a 512-GPU round), zero entries never shed anything,
+        and the argsort behind the rounding is the cost of the whole call.
+        The support is packed to the left in column order, so the stable
+        sort breaks key ties exactly as it does on the full row, and the
+        keys are gathered from the same full-width
+        ``rng.random(counts.shape)`` block the dense form draws — the
+        result and the random stream are identical, only the sorted width
+        changes.
         """
+        full_shape = counts.shape
+        draws = self.rng.random(full_shape)
+        packed = full_shape[1] >= _SPARSE_MIN_WIDTH
+        if packed:
+            v_nz, col = np.nonzero(counts)  # row-major: column order per row
+            support = np.bincount(v_nz, minlength=len(counts))
+            slot = np.arange(v_nz.size) - (np.cumsum(support) - support)[v_nz]
+            held, held_draws = counts[v_nz, col], draws[v_nz, col]
+            counts = np.zeros(
+                (len(support), int(support.max(initial=0))), dtype=np.int64
+            )
+            counts[v_nz, slot] = held
+            draws = np.zeros(counts.shape)
+            draws[v_nz, slot] = held_draws
         c = counts.astype(float)
         total = c.sum(axis=1)
         ideal = np.minimum(excess[:, None] * (c / total[:, None]), c)
@@ -612,7 +655,7 @@ class GeneticOptimizerV2(GeneticOptimizer):
         # Random priority among entries with a fractional share; entries
         # with frac == 0 sort last and are never picked (there are always
         # at least `extra` fractional entries, since the fracs sum to it).
-        keys = np.where(frac > 0.0, self.rng.random(c.shape), -1.0)
+        keys = np.where(frac > 0.0, draws, -1.0)
         order = np.argsort(-keys, axis=1, kind="stable")
         ranks = np.empty_like(order)
         v_idx = np.arange(order.shape[0])[:, None]
@@ -628,6 +671,10 @@ class GeneticOptimizerV2(GeneticOptimizer):
             pick = np.argmax(headroom, axis=1)
             removal[rows, pick] += 1
             deficit[rows] -= 1
+        if packed:
+            unpacked = np.zeros(full_shape, dtype=np.int64)
+            unpacked[v_nz, col] = removal[v_nz, slot]
+            return unpacked
         return removal
 
     def _repair(self, population: np.ndarray) -> np.ndarray:
@@ -719,33 +766,61 @@ class GeneticOptimizerV2(GeneticOptimizer):
         Each pass picks every member's *first* still-violating node, keeps
         one of its distributed jobs (uniformly at random via
         max-of-iid-uniform keys), and drops the others from that node — all
-        members at once.  The distributed-job set is recomputed between
+        members at once.  The distributed-job set is kept current between
         passes, so a job that fell to a single node stops being evicted
         elsewhere: resolving everything in one pass from the *pre-repair*
         distributed set over-removes (a job conflicted at several nodes
         would lose all of them at once), which measurably under-allocates
-        saturated clusters.  At most one pass per node, each a handful of
-        array reductions.
+        saturated clusters.  At most one pass per node.
+
+        The whole ``(P, J, N)`` tensor is reduced once, into ``cnt`` (nodes
+        each job occupies), ``dist_present`` (the job is distributed and on
+        the node) and ``share`` (distributed jobs on each node); a pass
+        then costs what it repairs.  It moves that state in three places
+        only: the fixed node is left with its one kept job, every dropped
+        job occupies one node fewer, and a job that just fell to a single
+        node stops counting as distributed on the one node it still holds.
+        Members of fewer than ``_SPARSE_MIN_WIDTH`` cells re-reduce before
+        every pass instead, which is cheaper there.  Either way the per-pass
+        ``rng.random((V, J))`` block and the first-violating-node order are
+        those of a full rescan, and so are the result and the random
+        stream.
         """
-        num_members, _, num_nodes = pop.shape
+        num_members, num_jobs, num_nodes = pop.shape
+        if num_jobs < 2 or num_nodes < 2:
+            return  # a conflict takes two jobs that each span two nodes
+        sparse = num_jobs * num_nodes >= _SPARSE_MIN_WIDTH
         member_idx = np.arange(num_members)
-        for _ in range(num_nodes):
-            present = pop > 0
-            dist = present.sum(axis=-1) >= 2  # (P, J)
-            dist_present = present & dist[:, :, None]  # (P, J, N)
-            violating = dist_present.sum(axis=1) >= 2  # (P, N)
+        for n_pass in range(num_nodes):
+            if n_pass == 0 or not sparse:
+                present = pop > 0
+                cnt = present.sum(axis=-1)  # (P, J)
+                dist_present = present & (cnt >= 2)[:, :, None]  # (P, J, N)
+                share = dist_present.sum(axis=1)  # (P, N)
+            violating = share >= 2
             if not violating.any():
                 return
             first_n = np.argmax(violating, axis=1)  # (P,)
-            rows = np.where(violating[member_idx, first_n])[0]
-            candidates = dist_present[rows, :, first_n[rows]]  # (V, J)
-            keys = np.where(candidates, self.rng.random(candidates.shape), -1.0)
-            keep = np.argmax(keys, axis=1)
-            drop = candidates
-            drop[np.arange(len(rows)), keep] = False
-            cols = pop[rows, :, first_n[rows]]
-            cols[drop] = 0
-            pop[rows, :, first_n[rows]] = cols
+            rows = np.flatnonzero(violating[member_idx, first_n])
+            nodes = first_n[rows]
+            drop = dist_present[rows, :, nodes]  # (V, J) candidates, a copy
+            keys = np.where(drop, self.rng.random(drop.shape), -1.0)
+            drop[member_idx[: rows.size], np.argmax(keys, axis=1)] = False
+            v_d, j_d = np.nonzero(drop)
+            p_d = rows[v_d]
+            pop[p_d, j_d, nodes[v_d]] = 0
+            if sparse:
+                # share == 1 keeps a fixed node from being picked again,
+                # so its column of ``dist_present`` is left stale.
+                share[rows, nodes] = 1
+                left = cnt[p_d, j_d] - 1
+                cnt[p_d, j_d] = left
+                single = left == 1
+                p_s, j_s = p_d[single], j_d[single]
+                dist_present[p_s, j_s] = False
+                # A single-node row's one positive entry is its argmax.
+                last_n = np.argmax(pop[p_s, j_s], axis=1)
+                np.subtract.at(share, (p_s, last_n), 1)
 
     # ------------------------------------------------------------------
     # Warm start and main loop

@@ -49,6 +49,23 @@ __all__ = ["PolluxSchedConfig", "SchedJobInfo", "job_weight", "PolluxSched"]
 #: headroom for cross-round reuse of unchanged reports.
 _CACHE_SLOTS_PER_JOB = 16
 
+#: Jobs per batched table-build pass (``PolluxSched._tables_batched``).  One
+#: pass over a 256-job round walks ~10 temporaries of 11-23 MB each (1.43 M
+#: feasible cells x 2 placement flags), every one fresh memory: 28-32
+#: thousand first-touch page faults per steady fold, more than half its
+#: time.  At 64 jobs a pass the allocator hands each block the pages the
+#: last one freed and the fold takes no fault at all.  Measured steady fold:
+#: 111-128 ms in one pass, 73-104 ms at 128 jobs a pass, 50-52 ms at 64,
+#: 50-51 ms at 32, 52-54 ms at 16; a fresh scheduler's first build 299-431
+#: -> 192-219 ms at 64.  Tables are elementwise identical at any block size.
+_TABLE_BLOCK_JOBS = 64
+
+
+def _blocks(items: list):
+    """``items`` in runs of at most ``_TABLE_BLOCK_JOBS``, in order."""
+    for start in range(0, len(items), _TABLE_BLOCK_JOBS):
+        yield items[start : start + _TABLE_BLOCK_JOBS]
+
 
 @dataclass(frozen=True)
 class PolluxSchedConfig:
@@ -281,13 +298,15 @@ class PolluxSched:
         if self._population is None or self._population.size == 0:
             return None
         old_index = {jid: i for i, jid in enumerate(self._population_job_ids)}
-        pop_size = self._population.shape[0]
-        num_nodes = self.cluster.num_nodes
-        out = np.zeros((pop_size, len(job_ids), num_nodes), dtype=np.int64)
-        for new_j, jid in enumerate(job_ids):
-            old_j = old_index.get(jid)
-            if old_j is not None:
-                out[:, new_j, :] = self._population[:, old_j, :]
+        # One take along the job axis; an arrival's -1 picks some old row,
+        # which is then zeroed.
+        old_rows = np.array(
+            [old_index.get(jid, -1) for jid in job_ids], dtype=np.intp
+        )
+        out = self._population.take(old_rows, axis=1)
+        arrived = old_rows < 0
+        if arrived.any():
+            out[:, arrived] = 0
         return out
 
     def _tables_legacy(
@@ -346,9 +365,10 @@ class PolluxSched:
         """Batched table builds — the v2 engine's path.
 
         Cache hits are looked up per job (two-phase protocol); all misses
-        are then built in one :func:`build_surfaces_batch` pass and stored.
-        Values match the per-job builders up to pow-kernel rounding, which
-        is inside the v2 engine's benchmarked-equivalence budget.
+        are then built by :func:`build_surfaces_batch`, at most
+        ``_TABLE_BLOCK_JOBS`` jobs a pass, and stored.  Values match the
+        per-job builders up to pow-kernel rounding, which is inside the v2
+        engine's benchmarked-equivalence budget.
         """
         cfg = self.config
         cache = self.surface_cache
@@ -387,39 +407,49 @@ class PolluxSched:
                 pos for pos, (_, _, _, cells) in enumerate(missing)
                 if cells is None
             ]
-            if to_build:
+            # Both passes run in blocks of jobs (see ``_TABLE_BLOCK_JOBS``),
+            # all cells before any table, so values, store order and with
+            # it the LRU state are those of one unblocked pass.
+            for block in _blocks(to_build):
                 built_cells = build_tput_cells(
-                    [models[pos] for pos in to_build],
-                    [miss_caps[pos] for pos in to_build],
+                    [models[pos] for pos in block],
+                    [miss_caps[pos] for pos in block],
                     points_per_octave=ppo,
                     type_speeds=speeds,
                 )
-                for pos, cells in zip(to_build, built_cells):
+                for pos, cells in zip(block, built_cells):
                     idx, key, ckey, _ = missing[pos]
                     if cache is not None:
                         # Copy out of the batch's shared backing arrays:
-                        # a cached view would pin the whole round's buffer
+                        # a cached view would pin the whole block's buffer
                         # for as long as any one entry survives the LRU.
-                        cache.store(
-                            ckey,
-                            (
-                                cells.tput.copy(),
-                                cells.m_cells.copy(),
-                                cells.counts.copy(),
-                            ),
+                        # The fold below reads the copies too, so the next
+                        # block reuses this block's memory.
+                        cells = TputCells(
+                            *cache.store(
+                                ckey,
+                                (
+                                    cells.tput.copy(),
+                                    cells.m_cells.copy(),
+                                    cells.counts.copy(),
+                                ),
+                            )
                         )
                     missing[pos] = (idx, key, ckey, cells)
-            built = build_surfaces_batch(
-                models,
-                miss_caps,
-                points_per_octave=ppo,
-                type_speeds=speeds,
-                cells=[cells for _, _, _, cells in missing],
-            )
-            for (idx, key, _, _), entry in zip(missing, built):
-                if cache is not None:
-                    entry = cache.store(key, (entry[0].copy(), entry[1].copy()))
-                tables[idx] = entry[0]
+            for block, block_models, block_caps in zip(
+                _blocks(missing), _blocks(models), _blocks(miss_caps)
+            ):
+                built = build_surfaces_batch(
+                    block_models,
+                    block_caps,
+                    points_per_octave=ppo,
+                    type_speeds=speeds,
+                    cells=[cells for _, _, _, cells in block],
+                )
+                for (idx, key, _, _), entry in zip(block, built):
+                    if cache is not None:
+                        entry = cache.store(key, (entry[0].copy(), entry[1].copy()))
+                    tables[idx] = entry[0]
         return tables
 
     def build_problem(self, jobs: Sequence[SchedJobInfo]) -> AllocationProblem:
@@ -431,8 +461,8 @@ class PolluxSched:
         most once; with caching disabled every table is rebuilt in place.
         The cache is grown to the round's working-set size first (see
         ``_CACHE_SLOTS_PER_JOB``).  The legacy engine builds missing tables
-        one job at a time (bit-pinned values); the v2 engine batches all
-        misses into one padded surface pass.
+        one job at a time (bit-pinned values); the v2 engine batches the
+        misses into ragged surface passes.
         """
         cfg = self.config
         cache = self.surface_cache

@@ -9,6 +9,8 @@ engine selection plumbing through PolluxSchedConfig.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, validate_allocation_matrix
 from repro.core import (
@@ -24,6 +26,7 @@ from repro.core import (
     SchedJobInfo,
     make_optimizer,
 )
+from repro.core.genetic import _SPARSE_MIN_WIDTH
 from repro.workload import MODEL_ZOO
 
 
@@ -426,3 +429,229 @@ class TestPhaseTimings:
             ):
                 assert key in timings, (engine, key)
             assert timings["total_ms"] > 0
+
+
+class RescanOptimizerV2(GeneticOptimizerV2):
+    """The oracle for stream identity: v2 with the repair bodies it had
+    before they were made incremental.
+
+    ``_batched_remove`` sorts every row at full width and
+    ``_repair_interference`` re-reduces the whole ``(P, J, N)`` tensor on
+    every pass.  The shipped methods must return the same arrays *and*
+    leave the generator in the same state.
+    """
+
+    def _batched_remove(self, counts, excess):
+        c = counts.astype(float)
+        total = c.sum(axis=1)
+        ideal = np.minimum(excess[:, None] * (c / total[:, None]), c)
+        base = np.floor(ideal)
+        frac = ideal - base
+        base = base.astype(np.int64)
+        extra = excess - base.sum(axis=1)  # (V,)
+        keys = np.where(frac > 0.0, self.rng.random(c.shape), -1.0)
+        order = np.argsort(-keys, axis=1, kind="stable")
+        ranks = np.empty_like(order)
+        v_idx = np.arange(order.shape[0])[:, None]
+        ranks[v_idx, order] = np.arange(order.shape[1])[None, :]
+        removal = base + ((ranks < extra[:, None]) & (frac > 0.0))
+        deficit = excess - removal.sum(axis=1)
+        while np.any(deficit > 0):
+            rows = np.where(deficit > 0)[0]
+            headroom = counts[rows] - removal[rows]
+            pick = np.argmax(headroom, axis=1)
+            removal[rows, pick] += 1
+            deficit[rows] -= 1
+        return removal
+
+    def _repair_interference(self, pop):
+        num_members, _, num_nodes = pop.shape
+        member_idx = np.arange(num_members)
+        for _ in range(num_nodes):
+            present = pop > 0
+            dist = present.sum(axis=-1) >= 2  # (P, J)
+            dist_present = present & dist[:, :, None]  # (P, J, N)
+            violating = dist_present.sum(axis=1) >= 2  # (P, N)
+            if not violating.any():
+                return
+            first_n = np.argmax(violating, axis=1)  # (P,)
+            rows = np.where(violating[member_idx, first_n])[0]
+            candidates = dist_present[rows, :, first_n[rows]]  # (V, J)
+            keys = np.where(candidates, self.rng.random(candidates.shape), -1.0)
+            keep = np.argmax(keys, axis=1)
+            drop = candidates
+            drop[np.arange(len(rows)), keep] = False
+            cols = pop[rows, :, first_n[rows]]
+            cols[drop] = 0
+            pop[rows, :, first_n[rows]] = cols
+
+
+class CoarseRng:
+    """Generator stand-in whose uniforms sit on a grid of eight values, so
+    the random keys tie all the time and the stable tie-break decides."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, shape):
+        return np.floor(self._rng.random(shape) * 8.0) / 8.0
+
+
+def random_problem(rng, num_jobs, num_nodes, gpus, two_type, forbid):
+    if two_type and num_nodes >= 2:
+        first = num_nodes // 2
+        cluster = ClusterSpec.heterogeneous(
+            (("v100", first, gpus), ("t4", num_nodes - first, gpus))
+        )
+    else:
+        cluster = ClusterSpec.homogeneous(num_nodes, gpus)
+    jobs = []
+    for _ in range(num_jobs):
+        cap = int(rng.integers(1, cluster.total_gpus + 1))
+        table = synthetic_table(cap, 0.8)
+        if cluster.num_types > 1:
+            table = np.repeat(table[:, :, None], cluster.num_types, axis=2)
+        jobs.append(
+            JobGAInfo(
+                speedup_table=table,
+                weight=1.0,
+                max_gpus=cap,
+                current_alloc=np.zeros(num_nodes, dtype=np.int64),
+                running=False,
+            )
+        )
+    return AllocationProblem(cluster, jobs, forbid_interference=forbid)
+
+
+def random_population(rng, members, problem, density, top):
+    shape = (members, problem.num_jobs, problem.num_nodes)
+    values = rng.integers(1, top + 1, size=shape)
+    return (values * (rng.random(shape) < density)).astype(np.int64)
+
+
+def engine_pair(problem, config=None, seed=0):
+    config = config or GAConfig(population_size=4, generations=1)
+    return (
+        RescanOptimizerV2(problem, config, rng=np.random.default_rng(seed)),
+        GeneticOptimizerV2(problem, config, rng=np.random.default_rng(seed)),
+    )
+
+
+def assert_same_repair(problem, pop, seed=0):
+    oracle, shipped = engine_pair(problem, seed=seed)
+    np.testing.assert_array_equal(shipped._repair(pop), oracle._repair(pop))
+    assert shipped.rng.bit_generator.state == oracle.rng.bit_generator.state
+
+
+class TestRepairStreamIdentity:
+    """Incremental interference repair and support-only removal return the
+    arrays, and consume the random numbers, of the full rescans."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        members=st.integers(1, 6),
+        # Both sides of the switch: members of a few cells and of
+        # thousands, rows a few columns wide and rows just under and over
+        # _SPARSE_MIN_WIDTH.
+        num_jobs=st.one_of(
+            st.integers(1, 12),
+            st.integers(_SPARSE_MIN_WIDTH - 4, _SPARSE_MIN_WIDTH + 26),
+        ),
+        num_nodes=st.one_of(
+            st.integers(1, 8),
+            st.integers(_SPARSE_MIN_WIDTH - 4, _SPARSE_MIN_WIDTH + 6),
+        ),
+        gpus=st.integers(1, 8),
+        density=st.sampled_from([0.02, 0.05, 0.15, 0.4, 1.0]),
+        two_type=st.booleans(),
+        forbid=st.booleans(),
+    )
+    def test_repair_matches_full_rescan(
+        self, seed, members, num_jobs, num_nodes, gpus, density, two_type, forbid
+    ):
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, num_jobs, num_nodes, gpus, two_type, forbid)
+        pop = random_population(rng, members, problem, density, 2 * gpus)
+        assert_same_repair(problem, pop, seed=seed)
+
+    @pytest.mark.parametrize(
+        "width", [5, _SPARSE_MIN_WIDTH - 1, _SPARSE_MIN_WIDTH, 200]
+    )
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_batched_remove_matches_full_width(self, width, coarse):
+        problem = make_problem(ClusterSpec.homogeneous(4, 4))
+        data = np.random.default_rng(width)
+        for trial in range(20):
+            counts = data.integers(1, 9, size=(30, width))
+            counts *= data.random(counts.shape) < data.choice([0.03, 0.3, 1.0])
+            counts[counts.sum(axis=1) == 0, data.integers(width)] = 1
+            excess = data.integers(1, counts.sum(axis=1) + 1)
+            oracle, shipped = engine_pair(problem)
+            if coarse:
+                oracle.rng, shipped.rng = CoarseRng(trial), CoarseRng(trial)
+            got = shipped._batched_remove(counts, excess)
+            want = oracle._batched_remove(counts, excess)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got.sum(axis=1), excess)
+            # Same number of uniforms consumed, full width or packed.
+            np.testing.assert_array_equal(
+                shipped.rng.random(3), oracle.rng.random(3)
+            )
+
+    def test_interference_with_tied_keys(self):
+        # Ties between candidates' keys go to the lowest job index, in
+        # the incremental form as in the rescan.
+        cluster = ClusterSpec.homogeneous(6, 4)
+        problem = make_problem(cluster, num_jobs=7)
+        data = np.random.default_rng(3)
+        for trial in range(20):
+            pop = random_population(data, 5, problem, 0.6, 2)
+            oracle, shipped = engine_pair(problem)
+            oracle.rng, shipped.rng = CoarseRng(trial), CoarseRng(trial)
+            want, got = pop.copy(), pop.copy()
+            oracle._repair_interference(want)
+            shipped._repair_interference(got)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(
+                shipped.rng.random(3), oracle.rng.random(3)
+            )
+
+    def test_dense_round_shape(self):
+        # (16, 256, 64): the 512-GPU / 256-job round the sparse paths are
+        # for.  A repaired population, mutated, is what every generation
+        # hands to repair.
+        data = np.random.default_rng(11)
+        problem = random_problem(data, 256, 64, 8, False, True)
+        oracle, shipped = engine_pair(problem)
+        feasible = shipped._repair(random_population(data, 16, problem, 0.02, 8))
+        mutated = shipped._mutate(feasible)
+        assert mutated.shape == (16, 256, 64)
+        assert_same_repair(problem, mutated, seed=5)
+        for member in shipped._repair(mutated):
+            assert validate_allocation_matrix(
+                member, problem.cluster, forbid_interference=True
+            ) == []
+
+    @pytest.mark.parametrize(
+        "num_jobs, num_nodes, two_type, forbid",
+        [
+            (5, 4, False, True),
+            (6, 4, True, True),
+            (5, 4, False, False),
+            (70, 8, False, True),  # sparse repair: 560 cells, 70 columns
+            (70, 8, True, True),
+        ],
+    )
+    def test_full_run_is_identical(self, num_jobs, num_nodes, two_type, forbid):
+        data = np.random.default_rng(num_jobs)
+        problem = random_problem(data, num_jobs, num_nodes, 4, two_type, forbid)
+        config = GAConfig(population_size=8, generations=4, patience=0)
+        oracle, shipped = engine_pair(problem, config, seed=9)
+        want_best, want_fitness, want_pop = oracle.run()
+        got_best, got_fitness, got_pop = shipped.run()
+        np.testing.assert_array_equal(got_best, want_best)
+        assert got_fitness == want_fitness
+        np.testing.assert_array_equal(got_pop, want_pop)
+        assert shipped.rng.bit_generator.state == oracle.rng.bit_generator.state

@@ -1,8 +1,11 @@
 """Tests for PolluxSched: fitness weighting and cluster optimization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import repro.core.sched as sched_module
 from repro.cluster import ClusterSpec, validate_allocation_matrix
 from repro.core import (
     AgentReport,
@@ -10,8 +13,10 @@ from repro.core import (
     PolluxSched,
     PolluxSchedConfig,
     SchedJobInfo,
+    ThroughputParams,
     job_weight,
 )
+from repro.core.speedup import build_surfaces_batch
 from repro.workload import MODEL_ZOO
 
 
@@ -163,3 +168,138 @@ class TestInterferenceConstraint:
         assert not validate_allocation_matrix(
             matrix, small_cluster, forbid_interference=True
         )
+
+
+class TestBootstrapPopulation:
+    def test_reindex_matches_row_by_row_copy(self, sched):
+        # The warm population re-indexed for a round in which jobs left
+        # ("c", "e"), arrived ("x", "y", "z") and the rest changed order.
+        old_ids = ["a", "b", "c", "d", "e"]
+        new_ids = ["x", "d", "a", "y", "b", "z"]
+        population = np.random.default_rng(0).integers(
+            0, 5, size=(6, len(old_ids), 4)
+        )
+        sched._population = population
+        sched._population_job_ids = old_ids
+        out = sched._bootstrap_population(new_ids)
+
+        expected = np.zeros((6, len(new_ids), 4), dtype=np.int64)
+        for new_j, job_id in enumerate(new_ids):
+            if job_id in old_ids:
+                expected[:, new_j, :] = population[:, old_ids.index(job_id), :]
+        np.testing.assert_array_equal(out, expected)
+        assert out.dtype == np.int64 and out.flags.c_contiguous
+        assert not np.shares_memory(out, population)
+
+    def test_all_arrivals_and_no_population(self, sched):
+        assert sched._bootstrap_population(["a"]) is None
+        sched._population = np.ones((3, 2, 4), dtype=np.int64)
+        sched._population_job_ids = ["a", "b"]
+        out = sched._bootstrap_population(["p", "q", "r"])
+        np.testing.assert_array_equal(out, np.zeros((3, 3, 4), dtype=np.int64))
+
+
+def _varied_jobs(count, num_nodes, seed, prefix="job"):
+    """Jobs over the whole model zoo at mixed phi and exploration caps."""
+    rng = np.random.default_rng(seed)
+    names = sorted(MODEL_ZOO)
+    return [
+        make_job(
+            f"{prefix}-{idx}",
+            num_nodes=num_nodes,
+            model_name=names[idx % len(names)],
+            phi=float(rng.uniform(50.0, 5000.0)),
+            max_gpus_seen=int(rng.integers(1, 17)),
+        )
+        for idx in range(count)
+    ]
+
+
+def _with_phi(job, factor):
+    report = replace(
+        job.report, grad_noise_scale=job.report.grad_noise_scale * factor
+    )
+    return replace(job, report=report)
+
+
+def _with_theta(job, factor):
+    vec = job.report.throughput_params.as_vector()
+    vec[:-1] *= factor
+    report = replace(
+        job.report, throughput_params=ThroughputParams.from_vector(vec)
+    )
+    return replace(job, report=report)
+
+
+class TestBlockedTableBuilds:
+    """``_tables_batched`` builds its misses ``_TABLE_BLOCK_JOBS`` at a time:
+    same tables, same cache traffic as one pass over all of them."""
+
+    BLOCK = sched_module._TABLE_BLOCK_JOBS
+
+    @pytest.mark.parametrize(
+        "count", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 2]  # 63 64 65 130
+    )
+    @pytest.mark.parametrize("typed", [False, True])
+    def test_same_tables_and_cache_state_as_one_pass(
+        self, count, typed, monkeypatch
+    ):
+        if typed:
+            cluster = ClusterSpec.heterogeneous((("v100", 4, 4), ("t4", 4, 4)))
+        else:
+            cluster = ClusterSpec.homogeneous(8, 4)
+        speeds = cluster.type_speeds()
+        # A cache smaller than a round's two entries per job, so stores
+        # evict and the LRU order is part of what is compared.
+        config = PolluxSchedConfig(surface_cache_size=count + 10)
+        blocked = PolluxSched(cluster, config, seed=0)
+        one_pass = PolluxSched(cluster, config, seed=0)
+
+        all_miss = _varied_jobs(count, cluster.num_nodes, seed=count)
+        cells_hit = [_with_phi(job, 1.01) for job in all_miss]
+        mixed = [
+            job if idx % 3 == 0  # table hit
+            else _with_phi(job, 1.02) if idx % 3 == 1  # cells hit
+            else _with_theta(job, 1.01)  # a re-fit: both miss
+            for idx, job in enumerate(cells_hit)
+        ]
+        mixed[5:8] = _varied_jobs(3, cluster.num_nodes, seed=1, prefix="new")
+
+        for jobs in (all_miss, cells_hit, mixed):
+            caps = [
+                job.report.exploration_cap(cluster.total_gpus) for job in jobs
+            ]
+            got = blocked._tables_batched(jobs, caps, speeds)
+            with monkeypatch.context() as patch:
+                patch.setattr(sched_module, "_TABLE_BLOCK_JOBS", 10**9)
+                want = one_pass._tables_batched(jobs, caps, speeds)
+            direct = build_surfaces_batch(
+                [job.report.goodput_model() for job in jobs],
+                caps,
+                points_per_octave=config.table_points_per_octave,
+                type_speeds=tuple(float(s) for s in speeds),
+            )
+            for table, reference, (built, _) in zip(got, want, direct):
+                np.testing.assert_array_equal(table, reference)
+                np.testing.assert_array_equal(table, built)
+            stats = blocked.surface_cache.stats
+            ref_stats = one_pass.surface_cache.stats
+            for field in stats.__slots__:
+                assert getattr(stats, field) == getattr(ref_stats, field), field
+            assert list(blocked.surface_cache._entries) == list(
+                one_pass.surface_cache._entries
+            )
+        assert stats.evictions > 0 and stats.hits > 0 and stats.cells_hits > 0
+
+    def test_uncached_blocks_match_one_pass(self, monkeypatch):
+        cluster = ClusterSpec.homogeneous(8, 4)
+        config = PolluxSchedConfig(surface_cache_size=0)
+        sched = PolluxSched(cluster, config, seed=0)
+        assert sched.surface_cache is None
+        jobs = _varied_jobs(self.BLOCK + 6, cluster.num_nodes, seed=3)
+        caps = [job.report.exploration_cap(cluster.total_gpus) for job in jobs]
+        got = sched._tables_batched(jobs, caps, cluster.type_speeds())
+        monkeypatch.setattr(sched_module, "_TABLE_BLOCK_JOBS", 10**9)
+        want = sched._tables_batched(jobs, caps, cluster.type_speeds())
+        for table, reference in zip(got, want):
+            np.testing.assert_array_equal(table, reference)
