@@ -5,13 +5,16 @@ this benchmark tracks the *cost* of producing them: how long one PolluxSched
 scheduling round takes, how long one theta_sys fit takes, and the end-to-end
 wall-clock of the simulator driving the Pollux policy (with and without cloud
 autoscaling) at the configured ``REPRO_BENCH_SCALE``.  It writes the numbers
-plus a decision digest (a hash of the JCT/restart/timeline streams, which
-must not move when pure-performance changes land) and the surface-cache
-hit/miss counters to ``BENCH_perf.json``.
+plus a decision digest (a hash of the JCT/restart/timeline streams) and the
+surface-cache hit/miss counters to ``BENCH_perf.json``.
 
-The committed ``BENCH_perf.json`` at the repo root is the perf baseline: CI
-runs this file at smoke scale and fails when the scheduling-round timing
-regresses more than 2x against it (machine variance headroom included).
+The committed ``BENCH_perf.json`` at the repo root holds the **pinned
+tier** (``docs/operating.md``, "Decision-stream policy"): the decision
+digests of the default configuration, ``sim_pollux`` and
+``sim_pollux_autoscale``.  ``--check`` fails when either moves on a numeric
+stack matching the recorded one, or when the scheduling-round timing
+regresses more than 2x (machine variance headroom included);
+``tests/test_pinned_digests.py`` holds the smoke digests in tier-1.
 
 Run modes:
 
@@ -65,6 +68,10 @@ BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 #: CI fails when sched_round_ms exceeds baseline * this factor.
 REGRESSION_FACTOR = 2.0
+
+#: ``run_bench`` entries whose ``decision_digest`` is pinned: the default
+#: configuration, without and with cloud autoscaling.
+PINNED_SIMS = ("sim_pollux", "sim_pollux_autoscale")
 
 
 def _median_ms(fn, repeats: int) -> float:
@@ -162,10 +169,8 @@ def _drifted_jobs(
     return out
 
 
-def bench_sched_round(
-    repeats: int = 5, engine: Optional[str] = None
-) -> Dict[str, object]:
-    """Per-round PolluxSched.optimize timings for one engine.
+def bench_sched_round(repeats: int = 5) -> Dict[str, object]:
+    """Per-round PolluxSched.optimize timings.
 
     ``steady_ms`` (the tracked headline and CI-gated number) measures the
     recurring round: one scheduler kept alive across rounds — warm caches,
@@ -176,12 +181,10 @@ def bench_sched_round(
     """
     cluster = ClusterSpec.homogeneous(SCALE.num_nodes, SCALE.gpus_per_node)
     jobs = _synthetic_round_jobs(cluster, SCALE.num_jobs)
-    kwargs = {} if engine is None else {"ga_engine": engine}
     config = PolluxSchedConfig(
         ga=GAConfig(
             population_size=SCALE.ga_population, generations=SCALE.ga_generations
         ),
-        **kwargs,
     )
 
     sched = PolluxSched(cluster, config, seed=1)
@@ -199,8 +202,7 @@ def bench_sched_round(
 
     # The cells-persistence lever: a restarted scheduler that pre-warms
     # its surface cache from the previous process's phi-free cells
-    # snapshot (``PolluxSchedConfig(cells_path=...)``).  Legacy runs have
-    # no cells entries, so their "warm" cold round equals the plain one.
+    # snapshot (``PolluxSchedConfig(cells_path=...)``).
     cells_file = tempfile.NamedTemporaryFile(suffix=".npz", delete=False)
     cells_file.close()
     try:
@@ -251,22 +253,13 @@ def bench_agent_fit(repeats: int = 5) -> float:
 # Macro: end-to-end simulator wall-clock
 # ----------------------------------------------------------------------
 
-def _make_sim(
-    autoscale: bool,
-    batch_tuning: Optional[str] = None,
-    engine: Optional[str] = None,
-) -> Simulator:
-    """Simulator at benchmark scale; None parameters mean repo defaults.
-
-    ``engine="legacy"`` pins both the scheduler and the autoscaler probes
-    to the legacy GA engine and pairs it with golden-section tuning — the
-    exact pre-v2 default configuration whose decision digests are pinned
-    bit-for-bit in the committed baseline.
+def _make_sim(autoscale: bool) -> Simulator:
+    """Simulator at benchmark scale, every option at its default.
 
     The policy is constructed through the :mod:`repro.policy` registry, so
-    the pinned digests gate the *Policy-API* dispatch path (snapshot
-    views, capability-driven loop, autoscaling via ``decide_resize``) —
-    the redesign's bit-for-bit claim is checked, not assumed.
+    the pinned digests gate the whole shipped path: snapshot views, the
+    capability-driven loop, autoscaling via ``decide_resize``, batched
+    table builds, the GA and table-driven batch tuning.
     """
     cluster = ClusterSpec.homogeneous(SCALE.num_nodes, SCALE.gpus_per_node)
     trace = generate_trace(
@@ -278,13 +271,11 @@ def _make_sim(
             gpus_per_node=SCALE.gpus_per_node,
         )
     )
-    sched_kwargs = {} if engine is None else {"ga_engine": engine}
     sched_config = PolluxSchedConfig(
         ga=GAConfig(
             population_size=SCALE.ga_population,
             generations=SCALE.ga_generations,
         ),
-        **sched_kwargs,
     )
     policy_kwargs = {}
     if autoscale:
@@ -292,28 +283,20 @@ def _make_sim(
             autoscale=AutoscaleConfig(min_nodes=1, max_nodes=SCALE.num_nodes * 2),
             autoscale_interval=600.0,
         )
-    scheduler = repro.policy.create(
+    policy = repro.policy.create(
         "pollux", cluster=cluster, config=sched_config, **policy_kwargs
     )
-    sim_kwargs = {} if batch_tuning is None else {"batch_tuning": batch_tuning}
     return Simulator(
-        cluster,
-        scheduler,
-        trace,
-        SimConfig(seed=1001, max_hours=SCALE.max_hours, **sim_kwargs),
+        cluster, policy, trace, SimConfig(seed=1001, max_hours=SCALE.max_hours)
     )
 
 
-def bench_sim(
-    autoscale: bool,
-    batch_tuning: Optional[str] = None,
-    engine: Optional[str] = None,
-) -> Dict[str, object]:
-    sim = _make_sim(autoscale, batch_tuning, engine)
+def bench_sim(autoscale: bool) -> Dict[str, object]:
+    sim = _make_sim(autoscale)
     t0 = time.perf_counter()
     result = sim.run()
     wall = time.perf_counter() - t0
-    cache = sim.scheduler.sched.surface_cache
+    cache = sim.policy.sched.surface_cache
     out: Dict[str, object] = {
         "wall_s": round(wall, 3),
         "decision_digest": decision_digest(result),
@@ -325,8 +308,8 @@ def bench_sim(
             "hits": cache.stats.hits,
             "misses": cache.stats.misses,
             "evictions": cache.stats.evictions,
-            # v2's second level: phi-free throughput cells reused across
-            # rounds while only phi drifted (0/0 on the legacy path).
+            # The second level: phi-free throughput cells reused across
+            # rounds while only phi drifted.
             "cells_hits": cache.stats.cells_hits,
             "cells_misses": cache.stats.cells_misses,
         }
@@ -342,7 +325,6 @@ def run_bench() -> Dict[str, object]:
     import scipy
 
     round_default = bench_sched_round(repeats)
-    round_legacy = bench_sched_round(repeats, engine="legacy")
     data: Dict[str, object] = {
         "scale": SCALE.name,
         # Decision digests are exact float streams: they are only required
@@ -351,30 +333,17 @@ def run_bench() -> Dict[str, object]:
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
         "calibration_ms": round(_calibration_ms(), 3),
-        # Headline + CI-gated number: the default engine's steady-state
-        # round (see bench_sched_round).
+        # The timing-gated number: the steady-state round (see
+        # bench_sched_round).
         "sched_round_ms": round_default["steady_ms"],
         "sched_round_cold_ms": round_default["cold_ms"],
         # Restart with a cells_path snapshot: the cold round minus the
         # phi-free TputCells rebuilds (the persistence lever).
         "sched_round_cold_warm_cells_ms": round_default["cold_warm_cells_ms"],
         "sched_phase_ms": round_default["phase_ms"],
-        "sched_round_legacy_ms": round_legacy["steady_ms"],
-        "sched_round_legacy_cold_ms": round_legacy["cold_ms"],
-        "sched_round_speedup": round(
-            round_legacy["steady_ms"] / round_default["steady_ms"], 3
-        ),
         "agent_fit_ms": round(bench_agent_fit(repeats), 3),
         "sim_pollux": bench_sim(autoscale=False),
         "sim_pollux_autoscale": bench_sim(autoscale=True),
-        # The pre-v2 default configuration (legacy engine + golden-section
-        # tuning): its decision digests are pinned bit-for-bit.
-        "sim_pollux_legacy": bench_sim(
-            autoscale=False, batch_tuning="golden", engine="legacy"
-        ),
-        "sim_pollux_autoscale_legacy": bench_sim(
-            autoscale=True, batch_tuning="golden", engine="legacy"
-        ),
     }
     return data
 
@@ -382,26 +351,16 @@ def run_bench() -> Dict[str, object]:
 def _print_report(data: Dict[str, object]) -> None:
     print_header("Perf: scheduling/simulation hot path")
     print(
-        f"sched round (v2)     {data['sched_round_ms']:10.2f} ms steady  "
+        f"sched round          {data['sched_round_ms']:10.2f} ms steady  "
         f"{data['sched_round_cold_ms']:10.2f} ms cold  "
         f"{data['sched_round_cold_warm_cells_ms']:10.2f} ms cold+cells"
-    )
-    print(
-        f"sched round (legacy) {data['sched_round_legacy_ms']:10.2f} ms steady  "
-        f"{data['sched_round_legacy_cold_ms']:10.2f} ms cold  "
-        f"(v2 {data['sched_round_speedup']:.2f}x)"
     )
     phases = ", ".join(
         f"{k}={v:.1f}" for k, v in data["sched_phase_ms"].items()
     )
     print(f"sched phases (ms)    {phases}")
     print(f"agent fit            {data['agent_fit_ms']:10.2f} ms")
-    for key in (
-        "sim_pollux",
-        "sim_pollux_autoscale",
-        "sim_pollux_legacy",
-        "sim_pollux_autoscale_legacy",
-    ):
+    for key in PINNED_SIMS:
         sim = data[key]
         cache = sim.get("surface_cache")
         cache_str = ""
@@ -457,50 +416,36 @@ def _check_baseline(data: Dict[str, object]) -> int:
         if now_ms > limit:
             print("PERF REGRESSION: scheduling round exceeds 2x baseline")
             return 1
-    # The legacy engine's decision stream is pinned bit-for-bit: a digest
-    # move on the legacy-configured sims is a regression — but only on a
-    # numeric stack matching the baseline's.  A numpy/scipy release can
-    # legitimately move last-ulp rounding (and with it every digest), so
-    # on mismatched versions this downgrades to a loud warning instead of
-    # permanently breaking CI until the baseline is refreshed.
+    # The pinned tier: the default configuration's decision stream must not
+    # move — but only on a numeric stack matching the baseline's.  A
+    # numpy/scipy release can legitimately move last-ulp rounding (and with
+    # it every digest), so on mismatched versions this downgrades to a loud
+    # warning instead of breaking CI until the baseline is refreshed.
     exit_code = 0
     same_stack = all(
         entry.get(key) == data.get(key)
         for key in ("numpy_version", "scipy_version")
     )
-    for key in ("sim_pollux_legacy", "sim_pollux_autoscale_legacy"):
+    for key in PINNED_SIMS:
         base_digest = entry.get(key, {}).get("decision_digest")
-        now_digest = data.get(key, {}).get("decision_digest")
-        if base_digest and now_digest and base_digest != now_digest:
-            print(
-                f"LEGACY DIGEST MISMATCH ({key}): {now_digest[:12]}... vs "
-                f"baseline {base_digest[:12]}... — the legacy decision "
-                "stream must not move"
-                + (
-                    ""
-                    if same_stack
-                    else (
-                        " (numpy/scipy differ from the baseline's: "
-                        f"{data.get('numpy_version')}/"
-                        f"{data.get('scipy_version')} vs "
-                        f"{entry.get('numpy_version')}/"
-                        f"{entry.get('scipy_version')}; treating as a "
-                        "warning — refresh the baseline on this stack)"
-                    )
-                )
-            )
-            if same_stack:
-                exit_code = 1
-    base_digest = entry.get("sim_pollux_autoscale", {}).get("decision_digest")
-    now_digest = data["sim_pollux_autoscale"]["decision_digest"]
-    if base_digest and base_digest != now_digest:
-        # The default (v2) stream is deterministic but only benchmarked-
-        # equivalent; a move means scheduling behavior changed and deserves
-        # a deliberate baseline refresh, not a silent pass.
+        now_digest = data[key]["decision_digest"]
+        if not base_digest or base_digest == now_digest:
+            continue
         print(
-            "WARNING: v2 decision digest differs from baseline "
-            f"({now_digest[:12]}... vs {base_digest[:12]}...)"
+            f"PINNED DIGEST MISMATCH ({key}): {now_digest[:12]}... vs "
+            f"baseline {base_digest[:12]}... — a pure-performance change "
+            "must not move the default decision stream; an intentional one "
+            "re-pins it (docs/operating.md, Decision-stream policy)"
         )
+        if same_stack:
+            exit_code = 1
+        else:
+            print(
+                "  numpy/scipy differ from the baseline's "
+                f"({data.get('numpy_version')}/{data.get('scipy_version')} vs "
+                f"{entry.get('numpy_version')}/{entry.get('scipy_version')}): "
+                "treating as a warning — refresh the baseline on this stack"
+            )
     return exit_code
 
 

@@ -40,13 +40,6 @@ def main() -> None:
         f"(default: {', '.join(DEFAULT_POLICIES)}; "
         f"registered: {', '.join(repro.policy.available())})",
     )
-    parser.add_argument(
-        "--engine",
-        choices=("v2", "legacy"),
-        default="v2",
-        help="Pollux GA engine: 'v2' (vectorized, default) or 'legacy' "
-        "(the bit-pinned original)",
-    )
     args = parser.parse_args()
 
     cluster = ClusterSpec.homogeneous(args.nodes, 4)
@@ -68,8 +61,7 @@ def main() -> None:
     extra_kwargs = {
         "pollux": dict(
             config=PolluxSchedConfig(
-                ga=GAConfig(population_size=32, generations=12),
-                ga_engine=args.engine,
+                ga=GAConfig(population_size=32, generations=12)
             )
         ),
         "optimus": dict(max_gpus_per_job=cluster.total_gpus),

@@ -21,7 +21,6 @@ Public API overview:
   (``pollux-sharded``) for 10k-GPU / 5k-job scale.
 - :mod:`repro.service` — scheduling-as-a-service: the multi-tenant HTTP
   front-end + Prometheus ``/metrics`` on top of a running host.
-- :mod:`repro.schedulers` — deprecated shims over :mod:`repro.policy`.
 - :mod:`repro.training` — numpy data-parallel training substrate with real
   gradient-noise-scale measurement and AdaScale SGD.
 
@@ -29,7 +28,7 @@ Start at ``README.md`` (overview, quickstart, headline numbers); the
 operator guide for running the service is ``docs/operating.md``.
 """
 
-from . import cluster, core, policy, schedulers, sim, workload
+from . import cluster, core, policy, sim, workload
 
 __version__ = "1.0.0"
 
@@ -37,7 +36,6 @@ __all__ = [
     "cluster",
     "core",
     "policy",
-    "schedulers",
     "sim",
     "workload",
     "__version__",

@@ -10,23 +10,9 @@ from .adascale import (
 from .agent import AgentReport, PolluxAgent, optimistic_params
 from .autoscale import AutoscaleConfig, AutoscaleDecision, UtilityAutoscaler
 from .efficiency import EfficiencyModel, GradientStats, efficiency, gradient_noise_scale
-from .genetic import (
-    GA_ENGINES,
-    AllocationProblem,
-    GAConfig,
-    GeneticOptimizer,
-    GeneticOptimizerV2,
-    JobGAInfo,
-    make_optimizer,
-)
+from .genetic import AllocationProblem, GAConfig, GeneticOptimizer, JobGAInfo
 from .goldensection import golden_section_search, golden_section_search_int
 from .goodput import BatchSizeLimits, GoodputModel, batch_size_grid
-from .rackaware import (
-    RackProfileEntry,
-    RackThroughputModel,
-    RackThroughputParams,
-    fit_rack_throughput_params,
-)
 from .sched import PolluxSched, PolluxSchedConfig, SchedJobInfo, job_weight
 from .speedup import (
     best_batch_size_table,
@@ -67,20 +53,13 @@ __all__ = [
     "gradient_noise_scale",
     "AllocationProblem",
     "GAConfig",
-    "GA_ENGINES",
     "GeneticOptimizer",
-    "GeneticOptimizerV2",
     "JobGAInfo",
-    "make_optimizer",
     "golden_section_search",
     "golden_section_search_int",
     "BatchSizeLimits",
     "GoodputModel",
     "batch_size_grid",
-    "RackProfileEntry",
-    "RackThroughputModel",
-    "RackThroughputParams",
-    "fit_rack_throughput_params",
     "PolluxSched",
     "PolluxSchedConfig",
     "SchedJobInfo",

@@ -38,6 +38,12 @@ _BUCKET_LOG_BASE = float(np.log(1.05))
 #: within a 5% bucket instead of being rebuilt on every noisy EMA update.
 TABLE_TUNING_PHI_TOL = 0.05
 
+#: Batch-size grid density of those tuning tables.  Twice the scheduler's
+#: ``table_points_per_octave``: a lookup has to land within a fraction of a
+#: percent of the golden-section optimum's goodput (>= 0.995x, asserted by
+#: ``tests/test_surfacecache.py``).
+TABLE_TUNING_POINTS_PER_OCTAVE = 32
+
 
 def optimistic_params(beta_grad: float = 1.0, alpha_grad: float = 0.0) -> ThroughputParams:
     """Prior-driven optimistic theta_sys: throughput scales perfectly.
@@ -113,7 +119,7 @@ class AgentReport:
         drifts on every simulator tick while theta_sys re-fits only every
         ``refit_every`` observations, so this key identifies the
         :class:`~repro.core.speedup.TputCells` a round can reuse across
-        many phi values (the v2 engine's steady-state table path).
+        many phi values (the scheduler's steady-state table path).
         """
         p = self.throughput_params
         return (
@@ -312,7 +318,6 @@ class PolluxAgent:
         num_gpus: int,
         speed: float = 1.0,
         method: str = "search",
-        points_per_octave: int = 16,
     ) -> Tuple[float, float]:
         """Most efficient batch size for the current allocation (Eqn. 13).
 
@@ -321,18 +326,17 @@ class PolluxAgent:
             num_gpus: Total allocated GPUs.
             speed: Relative compute speed of the allocated GPU type.
             method: ``"search"`` runs golden-section search over the
-                feasible batch sizes — the paper's Eqn. 13 procedure,
-                kept as the ``SimConfig(batch_tuning="golden")`` escape
-                hatch.  ``"table"`` (the simulator's default since
-                table-driven tuning was benchmarked JCT-equivalent) takes
-                an O(1) lookup from the memoized argmax batch-size table
-                of :func:`repro.core.speedup.best_batch_size_table`
-                instead; the goodput at the table's choice matches the
-                search optimum to within the geometric grid's resolution
-                (equivalence asserted by ``tests/test_surfacecache.py``),
-                though the batch size itself can differ by up to one grid
-                step.
-            points_per_octave: Grid density for ``method="table"``.
+                feasible batch sizes — the paper's Eqn. 13 procedure, what
+                a training loop calls (:mod:`repro.training.trainer`).
+                ``"table"`` (what every scheduling host calls, through
+                :func:`repro.policy.dispatch.tune_batch_sizes`) takes an
+                O(1) lookup from the memoized argmax batch-size table of
+                :func:`repro.core.speedup.best_batch_size_table` instead,
+                on a ``TABLE_TUNING_POINTS_PER_OCTAVE`` grid; the goodput
+                at the table's choice matches the search optimum to within
+                the geometric grid's resolution (asserted by
+                ``tests/test_surfacecache.py``), though the batch size
+                itself can differ by up to one grid step.
 
         Returns:
             Tuple ``(batch_size, learning_rate)`` where the learning rate is
@@ -344,9 +348,7 @@ class PolluxAgent:
             model = self.goodput_model()
             m_star, _ = model.optimize_batch_size(num_nodes, num_gpus, speed=speed)
         elif method == "table":
-            m_star = self._tune_from_table(
-                num_nodes, num_gpus, speed, points_per_octave
-            )
+            m_star = self._tune_from_table(num_nodes, num_gpus, speed)
         else:
             raise ValueError(f"unknown batch tuning method {method!r}")
         lr = self.init_lr * adascale_gain(
@@ -355,7 +357,7 @@ class PolluxAgent:
         return m_star, lr
 
     def _tune_from_table(
-        self, num_nodes: int, num_gpus: int, speed: float, points_per_octave: int
+        self, num_nodes: int, num_gpus: int, speed: float
     ) -> float:
         """O(1) batch-size lookup from the cached argmax table.
 
@@ -372,7 +374,7 @@ class PolluxAgent:
             )
         report = self.report()
         _, bsz_table = self._tune_cache.get_flat(
-            report, num_gpus, points_per_octave, float(speed)
+            report, num_gpus, TABLE_TUNING_POINTS_PER_OCTAVE, float(speed)
         )
         flag = MULTI_NODE if num_nodes >= 2 else SINGLE_NODE
         m_star = float(bsz_table[num_gpus, flag])

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cluster.spec import ClusterSpec, NodeSpec
-from .genetic import GAConfig, make_optimizer
+from .genetic import GAConfig, GeneticOptimizer
 from .sched import PolluxSched, PolluxSchedConfig, SchedJobInfo
 from .surfacecache import SurfaceCache
 
@@ -138,7 +138,6 @@ class UtilityAutoscaler:
             gputime_thres=self.sched_config.gputime_thres,
             weight_decay=self.sched_config.weight_decay,
             ga=self.config.probe_ga,
-            ga_engine=self.sched_config.ga_engine,
             table_points_per_octave=self.sched_config.table_points_per_octave,
             surface_cache_size=self.sched_config.surface_cache_size,
             surface_phi_tol=self.sched_config.surface_phi_tol,
@@ -156,8 +155,7 @@ class UtilityAutoscaler:
             for j in jobs
         ]
         problem = sched.build_problem(probe_jobs)
-        optimizer = make_optimizer(probe_cfg.ga_engine, problem, probe_cfg.ga)
-        best, _, _ = optimizer.run()
+        best, _, _ = GeneticOptimizer(problem, probe_cfg.ga).run()
         return problem.utility(best)
 
     def decide(

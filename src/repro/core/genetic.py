@@ -21,28 +21,10 @@ per node).  Each generation:
 Fitness is the weighted mean of per-job SPEEDUPs (Eqn. 14), with
 RESTART_PENALTY subtracted for each running job whose allocation changes.
 
-Two engines implement the loop:
-
-- :class:`GeneticOptimizer` (``"legacy"``) — the original engine.  All
-  operators are numpy-vectorized except the repair decrements, which use
-  per-violation multivariate hypergeometric draws ("remove excess GPUs
-  uniformly at random one at a time, without replacement").  Its random
-  stream — and therefore its decision stream — is pinned bit-for-bit; pure
-  performance work must not move it.
-- :class:`GeneticOptimizerV2` (``"v2"``, the default engine of
-  :class:`~repro.core.sched.PolluxSched`) — fully population-vectorized:
-  the repair steps run as batched array operations over the whole
-  ``(P, J, N)`` population (proportional removal with randomized
-  largest-remainder rounding; node-major random-keep interference
-  resolution), each generation repairs and scores its candidate batches in
-  single calls, and rounds warm-start from the previous round's
-  fitness-sorted population plus mutated neighbors of its best, early-
-  exiting on a fitness plateau (``GAConfig.patience``, default 5).  Its
-  decision stream is deterministic under a fixed seed but deliberately
-  *different* from legacy's; the two are held equivalent by benchmarked
-  JCT parity instead of bit-identity (see
-  ``benchmarks/bench_ga_engines.py`` and the ROADMAP decision-stream
-  policy).
+:class:`GeneticOptimizer` implements the loop with every operator batched
+over the whole ``(P, J, N)`` population (see its docstring).  Its decision
+stream under a fixed seed is what the pinned tier of ``docs/operating.md``
+("Decision-stream policy") protects.
 """
 
 from __future__ import annotations
@@ -55,17 +37,9 @@ import numpy as np
 
 from ..cluster.spec import ClusterSpec
 
-__all__ = [
-    "GAConfig",
-    "JobGAInfo",
-    "AllocationProblem",
-    "GeneticOptimizer",
-    "GeneticOptimizerV2",
-    "make_optimizer",
-    "GA_ENGINES",
-]
+__all__ = ["GAConfig", "JobGAInfo", "AllocationProblem", "GeneticOptimizer"]
 
-#: Row width from which the v2 repair operators go sparse.  Both are batched
+#: Row width from which the repair operators go sparse.  Both are batched
 #: over rows: ``_repair_interference`` over population members, each a
 #: ``(J, N)`` matrix of ``J * N`` cells, ``_batched_remove`` over violating
 #: rows of ``max(J, N)`` columns.  The sparse forms add numpy calls (~9 a pass
@@ -91,16 +65,15 @@ class GAConfig:
     scheduling interval (Sec. 5.1); smaller budgets give the same decisions
     on small clusters and are used to keep test/benchmark runtimes modest.
 
-    ``patience`` enables plateau early-exit in the v2 engine: when > 0, the
-    GA stops once the best fitness has not improved for that many
-    consecutive generations.  Warm-started rounds typically plateau within
+    ``patience`` enables plateau early-exit: when > 0, the GA stops once
+    the best fitness has not improved for that many consecutive
+    generations.  Warm-started rounds typically plateau within
     a few generations — the previous round's winner is already in the seed
     population — while cold starts (first round, autoscaler probes) keep
     improving and run their full budget, so the default of 5 buys the
     steady-state speedup without costing cold-start search quality
-    (validated by the JCT-parity benchmark).  0 disables early exit.  The
-    legacy engine ignores ``patience`` entirely — its generation count,
-    and with it its random stream, stays bit-for-bit pinned.
+    (seed-averaged fig-6 JCT held; see ``docs/operating.md``).  0 disables
+    early exit and gives fixed-budget runs.
     """
 
     population_size: int = 100
@@ -284,12 +257,47 @@ class AllocationProblem:
 class GeneticOptimizer:
     """Runs the Sec. 4.2.1 genetic algorithm on an allocation problem.
 
-    This is the ``"legacy"`` engine: its random stream is pinned bit-for-bit
-    (see the module docstring), so changes here must not alter the sequence
-    of RNG draws.  ``phase_ms`` accumulates wall-clock per GA phase
-    (``repair_ms``/``fitness_ms``/``select_ms``/``mutate_ms``) across one
-    :meth:`run`; timing instrumentation consumes no randomness.
+    Every operator is batched over the whole ``(P, J, N)`` population:
+
+    - **Vectorized repair.**  Job-cap and capacity repair are *fused*:
+      over-cap job rows and over-capacity node columns are stacked into a
+      single counts matrix and resolved by one :meth:`_batched_remove`
+      call — the excess is split proportionally to the entry counts with
+      the fractional remainder rounded by random priorities (randomized
+      largest-remainder rounding; see :meth:`_repair_caps_capacity`),
+      sorting only each row's non-zero support once rows are wide.
+      Interference repair runs node-major passes batched over the whole
+      population — every member's first violating node keeps one uniformly
+      random distributed job — with the distributed set updated in place
+      between passes (see :meth:`_repair_interference` for why single-pass
+      resolution over-removes).
+    - **Explore, then recombine.**  Each generation mutates the
+      population, scores the repaired mutants, and recombines tournament
+      winners *of the mutants* — the order matters (crossover of two good
+      mutants assembles coordinated multi-job reallocation moves;
+      elite-crossover variants measurably cost avg JCT on saturated
+      traces).  Selection is a stable sort: on fitness ties the earlier
+      pool member wins, so an equally-fit incumbent (restart-free)
+      allocation is never displaced by a reshuffled twin — with arbitrary
+      tie-breaking that churn alone cost several percent avg JCT.
+    - **Warm start.**  The seed population pads with mutated neighbors of
+      the *best known* matrix (the previous round's winner when a bootstrap
+      population is given) rather than copies of the current allocations,
+      and ``GAConfig.patience > 0`` (default 5) early-exits once the best
+      fitness has plateaued for that many generations — warm-started
+      rounds finish in a few generations, cold starts run their budget.
+
+    The engine is deterministic under a fixed seed, and its random stream
+    is part of the pinned decision stream (``docs/operating.md``): a pure
+    performance change must not add, drop or reorder a draw.  ``phase_ms``
+    accumulates wall-clock per GA phase (``repair_ms``/``fitness_ms``/
+    ``select_ms``/``mutate_ms``) across one :meth:`run`; timing
+    instrumentation consumes no randomness.
     """
+
+    #: Optional (J,) bool mask restricting mutation to dirty jobs' rows
+    #: (incremental rounds).  ``None`` — the default — mutates every row.
+    _mutate_rows: Optional[np.ndarray] = None
 
     def __init__(
         self,
@@ -322,12 +330,31 @@ class GeneticOptimizer:
     # ------------------------------------------------------------------
 
     def _mutate(self, population: np.ndarray) -> np.ndarray:
-        """Mutate each element with probability 1/N to a random feasible value."""
+        """Mutate each element with probability 1/N to a random feasible value.
+
+        On uniform-capacity clusters ``Generator.integers`` takes a scalar
+        upper bound, which is substantially cheaper than the
+        broadcast-array bound (same distribution, different stream — which
+        of the two runs is fixed by the cluster, not by a switch).
+
+        When ``run(..., mutate_rows=...)`` supplied a dirty-row mask, the
+        mutation mask is intersected with it: clean jobs' rows pass through
+        unchanged, so an incremental round only explores reallocations
+        involving jobs whose inputs actually moved.  The random draws are
+        still made for every entry — masking filters, it does not reshape
+        the stream — which keeps the operator's cost profile and RNG
+        consumption independent of the dirty-set size.
+        """
+        caps = self.problem.capacities
         prob = 1.0 / max(self.problem.num_nodes, 1)
         shape = population.shape
         mask = self.rng.random(shape) < prob
-        caps = self.problem.capacities[None, None, :]
-        random_vals = self.rng.integers(0, caps + 1, size=shape)
+        if self._mutate_rows is not None:
+            mask &= self._mutate_rows[None, :, None]
+        if caps.size and caps.min() == caps.max():
+            random_vals = self.rng.integers(0, int(caps[0]) + 1, size=shape)
+        else:
+            random_vals = self.rng.integers(0, caps[None, None, :] + 1, size=shape)
         return np.where(mask, random_vals, population)
 
     def _tournament(self, fitness: np.ndarray, count: int) -> np.ndarray:
@@ -346,14 +373,17 @@ class GeneticOptimizer:
         take_a = self.rng.random((count, self.problem.num_jobs, 1)) < 0.5
         return np.where(take_a, parents_a, parents_b)
 
+    # ------------------------------------------------------------------
+    # Vectorized repair
+    # ------------------------------------------------------------------
+
     def _repair(self, population: np.ndarray) -> np.ndarray:
-        """Apply type groups, per-job caps, capacities, and interference."""
+        """Type groups, then fused caps+capacity, then interference."""
         t0 = time.perf_counter()
         pop = population.copy()
         if self.problem.num_types > 1:
             self._repair_type_groups(pop)
-        self._repair_job_caps(pop)
-        self._repair_capacity(pop)
+        self._repair_caps_capacity(pop)
         if self.problem.forbid_interference:
             self._repair_interference(pop)
         self.phase_ms["repair_ms"] += (time.perf_counter() - t0) * 1000.0
@@ -379,231 +409,73 @@ class GeneticOptimizer:
         keep_mask = self.problem.type_masks[dominant]  # (V, N)
         pop[where_p, where_j] = pop[where_p, where_j] * keep_mask
 
-    def _repair_job_caps(self, pop: np.ndarray) -> None:
-        """Decrement random entries of rows exceeding the per-job GPU cap."""
-        totals = pop.sum(axis=-1)
-        excess = totals - self.problem.max_gpus[None, :]
-        where_p, where_j = np.where(excess > 0)
-        amounts = excess[where_p, where_j].tolist()
-        for p, j, amount in zip(where_p.tolist(), where_j.tolist(), amounts):
-            row = pop[p, j]
-            removal = self.rng.multivariate_hypergeometric(row, amount)
-            pop[p, j] = row - removal
+    def _repair_caps_capacity(self, pop: np.ndarray) -> None:
+        """Fused job-cap + node-capacity repair in one batched pass.
 
-    def _repair_capacity(self, pop: np.ndarray) -> None:
-        """Decrement random entries of over-capacity node columns."""
-        used = pop.sum(axis=1)  # (P, N)
-        excess = used - self.problem.capacities[None, :]
-        where_p, where_n = np.where(excess > 0)
-        amounts = excess[where_p, where_n].tolist()
-        for p, n, amount in zip(where_p.tolist(), where_n.tolist(), amounts):
-            col = pop[p, :, n]
-            removal = self.rng.multivariate_hypergeometric(col, amount)
-            pop[p, :, n] = col - removal
+        Both violation sets are detected on the *same* input matrix and
+        fed through a single :meth:`_batched_remove` call: over-cap job
+        rows (length N) and over-capacity node columns (length J) are
+        padded to a common width and stacked into one counts matrix, so the
+        proportional split, the randomized largest-remainder rounding, and
+        the argsort behind it all run once over the combined violation set
+        instead of twice sequentially.
 
-    def _repair_interference(self, pop: np.ndarray) -> None:
-        """Ensure at most one distributed job occupies each node.
-
-        Repeatedly finds (member, node) pairs where two or more distributed
-        jobs share the node and removes all but one (randomly kept) of them
-        from that node, as in Sec. 4.2.1.
-
-        After the first full-population pass, only members that just had
-        violations fixed can still violate (fixes never touch other
-        members), so re-checks are restricted to those rows — the (member,
-        node) pairs produced are identical to a full re-scan (and so is the
-        random stream), at a fraction of the detection cost.
+        Application stays order-correct: row removals land first (exact —
+        every over-cap job ends at or below its cap, and later column
+        removals only shrink rows further), then each violating column's
+        removal is re-targeted at its *remaining* excess.  A column whose
+        entries no row removal touched applies the fused draw as-is (its
+        total already equals the excess).  Columns that overlapped a row
+        removal are *redrawn* against the post-row-removal state with a
+        second proportional :meth:`_batched_remove` — exactly what the
+        sequential form did for every column.  The redraw matters: a
+        deterministic fix-up (e.g. clipping plus argmax give-back) skews
+        removals toward the largest allocations and measurably degrades
+        seed-averaged JCT parity, while the randomized-proportional redraw
+        preserves the repair distribution.  Column removals only subtract,
+        so already-satisfied row caps stay satisfied.
         """
-        member_idx: Optional[np.ndarray] = None  # None = scan all members
-        for _ in range(self.problem.num_nodes + 1):
-            sub = pop if member_idx is None else pop[member_idx]
-            present = sub > 0  # (P', J, N)
-            dist = present.sum(axis=-1) >= 2  # (P', J)
-            sharing = (present & dist[:, :, None]).sum(axis=1)  # (P', N)
-            where_p, where_n = np.where(sharing >= 2)
-            if len(where_p) == 0:
-                return
-            if member_idx is not None:
-                where_p = member_idx[where_p]
-            # Walk violations member by member (np.where yields them
-            # member-major), keeping that member's per-job occupied-node
-            # counts incrementally up to date: zeroing an entry that held
-            # GPUs lowers the job's count by exactly one, so the fresh
-            # "is this job still distributed" re-check the original
-            # formulation recomputed per violation reduces to an O(1)
-            # update with identical results.
-            counts: Optional[np.ndarray] = None
-            cur_p = -1
-            for p, n in zip(where_p.tolist(), where_n.tolist()):
-                if p != cur_p:
-                    cur_p = p
-                    counts = (pop[p] > 0).sum(axis=-1)
-                offenders = np.where((pop[p, :, n] > 0) & (counts >= 2))[0]
-                if len(offenders) < 2:
-                    continue
-                keep = offenders[self.rng.integers(0, len(offenders))]
-                drop = offenders[offenders != keep]
-                pop[p, drop, n] = 0
-                counts[drop] -= 1
-            member_idx = np.unique(where_p)
-
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
-
-    def seed_population(
-        self, initial: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Build the starting population.
-
-        Always includes the current allocation matrix (a restart-free
-        candidate); the remainder comes from ``initial`` (the previous
-        round's population, per Sec. 4.3) padded with mutated copies of the
-        current allocations.
-        """
-        p_size = self.config.population_size
         num_jobs = self.problem.num_jobs
         num_nodes = self.problem.num_nodes
-        members: List[np.ndarray] = [self.problem.current.copy()]
-        if initial is not None:
-            init = np.asarray(initial, dtype=np.int64)
-            if init.ndim != 3 or init.shape[1:] != (num_jobs, num_nodes):
-                raise ValueError(
-                    f"initial population has shape {init.shape}, expected "
-                    f"(*, {num_jobs}, {num_nodes})"
-                )
-            members.extend(init[: p_size - 1])
-        while len(members) < p_size:
-            members.append(self.problem.current.copy())
-        pop = np.stack(members[:p_size]).astype(np.int64)
-        # Diversify the padded copies.
-        if initial is None or len(initial) < p_size - 1:
-            tail = pop[1:]
-            pop[1:] = self._mutate(tail)
-        return self._repair(pop)
+        row_totals = pop.sum(axis=-1)  # (P, J)
+        row_excess = row_totals - self.problem.max_gpus[None, :]
+        row_p, row_j = np.where(row_excess > 0)
+        col_totals = pop.sum(axis=1)  # (P, N)
+        col_excess = col_totals - self.problem.capacities[None, :]
+        col_p, col_n = np.where(col_excess > 0)
+        n_rows, n_cols = len(row_p), len(col_p)
+        if n_rows == 0 and n_cols == 0:
+            return
 
-    def run(
-        self, initial: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, float, np.ndarray]:
-        """Run the GA and return (best matrix, best fitness, population).
+        width = max(num_nodes, num_jobs)
+        counts = np.zeros((n_rows + n_cols, width), dtype=np.int64)
+        if n_rows:
+            counts[:n_rows, :num_nodes] = pop[row_p, row_j]
+        if n_cols:
+            counts[n_rows:, :num_jobs] = pop[col_p, :, col_n]
+        excess = np.concatenate(
+            [row_excess[row_p, row_j], col_excess[col_p, col_n]]
+        )
+        removal = self._batched_remove(counts, excess)
 
-        The returned population (sorted by descending fitness) can bootstrap
-        the next scheduling round.
-        """
-        self._reset_timings()
-        if self.problem.num_jobs == 0:
-            empty = np.zeros((0, self.problem.num_nodes), dtype=np.int64)
-            return empty, 0.0, np.zeros(
-                (self.config.population_size, 0, self.problem.num_nodes),
-                dtype=np.int64,
+        if n_rows:
+            pop[row_p, row_j] -= removal[:n_rows, :num_nodes]
+        if n_cols:
+            cols = pop[col_p, :, col_n]  # (V, J), post-row-removal
+            take = np.minimum(removal[n_rows:, :num_jobs], cols)
+            need = np.maximum(
+                cols.sum(axis=1) - self.problem.capacities[col_n], 0
             )
-
-        population = self.seed_population(initial)
-        fitness = self._timed_fitness(population)
-
-        for _ in range(self.config.generations):
-            t0 = time.perf_counter()
-            mutated = self._mutate(population)
-            self.phase_ms["mutate_ms"] += (time.perf_counter() - t0) * 1000.0
-            mutated = self._repair(mutated)
-            mutated_fitness = self._timed_fitness(mutated)
-            t0 = time.perf_counter()
-            offspring = self._crossover(mutated, mutated_fitness)
-            self.phase_ms["select_ms"] += (time.perf_counter() - t0) * 1000.0
-            offspring = self._repair(offspring)
-            offspring_fitness = self._timed_fitness(offspring)
-
-            t0 = time.perf_counter()
-            pool = np.concatenate([population, mutated, offspring])
-            pool_fitness = np.concatenate(
-                [fitness, mutated_fitness, offspring_fitness]
-            )
-            order = np.argsort(-pool_fitness, kind="stable")
-            keep = order[: self.config.population_size]
-            population = pool[keep]
-            fitness = pool_fitness[keep]
-            self.phase_ms["select_ms"] += (time.perf_counter() - t0) * 1000.0
-
-        best_idx = int(np.argmax(fitness))
-        return population[best_idx].copy(), float(fitness[best_idx]), population
-
-
-class GeneticOptimizerV2(GeneticOptimizer):
-    """Fully population-vectorized GA engine (``"v2"``).
-
-    Differences from the legacy engine, all benchmarked in
-    ``benchmarks/bench_ga_engines.py``:
-
-    - **Vectorized repair.**  Job-cap and capacity repair are *fused*:
-      over-cap job rows and over-capacity node columns are stacked into a
-      single counts matrix and resolved by one :meth:`_batched_remove`
-      call — the excess is split proportionally to the entry counts with
-      the fractional remainder rounded by random priorities (randomized
-      largest-remainder rounding), instead of per-violation hypergeometric
-      draws (see :meth:`_repair_caps_capacity`), sorting only each row's
-      non-zero support once rows are wide.
-      Interference repair runs node-major passes batched over the whole
-      population — every member's first violating node keeps one uniformly
-      random distributed job — with the distributed set updated in place
-      between passes (see :meth:`_repair_interference` for why single-pass
-      resolution over-removes).
-    - **Same search structure as legacy, batched.**  Each generation
-      mutates the population, scores the repaired mutants, and recombines
-      tournament winners *of the mutants* — the explore-then-recombine
-      order matters (crossover of two good mutants assembles coordinated
-      multi-job reallocation moves; elite-crossover variants measurably
-      cost avg JCT on saturated traces).  Selection keeps legacy's stable
-      sort: on fitness ties the earlier pool member wins, so an
-      equally-fit incumbent (restart-free) allocation is never displaced
-      by a reshuffled twin — with arbitrary tie-breaking that churn alone
-      cost several percent avg JCT.
-    - **Warm start.**  The seed population pads with mutated neighbors of
-      the *best known* matrix (the previous round's winner when a bootstrap
-      population is given) rather than copies of the current allocations,
-      and ``GAConfig.patience > 0`` (default 5) early-exits once the best
-      fitness has plateaued for that many generations — warm-started
-      rounds finish in a few generations, cold starts run their budget.
-
-    The engine is deterministic under a fixed seed but produces a
-    *different* decision stream than legacy — equivalence is held by
-    seed-averaged JCT parity on the fig-6 trace (±2%), not bit-identity.
-    """
-
-    #: Optional (J,) bool mask restricting mutation to dirty jobs' rows
-    #: (incremental rounds).  ``None`` — the default — mutates every row.
-    _mutate_rows: Optional[np.ndarray] = None
-
-    def _mutate(self, population: np.ndarray) -> np.ndarray:
-        """Same operator as legacy, with a scalar-bound RNG fast path.
-
-        On uniform-capacity clusters ``Generator.integers`` with a scalar
-        upper bound is substantially cheaper than the broadcast-array
-        bound; the draw distribution is identical, only the stream differs
-        (which the v2 engine is free to do).
-
-        When ``run(..., mutate_rows=...)`` supplied a dirty-row mask, the
-        mutation mask is intersected with it: clean jobs' rows pass through
-        unchanged, so an incremental round only explores reallocations
-        involving jobs whose inputs actually moved.  The random draws are
-        still made for every entry — masking filters, it does not reshape
-        the stream — which keeps the operator's cost profile and RNG
-        consumption independent of the dirty-set size.
-        """
-        caps = self.problem.capacities
-        prob = 1.0 / max(self.problem.num_nodes, 1)
-        shape = population.shape
-        mask = self.rng.random(shape) < prob
-        if self._mutate_rows is not None:
-            mask &= self._mutate_rows[None, :, None]
-        if caps.size and caps.min() == caps.max():
-            random_vals = self.rng.integers(0, int(caps[0]) + 1, size=shape)
-        else:
-            random_vals = self.rng.integers(0, caps[None, None, :] + 1, size=shape)
-        return np.where(mask, random_vals, population)
-
-    # ------------------------------------------------------------------
-    # Vectorized repair
-    # ------------------------------------------------------------------
+            # Columns untouched by row removals keep the fused draw (the
+            # clip never binds and the total already equals the excess);
+            # the rest are redrawn proportionally on the surviving mass.
+            redo = np.where(take.sum(axis=1) != need)[0]
+            if len(redo):
+                take[redo] = 0
+                live = redo[need[redo] > 0]
+                if len(live):
+                    take[live] = self._batched_remove(cols[live], need[live])
+            pop[col_p, :, col_n] = cols - take
 
     def _batched_remove(
         self, counts: np.ndarray, excess: np.ndarray
@@ -676,89 +548,6 @@ class GeneticOptimizerV2(GeneticOptimizer):
             unpacked[v_nz, col] = removal[v_nz, slot]
             return unpacked
         return removal
-
-    def _repair(self, population: np.ndarray) -> np.ndarray:
-        """Type groups, then fused caps+capacity, then interference."""
-        t0 = time.perf_counter()
-        pop = population.copy()
-        if self.problem.num_types > 1:
-            self._repair_type_groups(pop)
-        self._repair_caps_capacity(pop)
-        if self.problem.forbid_interference:
-            self._repair_interference(pop)
-        self.phase_ms["repair_ms"] += (time.perf_counter() - t0) * 1000.0
-        return pop
-
-    def _repair_caps_capacity(self, pop: np.ndarray) -> None:
-        """Fused job-cap + node-capacity repair in one batched pass.
-
-        Both violation sets are detected on the *same* input matrix and
-        fed through a single :meth:`_batched_remove` call: over-cap job
-        rows (length N) and over-capacity node columns (length J) are
-        padded to a common width and stacked into one counts matrix, so the
-        proportional split, the randomized largest-remainder rounding, and
-        the argsort behind it all run once over the combined violation set
-        instead of twice sequentially.
-
-        Application stays order-correct: row removals land first (exact —
-        every over-cap job ends at or below its cap, and later column
-        removals only shrink rows further), then each violating column's
-        removal is re-targeted at its *remaining* excess.  A column whose
-        entries no row removal touched applies the fused draw as-is (its
-        total already equals the excess).  Columns that overlapped a row
-        removal are *redrawn* against the post-row-removal state with a
-        second proportional :meth:`_batched_remove` — exactly what the
-        sequential form did for every column.  The redraw matters: a
-        deterministic fix-up (e.g. clipping plus argmax give-back) skews
-        removals toward the largest allocations and measurably degrades
-        seed-averaged JCT parity, while the randomized-proportional redraw
-        preserves the repair distribution.  Column removals only subtract,
-        so already-satisfied row caps stay satisfied.  The combined stream
-        differs from the sequential form's (still seeded, still
-        deterministic) — a decision-stream change within the v2 engine's
-        benchmarked-equivalence tier.
-        """
-        num_jobs = self.problem.num_jobs
-        num_nodes = self.problem.num_nodes
-        row_totals = pop.sum(axis=-1)  # (P, J)
-        row_excess = row_totals - self.problem.max_gpus[None, :]
-        row_p, row_j = np.where(row_excess > 0)
-        col_totals = pop.sum(axis=1)  # (P, N)
-        col_excess = col_totals - self.problem.capacities[None, :]
-        col_p, col_n = np.where(col_excess > 0)
-        n_rows, n_cols = len(row_p), len(col_p)
-        if n_rows == 0 and n_cols == 0:
-            return
-
-        width = max(num_nodes, num_jobs)
-        counts = np.zeros((n_rows + n_cols, width), dtype=np.int64)
-        if n_rows:
-            counts[:n_rows, :num_nodes] = pop[row_p, row_j]
-        if n_cols:
-            counts[n_rows:, :num_jobs] = pop[col_p, :, col_n]
-        excess = np.concatenate(
-            [row_excess[row_p, row_j], col_excess[col_p, col_n]]
-        )
-        removal = self._batched_remove(counts, excess)
-
-        if n_rows:
-            pop[row_p, row_j] -= removal[:n_rows, :num_nodes]
-        if n_cols:
-            cols = pop[col_p, :, col_n]  # (V, J), post-row-removal
-            take = np.minimum(removal[n_rows:, :num_jobs], cols)
-            need = np.maximum(
-                cols.sum(axis=1) - self.problem.capacities[col_n], 0
-            )
-            # Columns untouched by row removals keep the fused draw (the
-            # clip never binds and the total already equals the excess);
-            # the rest are redrawn proportionally on the surviving mass.
-            redo = np.where(take.sum(axis=1) != need)[0]
-            if len(redo):
-                take[redo] = 0
-                live = redo[need[redo] > 0]
-                if len(live):
-                    take[live] = self._batched_remove(cols[live], need[live])
-            pop[col_p, :, col_n] = cols - take
 
     def _repair_interference(self, pop: np.ndarray) -> None:
         """Node-major interference resolution, batched over the population.
@@ -870,7 +659,7 @@ class GeneticOptimizerV2(GeneticOptimizer):
         initial: Optional[np.ndarray] = None,
         mutate_rows: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, float, np.ndarray]:
-        """Run the v2 GA; returns (best matrix, best fitness, population).
+        """Run the GA and return (best matrix, best fitness, population).
 
         The returned population is fitness-sorted descending, so element 0
         of the next round's bootstrap is this round's best allocation.
@@ -913,9 +702,8 @@ class GeneticOptimizerV2(GeneticOptimizer):
         best_fitness = float(fitness[0])
         stall = 0
         for _ in range(self.config.generations):
-            # Legacy's generation structure — mutate the population, score
-            # the repaired mutants, then recombine tournament winners *of
-            # the mutants* — with every step batched.  The
+            # Mutate the population, score the repaired mutants, then
+            # recombine tournament winners *of the mutants*.  The
             # explore-then-recombine order matters: crossover of two good
             # mutants assembles coordinated multi-job reallocation moves
             # (take GPUs from one job, give to another) that crossover of
@@ -938,9 +726,9 @@ class GeneticOptimizerV2(GeneticOptimizer):
             pool_fitness = np.concatenate(
                 [fitness, mutated_fitness, offspring_fitness]
             )
-            # Stable sort, like legacy: on fitness ties the *earlier* pool
-            # member wins, so an equally-fit incumbent (restart-free)
-            # allocation is never displaced by a reshuffled twin.
+            # Stable sort: on fitness ties the *earlier* pool member wins,
+            # so an equally-fit incumbent (restart-free) allocation is
+            # never displaced by a reshuffled twin.
             keep = np.argsort(-pool_fitness, kind="stable")[:p_size]
             population = pool[keep]
             fitness = pool_fitness[keep]
@@ -958,26 +746,3 @@ class GeneticOptimizerV2(GeneticOptimizer):
                 best_fitness = float(fitness[0])
 
         return population[0].copy(), float(fitness[0]), population
-
-
-#: Engine name -> optimizer class; ``PolluxSchedConfig.ga_engine`` keys this.
-GA_ENGINES = {
-    "legacy": GeneticOptimizer,
-    "v2": GeneticOptimizerV2,
-}
-
-
-def make_optimizer(
-    engine: str,
-    problem: AllocationProblem,
-    config: GAConfig = GAConfig(),
-    rng: Optional[np.random.Generator] = None,
-) -> GeneticOptimizer:
-    """Instantiate a GA engine by name (``"legacy"`` or ``"v2"``)."""
-    try:
-        cls = GA_ENGINES[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown GA engine {engine!r}; known: {sorted(GA_ENGINES)}"
-        ) from None
-    return cls(problem, config, rng=rng)

@@ -24,20 +24,8 @@ import numpy as np
 
 from ..cluster.spec import ClusterSpec
 from .agent import AgentReport
-from .genetic import (
-    GA_ENGINES,
-    AllocationProblem,
-    GAConfig,
-    JobGAInfo,
-    make_optimizer,
-)
-from .speedup import (
-    TputCells,
-    build_speedup_table,
-    build_surfaces_batch,
-    build_tput_cells,
-    build_typed_speedup_table,
-)
+from .genetic import AllocationProblem, GAConfig, GeneticOptimizer, JobGAInfo
+from .speedup import TputCells, build_surfaces_batch, build_tput_cells
 from .surfacecache import SurfaceCache
 
 __all__ = ["PolluxSchedConfig", "SchedJobInfo", "job_weight", "PolluxSched"]
@@ -82,20 +70,13 @@ class PolluxSchedConfig:
     ``_CACHE_SLOTS_PER_JOB`` entries per active job, so large job counts
     cannot thrash the LRU (growing never changes decisions).
 
-    ``ga_engine`` selects the genetic-algorithm engine: ``"v2"`` (default)
-    is the fully vectorized engine with warm-started rounds and batched
-    table builds; ``"legacy"`` is the original engine whose decision stream
-    is pinned bit-for-bit (see :mod:`repro.core.genetic`).  The two produce
-    different but benchmarked-equivalent schedules
-    (``benchmarks/bench_ga_engines.py``).
-
     ``cells_path`` points at a phi-free ``TputCells`` snapshot written by
     :meth:`PolluxSched.save_cells` (``SurfaceCache.to_file``); when set,
     a fresh scheduler pre-warms its surface cache from it, closing most of
-    the v2 cold-start gap across restarts.  A missing file is ignored (the
+    the cold-start gap across restarts.  A missing file is ignored (the
     first run has nothing persisted yet).
 
-    ``incremental`` (v2 only, default off) enables dirty-set rounds: a
+    ``incremental`` (default off) enables dirty-set rounds: a
     round whose inputs are unchanged — same job set, same
     ``theta_fingerprint()`` per job, same exploration caps, allocations
     still exactly what the previous round assigned — skips the GA entirely
@@ -114,7 +95,6 @@ class PolluxSchedConfig:
     gputime_thres: float = 4.0 * 3600.0  # 4 GPU-hours, in GPU-seconds
     weight_decay: float = 0.5  # lambda in Eqn. 16
     ga: GAConfig = field(default_factory=GAConfig)
-    ga_engine: str = "v2"
     table_points_per_octave: int = 16
     surface_cache_size: int = 512
     surface_phi_tol: float = 0.0
@@ -129,20 +109,10 @@ class PolluxSchedConfig:
             raise ValueError("gputime_thres must be positive")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
-        if self.ga_engine not in GA_ENGINES:
-            raise ValueError(
-                f"ga_engine must be one of {sorted(GA_ENGINES)}, got "
-                f"{self.ga_engine!r}"
-            )
         if self.surface_cache_size < 0:
             raise ValueError("surface_cache_size must be non-negative")
         if self.surface_phi_tol < 0:
             raise ValueError("surface_phi_tol must be non-negative")
-        if self.incremental and self.ga_engine == "legacy":
-            raise ValueError(
-                "incremental rounds require the v2 GA engine (legacy is "
-                "bit-pinned and has no mutation masking)"
-            )
         if self.incremental_refresh_every < 0:
             raise ValueError("incremental_refresh_every must be non-negative")
 
@@ -186,7 +156,7 @@ class PolluxSched:
         self._rng = np.random.default_rng(seed)
         self._population: Optional[np.ndarray] = None
         self._population_job_ids: List[str] = []
-        #: Set by :meth:`set_cluster` on a node-layout change; the next v2
+        #: Set by :meth:`set_cluster` on a node-layout change; the next
         #: round then runs its full generation budget (patience disabled)
         #: so allocations are re-optimized for the new layout instead of
         #: early-exiting on a plateau of the stale warm-started population.
@@ -264,20 +234,17 @@ class PolluxSched:
     def set_cluster(self, cluster: ClusterSpec) -> None:
         """Replace the cluster (cloud auto-scaling).
 
-        The legacy engine resets the GA bootstrap population whenever the
-        node layout (count, per-node GPUs, or GPU types) changed, as it
-        always has.  The v2 engine instead *remaps* the saved population
-        onto the new layout — dropped nodes truncate from the end, new
-        nodes start empty, exactly like the simulator reshapes live
-        allocations — so warm starts survive autoscaling resizes; only a
-        GPU-type-set change (which invalidates the per-type speedup
-        semantics) still resets it.
+        When the node layout (count, per-node GPUs, or GPU types) changed,
+        the saved GA population is *remapped* onto the new layout — dropped
+        nodes truncate from the end, new nodes start empty, exactly like
+        the simulator reshapes live allocations — so warm starts survive
+        autoscaling resizes; only a GPU-type-set change (which invalidates
+        the per-type speedup semantics) resets it.
         """
         if cluster.nodes != self.cluster.nodes:
             self._resized_since_round = True
             if (
-                self.config.ga_engine == "legacy"
-                or self._population is None
+                self._population is None
                 or cluster.gpu_types != self.cluster.gpu_types
             ):
                 self._population = None
@@ -309,66 +276,19 @@ class PolluxSched:
             out[:, arrived] = 0
         return out
 
-    def _tables_legacy(
-        self,
-        jobs: Sequence[SchedJobInfo],
-        caps: Sequence[int],
-        type_speeds: np.ndarray,
-    ) -> List[np.ndarray]:
-        """Per-job table builds — the legacy engine's bit-pinned path."""
-        cfg = self.config
-        cache = self.surface_cache
-        single_type = self.cluster.is_single_type
-        tables: List[np.ndarray] = []
-        for job, cap in zip(jobs, caps):
-            if single_type:
-                # Homogeneous fast path: the seed's (K+1, 2) table, at the
-                # cluster's (single) device speed — 1.0 on the reference T4.
-                if cache is not None:
-                    table, _ = cache.get_flat(
-                        job.report,
-                        cap,
-                        cfg.table_points_per_octave,
-                        float(type_speeds[0]),
-                    )
-                else:
-                    table = build_speedup_table(
-                        job.report.goodput_model(),
-                        max_gpus=cap,
-                        points_per_octave=cfg.table_points_per_octave,
-                        speed=float(type_speeds[0]),
-                    )
-            else:
-                if cache is not None:
-                    table, _ = cache.get_typed(
-                        job.report,
-                        cap,
-                        cfg.table_points_per_octave,
-                        type_speeds,
-                    )
-                else:
-                    table = build_typed_speedup_table(
-                        job.report.goodput_model(),
-                        max_gpus=cap,
-                        type_speeds=type_speeds,
-                        points_per_octave=cfg.table_points_per_octave,
-                    )
-            tables.append(table)
-        return tables
-
     def _tables_batched(
         self,
         jobs: Sequence[SchedJobInfo],
         caps: Sequence[int],
         type_speeds: np.ndarray,
     ) -> List[np.ndarray]:
-        """Batched table builds — the v2 engine's path.
+        """One speedup table per job, the round's misses built in batches.
 
         Cache hits are looked up per job (two-phase protocol); all misses
         are then built by :func:`build_surfaces_batch`, at most
         ``_TABLE_BLOCK_JOBS`` jobs a pass, and stored.  Values match the
-        per-job builders up to pow-kernel rounding, which is inside the v2
-        engine's benchmarked-equivalence budget.
+        per-job builders (``build_speedup_table`` and friends) up to
+        pow-kernel rounding.
         """
         cfg = self.config
         cache = self.surface_cache
@@ -460,9 +380,8 @@ class PolluxSched:
         that see the same reports within a tick build each job's table at
         most once; with caching disabled every table is rebuilt in place.
         The cache is grown to the round's working-set size first (see
-        ``_CACHE_SLOTS_PER_JOB``).  The legacy engine builds missing tables
-        one job at a time (bit-pinned values); the v2 engine batches the
-        misses into ragged surface passes.
+        ``_CACHE_SLOTS_PER_JOB``); the misses are built in ragged batched
+        surface passes.
         """
         cfg = self.config
         cache = self.surface_cache
@@ -473,10 +392,7 @@ class PolluxSched:
                 max(cfg.surface_cache_size, len(jobs) * _CACHE_SLOTS_PER_JOB)
             )
         caps = [job.report.exploration_cap(total_gpus) for job in jobs]
-        if cfg.ga_engine == "legacy":
-            tables = self._tables_legacy(jobs, caps, type_speeds)
-        else:
-            tables = self._tables_batched(jobs, caps, type_speeds)
+        tables = self._tables_batched(jobs, caps, type_speeds)
         ga_jobs: List[JobGAInfo] = []
         for job, cap, table in zip(jobs, caps, tables):
             weight = job_weight(job.gputime, cfg.gputime_thres, cfg.weight_decay)
@@ -595,16 +511,10 @@ class PolluxSched:
             if ga_config.patience > 0:
                 ga_config = replace(ga_config, patience=0)
             self._resized_since_round = False
-        optimizer = make_optimizer(
-            self.config.ga_engine, problem, ga_config, rng=self._rng
+        optimizer = GeneticOptimizer(problem, ga_config, rng=self._rng)
+        best, _, population = optimizer.run(
+            initial=self._bootstrap_population(job_ids), mutate_rows=mutate_rows
         )
-        initial = self._bootstrap_population(job_ids)
-        if mutate_rows is not None:
-            best, _, population = optimizer.run(
-                initial=initial, mutate_rows=mutate_rows
-            )
-        else:
-            best, _, population = optimizer.run(initial=initial)
 
         self._population = population
         self._population_job_ids = list(job_ids)

@@ -455,8 +455,8 @@ def build_surfaces_batch(
     :func:`build_typed_surfaces`) are overhead-bound: each spends most of
     its time in numpy dispatch on small ``(K, M)`` arrays.  This batches
     the whole scheduling round's table builds into a handful of array
-    operations over one ragged feasible-cell axis — the hot path of the v2
-    GA engine's problem construction.  Passing previously built ``cells``
+    operations over one ragged feasible-cell axis — the hot path of
+    ``PolluxSched.build_problem``.  Passing previously built ``cells``
     (see :func:`build_tput_cells`) skips the throughput evaluation
     entirely and only folds in each job's current efficiency curve — the
     steady-state round cost while theta_sys is stable.
@@ -465,10 +465,9 @@ def build_surfaces_batch(
     per-job builders are applied, so the returned tables match
     :func:`build_surfaces` (``squeeze=True`` with one type) or
     :func:`build_typed_surfaces` elementwise up to pow-kernel rounding
-    (``gamma`` enters as an array exponent here).  The batched path
-    therefore backs the v2 engine's benchmarked-equivalent decision
-    stream, while the legacy engine keeps the per-job builders
-    bit-for-bit.
+    (``gamma`` enters as an array exponent here).  The scheduler builds
+    its tables here; the per-job builders serve agent-side batch tuning
+    and one-off callers.
 
     Args:
         models: One goodput model per job.

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .speedup import build_surfaces, build_typed_surfaces
+from .speedup import build_surfaces
 
 if TYPE_CHECKING:  # avoid a runtime cycle: agent.py imports this module
     from .agent import AgentReport
@@ -50,8 +50,8 @@ class CacheStats:
     """Hit/miss/eviction counters for one :class:`SurfaceCache`.
 
     ``hits``/``misses`` count *table* requests (one per job per
-    ``build_problem``); ``cells_hits``/``cells_misses`` count the v2
-    engine's second-level lookups of phi-free throughput cells, which only
+    ``build_problem``); ``cells_hits``/``cells_misses`` count the
+    scheduler's second-level lookups of phi-free throughput cells, which only
     happen after a table miss and are tracked separately so the table-level
     hit-rate keeps meaning "tables served without any rebuild".
     """
@@ -162,7 +162,7 @@ class SurfaceCache:
         points_per_octave: int,
         type_speeds: Sequence[float],
     ) -> tuple:
-        """Cache key for a typed surface (see :meth:`get_typed`)."""
+        """Cache key for a typed ``(max_gpus + 1, 2, T)`` surface."""
         return (
             "typed",
             report.fingerprint(self.phi_tol),
@@ -235,25 +235,6 @@ class SurfaceCache:
 
     # ------------------------------------------------------------------
 
-    def _get(
-        self, key: tuple, report: "AgentReport", build
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return entry
-        self.stats.misses += 1
-        speedup_table, bsz_table = build(report.goodput_model())
-        speedup_table.flags.writeable = False
-        bsz_table.flags.writeable = False
-        entry = (speedup_table, bsz_table)
-        self._entries[key] = entry
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-        return entry
-
     def get_flat(
         self,
         report: "AgentReport",
@@ -263,34 +244,24 @@ class SurfaceCache:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Surfaces for a single-type cluster: ``(max_gpus + 1, 2)`` pair.
 
-        Bit-identical to calling :func:`repro.core.speedup.build_surfaces`
-        directly (a hit returns the very arrays a miss computed).
+        :meth:`lookup`, then on a miss one per-job
+        :func:`repro.core.speedup.build_surfaces` pass and :meth:`store` —
+        bit-identical to calling the builder directly (a hit returns the
+        very arrays a miss computed).
         """
         key = self.flat_key(report, max_gpus, points_per_octave, speed)
-        return self._get(
-            key,
-            report,
-            lambda model: build_surfaces(
-                model, max_gpus, points_per_octave=points_per_octave, speed=speed
-            ),
-        )
-
-    def get_typed(
-        self,
-        report: "AgentReport",
-        max_gpus: int,
-        points_per_octave: int,
-        type_speeds: Sequence[float],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Surfaces for a typed cluster: ``(max_gpus + 1, 2, T)`` pair."""
-        key = self.typed_key(report, max_gpus, points_per_octave, type_speeds)
-        return self._get(
-            key,
-            report,
-            lambda model: build_typed_surfaces(
-                model, max_gpus, type_speeds, points_per_octave=points_per_octave
-            ),
-        )
+        entry = self.lookup(key)
+        if entry is None:
+            entry = self.store(
+                key,
+                build_surfaces(
+                    report.goodput_model(),
+                    max_gpus,
+                    points_per_octave=points_per_octave,
+                    speed=speed,
+                ),
+            )
+        return entry
 
     # ------------------------------------------------------------------
     # Persistence (phi-free cells entries only)

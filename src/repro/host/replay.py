@@ -79,8 +79,6 @@ class ReplayBackend:
         return HostConfig(
             scheduling_interval=cfg.scheduling_interval,
             agent_interval=cfg.agent_interval,
-            batch_tuning=cfg.batch_tuning,
-            tuning_points_per_octave=cfg.tuning_points_per_octave,
         )
 
     def start(self, host: "PolicyHost") -> None:

@@ -48,32 +48,21 @@ class HostConfig:
     """Dispatch cadences of a :class:`PolicyHost`, in host-time seconds.
 
     Defaults follow the paper's deployment (Sec. 5.1): schedule every 60 s,
-    let agents re-tune batch sizes every 30 s.  ``batch_tuning`` /
-    ``tuning_points_per_octave`` configure the shared tuning helper
-    exactly like :class:`~repro.sim.SimConfig` does for the simulator.
-    When constructed without an explicit config, the host asks the backend
-    for its preferred cadences (:meth:`~repro.host.backend.ClusterBackend.
-    host_config`) — the replay backend derives them from its ``SimConfig``
-    so replays match the simulator by construction.
+    let agents re-tune batch sizes every 30 s.  When constructed without an
+    explicit config, the host asks the backend for its preferred cadences
+    (:meth:`~repro.host.backend.ClusterBackend.host_config`) — the replay
+    backend derives them from its ``SimConfig`` so replays match the
+    simulator by construction.
     """
 
     scheduling_interval: float = 60.0
     agent_interval: float = 30.0
-    batch_tuning: str = "table"
-    tuning_points_per_octave: int = 32
 
     def __post_init__(self) -> None:
         if self.scheduling_interval <= 0:
             raise ValueError("scheduling_interval must be positive")
         if self.agent_interval <= 0:
             raise ValueError("agent_interval must be positive")
-        if self.batch_tuning not in ("table", "golden", "search"):
-            raise ValueError(
-                f"batch_tuning must be 'table', 'golden', or 'search', got "
-                f"{self.batch_tuning!r}"
-            )
-        if self.tuning_points_per_octave < 1:
-            raise ValueError("tuning_points_per_octave must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -233,8 +222,8 @@ class PolicyHost:
             request = policy.decide_resize(now, state)
             if request is not None:
                 backend.resize(int(request.num_nodes), request.grow_node_spec)
-            # Re-read the cadence after the decision (capabilities may be
-            # lifted live from adapted legacy objects).
+            # Re-read the cadence after the decision: a policy may adapt
+            # its own interval inside decide_resize().
             self._next_autoscale = now + policy.capabilities.autoscale_interval
 
         tuned_this_round = False
@@ -252,14 +241,14 @@ class PolicyHost:
             )
             self._next_schedule = now + cfg.scheduling_interval
             if caps.adapts_batch_size:
-                tune_batch_sizes(jobs, cfg.batch_tuning, cfg.tuning_points_per_octave)
+                tune_batch_sizes(jobs)
                 tuned_this_round = True
 
         agent_fired = False
         if now >= self._next_agent:
             agent_fired = True
             if caps.adapts_batch_size and not tuned_this_round:
-                tune_batch_sizes(jobs, cfg.batch_tuning, cfg.tuning_points_per_octave)
+                tune_batch_sizes(jobs)
             self._next_agent = now + cfg.agent_interval
 
         # Covers both resize paths: cadenced decide_resize and a resize

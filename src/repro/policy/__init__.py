@@ -76,12 +76,13 @@ Writing a new policy
 Decision-stream guarantees
 --------------------------
 
-The API reorders *interfaces*, not RNG streams: hosts build snapshots at
-exactly the dispatch events (reports only for ``needs_agent`` policies),
-so default-config simulations through this API are bit-for-bit identical
-to the pre-API decision streams — the legacy-engine digests in
-``BENCH_perf.json`` are CI-gated through registry-constructed policies.
-See the ROADMAP's "Policy API v1" architecture note.
+Hosts build snapshots at exactly the dispatch events (reports only for
+``needs_agent`` policies), so the report-call schedule — and with it every
+RNG stream — is fixed by the API, not by the host: the default
+configuration's simulator digests in ``BENCH_perf.json`` are pinned through
+registry-constructed policies (``tests/test_pinned_digests.py``,
+``bench_perf.py --check``) and the wall-clock replay host reproduces them
+bit-for-bit.  See "Decision-stream policy" in ``docs/operating.md``.
 """
 
 from .base import (
@@ -90,7 +91,6 @@ from .base import (
     PolicyCapabilities,
     ScheduleDecision,
 )
-from .compat import LegacyAutoscalerBridge, LegacySchedulerAdapter, as_policy
 from .dispatch import (
     apply_decision,
     build_cluster_state,
@@ -128,9 +128,6 @@ __all__ = [
     "available",
     "describe",
     "canonical",
-    "as_policy",
-    "LegacySchedulerAdapter",
-    "LegacyAutoscalerBridge",
     "PolluxPolicy",
     "ShardedPolicy",
     "TiresiasPolicy",

@@ -84,9 +84,9 @@ def apply_decision(
 ) -> None:
     """Apply one ScheduleDecision: batch sizes, allocations, resize.
 
-    Policy-fixed batch sizes land before the allocations (matching the
-    pre-API behavior where e.g. the Or-et-al scheduler set them inside
-    ``schedule``); a bundled resize request is honored last, and only for
+    Policy-fixed batch sizes land before the allocations (Or-et-al's
+    throughput-optimal choice belongs to the allocation it was made for); a
+    bundled resize request is honored last, and only for
     policies whose capabilities declare ``autoscales``.  The host supplies
     its allocation/resize mechanisms as callables.
     """
@@ -99,19 +99,13 @@ def apply_decision(
         resize_cluster(int(decision.resize.num_nodes), decision.resize.grow_node_spec)
 
 
-def tune_batch_sizes(
-    jobs: Sequence,
-    batch_tuning: str = "table",
-    points_per_octave: int = 32,
-) -> None:
+def tune_batch_sizes(jobs: Sequence) -> None:
     """Let each running adaptive job's agent re-tune its batch size.
 
-    ``batch_tuning`` follows :class:`~repro.sim.simulator.SimConfig`:
-    ``"table"`` is the O(1) argmax-table lookup, ``"golden"``/``"search"``
-    the golden-section maximization.  Jobs whose agents cannot tune yet
-    (no fitted model) keep their current batch size.
+    Every host tunes by the O(1) argmax-table lookup
+    (``PolluxAgent.tune_batch_size(method="table")``).  Jobs whose agents
+    cannot tune yet (no fitted model) keep their current batch size.
     """
-    method = "search" if batch_tuning in ("golden", "search") else "table"
     for job in jobs:
         if job.num_gpus == 0:
             continue
@@ -120,8 +114,7 @@ def tune_batch_sizes(
                 job.num_nodes_occupied,
                 job.num_gpus,
                 job.current_speed,
-                method=method,
-                points_per_octave=points_per_octave,
+                method="table",
             )
         except ValueError:
             continue

@@ -57,7 +57,7 @@ Scaling out, step by step
 
 Decision-stream tier: ``pollux-sharded`` with a single cell (any
 homogeneous cluster under the default partitioner) reproduces the
-unsharded v2 engine's decision stream **bit-for-bit** (same seed, same RNG
+unsharded ``pollux`` policy's decision stream **bit-for-bit** (same seed, same RNG
 draws — pinned in tests).  Multi-cell configurations are a different,
 benchmarked stream: ``benchmarks/bench_scale.py`` tracks round-time curves
 (``BENCH_scale.json``) and the nightly workflow holds reduced-scale

@@ -81,7 +81,7 @@ class TypeCellPartitioner(CellPartitioner):
 
     On a homogeneous cluster this degenerates to a single cell containing
     every node — which is exactly what makes the default sharded
-    configuration reproduce the unsharded v2 decision stream bit-for-bit
+    configuration reproduce the unsharded ``pollux`` decision stream bit-for-bit
     (pinned in ``tests/test_shard.py``).
     """
 

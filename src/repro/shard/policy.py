@@ -346,7 +346,7 @@ register(
     description=(
         "Sharded Pollux: one warm-started per-cell GA (default: one cell "
         "per GPU type) with a top-level arrival/migration balancer; "
-        "single-cell configs reproduce unsharded v2 bit-for-bit, and "
+        "single-cell configs reproduce unsharded pollux bit-for-bit, and "
         "execution='process' runs cells in persistent worker processes "
         "with the identical decision stream"
     ),

@@ -10,7 +10,7 @@ from .metrics import (
     decision_digest,
 )
 from .simconfig import SimConfig
-from .simulator import ClusterAutoscaler, Scheduler, Simulator
+from .simulator import Simulator
 
 __all__ = [
     "JobPhase",
@@ -20,9 +20,7 @@ __all__ = [
     "TimelineSample",
     "average_summaries",
     "decision_digest",
-    "ClusterAutoscaler",
     "ClusterEngine",
-    "Scheduler",
     "SimConfig",
     "Simulator",
 ]

@@ -336,12 +336,7 @@ class ClusterEngine:
 
     def _tune_batch_sizes(self, jobs: Sequence[SimJob]) -> None:
         """Let each running Pollux job's agent re-tune its batch size."""
-        cfg = self.config
-        tune_batch_sizes(
-            jobs,
-            batch_tuning=cfg.batch_tuning,
-            points_per_octave=cfg.tuning_points_per_octave,
-        )
+        tune_batch_sizes(jobs)
 
     # ------------------------------------------------------------------
     # Ground-truth advancement

@@ -215,8 +215,8 @@ def decision_digest(result: SimResult) -> str:
     Two runs with identical digests made bit-for-bit identical scheduling
     decisions: every start/finish time, GPU-time total, restart count, and
     per-tick utilization/efficiency sample hashes in via exact float
-    ``repr``.  Used by the perf CI gate (the legacy engine's digests in
-    ``BENCH_perf.json`` must never move) and by the host-agreement check
+    ``repr``.  Used by the pinned tier (the default configuration's digests
+    in ``BENCH_perf.json`` must not move) and by the host-agreement check
     (the wall-clock replay host must reproduce the simulator's stream on
     the same trace).
     """

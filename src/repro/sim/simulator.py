@@ -24,10 +24,7 @@ simulated time.  Dispatch speaks only :class:`~repro.policy.base.Policy` —
 frozen snapshot views in, :class:`~repro.policy.base.ScheduleDecision`
 out, with behavior differences expressed purely through
 :class:`~repro.policy.base.PolicyCapabilities` (no policy-specific
-branches).  Pre-API duck-typed schedulers and autoscaler hooks (the legacy
-:class:`Scheduler` / :class:`ClusterAutoscaler` protocols below) are still
-accepted and wrapped at construction via
-:func:`repro.policy.compat.as_policy`.
+branches).
 
 Completion times are interpolated within a tick, so tick granularity does
 not quantize JCTs.
@@ -35,13 +32,10 @@ not quantize JCTs.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from ..cluster.spec import ClusterSpec
-from ..policy.base import ScheduleDecision
-from ..policy.compat import as_policy
+from ..policy.base import Policy, ScheduleDecision
 from ..policy.dispatch import apply_decision, build_cluster_state, relay_job_event
 from ..policy.views import ClusterState
 from ..workload.trace import JobSpec
@@ -50,86 +44,34 @@ from .job import SimJob
 from .metrics import JobRecord, SimResult
 from .simconfig import SimConfig
 
-__all__ = ["SimConfig", "Scheduler", "ClusterAutoscaler", "Simulator"]
-
-
-class Scheduler(Protocol):
-    """Legacy duck-typed scheduler interface (pre-Policy-API).
-
-    Superseded by :class:`repro.policy.base.Policy`; still accepted by
-    :class:`Simulator` (wrapped via :mod:`repro.policy.compat`).
-    ``schedule`` returns a mapping from job name to allocation vector for
-    the *active* (submitted, unfinished) jobs; omitted jobs keep their
-    current allocation.  ``adapts_batch_size`` tells the simulator whether
-    jobs should let their PolluxAgent re-tune the batch size (Pollux) or
-    keep the user-fixed batch size (baselines).
-    """
-
-    name: str
-    adapts_batch_size: bool
-    needs_agent: bool
-
-    def schedule(
-        self,
-        now: float,
-        jobs: Sequence[SimJob],
-        cluster: ClusterSpec,
-    ) -> Dict[str, np.ndarray]:
-        ...
-
-
-class ClusterAutoscaler(Protocol):
-    """Legacy cloud auto-scaling hook interface (pre-Policy-API).
-
-    Superseded by autoscaling policies
-    (:meth:`repro.policy.base.Policy.decide_resize`); still accepted via
-    the ``autoscaler=`` argument and bridged onto the Policy API.  An
-    autoscaler may additionally expose a ``grow_node_spec`` attribute (a
-    :class:`~repro.cluster.spec.NodeSpec`): on heterogeneous clusters the
-    simulator then grows with nodes of that spec (a chosen GPU type)
-    instead of cloning the last node.
-    """
-
-    interval: float
-
-    def decide(
-        self,
-        now: float,
-        jobs: Sequence[SimJob],
-        cluster: ClusterSpec,
-        scheduler: Scheduler,
-    ) -> int:
-        """Return the desired number of nodes."""
-        ...
+__all__ = ["SimConfig", "Simulator"]
 
 
 class Simulator(ClusterEngine):
     """Drives a workload trace through a scheduling policy.
 
-    ``scheduler`` is normally a :class:`repro.policy.base.Policy`
-    (construct one with :func:`repro.policy.create`); legacy duck-typed
-    schedulers — optionally paired with a legacy ``autoscaler`` hook — are
-    wrapped onto the Policy API at construction.  The adapted policy is
-    available as :attr:`policy`; :attr:`scheduler` keeps the object as
-    passed.
+    ``policy`` is a :class:`repro.policy.base.Policy` — construct one with
+    :func:`repro.policy.create`, or subclass ``Policy`` for a custom one
+    (autoscaling included: ``decide_resize`` and the ``autoscales``
+    capability are part of the same interface).
     """
 
     def __init__(
         self,
         cluster: ClusterSpec,
-        scheduler,
+        policy: Policy,
         jobs: Sequence[JobSpec],
         config: SimConfig = SimConfig(),
-        autoscaler: Optional[ClusterAutoscaler] = None,
     ):
+        if not isinstance(policy, Policy):
+            raise TypeError(
+                f"Simulator needs a repro.policy.Policy, got "
+                f"{type(policy).__name__}; build one with "
+                f"repro.policy.create(name, cluster=..., seed=...) or "
+                f"subclass repro.policy.Policy"
+            )
         super().__init__(cluster, jobs, config)
-        self.scheduler = scheduler
-        self.autoscaler = autoscaler
-        #: The dispatch loop speaks only the Policy API; legacy objects
-        #: are adapted here, once, at construction.
-        self.policy = as_policy(
-            scheduler, autoscaler, jobs_provider=lambda: self._active
-        )
+        self.policy = policy
         for job in self.jobs:
             if not self.policy.capabilities.adapts_batch_size:
                 job.batch_size = float(job.spec.fixed_batch_size)
@@ -205,10 +147,8 @@ class Simulator(ClusterEngine):
         self._admit_submitted()
 
         while self.now < max_time:
-            # Re-read per tick: native policies expose a static descriptor,
-            # but the legacy adapters lift capabilities live from the
-            # wrapped objects (the pre-API loop re-read those attributes at
-            # each dispatch, e.g. a hook adjusting its own interval).
+            # Re-read per tick: ``capabilities`` is the policy's to change
+            # between dispatches (e.g. its own autoscale cadence).
             caps = policy.capabilities
             if not self._active:
                 if not self.pending_submissions():
@@ -234,9 +174,8 @@ class Simulator(ClusterEngine):
                         int(request.num_nodes),
                         grow_with=request.grow_node_spec,
                     )
-                # Re-read the cadence after the decision (the pre-API loop
-                # read autoscaler.interval here, so a hook that adapts its
-                # own interval inside decide() is honored).
+                # Re-read the cadence after the decision: a policy that
+                # adapts its own interval inside decide_resize() is honored.
                 self._next_autoscale = (
                     self.now + policy.capabilities.autoscale_interval
                 )

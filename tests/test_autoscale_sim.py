@@ -3,43 +3,50 @@
 import numpy as np
 
 from repro.cluster import ClusterSpec
+from repro.policy import (
+    ClusterResizeRequest,
+    Policy,
+    PolicyCapabilities,
+    ScheduleDecision,
+)
 from repro.sim import SimConfig, Simulator
 from repro.workload import MODEL_ZOO, JobSpec
 
 
-class PinnedScheduler:
+class PinnedScheduler(Policy):
     """Allocates every free GPU of node 0 (plus node 1 when present)."""
 
     name = "pinned"
-    adapts_batch_size = False
-    needs_agent = False
 
-    def schedule(self, now, jobs, cluster):
+    def schedule(self, now, state):
+        cluster = state.cluster
         allocations = {}
-        for job in jobs:
+        for job in state.jobs:
             alloc = np.zeros(cluster.num_nodes, dtype=np.int64)
             alloc[0] = cluster.nodes[0].num_gpus
             if cluster.num_nodes > 1:
                 alloc[1] = cluster.nodes[1].num_gpus
             allocations[job.name] = alloc
-        return allocations
+        return ScheduleDecision(allocations=allocations)
 
 
-class StepAutoscaler:
-    """Scripted node counts at scripted times."""
+class StepAutoscaler(PinnedScheduler):
+    """Pinned allocations plus scripted node counts at scripted times."""
 
     def __init__(self, schedule, interval=60.0):
-        self.schedule = sorted(schedule)
-        self.interval = interval
+        self.steps = sorted(schedule)
+        self.capabilities = PolicyCapabilities(
+            autoscales=True, autoscale_interval=interval
+        )
         self.decide_times = []
 
-    def decide(self, now, jobs, cluster, scheduler):
+    def decide_resize(self, now, state):
         self.decide_times.append(now)
-        nodes = self.schedule[0][1]
-        for at, count in self.schedule:
+        nodes = self.steps[0][1]
+        for at, count in self.steps:
             if now >= at:
                 nodes = count
-        return nodes
+        return ClusterResizeRequest(num_nodes=nodes)
 
 
 def spec(name="job"):
@@ -56,13 +63,7 @@ class TestClusterResize:
     def test_grow_adds_capacity(self):
         cluster = ClusterSpec.homogeneous(1, 4)
         autoscaler = StepAutoscaler([(0.0, 1), (300.0, 3)])
-        sim = Simulator(
-            cluster,
-            PinnedScheduler(),
-            [spec()],
-            SimConfig(seed=0, max_hours=5),
-            autoscaler=autoscaler,
-        )
+        sim = Simulator(cluster, autoscaler, [spec()], SimConfig(seed=0, max_hours=5))
         result = sim.run()
         assert result.num_unfinished == 0
         node_counts = {t.num_nodes for t in result.timeline}
@@ -72,13 +73,7 @@ class TestClusterResize:
     def test_shrink_restarts_displaced_job(self):
         cluster = ClusterSpec.homogeneous(2, 4)
         autoscaler = StepAutoscaler([(0.0, 2), (240.0, 1)])
-        sim = Simulator(
-            cluster,
-            PinnedScheduler(),
-            [spec()],
-            SimConfig(seed=0, max_hours=5),
-            autoscaler=autoscaler,
-        )
+        sim = Simulator(cluster, autoscaler, [spec()], SimConfig(seed=0, max_hours=5))
         result = sim.run()
         # The job spanned nodes 0-1; dropping node 1 forces a restart.
         assert result.records[0].num_restarts >= 1
@@ -87,13 +82,7 @@ class TestClusterResize:
     def test_node_seconds_track_resizes(self):
         cluster = ClusterSpec.homogeneous(1, 4)
         autoscaler = StepAutoscaler([(0.0, 1), (300.0, 4)])
-        sim = Simulator(
-            cluster,
-            PinnedScheduler(),
-            [spec()],
-            SimConfig(seed=0, max_hours=5),
-            autoscaler=autoscaler,
-        )
+        sim = Simulator(cluster, autoscaler, [spec()], SimConfig(seed=0, max_hours=5))
         result = sim.run()
         # Cost must be strictly between the all-1-node and all-4-node runs.
         duration_hours = result.end_time / 3600.0
@@ -102,13 +91,7 @@ class TestClusterResize:
     def test_allocation_vectors_resized(self):
         cluster = ClusterSpec.homogeneous(2, 4)
         autoscaler = StepAutoscaler([(0.0, 2), (240.0, 4)])
-        sim = Simulator(
-            cluster,
-            PinnedScheduler(),
-            [spec()],
-            SimConfig(seed=0, max_hours=5),
-            autoscaler=autoscaler,
-        )
+        sim = Simulator(cluster, autoscaler, [spec()], SimConfig(seed=0, max_hours=5))
         sim.run()
         assert sim.jobs[0].allocation.shape == (4,)
 
@@ -131,10 +114,9 @@ class TestPostIdleAutoscale:
         autoscaler = StepAutoscaler([(0.0, 2)], interval=600.0)
         sim = Simulator(
             ClusterSpec.homogeneous(2, 4),
-            PinnedScheduler(),
+            autoscaler,
             [early, late],
             SimConfig(seed=0, max_hours=3 * gap_hours),
-            autoscaler=autoscaler,
         )
         result = sim.run()
         return sim, autoscaler, result
@@ -162,42 +144,41 @@ class TestPostIdleAutoscale:
         # After the run, the autoscaler timer must never trail the clock by
         # more than its interval (it would with the pre-fix stale timer
         # semantics if the fast-forward left it in the past).
-        assert sim._next_autoscale >= sim.now - autoscaler.interval
+        interval = autoscaler.capabilities.autoscale_interval
+        assert sim._next_autoscale >= sim.now - interval
         # Post-idle decides respect the configured cadence.
         post_idle = [
             t for t in autoscaler.decide_times if t >= gap_hours * 3600.0
         ]
         for a, b in zip(post_idle, post_idle[1:]):
-            assert b - a >= autoscaler.interval
+            assert b - a >= interval
 
 
-class TestLegacyAdapterLiveAttributes:
-    def test_mutated_interval_honored_each_event(self):
-        """Legacy autoscalers that adjust their own cadence mid-run keep
-        that behavior through the compat adapter (the pre-API loop re-read
-        autoscaler.interval after every decide)."""
+class TestPolicyOwnedCadence:
+    def test_lengthened_interval_is_honoured(self):
+        """A policy that lengthens its own ``autoscale_interval`` inside
+        ``decide_resize`` is honoured from that decision on: the loop
+        re-reads ``capabilities`` after every resize event."""
 
-        class SlowingAutoscaler:
-            interval = 60.0
+        class SlowingAutoscaler(PinnedScheduler):
+            capabilities = PolicyCapabilities(
+                autoscales=True, autoscale_interval=60.0
+            )
 
             def __init__(self):
                 self.decide_times = []
 
-            def decide(self, now, jobs, cluster, scheduler):
+            def decide_resize(self, now, state):
                 self.decide_times.append(now)
-                self.interval = 300.0  # back off after the first decision
-                return cluster.num_nodes
+                # Back off after the first decision.
+                self.capabilities = PolicyCapabilities(
+                    autoscales=True, autoscale_interval=300.0
+                )
+                return None
 
-        autoscaler = SlowingAutoscaler()
+        policy = SlowingAutoscaler()
         cluster = ClusterSpec.homogeneous(2, 4)
-        sim = Simulator(
-            cluster,
-            PinnedScheduler(),
-            [spec()],
-            SimConfig(seed=0, max_hours=0.5),
-            autoscaler=autoscaler,
-        )
-        sim.run()
-        gaps = np.diff(autoscaler.decide_times)
+        Simulator(cluster, policy, [spec()], SimConfig(seed=0, max_hours=0.5)).run()
+        gaps = np.diff(policy.decide_times)
         assert len(gaps) >= 2
         assert (gaps >= 300.0).all()

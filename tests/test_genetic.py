@@ -1,4 +1,9 @@
-"""Tests for the PolluxSched genetic algorithm (Sec. 4.2.1)."""
+"""Tests for the PolluxSched genetic algorithm (Sec. 4.2.1).
+
+Fitness arithmetic and small hand-built operator cases; determinism, repair
+invariants on random populations, warm starts, patience and search quality
+are in ``tests/test_genetic_v2.py``.
+"""
 
 import numpy as np
 import pytest
@@ -101,25 +106,41 @@ class TestOperators:
     def test_repair_enforces_capacity(self, problem, quick_ga, small_cluster):
         opt = GeneticOptimizer(problem, quick_ga)
         pop = np.full((8, 3, 4), 4, dtype=np.int64)  # grossly over capacity
-        repaired = opt._repair(pop)
-        for member in repaired:
+        opt._repair_caps_capacity(pop)  # in place; the fused step alone
+        # Every node was 8 over: exactly full now, nothing over-removed.
+        np.testing.assert_array_equal(pop.sum(axis=1), np.full((8, 4), 4))
+        for member in opt._repair(pop):
             assert not validate_allocation_matrix(member, small_cluster)
-
-    def test_repair_preserves_feasible(self, problem, quick_ga):
-        opt = GeneticOptimizer(problem, quick_ga)
-        pop = np.zeros((4, 3, 4), dtype=np.int64)
-        pop[:, 0, 0] = 2
-        pop[:, 1, 1] = 2
-        repaired = opt._repair(pop)
-        np.testing.assert_array_equal(repaired, pop)
 
     def test_repair_enforces_job_caps(self, small_cluster, speedup_table, quick_ga):
         jobs = [make_job(speedup_table, 4, max_gpus=2)]
         problem = AllocationProblem(small_cluster, jobs)
         opt = GeneticOptimizer(problem, quick_ga)
-        pop = np.array([[[4, 4, 0, 0]]], dtype=np.int64)
-        repaired = opt._repair(pop)
-        assert repaired[0, 0].sum() <= 2
+        pop = np.array([[[4, 4, 0, 0]]], dtype=np.int64)  # under capacity
+        opt._repair_caps_capacity(pop)
+        assert pop[0, 0].sum() == 2  # the excess over the cap, no more
+        assert (pop >= 0).all() and (pop[0, 0, 2:] == 0).all()
+
+    def test_repair_cap_and_capacity_overlap(
+        self, small_cluster, speedup_table, quick_ga
+    ):
+        # Job 0 is over its cap *and* sits in an over-capacity column: the
+        # row removal lands first, the column is then redrawn against what
+        # is left, and neither constraint is over-corrected.
+        jobs = [
+            make_job(speedup_table, 4, max_gpus=3),
+            make_job(speedup_table, 4),
+        ]
+        problem = AllocationProblem(small_cluster, jobs)
+        for seed in range(20):
+            opt = GeneticOptimizer(problem, GAConfig(seed=seed))
+            pop = np.array([[[4, 2, 0, 0], [3, 0, 0, 0]]], dtype=np.int64)
+            opt._repair_caps_capacity(pop)
+            assert pop[0, 0].sum() <= 3
+            # Node 0 ends exactly full: the redraw takes the excess that is
+            # left after the row removal, not the excess there was before.
+            assert pop[0, :, 0].sum() == 4
+            assert (pop >= 0).all() and (pop[0, :, 2:] == 0).all()
 
     def test_interference_repair(self, small_cluster, speedup_table, quick_ga):
         jobs = [make_job(speedup_table, 4) for _ in range(2)]
@@ -170,18 +191,6 @@ class TestOperators:
 
 
 class TestOptimization:
-    def test_allocates_everything_useful(self, problem, small_cluster):
-        config = GAConfig(population_size=30, generations=30, seed=0)
-        opt = GeneticOptimizer(problem, config)
-        best, fitness, population = opt.run()
-        assert not validate_allocation_matrix(
-            best, small_cluster, forbid_interference=True
-        )
-        # With 3 scalable jobs on 16 GPUs, the GA should allocate GPUs to
-        # all jobs and achieve fitness well above one-GPU-each.
-        assert (best.sum(axis=1) > 0).all()
-        assert fitness > 1.0
-
     def test_prefers_high_weight_job(self, small_cluster, speedup_table):
         jobs = [
             make_job(speedup_table, 4, weight=1.0),
@@ -193,33 +202,3 @@ class TestOptimization:
         )
         best, _, _ = opt.run()
         assert best[0].sum() >= best[1].sum()
-
-    def test_empty_problem(self, small_cluster, quick_ga):
-        problem = AllocationProblem(small_cluster, [])
-        opt = GeneticOptimizer(problem, quick_ga)
-        best, fitness, _ = opt.run()
-        assert best.shape == (0, 4)
-        assert fitness == 0.0
-
-    def test_population_bootstrap(self, problem, quick_ga):
-        opt = GeneticOptimizer(problem, quick_ga)
-        _, _, population = opt.run()
-        opt2 = GeneticOptimizer(problem, quick_ga)
-        best2, fitness2, _ = opt2.run(initial=population)
-        assert fitness2 > 0.0
-
-    def test_deterministic_given_seed(self, problem):
-        cfg = GAConfig(population_size=16, generations=10, seed=42)
-        best1, f1, _ = GeneticOptimizer(problem, cfg).run()
-        best2, f2, _ = GeneticOptimizer(problem, cfg).run()
-        np.testing.assert_array_equal(best1, best2)
-        assert f1 == f2
-
-    def test_respects_exploration_cap(self, small_cluster, speedup_table):
-        jobs = [make_job(speedup_table, 4, max_gpus=2)]
-        problem = AllocationProblem(small_cluster, jobs)
-        opt = GeneticOptimizer(
-            problem, GAConfig(population_size=20, generations=20, seed=0)
-        )
-        best, _, _ = opt.run()
-        assert best[0].sum() <= 2

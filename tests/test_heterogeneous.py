@@ -25,7 +25,12 @@ from repro.core import (
 )
 from repro.core.agent import PolluxAgent
 from repro.core.speedup import SINGLE_NODE
-from repro.policy import PolluxPolicy, TiresiasPolicy
+from repro.policy import (
+    ClusterResizeRequest,
+    PolicyCapabilities,
+    PolluxPolicy,
+    TiresiasPolicy,
+)
 from repro.sim import SimConfig, SimJob, Simulator
 from repro.workload import TraceConfig, generate_heterogeneous_workload, generate_trace
 
@@ -322,14 +327,9 @@ class TestSimJobTyped:
 
 
 class TestHeterogeneousSimulation:
-    def _run(self, scheduler_factory, cluster, trace, autoscaler=None):
-        scheduler = scheduler_factory(cluster)
+    def _run(self, policy_factory, cluster, trace):
         sim = Simulator(
-            cluster,
-            scheduler,
-            trace,
-            SimConfig(seed=11, max_hours=40.0),
-            autoscaler=autoscaler,
+            cluster, policy_factory(cluster), trace, SimConfig(seed=11, max_hours=40.0)
         )
         return sim.run()
 
@@ -358,26 +358,23 @@ class TestHeterogeneousSimulation:
         assert result.num_unfinished == 0
 
     def test_autoscaler_grows_chosen_type(self):
-        """The simulator grows the cluster with the hook's grow_node_spec."""
+        """The simulator grows the cluster with the request's node spec."""
 
-        class GrowOnce:
-            interval = 60.0
-            grow_node_spec = NodeSpec(4, GPU_TYPES["a100"])
+        class GrowOnce(TiresiasPolicy):
+            capabilities = PolicyCapabilities(
+                autoscales=True, autoscale_interval=60.0
+            )
 
-            def decide(self, now, jobs, cluster, scheduler):
-                return 3
+            def decide_resize(self, now, state):
+                return ClusterResizeRequest(
+                    num_nodes=3, grow_node_spec=NodeSpec(4, GPU_TYPES["a100"])
+                )
 
         cluster = ClusterSpec.heterogeneous((("t4", 2, 4),))
         trace = generate_trace(
             TraceConfig(num_jobs=2, duration_hours=0.2, seed=4, max_gpus=8)
         )
-        sim = Simulator(
-            cluster,
-            TiresiasPolicy(),
-            trace,
-            SimConfig(seed=3, max_hours=20.0),
-            autoscaler=GrowOnce(),
-        )
+        sim = Simulator(cluster, GrowOnce(), trace, SimConfig(seed=3, max_hours=20.0))
         sim.run()
         assert sim.cluster.num_nodes == 3
         assert sim.cluster.nodes[-1].gpu_type.name == "a100"

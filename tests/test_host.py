@@ -264,10 +264,6 @@ class TestPolicyHost:
             HostConfig(scheduling_interval=0.0)
         with pytest.raises(ValueError):
             HostConfig(agent_interval=-1.0)
-        with pytest.raises(ValueError):
-            HostConfig(batch_tuning="golden_section")  # typo must not pass
-        with pytest.raises(ValueError):
-            HostConfig(tuning_points_per_octave=0)
 
     def test_bundled_resize_counted_in_metrics(self):
         cluster = ClusterSpec.homogeneous(2, 4)

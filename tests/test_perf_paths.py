@@ -507,62 +507,3 @@ class TestSimJobDerivedCache:
             assert job.phi_true() == float(
                 profile.gns.phi(job.progress_fraction)
             )
-
-
-class TestRepairInterferenceEquivalence:
-    def test_restricted_recheck_matches_reference(self):
-        """The incremental repair equals the original full-rescan repair."""
-        from repro.cluster import ClusterSpec
-        from repro.core.genetic import (
-            AllocationProblem,
-            GAConfig,
-            GeneticOptimizer,
-            JobGAInfo,
-        )
-
-        def reference_repair(pop, problem, rng):
-            pop = pop.copy()
-            for _ in range(problem.num_nodes + 1):
-                dist = (pop > 0).sum(axis=-1) >= 2
-                present = pop > 0
-                sharing = (present & dist[:, :, None]).sum(axis=1)
-                where_p, where_n = np.where(sharing >= 2)
-                if len(where_p) == 0:
-                    return pop
-                for p, n in zip(where_p, where_n):
-                    row_dist = (pop[p] > 0).sum(axis=-1) >= 2
-                    offenders = np.where((pop[p, :, n] > 0) & row_dist)[0]
-                    if len(offenders) < 2:
-                        continue
-                    keep = offenders[rng.integers(0, len(offenders))]
-                    drop = offenders[offenders != keep]
-                    pop[p, drop, n] = 0
-            return pop
-
-        rng = np.random.default_rng(13)
-        cluster = ClusterSpec.homogeneous(5, 4)
-        table = np.zeros((9, 2))
-        table[1:, :] = np.linspace(1.0, 3.0, 8)[:, None]
-        jobs = [
-            JobGAInfo(
-                speedup_table=table,
-                weight=1.0,
-                max_gpus=8,
-                current_alloc=np.zeros(5, dtype=np.int64),
-                running=False,
-            )
-            for _ in range(7)
-        ]
-        problem = AllocationProblem(cluster, jobs)
-        for seed in range(20):
-            pop = np.random.default_rng(seed).integers(
-                0, 3, size=(6, 7, 5), dtype=np.int64
-            )
-            opt = GeneticOptimizer(
-                problem, GAConfig(population_size=6, generations=1),
-                rng=np.random.default_rng(99),
-            )
-            fast = pop.copy()
-            opt._repair_interference(fast)
-            expected = reference_repair(pop, problem, np.random.default_rng(99))
-            assert np.array_equal(fast, expected)

@@ -122,25 +122,14 @@ class TestOptimize:
         assert allocations["young"].sum() >= allocations["old"].sum()
 
     def test_set_cluster_remaps_population_on_resize(self, sched, small_cluster):
-        # The v2 engine keeps its warm-start population across a resize by
-        # remapping node columns (grown nodes start empty).
+        # The warm-start population survives a resize by remapping node
+        # columns (grown nodes start empty).
         jobs = [make_job("a")]
         sched.optimize(jobs)
         sched.set_cluster(ClusterSpec.homogeneous(8, 4))
         assert sched._population is not None
         assert sched._population.shape[2] == 8
         assert (sched._population[:, :, 4:] == 0).all()
-
-    def test_set_cluster_resets_population_for_legacy(self, small_cluster, quick_ga):
-        sched = PolluxSched(
-            small_cluster,
-            PolluxSchedConfig(ga=quick_ga, ga_engine="legacy"),
-            seed=0,
-        )
-        jobs = [make_job("a")]
-        sched.optimize(jobs)
-        sched.set_cluster(ClusterSpec.homogeneous(8, 4))
-        assert sched._population is None
 
     def test_set_cluster_resets_population_on_type_change(self, sched):
         jobs = [make_job("a")]

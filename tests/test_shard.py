@@ -435,10 +435,6 @@ class TestIncrementalRounds:
         assert not all(skipped)
         assert any(skipped)
 
-    def test_incremental_requires_v2(self):
-        with pytest.raises(ValueError, match="v2"):
-            PolluxSchedConfig(incremental=True, ga_engine="legacy")
-
     def test_allocations_stay_feasible_across_incremental_rounds(self):
         cluster = ClusterSpec.homogeneous(4, 4)
         sched = self.make_sched(cluster)

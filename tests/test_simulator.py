@@ -4,23 +4,23 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.policy import Policy, ScheduleDecision
 from repro.sim import SimConfig, Simulator
 from repro.sim.job import SimJob
 from repro.workload import MODEL_ZOO, JobSpec
 
 
-class FixedScheduler:
-    """Gives every job its requested GPUs on node 0 (for testing)."""
+class FixedScheduler(Policy):
+    """Gives every job its requested GPUs, first nodes first (for testing)."""
 
     name = "fixed"
-    adapts_batch_size = False
-    needs_agent = False
 
-    def schedule(self, now, jobs, cluster):
+    def schedule(self, now, state):
+        cluster = state.cluster
         allocations = {}
         free = cluster.capacities().copy()
-        for job in jobs:
-            want = min(job.spec.fixed_num_gpus, int(free.sum()))
+        for job in state.jobs:
+            want = min(job.fixed_num_gpus, int(free.sum()))
             alloc = np.zeros(cluster.num_nodes, dtype=np.int64)
             for node in range(cluster.num_nodes):
                 take = min(want, int(free[node]))
@@ -30,7 +30,7 @@ class FixedScheduler:
                 if want == 0:
                     break
             allocations[job.name] = alloc
-        return allocations
+        return ScheduleDecision(allocations=allocations)
 
 
 def neumf_spec(name="j0", submit=0.0, gpus=2, bs=512) -> JobSpec:
@@ -146,10 +146,13 @@ class TestInterference:
         class SharingScheduler(FixedScheduler):
             """Forces both jobs to span both nodes (interference!)."""
 
-            def schedule(self, now, jobs, cluster):
-                return {
-                    job.name: np.array([1, 1], dtype=np.int64) for job in jobs
-                }
+            def schedule(self, now, state):
+                return ScheduleDecision(
+                    allocations={
+                        job.name: np.array([1, 1], dtype=np.int64)
+                        for job in state.jobs
+                    }
+                )
 
         specs = [neumf_spec("a", gpus=2), neumf_spec("b", gpus=2)]
         sim = Simulator(
@@ -169,10 +172,13 @@ class TestInterference:
         cluster = ClusterSpec.homogeneous(2, 4)
 
         class SpanScheduler(FixedScheduler):
-            def schedule(self, now, jobs, cluster):
-                return {
-                    job.name: np.array([1, 1], dtype=np.int64) for job in jobs
-                }
+            def schedule(self, now, state):
+                return ScheduleDecision(
+                    allocations={
+                        job.name: np.array([1, 1], dtype=np.int64)
+                        for job in state.jobs
+                    }
+                )
 
         def run(slowdown):
             sim = Simulator(
@@ -194,3 +200,13 @@ class TestValidation:
             SimConfig(interference_slowdown=1.0)
         with pytest.raises(ValueError):
             SimConfig(scheduling_interval=10.0, tick_seconds=30.0)
+
+    def test_rejects_non_policy(self, cluster):
+        class DuckTyped:
+            name = "duck"
+
+            def schedule(self, now, jobs, cluster):
+                return {}
+
+        with pytest.raises(TypeError, match=r"repro\.policy\.create"):
+            Simulator(cluster, DuckTyped(), [neumf_spec()], SimConfig())

@@ -284,9 +284,10 @@ class TestTableBatchTuning:
             model = agent.goodput_model()
             g_search = model.goodput_scalar(nodes, gpus, m_search)
             g_table = model.goodput_scalar(nodes, gpus, m_table)
-            # The geometric grid (16 points/octave) brackets the optimum;
-            # goodput is flat near the top, so the table's pick is within
-            # a fraction of a percent of the search optimum.
+            # The geometric grid (TABLE_TUNING_POINTS_PER_OCTAVE = 32)
+            # brackets the optimum; goodput is flat near the top, so the
+            # table's pick is within a fraction of a percent of the search
+            # optimum.
             assert g_table >= 0.995 * g_search
 
     def test_unknown_method_rejected(self):
@@ -300,45 +301,6 @@ class TestTableBatchTuning:
         )
         with pytest.raises(ValueError):
             agent.tune_batch_size(1, 1, method="bogus")
-
-    def test_sim_config_validates_batch_tuning(self):
-        with pytest.raises(ValueError):
-            SimConfig(batch_tuning="grid-search")
-        # "golden" and "search" are aliases for the golden-section escape
-        # hatch; "table" is the default.
-        assert SimConfig().batch_tuning == "table"
-        SimConfig(batch_tuning="golden")
-        SimConfig(batch_tuning="search")
-
-    def test_table_mode_simulation_close_to_search(self):
-        """End-to-end: table-driven tuning tracks the search-mode JCTs."""
-        def run(mode):
-            cluster = ClusterSpec.homogeneous(2, 4)
-            trace = generate_trace(
-                TraceConfig(
-                    num_jobs=6,
-                    duration_hours=1.0,
-                    seed=9,
-                    max_gpus=8,
-                    gpus_per_node=4,
-                )
-            )
-            scheduler = PolluxPolicy(
-                cluster,
-                PolluxSchedConfig(ga=GAConfig(population_size=10, generations=4)),
-            )
-            sim = Simulator(
-                cluster,
-                scheduler,
-                trace,
-                SimConfig(seed=2, max_hours=30.0, batch_tuning=mode),
-            )
-            return sim.run()
-
-        search = run("search")
-        table = run("table")
-        assert search.num_unfinished == 0 and table.num_unfinished == 0
-        assert abs(table.avg_jct() - search.avg_jct()) / search.avg_jct() < 0.15
 
 
 class TestAutoscalerHookSnapshots:
@@ -432,16 +394,12 @@ class TestCacheSizing:
         sched.build_problem(jobs)
         assert sched.surface_cache.maxsize >= 40 * 16
 
-    @pytest.mark.parametrize("engine", ["legacy", "v2"])
-    def test_steady_state_hit_rate_exceeds_miss_rate(self, engine):
+    def test_steady_state_hit_rate_exceeds_miss_rate(self):
         """Rounds over a steady job set (reports unchanged between rounds,
         as for pending jobs or between agent refits) must be cache-hit
         dominated: hit-rate > miss-rate."""
         cluster = ClusterSpec.homogeneous(4, 4)
-        config = PolluxSchedConfig(
-            ga=GAConfig(population_size=8, generations=2),
-            ga_engine=engine,
-        )
+        config = PolluxSchedConfig(ga=GAConfig(population_size=8, generations=2))
         sched = PolluxSched(cluster, config, seed=0)
         jobs = [_job(f"j{i}", _report(phi=25.0 * (i + 1)), 4) for i in range(20)]
         matrix = np.zeros((20, 4), dtype=np.int64)
@@ -453,7 +411,7 @@ class TestCacheSizing:
         assert stats.evictions == 0, stats
 
     def test_drifting_phi_reuses_tput_cells(self):
-        """The v2 engine's second-level cache: when only phi moves between
+        """The scheduler's second-level cache: when only phi moves between
         rounds (every simulator tick), the phi-free throughput cells hit
         even though the full-table key misses."""
         cluster = ClusterSpec.homogeneous(4, 4)
