@@ -500,22 +500,32 @@ def build_surfaces_batch(
     num_rows = int(caps.sum())
     job_of_row = np.repeat(np.arange(num_jobs), caps)
 
-    tput = np.concatenate([c.tput for c in cells], axis=-1)  # (2, T, C)
-    m_cells = np.concatenate([c.m_cells for c in cells])  # (C,)
     counts = np.concatenate([c.counts for c in cells])  # (R,)
     cells_per_job = np.array([c.m_cells.size for c in cells], dtype=np.int64)
-    cell_job = np.repeat(np.arange(num_jobs), cells_per_job)
 
-    # EFFICIENCY_t(m) (Eqn. 7) at each cell, from each job's current phi.
+    # EFFICIENCY_t(m) (Eqn. 7) at each cell, from each job's current phi:
+    # (phi + m0) / (phi + m), the numerator added once per job.
     phi_job = np.array(
         [model.efficiency_model.grad_noise_scale for model in models]
     )
     m0_job = np.array(
         [model.efficiency_model.init_batch_size for model in models]
     )
-    phi_c = phi_job[cell_job]
-    eff = (phi_c + m0_job[cell_job]) / (phi_c + m_cells)  # (C,)
-    goodput = tput * eff  # (2, T, C)
+    den = np.concatenate([c.m_cells for c in cells])  # (C,)
+    den += np.repeat(phi_job, cells_per_job)
+    eff = np.repeat(phi_job + m0_job, cells_per_job)
+    eff /= den
+    del den
+    # The concatenation is this call's own copy of the cached cells, so the
+    # curve is multiplied into it in place.  What the fold costs is memory
+    # traffic and, whenever the allocator has trimmed what the last call
+    # freed, first-touch page faults, so the live set stays small: two (C,)
+    # arrays while the curve is built, then one (2, T, C) array beside one
+    # (C,) temporary, each freed as soon as it is spent (``m_cells`` is
+    # only concatenated once ``goodput`` is gone).
+    goodput = np.concatenate([c.tput for c in cells], axis=-1)  # (2, T, C)
+    goodput *= eff
+    del eff
 
     # Segmented max/argmax over each row's cells (rows with no feasible
     # cell — min feasible m needs more than k GPUs — stay zero, exactly
@@ -523,23 +533,27 @@ def build_surfaces_batch(
     best_val = np.zeros((2, num_types, num_rows), dtype=float)
     best_m = np.zeros((2, num_types, num_rows), dtype=float)
     rows_nz = counts > 0
-    num_cells = int(m_cells.size)
-    if num_cells:
-        starts_all = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        starts_nz = starts_all[rows_nz]
+    if goodput.shape[-1]:
+        counts_nz = counts[rows_nz]
+        starts_nz = np.concatenate([[0], np.cumsum(counts_nz)[:-1]])
         seg_max = np.maximum.reduceat(goodput, starts_nz, axis=-1)
-        num_nz = int(rows_nz.sum())
-        seg_of_cell = np.repeat(np.arange(num_nz), counts[rows_nz])
-        # First cell attaining the segment max == np.argmax's tie-break
-        # (cells are ascending in m within a segment).
-        is_max = goodput == seg_max[:, :, seg_of_cell]
-        cand = np.where(
-            is_max,
-            np.arange(num_cells, dtype=np.int32)[None, None, :],
-            np.int32(num_cells),
-        )
-        seg_arg = np.minimum.reduceat(cand, starts_nz, axis=-1)
         best_val[:, :, rows_nz] = seg_max
+        seg_arg = np.empty(seg_max.shape, dtype=np.intp)
+        for flag in range(2):
+            for t in range(num_types):
+                # Cells attaining their segment's max, in cell order: about
+                # one per segment.  The first of each segment is the one
+                # whose predecessor belongs to another segment, which is
+                # np.argmax's tie-break (cells ascend in m in a segment).
+                hits = np.flatnonzero(
+                    goodput[flag, t] == np.repeat(seg_max[flag, t], counts_nz)
+                )
+                seg_hit = np.searchsorted(starts_nz, hits, side="right")
+                first = np.ones(hits.size, dtype=bool)
+                np.not_equal(seg_hit[1:], seg_hit[:-1], out=first[1:])
+                seg_arg[flag, t] = hits[first]
+        del goodput
+        m_cells = np.concatenate([c.m_cells for c in cells])  # (C,)
         best_m[:, :, rows_nz] = m_cells[seg_arg]
 
     # A placement spanning >= 2 nodes needs >= 2 GPUs: zero the k == 1

@@ -6,9 +6,11 @@ package cuts the cluster into *cells* — disjoint single-GPU-type node sets
 — and runs one warm-started :class:`~repro.core.sched.PolluxSched` per
 cell, behind the ordinary Policy API as ``pollux-sharded``.  The GA's cost
 is superlinear in (jobs × nodes), so C size-balanced cells do roughly
-1/C² of the work each, ~1/C in total — and cells optimize concurrently in
-a thread pool (numpy releases the GIL in the hot kernels), so wall-clock
-drops further on multicore hosts.
+1/C² of the work each, ~1/C in total.  That matrix shrink is the win; the
+cell rounds additionally fan out over as many threads (or worker
+processes) as the host has usable cores, never more
+(:func:`~repro.shard.executor.fanout_width` states the rule and what was
+measured: on one core the cells simply run one after another).
 
 Scaling out, step by step
 -------------------------
@@ -70,11 +72,13 @@ Cell rounds run behind a :class:`~repro.shard.executor.CellExecutor`,
 selected with ``ShardedPolicy(execution=...)``:
 
 - ``"thread"`` (default): in-process schedulers on a ``shard-cell``
-  thread pool.  numpy releases the GIL in the hot kernels, but the GA's
-  python-side orchestration (repair bookkeeping, cache lookups, selection
-  control flow) serializes on it, so extra cores buy only a modest
-  speedup.  Zero serialization cost; right for small cell counts, short
-  rounds, or introspection (``cell_schedulers``).
+  thread pool.  numpy releases the GIL in the hot kernels, but that buys
+  less than it sounds: the bandwidth-bound half of a round (table folds,
+  gathers) does not scale across cores that share a memory bus, and the
+  GA's python-side orchestration (repair bookkeeping, cache lookups,
+  selection control flow) serializes on the GIL.  Zero serialization
+  cost; right for small cell counts, short rounds, or introspection
+  (``cell_schedulers``).
 - ``"process"``: persistent worker processes, each owning its cells' warm
   :class:`~repro.core.sched.PolluxSched` (GA population,
   ``SurfaceCache``/``TputCells``, RNG state all stay worker-side across

@@ -5,15 +5,16 @@ PolluxSched` instances and runs one optimize round per cell when asked.
 Two implementations:
 
 - :class:`ThreadCellExecutor` (default): schedulers live in-process and
-  multi-cell rounds run on a ``shard-cell`` thread pool — numpy releases
-  the GIL in the hot kernels, but the GA's python-side orchestration
-  serializes, so the speedup on many cores is modest.
+  multi-cell rounds run on a ``shard-cell`` thread pool.
 - :class:`ProcessCellExecutor`: persistent worker processes each own their
   cells' warm schedulers (GA population, ``SurfaceCache``/``TputCells``,
   RNG state all live worker-side across rounds, never re-pickled).  The
   parent ships compact per-round deltas (:mod:`repro.shard.wire`) and
-  receives allocations plus per-phase timings back, so multi-cell rounds
-  scale with cores instead of the GIL.
+  receives allocations plus per-phase timings back.
+
+Both fan a round out over :func:`fanout_width` threads or processes — the
+one rule for how wide, and the measurements behind it, are on that
+function.
 
 Both backends produce bit-identical decision streams at a fixed seed: each
 cell's scheduler is constructed the same way (``seed + cell_index``) and
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing as mp
+import os
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -50,6 +52,7 @@ __all__ = [
     "CellExecutor",
     "ThreadCellExecutor",
     "ProcessCellExecutor",
+    "fanout_width",
     "make_executor",
 ]
 
@@ -60,6 +63,41 @@ logger = logging.getLogger("repro.shard")
 _CONFIGURE_TIMEOUT_S = 120.0
 #: How long close() waits for a worker to hand back its warm cells.
 _EXIT_TIMEOUT_S = 5.0
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def fanout_width(num_cells: int, max_workers: Optional[int] = None) -> int:
+    """Threads or worker processes one round's cells fan out over.
+
+    ``min(num_cells, usable cores)``: a cell round is CPU-bound from start
+    to finish, so a worker beyond the core count adds no throughput, only
+    contention.  On 2 cores with 8 cells of 128 jobs, 8 threads ran a
+    steady round in 623-755 ms, two in 475-566 ms and one in 506-568 ms,
+    with 12x the system time and 1.5x the peak RSS of the sequential run
+    at 8.  Two threads are far from 2x one: numpy releases the GIL in the
+    hot kernels, but about half of a round is bandwidth-bound array
+    traffic (table folds, gathers), which does not scale across cores
+    that share a memory bus, and the GA's python-side orchestration hands
+    the GIL back and forth at every numpy call.  Width 1 means no pool at
+    all: the cells run one after another in the caller.  The full table,
+    cold against warm rounds and threads against worker processes, is in
+    ROADMAP.md ("Measured findings to keep").
+
+    ``max_workers`` overrides the core count (still capped at the cell
+    count): pass it when the cores are shared with other work, when the
+    affinity mask overstates what a container's CPU quota delivers, or 1
+    where warm rounds are all that matters on a small machine.  The
+    width never changes a decision — cell order, per-cell seeds and inputs
+    do not depend on it (``tests/test_shard_executor.py``).
+    """
+    return max(1, min(num_cells, max_workers or _usable_cores()))
 
 
 @dataclass
@@ -93,6 +131,9 @@ class CellExecutor:
 
     #: Rounds that fell back in-process after a worker failure (telemetry).
     fallback_rounds: int = 0
+    #: Threads or worker processes the last round actually ran on
+    #: (telemetry; see :func:`fanout_width`).
+    width: int = 1
 
     def configure(
         self,
@@ -120,9 +161,9 @@ class CellExecutor:
 class ThreadCellExecutor(CellExecutor):
     """In-process cell rounds on a ``shard-cell`` thread pool.
 
-    Bit-for-bit the pre-executor behavior: a single cell runs inline, and
-    multi-cell rounds map over a lazily created
-    ``ThreadPoolExecutor(max_workers or num_cells)``.  ``close()`` only
+    At width 1 (:func:`fanout_width`: one cell, or one usable core) the
+    cells run inline in the caller, one after another; wider rounds map
+    over a lazily created pool of that many threads.  ``close()`` only
     shuts the pool down (with ``wait=True``, so no ``shard-cell`` thread
     outlives the policy); the schedulers and their warm state survive, and
     the pool is recreated on the next round if the policy keeps going.
@@ -135,7 +176,6 @@ class ThreadCellExecutor(CellExecutor):
         self._cells: Tuple[Cell, ...] = ()
         self._cluster: Optional[ClusterSpec] = None
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_width = 0
 
     @property
     def schedulers(self) -> Tuple[PolluxSched, ...]:
@@ -148,10 +188,10 @@ class ThreadCellExecutor(CellExecutor):
             PolluxSched(cell.subspec(cluster), config, seed=seed + i)
             for i, cell in enumerate(self._cells)
         ]
-        width = self.max_workers or len(self._cells)
-        if self._pool is not None and self._pool_width != width:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        width = fanout_width(len(self._cells), self.max_workers)
+        if width != self.width:
+            self.close()
+        self.width = width
 
     def run_rounds(self, rounds):
         def cell_round(idx: int) -> CellResult:
@@ -164,13 +204,11 @@ class ThreadCellExecutor(CellExecutor):
                 phase_timings=dict(sched.last_phase_timings),
             )
 
-        if len(rounds) == 1:
-            return [cell_round(0)]
+        if self.width == 1:
+            return [cell_round(idx) for idx in range(len(rounds))]
         if self._pool is None:
-            self._pool_width = self.max_workers or len(self._cells)
             self._pool = ThreadPoolExecutor(
-                max_workers=self._pool_width,
-                thread_name_prefix="shard-cell",
+                max_workers=self.width, thread_name_prefix="shard-cell"
             )
         return list(self._pool.map(cell_round, range(len(rounds))))
 
@@ -266,7 +304,8 @@ class ProcessCellExecutor(CellExecutor):
     """Persistent worker processes, one warm scheduler per cell.
 
     Args:
-        max_workers: Worker process count; defaults to one per cell.
+        max_workers: Worker process count; defaults to
+            :func:`fanout_width`'s ``min(cells, usable cores)``.
             Fewer workers than cells round-robins cells over workers
             (worker ``j`` owns cells ``{i : i % workers == j}``) and runs
             each worker's cells sequentially — the decision stream does
@@ -330,9 +369,7 @@ class ProcessCellExecutor(CellExecutor):
         self._seed = seed
         self._fallback_scheds = {}
         self._trackers = [wire.DeltaTracker() for _ in self._cells]
-        num_workers = max(
-            1, min(self.max_workers or len(self._cells), len(self._cells))
-        )
+        num_workers = fanout_width(len(self._cells), self.max_workers)
         if len(self._workers) != num_workers or not all(
             h.alive for h in self._workers
         ):
@@ -496,6 +533,8 @@ class ProcessCellExecutor(CellExecutor):
                     utility=utility,
                     phase_timings=timings,
                 )
+        # Cells of a failed worker run below, one by one, in this process.
+        self.width = max(1, sum(handle.alive for handle in self._workers))
         for idx, result in enumerate(results):
             if result is None:
                 results[idx] = self._fallback_round(idx, rounds[idx])

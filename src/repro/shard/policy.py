@@ -47,7 +47,8 @@ class ShardedPolicy(Policy):
             fed compact deltas — see :mod:`repro.shard.executor`).  Both
             produce the same decision stream bit-for-bit at a fixed seed.
         max_workers: Concurrency width for cell rounds (threads or worker
-            processes); defaults to the cell count.
+            processes), capped at the cell count; defaults to the usable
+            core count (:func:`~repro.shard.executor.fanout_width`).
         start_method: ``multiprocessing`` start method for
             ``execution="process"`` (``None`` = fork where available,
             else spawn); ignored by the thread backend.
@@ -95,8 +96,9 @@ class ShardedPolicy(Policy):
         )
         self.last_utility = 0.0
         self.last_phase_timings: Dict[str, float] = {}
-        #: Cluster-level round report: per-cell utility/timings plus
-        #: per-phase sum and max aggregates (see :meth:`_update_telemetry`).
+        #: Cluster-level round report: per-cell utility/timings, per-phase
+        #: sum and max aggregates and the fan-out width the round ran at
+        #: (see :meth:`_update_telemetry`).
         self.last_round_report: Dict[str, object] = {}
         #: Jobs migrated between cells so far (telemetry).
         self.migrations = 0
@@ -306,7 +308,12 @@ class ShardedPolicy(Policy):
         path under a concurrent executor), the full per-cell breakdown —
         including ``ipc_ms`` under the process executor — and the
         executor's cumulative fallback count, so a regression localizes
-        to a phase *and* a cell under either backend.
+        to a phase *and* a cell under either backend.  ``width`` is the
+        number of threads or worker processes the round ran on:
+        ``sum.total_ms / (max.total_ms * width)`` reads as the fan-out's
+        efficiency, and a width above the host's core count is itself
+        the finding (cell wall clocks then stretch to the whole round,
+        so that ratio looks healthy while the work is serialized).
         """
         total_cap = float(self._capacity_eq.sum())
         self.last_utility = float(
@@ -336,6 +343,7 @@ class ShardedPolicy(Policy):
             "sum": summed,
             "max": maxed,
             "per_cell": per_cell,
+            "width": self._executor.width,
             "fallback_rounds": self._executor.fallback_rounds,
         }
 

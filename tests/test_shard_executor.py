@@ -4,7 +4,9 @@ Pins the PR's central guarantee: ``execution="process"`` (persistent
 worker processes fed per-round deltas) reproduces the threaded executor's
 decision stream **bit-for-bit** at a fixed seed — including across phi
 drift (the PHI delta path), theta re-fits (the FULL path), mid-run
-resizes, incremental rounds, and worker counts below the cell count.
+resizes, incremental rounds, and worker counts below the cell count —
+and that the fan-out width (``fanout_width``: cores, or ``max_workers``)
+never moves a decision under either backend.
 Also covers the failure and lifecycle semantics: worker crash/timeout
 falls back in-process without losing a dispatch, and ``close()`` tears
 down threads/processes idempotently with lazy revival.
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 import repro.policy
+import repro.shard.executor as executor_module
 from repro.cluster import ClusterSpec
 from repro.core import AgentReport, GAConfig, PolluxSchedConfig
 from repro.policy.views import ClusterState, JobSnapshot
@@ -26,6 +29,7 @@ from repro.shard import (
     UniformCellPartitioner,
     make_executor,
 )
+from repro.shard.executor import fanout_width
 from repro.shard.wire import FULL, PHI, SAME, DeltaTracker, decode_jobs
 from repro.sim import SimConfig, Simulator
 from repro.workload import MODEL_ZOO, JobSpec
@@ -220,6 +224,118 @@ class TestDigestEquality:
 
 
 # ----------------------------------------------------------------------
+# Fan-out width: sized to the machine, never part of a decision
+# ----------------------------------------------------------------------
+
+
+def shard_threads():
+    return [
+        t for t in threading.enumerate() if t.name.startswith("shard-cell")
+    ]
+
+
+def set_cores(monkeypatch, cores):
+    monkeypatch.setattr(executor_module, "_usable_cores", lambda: cores)
+
+
+def eventful(round_idx, state):
+    """An arrival before round 2, two departures before round 3."""
+    if round_idx == 2:
+        late = dataclasses.replace(
+            make_state(state.cluster, 1).jobs[0], name="late-arrival"
+        )
+        return ClusterState(cluster=state.cluster, jobs=state.jobs + (late,))
+    if round_idx == 3:
+        gone = {"job-0", "job-4"}
+        return ClusterState(
+            cluster=state.cluster,
+            jobs=tuple(snap for snap in state.jobs if snap.name not in gone),
+        )
+    return state
+
+
+def eventful_stream(execution, **kw):
+    """Six rounds on four cells with arrivals, departures and migrations."""
+    policy = make_sharded(
+        execution, cells=4, migrate_every=2, migration_threshold=1.0, **kw
+    )
+    decisions = stream(policy, CLUSTER, rounds=6, evolve=eventful)
+    assert policy.migrations >= 1
+    assert {"late-arrival"} <= decisions[2].keys() - decisions[1].keys()
+    assert "job-0" not in decisions[3]
+    return policy, decisions
+
+
+class TestFanoutWidth:
+    def test_rule(self, monkeypatch):
+        set_cores(monkeypatch, 2)
+        assert fanout_width(8) == 2
+        assert fanout_width(1) == 1
+        assert fanout_width(8, max_workers=3) == 3
+        assert fanout_width(4, max_workers=99) == 4
+        set_cores(monkeypatch, 64)
+        assert fanout_width(8) == 8
+
+    def test_usable_cores_is_positive(self):
+        assert executor_module._usable_cores() >= 1
+
+    @pytest.fixture(scope="class")
+    def sequential(self):
+        return eventful_stream("thread", max_workers=1)[1]
+
+    @pytest.mark.parametrize(
+        "cores, max_workers, width",
+        [
+            (1, None, 1),
+            (2, None, 2),
+            (8, None, 4),
+            (2, 1, 1),
+            (2, 3, 3),
+            (2, 99, 4),
+        ],
+    )
+    def test_width_never_moves_a_decision(
+        self, monkeypatch, sequential, cores, max_workers, width
+    ):
+        set_cores(monkeypatch, cores)
+        policy, decisions = eventful_stream("thread", max_workers=max_workers)
+        assert policy.last_round_report["width"] == width
+        assert_streams_equal(sequential, decisions)
+
+    def test_one_core_runs_inline(self, monkeypatch):
+        set_cores(monkeypatch, 1)
+        baseline = len(shard_threads())
+        policy = make_sharded("thread", cells=4)
+        state = make_state(CLUSTER, 10)
+        for r in range(3):
+            decision = policy.schedule(60.0 * r, state)
+            state = next_state(state, decision, drift=0.01)
+            assert policy._executor._pool is None
+            assert len(shard_threads()) == baseline
+        policy.close()
+
+    def test_pool_is_as_wide_as_the_cores(self, monkeypatch):
+        set_cores(monkeypatch, 2)
+        baseline = len(shard_threads())
+        policy = make_sharded("thread", cells=4)
+        policy.schedule(0.0, make_state(CLUSTER, 10))
+        assert len(shard_threads()) == baseline + 2
+        assert policy.last_round_report["width"] == 2
+        policy.close()
+        assert len(shard_threads()) == baseline
+
+    @pytest.mark.parametrize("cores, workers", [(1, 1), (2, 2), (8, 4)])
+    def test_process_workers_follow_the_cores(
+        self, monkeypatch, sequential, cores, workers
+    ):
+        set_cores(monkeypatch, cores)
+        policy, decisions = eventful_stream("process")
+        # One per live worker process (the stream's close() stopped them).
+        assert policy.last_round_report["width"] == workers
+        assert_streams_equal(sequential, decisions)
+
+
+# ----------------------------------------------------------------------
 # Failure semantics: crash / timeout fall back in-process
 # ----------------------------------------------------------------------
 
@@ -269,12 +385,6 @@ class TestFallback:
 # ----------------------------------------------------------------------
 # Lifecycle: close(), revival, no leaked threads/processes
 # ----------------------------------------------------------------------
-
-
-def shard_threads():
-    return [
-        t for t in threading.enumerate() if t.name.startswith("shard-cell")
-    ]
 
 
 class TestLifecycle:
