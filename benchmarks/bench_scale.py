@@ -33,17 +33,22 @@ the measured round is the recurring one, not an artificial cold start.
 Run modes::
 
     python benchmarks/bench_scale.py --scale smoke          # CI job, <60 s
-    python benchmarks/bench_scale.py --scale smoke --check  # + regression gate
+    python benchmarks/bench_scale.py --scale smoke --check  # + the gates below
     python benchmarks/bench_scale.py --scale scale          # the full sweep
     python benchmarks/bench_scale.py --execution thread     # skip process series
     python benchmarks/bench_scale.py --parity               # nightly JCT parity
 
 Results merge into ``BENCH_scale.json`` keyed by preset (override the path
-with ``REPRO_BENCH_SCALE_OUT``).  The committed file is the baseline:
-``--check`` gates the sharded round time calibration-normalized (same
-scheme as ``bench_perf.py``), and at the ``scale`` preset additionally
-asserts the sweep's acceptance shape — >= 4x sharded speedup at the
-largest point and clean incremental rounds under 10% of a full GA round.
+with ``REPRO_BENCH_SCALE_OUT``).  ``--check`` fails when the thread and
+process decision digests differ or no steady incremental round was
+skipped, and at the ``scale`` preset additionally asserts the sweep's
+acceptance shape — >= 4x sharded speedup at the largest point and clean
+incremental rounds under 10% of a full GA round.  The committed file is
+the baseline of a round-time comparison (calibration-normalized, same
+scheme as ``bench_perf.py``) that only *warns*: a 4-cell smoke round is
+bimodal on a shared 2-core host (12-14 ms or 27-31 ms from run to run at
+any commit), so as a gate it failed about every other run on both sides of
+every change.  Perf claims live in the ledger (``benchmarks/e2e``).
 
 ``--parity`` runs a reduced end-to-end simulation (multi-cell sharded vs
 unsharded on the same trace) and gates the avg-JCT delta: sharding trades
@@ -83,8 +88,8 @@ from benchmarks.bench_perf import _calibration_ms
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
 
-#: --check fails when a sharded round exceeds baseline * this factor
-#: (calibration-normalized; same headroom rationale as bench_perf).
+#: --check warns (it does not fail, see the module docstring) when a
+#: sharded round exceeds baseline * this factor, calibration-normalized.
 REGRESSION_FACTOR = 2.0
 
 #: Acceptance shape at the ``scale`` preset's largest point.
@@ -522,7 +527,8 @@ def run_parity(seed: int = 1) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 
 def _check_sweep(data: Dict[str, object]) -> int:
-    """Regression + acceptance gates; returns a process exit code."""
+    """Digest, incremental and acceptance gates, then the round-time
+    warning; returns a process exit code."""
     exit_code = 0
     for point in data["points"]:
         if point.get("digest_match") is False:
@@ -598,10 +604,9 @@ def _check_sweep(data: Dict[str, object]) -> int:
             regressed = now_ms > limit
         if regressed:
             print(
-                "PERF REGRESSION: sharded scheduling round exceeds 2x the "
-                "calibration-normalized baseline"
+                "PERF WARNING (not a failure): sharded scheduling round "
+                "exceeds 2x the calibration-normalized baseline"
             )
-            exit_code = 1
     return exit_code
 
 
@@ -647,7 +652,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="gate against the committed BENCH_scale.json baseline",
+        help=(
+            "fail on digest divergence and the acceptance shapes; compare "
+            "round times with the committed BENCH_scale.json (warning only)"
+        ),
     )
     parser.add_argument(
         "--parity",

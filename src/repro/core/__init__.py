@@ -18,7 +18,7 @@ from .speedup import (
     best_batch_size_table,
     build_speedup_table,
     build_surfaces,
-    build_surfaces_batch,
+    build_speedup_tables_batch,
     build_typed_speedup_table,
     build_typed_surfaces,
     speedup,
@@ -67,7 +67,7 @@ __all__ = [
     "best_batch_size_table",
     "build_speedup_table",
     "build_surfaces",
-    "build_surfaces_batch",
+    "build_speedup_tables_batch",
     "build_typed_speedup_table",
     "build_typed_surfaces",
     "speedup",

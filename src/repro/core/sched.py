@@ -16,7 +16,9 @@ scheduling rounds to bootstrap the next optimization (Sec. 4.3).
 
 from __future__ import annotations
 
+import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -25,7 +27,7 @@ import numpy as np
 from ..cluster.spec import ClusterSpec
 from .agent import AgentReport
 from .genetic import AllocationProblem, GAConfig, GeneticOptimizer, JobGAInfo
-from .speedup import TputCells, build_surfaces_batch, build_tput_cells
+from .speedup import TputCells, build_speedup_tables_batch, build_tput_cells
 from .surfacecache import SurfaceCache
 
 __all__ = ["PolluxSchedConfig", "SchedJobInfo", "job_weight", "PolluxSched"]
@@ -167,9 +169,15 @@ class PolluxSched:
         #: Wall-clock per phase of the last ``optimize`` round, in ms:
         #: ``table_ms`` (speedup-table builds), the GA engine's
         #: ``repair_ms``/``fitness_ms``/``select_ms``/``mutate_ms``, and
-        #: ``total_ms``.  Lets perf regressions localize to a phase
-        #: (recorded by ``benchmarks/bench_perf.py``).
+        #: ``total_ms``; under a :attr:`ga_gate` also ``wait_ms``, the wait
+        #: for it, which ``total_ms`` leaves out.  Lets perf regressions
+        #: localize to a phase (recorded by ``benchmarks/bench_perf.py``).
         self.last_phase_timings: Dict[str, float] = {}
+        #: Lock held around the GA (not the table builds), or None.  Set by
+        #: whoever runs several schedulers on threads of one interpreter
+        #: (``repro.shard.executor.ThreadCellExecutor``): two GAs at once
+        #: trade the GIL at every numpy call and finish no sooner.
+        self.ga_gate: Optional[threading.Lock] = None
         #: Shared speedup/batch-size surface cache (None = caching off).  An
         #: explicitly passed cache (e.g. from the scheduler owning this
         #: probe instance) wins over the config's own; see surfacecache.py.
@@ -285,29 +293,20 @@ class PolluxSched:
         """One speedup table per job, the round's misses built in batches.
 
         Cache hits are looked up per job (two-phase protocol); all misses
-        are then built by :func:`build_surfaces_batch`, at most
+        are then built by :func:`build_speedup_tables_batch`, at most
         ``_TABLE_BLOCK_JOBS`` jobs a pass, and stored.  Values match the
         per-job builders (``build_speedup_table`` and friends) up to
         pow-kernel rounding.
         """
-        cfg = self.config
         cache = self.surface_cache
-        single_type = self.cluster.is_single_type
-        ppo = cfg.table_points_per_octave
-        speed0 = float(type_speeds[0])
-        speeds = (
-            (speed0,) if single_type else tuple(float(s) for s in type_speeds)
-        )
+        ppo = self.config.table_points_per_octave
+        speeds = tuple(float(s) for s in type_speeds)
         tables: List[Optional[np.ndarray]] = [None] * len(jobs)
         # Jobs without a cached table: (index, table key, cells key, cells).
         missing: List[tuple] = []
         if cache is not None:
             for idx, (job, cap) in enumerate(zip(jobs, caps)):
-                key = (
-                    cache.flat_key(job.report, cap, ppo, speed0)
-                    if single_type
-                    else cache.typed_key(job.report, cap, ppo, type_speeds)
-                )
+                key = cache.speedup_key(job.report, cap, ppo, speeds)
                 entry = cache.lookup(key)
                 if entry is not None:
                     tables[idx] = entry[0]
@@ -359,17 +358,18 @@ class PolluxSched:
             for block, block_models, block_caps in zip(
                 _blocks(missing), _blocks(models), _blocks(miss_caps)
             ):
-                built = build_surfaces_batch(
+                built = build_speedup_tables_batch(
                     block_models,
                     block_caps,
                     points_per_octave=ppo,
                     type_speeds=speeds,
                     cells=[cells for _, _, _, cells in block],
                 )
-                for (idx, key, _, _), entry in zip(block, built):
+                for (idx, key, _, _), table in zip(block, built):
                     if cache is not None:
-                        entry = cache.store(key, (entry[0].copy(), entry[1].copy()))
-                    tables[idx] = entry[0]
+                        # A copy for the reason the cells are copied above.
+                        (table,) = cache.store(key, (table.copy(),))
+                    tables[idx] = table
         return tables
 
     def build_problem(self, jobs: Sequence[SchedJobInfo]) -> AllocationProblem:
@@ -501,7 +501,7 @@ class PolluxSched:
                 self._rounds_since_full = 0
 
         problem = self.build_problem(jobs)
-        table_ms = (time.perf_counter() - t_start) * 1000.0
+        t_tables = time.perf_counter()
         ga_config = self.config.ga
         if self._resized_since_round:
             # First round on a changed node layout: force the full budget
@@ -512,18 +512,27 @@ class PolluxSched:
                 ga_config = replace(ga_config, patience=0)
             self._resized_since_round = False
         optimizer = GeneticOptimizer(problem, ga_config, rng=self._rng)
-        best, _, population = optimizer.run(
-            initial=self._bootstrap_population(job_ids), mutate_rows=mutate_rows
-        )
+        initial = self._bootstrap_population(job_ids)
+        gate = self.ga_gate
+        t_gate = time.perf_counter()
+        with gate if gate is not None else nullcontext():
+            t_ga = time.perf_counter()
+            best, _, population = optimizer.run(
+                initial=initial, mutate_rows=mutate_rows
+            )
 
         self._population = population
         self._population_job_ids = list(job_ids)
         self.last_utility = problem.utility(best)
         self.last_phase_timings = {
-            "table_ms": table_ms,
+            "table_ms": (t_tables - t_start) * 1000.0,
             **optimizer.phase_ms,
             "total_ms": (time.perf_counter() - t_start) * 1000.0,
         }
+        if gate is not None:
+            wait_ms = (t_ga - t_gate) * 1000.0
+            self.last_phase_timings["wait_ms"] = wait_ms
+            self.last_phase_timings["total_ms"] -= wait_ms
         result = {jid: best[j].copy() for j, jid in enumerate(job_ids)}
         if cfg.incremental:
             self._last_sigs = sigs

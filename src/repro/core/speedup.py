@@ -38,7 +38,7 @@ __all__ = [
     "build_typed_speedup_table",
     "build_surfaces",
     "build_typed_surfaces",
-    "build_surfaces_batch",
+    "build_speedup_tables_batch",
     "build_tput_cells",
     "TputCells",
     "best_batch_size_table",
@@ -175,9 +175,9 @@ def build_surfaces(
     ``(max_gpus + 1, 2)``: the speedup table is exactly
     :func:`build_speedup_table`'s output and the batch-size table exactly
     :func:`best_batch_size_table`'s — they come from a single goodput
-    surface evaluation, which is what the
-    :class:`~repro.core.surfacecache.SurfaceCache` stores so schedulers and
-    agents share one computation per job per round.
+    surface evaluation, which is what
+    :meth:`~repro.core.surfacecache.SurfaceCache.get_flat` stores for
+    agent-side batch tuning.
     """
     if max_gpus < 1:
         raise ValueError("max_gpus must be >= 1")
@@ -286,7 +286,7 @@ class TputCells:
     is the *only* part of a job's report that drifts on every simulator
     tick.  Caching these cells (keyed on theta_sys + limits + table shape,
     see ``SurfaceCache.cells_key``) turns the per-round table rebuild into
-    one efficiency multiply plus a segmented argmax; a full surface pass
+    one efficiency multiply plus a segmented max; a full surface pass
     is only paid again when theta_sys actually re-fits.
 
     Attributes:
@@ -328,7 +328,7 @@ def build_tput_cells(
     one flattened row per (job, k) pair, one ragged cell axis instead of a
     padded rectangle — so the whole round's surface evaluation is a
     handful of large array operations.  The result is phi-independent (see
-    :class:`TputCells`); :func:`build_surfaces_batch` folds in each job's
+    :class:`TputCells`); :func:`build_speedup_tables_batch` folds in each job's
     current efficiency curve.
     """
     num_jobs = len(models)
@@ -441,15 +441,15 @@ def build_tput_cells(
     return out
 
 
-def build_surfaces_batch(
+def build_speedup_tables_batch(
     models: Sequence[GoodputModel],
     caps: Sequence[int],
     points_per_octave: int = 16,
     type_speeds: Sequence[float] = (1.0,),
     squeeze: bool = True,
     cells: Optional[Sequence[TputCells]] = None,
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Speedup + argmax batch-size tables for many jobs in one ragged pass.
+) -> List[np.ndarray]:
+    """Speedup tables for many jobs in one ragged pass.
 
     The per-job surface builders (:func:`build_surfaces` /
     :func:`build_typed_surfaces`) are overhead-bound: each spends most of
@@ -463,11 +463,11 @@ def build_surfaces_batch(
 
     Per job the *same* grid, feasibility mask, and normalization as the
     per-job builders are applied, so the returned tables match
-    :func:`build_surfaces` (``squeeze=True`` with one type) or
-    :func:`build_typed_surfaces` elementwise up to pow-kernel rounding
-    (``gamma`` enters as an array exponent here).  The scheduler builds
-    its tables here; the per-job builders serve agent-side batch tuning
-    and one-off callers.
+    :func:`build_speedup_table` (``squeeze=True`` with one type) or
+    :func:`build_typed_speedup_table` elementwise up to pow-kernel
+    rounding (``gamma`` enters as an array exponent here).  The argmax
+    batch-size tables agents tune from are not built here but per job
+    (``SurfaceCache.get_flat``): the GA reads speedups alone.
 
     Args:
         models: One goodput model per job.
@@ -481,8 +481,8 @@ def build_surfaces_batch(
             built with the same caps/grid/type speeds).
 
     Returns:
-        List of ``(speedup_table, batch_size_table)`` pairs, one per job.
-        All tables are views into two shared backing arrays.
+        One speedup table per job, all views into one shared backing
+        array.
     """
     num_jobs = len(models)
     caps, speeds = _check_batch_args(models, caps, type_speeds)
@@ -521,45 +521,26 @@ def build_surfaces_batch(
     # traffic and, whenever the allocator has trimmed what the last call
     # freed, first-touch page faults, so the live set stays small: two (C,)
     # arrays while the curve is built, then one (2, T, C) array beside one
-    # (C,) temporary, each freed as soon as it is spent (``m_cells`` is
-    # only concatenated once ``goodput`` is gone).
+    # (C,) temporary.
     goodput = np.concatenate([c.tput for c in cells], axis=-1)  # (2, T, C)
     goodput *= eff
     del eff
 
-    # Segmented max/argmax over each row's cells (rows with no feasible
-    # cell — min feasible m needs more than k GPUs — stay zero, exactly
-    # the per-job builders' all-(-inf) branch).
+    # Segmented max over each row's cells (rows with no feasible cell —
+    # min feasible m needs more than k GPUs — stay zero, exactly the
+    # per-job builders' all-(-inf) branch).
     best_val = np.zeros((2, num_types, num_rows), dtype=float)
-    best_m = np.zeros((2, num_types, num_rows), dtype=float)
-    rows_nz = counts > 0
     if goodput.shape[-1]:
-        counts_nz = counts[rows_nz]
-        starts_nz = np.concatenate([[0], np.cumsum(counts_nz)[:-1]])
-        seg_max = np.maximum.reduceat(goodput, starts_nz, axis=-1)
-        best_val[:, :, rows_nz] = seg_max
-        seg_arg = np.empty(seg_max.shape, dtype=np.intp)
-        for flag in range(2):
-            for t in range(num_types):
-                # Cells attaining their segment's max, in cell order: about
-                # one per segment.  The first of each segment is the one
-                # whose predecessor belongs to another segment, which is
-                # np.argmax's tie-break (cells ascend in m in a segment).
-                hits = np.flatnonzero(
-                    goodput[flag, t] == np.repeat(seg_max[flag, t], counts_nz)
-                )
-                seg_hit = np.searchsorted(starts_nz, hits, side="right")
-                first = np.ones(hits.size, dtype=bool)
-                np.not_equal(seg_hit[1:], seg_hit[:-1], out=first[1:])
-                seg_arg[flag, t] = hits[first]
-        del goodput
-        m_cells = np.concatenate([c.m_cells for c in cells])  # (C,)
-        best_m[:, :, rows_nz] = m_cells[seg_arg]
+        rows_nz = counts > 0
+        starts_nz = np.concatenate([[0], np.cumsum(counts[rows_nz])[:-1]])
+        best_val[:, :, rows_nz] = np.maximum.reduceat(
+            goodput, starts_nz, axis=-1
+        )
+    del goodput
 
     # A placement spanning >= 2 nodes needs >= 2 GPUs: zero the k == 1
     # multi-node cells (row offsets[j] is each job's k == 1 row).
     best_val[MULTI_NODE, :, offsets] = 0.0
-    best_m[MULTI_NODE, :, offsets] = 0.0
 
     # Per-job normalization by the smallest feasible co-located placement
     # on the reference (slowest) type, batched over jobs.
@@ -577,24 +558,18 @@ def build_surfaces_batch(
     denom_rows = np.where(pos, denom_job, 1.0)[job_of_row]
     sp_val = (best_val / denom_rows) * pos[job_of_row]
 
-    # Assemble every job's (cap + 1, 2[, T]) table pair as views into two
-    # contiguous backing arrays — one scatter for all jobs instead of a
+    # Assemble every job's (cap + 1, 2[, T]) table as a view into one
+    # contiguous backing array — one scatter for all jobs instead of a
     # per-job copy loop.  Job j's block spans rows offsets[j] + j ..
     # offsets[j] + j + cap_j; its first row is the all-zero k == 0 row.
     sp_full = np.zeros((num_rows + num_jobs, 2, num_types), dtype=float)
-    bm_full = np.zeros((num_rows + num_jobs, 2, num_types), dtype=float)
-    target = np.arange(num_rows) + job_of_row + 1
-    sp_full[target] = sp_val.transpose(2, 0, 1)
-    bm_full[target] = best_m.transpose(2, 0, 1)
+    sp_full[np.arange(num_rows) + job_of_row + 1] = sp_val.transpose(2, 0, 1)
 
-    out: List[Tuple[np.ndarray, np.ndarray]] = []
+    out: List[np.ndarray] = []
     for j, cap in enumerate(caps):
         start = int(offsets[j]) + j
-        block = slice(start, start + int(cap) + 1)
-        if flat:
-            out.append((sp_full[block, :, 0], bm_full[block, :, 0]))
-        else:
-            out.append((sp_full[block], bm_full[block]))
+        block = sp_full[start : start + int(cap) + 1]
+        out.append(block[:, :, 0] if flat else block)
     return out
 
 

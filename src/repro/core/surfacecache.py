@@ -13,10 +13,11 @@ al., OSDI 2020) makes the same observation for throughput-ratio tables:
 compute once, look up everywhere.
 
 :class:`SurfaceCache` is that lookup.  It is keyed on
-``(AgentReport.fingerprint(), table shape parameters)`` and stores the
-speedup table *and* the argmax batch-size table from a single surface
-pass, so table-driven batch tuning (``PolluxAgent.tune_batch_size`` with
-``method="table"``) rides along for free.  Because the fingerprint is a
+``(AgentReport.fingerprint(), table shape parameters)``; the scheduler
+stores speedup tables, and :meth:`SurfaceCache.get_flat` the speedup
+table *and* the argmax batch-size table of one per-job surface pass, for
+table-driven batch tuning (``PolluxAgent.tune_batch_size`` with
+``method="table"``).  Because the fingerprint is a
 pure value key, a cache hit returns the identical array object a miss
 would have computed — caching is invisible to scheduling decisions
 (asserted bit-for-bit by ``tests/test_surfacecache.py``).
@@ -83,12 +84,12 @@ class CacheStats:
 
 
 class SurfaceCache:
-    """LRU cache of ``(speedup_table, batch_size_table)`` pairs.
+    """LRU cache of per-job surface entries (shapes: see :meth:`store`).
 
     Args:
-        maxsize: Maximum number of cached surfaces; least recently used
-            entries are evicted beyond it.  One entry is a few KB (a
-            ``(cap + 1, 2[, T])`` float table pair), so the default
+        maxsize: Maximum number of cached entries; least recently used
+            entries are evicted beyond it.  A table entry is a few KB (one
+            or two ``(cap + 1, 2[, T])`` float tables), so the default
             comfortably covers hundreds of jobs at several caps each.
         phi_tol: Relative phi quantization passed through to
             :meth:`~repro.core.agent.AgentReport.fingerprint`.  0 keys on
@@ -109,7 +110,7 @@ class SurfaceCache:
         self.maxsize = int(maxsize)
         self.phi_tol = float(phi_tol)
         self.stats = CacheStats()
-        self._entries: "OrderedDict[tuple, Tuple[np.ndarray, np.ndarray]]" = (
+        self._entries: "OrderedDict[tuple, Tuple[np.ndarray, ...]]" = (
             OrderedDict()
         )
 
@@ -155,16 +156,21 @@ class SurfaceCache:
             float(speed),
         )
 
-    def typed_key(
+    def speedup_key(
         self,
         report: "AgentReport",
         max_gpus: int,
         points_per_octave: int,
         type_speeds: Sequence[float],
     ) -> tuple:
-        """Cache key for a typed ``(max_gpus + 1, 2, T)`` surface."""
+        """Cache key for the scheduler's speedup-only table entries.
+
+        Its own tag, so :meth:`get_flat` never takes an entry without a
+        batch-size table.  The table is flat, ``(max_gpus + 1, 2)``,
+        exactly when ``type_speeds`` names one type.
+        """
         return (
-            "typed",
+            "speedup",
             report.fingerprint(self.phi_tol),
             int(max_gpus),
             int(points_per_octave),
@@ -194,14 +200,14 @@ class SurfaceCache:
             tuple(float(s) for s in type_speeds),
         )
 
-    def lookup(self, key: tuple) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    def lookup(self, key: tuple) -> Optional[Tuple[np.ndarray, ...]]:
         """One half of the two-phase protocol: probe without building.
 
         Counts a hit or a miss (in the cells counters for cells keys); a
         miss returns ``None`` and the caller is expected to compute the
         entry (typically batched with other misses via
-        :func:`repro.core.speedup.build_surfaces_batch`) and :meth:`store`
-        it.
+        :func:`repro.core.speedup.build_speedup_tables_batch`) and
+        :meth:`store` it.  A hit returns the tuple :meth:`store` took.
         """
         is_cells = bool(key) and key[0] == "cells"
         entry = self._entries.get(key)
@@ -221,9 +227,11 @@ class SurfaceCache:
     def store(self, key: tuple, entry: tuple) -> tuple:
         """Insert a built entry (the other half of :meth:`lookup`).
 
-        ``entry`` is any tuple of arrays — the ``(speedup_table,
-        bsz_table)`` pair for surface keys, ``(tput, m_cells, counts)``
-        for cells keys; every array is frozen read-only on the way in.
+        ``entry`` is a tuple of arrays, one of three shapes by key tag:
+        ``(speedup_table, bsz_table)`` under :meth:`flat_key`,
+        ``(speedup_table,)`` under :meth:`speedup_key` and ``(tput,
+        m_cells, counts)`` under :meth:`cells_key`.  Every array is frozen
+        read-only on the way in.
         """
         for array in entry:
             array.flags.writeable = False
@@ -332,7 +340,7 @@ class SurfaceCache:
         Loaded entries are decision-safe: a cells hit feeds the same
         deterministic table assembly a rebuild would, and the persisted
         arrays are bit-identical to what :func:`~repro.core.speedup.
-        build_surfaces_batch` computes for the same ``theta_fingerprint()``
+        build_tput_cells` computes for the same ``theta_fingerprint()``
         on the same numpy stack.  Keys whose jobs have since re-fit
         theta_sys simply never hit and age out of the LRU.
 

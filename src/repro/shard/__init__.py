@@ -72,13 +72,13 @@ Cell rounds run behind a :class:`~repro.shard.executor.CellExecutor`,
 selected with ``ShardedPolicy(execution=...)``:
 
 - ``"thread"`` (default): in-process schedulers on a ``shard-cell``
-  thread pool.  numpy releases the GIL in the hot kernels, but that buys
-  less than it sounds: the bandwidth-bound half of a round (table folds,
-  gathers) does not scale across cores that share a memory bus, and the
-  GA's python-side orchestration (repair bookkeeping, cache lookups,
-  selection control flow) serializes on the GIL.  Zero serialization
-  cost; right for small cell counts, short rounds, or introspection
-  (``cell_schedulers``).
+  thread pool.  Threads overlap what releases the GIL for long stretches,
+  which is a cold table build (``np.power``); the GA is a run of short
+  numpy calls that trades the GIL at each one, so the executor lets one
+  cell into its GA at a time (the wait is each cell's ``wait_ms``) and a
+  warm round costs what the cells cost one after another.  Zero
+  serialization cost; right for small cell counts, short rounds, or
+  introspection (``cell_schedulers``).
 - ``"process"``: persistent worker processes, each owning its cells' warm
   :class:`~repro.core.sched.PolluxSched` (GA population,
   ``SurfaceCache``/``TputCells``, RNG state all stay worker-side across

@@ -5,7 +5,8 @@ PolluxSched` instances and runs one optimize round per cell when asked.
 Two implementations:
 
 - :class:`ThreadCellExecutor` (default): schedulers live in-process and
-  multi-cell rounds run on a ``shard-cell`` thread pool.
+  multi-cell rounds run on a ``shard-cell`` thread pool, table builds
+  side by side and one cell's GA at a time.
 - :class:`ProcessCellExecutor`: persistent worker processes each own their
   cells' warm schedulers (GA population, ``SurfaceCache``/``TputCells``,
   RNG state all live worker-side across rounds, never re-pickled).  The
@@ -34,6 +35,7 @@ from __future__ import annotations
 import logging
 import multiprocessing as mp
 import os
+import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -78,22 +80,22 @@ def fanout_width(num_cells: int, max_workers: Optional[int] = None) -> int:
 
     ``min(num_cells, usable cores)``: a cell round is CPU-bound from start
     to finish, so a worker beyond the core count adds no throughput, only
-    contention.  On 2 cores with 8 cells of 128 jobs, 8 threads ran a
-    steady round in 623-755 ms, two in 475-566 ms and one in 506-568 ms,
-    with 12x the system time and 1.5x the peak RSS of the sequential run
-    at 8.  Two threads are far from 2x one: numpy releases the GIL in the
-    hot kernels, but about half of a round is bandwidth-bound array
-    traffic (table folds, gathers), which does not scale across cores
-    that share a memory bus, and the GA's python-side orchestration hands
-    the GIL back and forth at every numpy call.  Width 1 means no pool at
-    all: the cells run one after another in the caller.  The full table,
-    cold against warm rounds and threads against worker processes, is in
-    ROADMAP.md ("Measured findings to keep").
+    contention (on 2 cores with 8 cells of 128 jobs, 8 ungated threads ran
+    a steady round in 623-755 ms against 475-566 ms for two, with 12x the
+    system time and 1.5x the peak RSS).  Width 1 means no pool at all: the
+    cells run one after another in the caller.
+
+    Worker processes run whole cell rounds side by side.  Threads overlap
+    only what releases the GIL for long stretches, a cold table build's
+    ``np.power``; two GAs at once trade the GIL at every numpy call (1.3x
+    the wall and 1.8x the CPU of one after the other, 11-12 thousand
+    context switches a round), so :class:`ThreadCellExecutor` runs one GA
+    at a time and its width is how many table builds may run beside it.
+    Measurements: ROADMAP.md ("Measured findings to keep").
 
     ``max_workers`` overrides the core count (still capped at the cell
-    count): pass it when the cores are shared with other work, when the
-    affinity mask overstates what a container's CPU quota delivers, or 1
-    where warm rounds are all that matters on a small machine.  The
+    count): pass it when the cores are shared with other work or when the
+    affinity mask overstates what a container's CPU quota delivers.  The
     width never changes a decision — cell order, per-cell seeds and inputs
     do not depend on it (``tests/test_shard_executor.py``).
     """
@@ -154,19 +156,28 @@ class CellExecutor:
 
     @property
     def schedulers(self) -> Tuple[PolluxSched, ...]:
-        """In-process cell schedulers (thread executor only)."""
+        """The in-process cell schedulers; ``()`` where they live elsewhere."""
         raise NotImplementedError
 
 
 class ThreadCellExecutor(CellExecutor):
-    """In-process cell rounds on a ``shard-cell`` thread pool.
+    """In-process cell rounds on a ``shard-cell`` thread pool, GAs gated.
 
     At width 1 (:func:`fanout_width`: one cell, or one usable core) the
-    cells run inline in the caller, one after another; wider rounds map
-    over a lazily created pool of that many threads.  ``close()`` only
-    shuts the pool down (with ``wait=True``, so no ``shard-cell`` thread
-    outlives the policy); the schedulers and their warm state survive, and
-    the pool is recreated on the next round if the policy keeps going.
+    cells run inline in the caller, one after another.  Wider rounds map
+    over a lazily created pool of that many threads, and the cell
+    schedulers share one lock as their ``ga_gate``: a cell builds its
+    tables as soon as a pool thread is free, then queues for the lock and
+    runs its GA alone.  A warm round costs what it costs inline; a cold
+    one overlaps each table build with a neighbour's GA.  The queueing is
+    each cell's ``wait_ms`` phase and part of no other, ``total_ms``
+    included (like ``ipc_ms`` under the process executor).  A GA that
+    raises releases the lock.
+
+    ``close()`` only shuts the pool down (with ``wait=True``, so no
+    ``shard-cell`` thread outlives the policy); the schedulers and their
+    warm state survive, and the pool is recreated on the next round if the
+    policy keeps going.
     """
 
     def __init__(self, max_workers: Optional[int] = None):
@@ -192,6 +203,10 @@ class ThreadCellExecutor(CellExecutor):
         if width != self.width:
             self.close()
         self.width = width
+        if width > 1:
+            gate = threading.Lock()
+            for sched in self._scheds:
+                sched.ga_gate = gate
 
     def run_rounds(self, rounds):
         def cell_round(idx: int) -> CellResult:
@@ -346,11 +361,9 @@ class ProcessCellExecutor(CellExecutor):
         self._warm_key: Optional[tuple] = None
 
     @property
-    def schedulers(self):
-        raise RuntimeError(
-            "cell schedulers live inside worker processes under the "
-            "process executor; use execution='thread' to introspect them"
-        )
+    def schedulers(self) -> Tuple[PolluxSched, ...]:
+        """``()``: the schedulers live in workers."""
+        return ()
 
     # -- lifecycle ------------------------------------------------------
 

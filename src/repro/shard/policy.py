@@ -126,7 +126,7 @@ class ShardedPolicy(Policy):
         """Per-cell schedulers, aligned with :attr:`cells`.
 
         Thread backend only: under ``execution="process"`` the schedulers
-        live inside worker processes and accessing this raises.
+        live inside worker processes and this is ``()``.
         """
         return self._executor.schedulers
 
@@ -306,7 +306,8 @@ class ShardedPolicy(Policy):
         ``skipped`` still means "at least one cell skipped").  The richer
         :attr:`last_round_report` adds the per-phase max (the critical
         path under a concurrent executor), the full per-cell breakdown —
-        including ``ipc_ms`` under the process executor — and the
+        including ``ipc_ms`` under the process executor and ``wait_ms``
+        under the thread pool's GA gate, neither inside ``total_ms`` — and the
         executor's cumulative fallback count, so a regression localizes
         to a phase *and* a cell under either backend.  ``width`` is the
         number of threads or worker processes the round ran on:

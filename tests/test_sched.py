@@ -16,7 +16,7 @@ from repro.core import (
     ThroughputParams,
     job_weight,
 )
-from repro.core.speedup import build_surfaces_batch
+from repro.core.speedup import build_speedup_tables_batch
 from repro.workload import MODEL_ZOO
 
 
@@ -262,13 +262,13 @@ class TestBlockedTableBuilds:
             with monkeypatch.context() as patch:
                 patch.setattr(sched_module, "_TABLE_BLOCK_JOBS", 10**9)
                 want = one_pass._tables_batched(jobs, caps, speeds)
-            direct = build_surfaces_batch(
+            direct = build_speedup_tables_batch(
                 [job.report.goodput_model() for job in jobs],
                 caps,
                 points_per_octave=config.table_points_per_octave,
                 type_speeds=tuple(float(s) for s in speeds),
             )
-            for table, reference, (built, _) in zip(got, want, direct):
+            for table, reference, built in zip(got, want, direct):
                 np.testing.assert_array_equal(table, reference)
                 np.testing.assert_array_equal(table, built)
             stats = blocked.surface_cache.stats

@@ -6,14 +6,19 @@ decision stream **bit-for-bit** at a fixed seed — including across phi
 drift (the PHI delta path), theta re-fits (the FULL path), mid-run
 resizes, incremental rounds, and worker counts below the cell count —
 and that the fan-out width (``fanout_width``: cores, or ``max_workers``)
-never moves a decision under either backend.
+never moves a decision under either backend.  The thread pool's GA gate
+(one cell in ``GeneticOptimizer.run`` at a time) is held to: no overlap,
+released on error, its wait reported as ``wait_ms`` and nowhere else.
 Also covers the failure and lifecycle semantics: worker crash/timeout
 falls back in-process without losing a dispatch, and ``close()`` tears
 down threads/processes idempotently with lazy revival.
 """
 
 import dataclasses
+import hashlib
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +26,7 @@ import pytest
 import repro.policy
 import repro.shard.executor as executor_module
 from repro.cluster import ClusterSpec
-from repro.core import AgentReport, GAConfig, PolluxSchedConfig
+from repro.core import AgentReport, GAConfig, GeneticOptimizer, PolluxSchedConfig
 from repro.policy.views import ClusterState, JobSnapshot
 from repro.shard import (
     ProcessCellExecutor,
@@ -336,6 +341,127 @@ class TestFanoutWidth:
 
 
 # ----------------------------------------------------------------------
+# The GA gate: table builds side by side, one cell's GA at a time
+# ----------------------------------------------------------------------
+
+
+def stream_digest(decisions):
+    sha = hashlib.sha256()
+    for decision in decisions:
+        for name in sorted(decision):
+            sha.update(name.encode())
+            sha.update(np.ascontiguousarray(decision[name]).tobytes())
+    return sha.hexdigest()
+
+
+def slow_ga(monkeypatch, seconds, intervals=None, fail_first=False):
+    """Make every ``GeneticOptimizer.run`` sleep first (the GIL released, so
+    ungated GAs would overlap), noting ``(enter, exit)`` in ``intervals``."""
+    real_run = GeneticOptimizer.run
+    failed = []
+
+    def run(self, *args, **kwargs):
+        enter = time.perf_counter()
+        try:
+            time.sleep(seconds)
+            if fail_first and not failed:
+                failed.append(True)
+                raise RuntimeError("GA blew up")
+            return real_run(self, *args, **kwargs)
+        finally:
+            if intervals is not None:
+                intervals.append((enter, time.perf_counter()))
+
+    monkeypatch.setattr(GeneticOptimizer, "run", run)
+
+
+class TestGaGate:
+    def test_inline_gated_and_process_digests_equal(self, monkeypatch):
+        set_cores(monkeypatch, 2)
+        digests = {}
+        for label, execution, kw in [
+            ("inline", "thread", {"max_workers": 1}),
+            ("gated", "thread", {}),
+            ("process", "process", {}),
+        ]:
+            policy, decisions = eventful_stream(execution, **kw)
+            assert policy.last_round_report["width"] == (
+                1 if label == "inline" else 2
+            )
+            digests[label] = stream_digest(decisions)
+        assert digests["inline"] == digests["gated"] == digests["process"]
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_no_two_gas_overlap(self, monkeypatch, width):
+        # Width 4 is twice this host's cores; the short switch interval
+        # makes the threads trade places as often as they can.
+        intervals = []
+        slow_ga(monkeypatch, 0.005, intervals)
+        policy = make_sharded("thread", cells=4, max_workers=width)
+        assert policy.last_round_report == {}
+        state = make_state(CLUSTER, 12)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for r in range(3):
+                decision = policy.schedule(60.0 * r, state)
+                state = next_state(state, decision, drift=0.01)
+        finally:
+            sys.setswitchinterval(switch)
+            policy.close()
+        assert policy.last_round_report["width"] == width
+        assert len(intervals) == 12
+        intervals.sort()
+        for (_, earlier_exit), (later_enter, _) in zip(intervals, intervals[1:]):
+            assert later_enter >= earlier_exit
+
+    def test_a_failing_ga_releases_the_gate(self, monkeypatch):
+        slow_ga(monkeypatch, 0.0, fail_first=True)
+        policy = make_sharded("thread", max_workers=2)
+        state = make_state(CLUSTER, 8)
+        with pytest.raises(RuntimeError, match="GA blew up"):
+            policy.schedule(0.0, state)
+        policy.close()  # joins the cell that did not fail
+        gates = {id(sched.ga_gate) for sched in policy.cell_schedulers}
+        assert len(gates) == 1
+        assert not policy.cell_schedulers[0].ga_gate.locked()
+        done = []
+        worker = threading.Thread(
+            target=lambda: done.append(policy.schedule(60.0, state)), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert set(done[0].allocations) == {snap.name for snap in state.jobs}
+        policy.close()
+
+    def test_wait_is_its_own_phase(self, monkeypatch):
+        slow_ga(monkeypatch, 0.2)
+        state = make_state(CLUSTER, 8)
+        gated = make_sharded("thread", max_workers=2)
+        gated.schedule(0.0, state)
+        gated.close()
+        report = gated.last_round_report
+        # One cell slept through its GA while the other queued behind it.
+        assert report["sum"]["wait_ms"] > 100.0
+        assert 100.0 < report["max"]["wait_ms"] <= report["sum"]["wait_ms"]
+        assert gated.last_phase_timings["wait_ms"] == report["sum"]["wait_ms"]
+        # ... and the queueing is in no other phase: each cell's total is
+        # its tables plus one 200 ms GA, not two.
+        assert 200.0 <= report["max"]["total_ms"] < 350.0
+        for cell in report["per_cell"]:
+            timings = cell["timings"]
+            assert timings["table_ms"] < 100.0
+            assert timings["total_ms"] >= timings["table_ms"] + 200.0
+
+        inline = make_sharded("thread", max_workers=1)
+        inline.schedule(0.0, state)
+        inline.close()
+        assert "wait_ms" not in inline.last_round_report["sum"]
+        assert "wait_ms" not in inline.last_round_report["max"]
+
+
+# ----------------------------------------------------------------------
 # Failure semantics: crash / timeout fall back in-process
 # ----------------------------------------------------------------------
 
@@ -476,9 +602,13 @@ class TestLifecycle:
     def test_thread_schedulers_introspectable_process_not(self):
         thread_policy = make_sharded("thread")
         assert len(thread_policy.cell_schedulers) == 2
+        # Under the process executor the schedulers live in the workers:
+        # an empty tuple, so a reader written as getattr(policy,
+        # "cell_schedulers", None) finds nothing instead of dying.
         process_policy = make_sharded("process")
-        with pytest.raises(RuntimeError, match="worker processes"):
-            _ = process_policy.cell_schedulers
+        assert process_policy.cell_schedulers == ()
+        process_policy.schedule(0.0, make_state(CLUSTER, 6))
+        assert getattr(process_policy, "cell_schedulers", None) == ()
         thread_policy.close()
         process_policy.close()
 

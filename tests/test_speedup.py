@@ -3,8 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.core import EfficiencyModel, GoodputModel, build_speedup_table, speedup
-from repro.core.speedup import MULTI_NODE, SINGLE_NODE, best_batch_size_table
+from repro.core import (
+    BatchSizeLimits,
+    EfficiencyModel,
+    GoodputModel,
+    ThroughputParams,
+    build_speedup_table,
+    speedup,
+)
+from repro.core.speedup import (
+    MULTI_NODE,
+    SINGLE_NODE,
+    best_batch_size_table,
+    build_surfaces,
+)
 
 
 class TestSpeedupFunction:
@@ -100,3 +112,21 @@ class TestBestBatchSizeTable:
         table = best_batch_size_table(cifar_goodput, max_gpus=16)
         m_gs, _ = cifar_goodput.optimize_batch_size(2, 8, tol=0.1)
         assert table[8, MULTI_NODE] == pytest.approx(m_gs, rel=0.08)
+
+    def test_exact_tie_goes_to_the_smaller_batch_size(self):
+        # A flat iteration time of 0.5 s and phi = 0 (efficiency m0 / m)
+        # keep every product a power of two, so the two grid points tie
+        # exactly: 128 / 0.5 * 1 == 256 / 0.5 * 0.5.
+        params = ThroughputParams(0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+        limits = BatchSizeLimits(
+            init_batch_size=128.0, max_batch_size=256.0, max_local_bsz=256.0
+        )
+        model = GoodputModel(params, EfficiencyModel(128.0, 0.0), limits)
+        surface, batch = build_surfaces(model, 2, points_per_octave=1)
+        np.testing.assert_array_equal(batch[:, SINGLE_NODE], [0.0, 128.0, 128.0])
+        # k == 1 cannot span nodes.
+        np.testing.assert_array_equal(batch[:, MULTI_NODE], [0.0, 0.0, 128.0])
+        np.testing.assert_array_equal(surface[1:, SINGLE_NODE], [1.0, 1.0])
+        np.testing.assert_array_equal(
+            batch, best_batch_size_table(model, 2, points_per_octave=1)
+        )

@@ -1,10 +1,14 @@
 """The table fold against its own parent.
 
-``build_surfaces_batch`` folds each job's current efficiency curve into
-its cached throughput cells and takes a segmented argmax.  The fold was
-rewritten to move half the bytes (in-place multiply, per-plane spread, the
-first maximum from ``flatnonzero``); the body it replaced is kept here as
-the oracle, and both tables of every job must come back ``array_equal``.
+``build_speedup_tables_batch`` folds each job's current efficiency curve
+into its cached throughput cells and takes a segmented max: the speedup
+tables the GA reads.  Its parent, ``build_surfaces_batch``, also took the
+segmented argmax into a batch-size table that the scheduler never read;
+that body is kept here as the oracle, and every job's speedup table must
+come back ``array_equal`` to the oracle's first element.  What the
+batch-size tables hold is covered where they are still built, by the
+per-job builder tests (``tests/test_speedup.py``,
+``tests/test_surfacecache.py``).
 """
 
 import hashlib
@@ -30,7 +34,7 @@ from repro.core.speedup import (  # noqa: E402
     SINGLE_NODE,
     TputCells,
     _check_batch_args,
-    build_surfaces_batch,
+    build_speedup_tables_batch,
     build_tput_cells,
 )
 from repro.workload import MODEL_ZOO  # noqa: E402
@@ -39,12 +43,13 @@ from repro.workload import MODEL_ZOO  # noqa: E402
 def reference_build_surfaces_batch(
     models, caps, points_per_octave=16, type_speeds=(1.0,), squeeze=True, cells=None
 ):
-    """``build_surfaces_batch`` as it stood before the fold was rewritten.
+    """``build_surfaces_batch`` as it stood before its fold was rewritten.
 
-    The oracle: a second ``(2, T, C)`` goodput array, a ``(C,)`` index
-    array with two gathers for the efficiency curve, ``seg_max`` spread by
-    fancy indexing and the first maximum taken by a second ``reduceat``
-    over a ``(2, T, C)`` candidate-index array.
+    The oracle, returning ``(speedup_table, batch_size_table)`` per job: a
+    second ``(2, T, C)`` goodput array, a ``(C,)`` index array with two
+    gathers for the efficiency curve, ``seg_max`` spread by fancy indexing
+    and the first maximum taken by a second ``reduceat`` over a ``(2, T,
+    C)`` candidate-index array.
     """
     num_jobs = len(models)
     caps, speeds = _check_batch_args(models, caps, type_speeds)
@@ -129,12 +134,16 @@ def reference_build_surfaces_batch(
     return out
 
 
+def reference_speedup_tables(models, caps, **kwargs):
+    """The oracle's speedup tables: the first element of every pair."""
+    return [sp for sp, _ in reference_build_surfaces_batch(models, caps, **kwargs)]
+
+
 def assert_same_tables(got, want):
     assert len(got) == len(want)
-    for job, ((sp, bm), (ref_sp, ref_bm)) in enumerate(zip(got, want)):
-        assert sp.shape == ref_sp.shape and bm.shape == ref_bm.shape, job
+    for job, (sp, ref_sp) in enumerate(zip(got, want)):
+        assert sp.shape == ref_sp.shape, job
         np.testing.assert_array_equal(sp, ref_sp, err_msg=f"speedup, job {job}")
-        np.testing.assert_array_equal(bm, ref_bm, err_msg=f"batch size, job {job}")
 
 
 _ZOO = [MODEL_ZOO[name] for name in sorted(MODEL_ZOO)]
@@ -178,8 +187,8 @@ class TestFoldAgainstParent:
         models, caps, speeds, squeeze = problem
         cells = build_tput_cells(models, caps, type_speeds=speeds)
         kwargs = dict(type_speeds=speeds, squeeze=squeeze, cells=cells)
-        got = build_surfaces_batch(models, caps, **kwargs)
-        want = reference_build_surfaces_batch(models, caps, **kwargs)
+        got = build_speedup_tables_batch(models, caps, **kwargs)
+        want = reference_speedup_tables(models, caps, **kwargs)
         assert_same_tables(got, want)
         # The cached cells are folded from a copy, never written.
         again = build_tput_cells(models, caps, type_speeds=speeds)
@@ -194,11 +203,11 @@ class TestFoldAgainstParent:
         models = [
             GoodputModel(profile.theta_true, EfficiencyModel(512.0, 100.0), limits)
         ] * 2
-        got = build_surfaces_batch(models, [3, 7])
-        assert_same_tables(got, reference_build_surfaces_batch(models, [3, 7]))
-        assert all(not sp.any() and not bm.any() for sp, bm in got)
+        got = build_speedup_tables_batch(models, [3, 7])
+        assert_same_tables(got, reference_speedup_tables(models, [3, 7]))
+        assert all(not sp.any() for sp in got)
 
-    def test_exact_tie_goes_to_the_smaller_batch_size(self):
+    def test_tied_cells_share_one_maximum(self):
         # phi = 0 makes the efficiency curve m0 / m, exact at powers of
         # two, so equal goodputs can be written down: 1 * 1 == 2 * 0.5.
         limits = BatchSizeLimits(
@@ -214,15 +223,12 @@ class TestFoldAgainstParent:
                 np.stack([single, multi])[:, None, :], m_cells, np.array([3, 4])
             )
         ]
-        got = build_surfaces_batch([model], [2], cells=cells)
-        assert_same_tables(
-            got, reference_build_surfaces_batch([model], [2], cells=cells)
-        )
-        [(speedup, batch)] = got
-        np.testing.assert_array_equal(batch[:, SINGLE_NODE], [0.0, 128.0, 256.0])
-        # k == 1 cannot span nodes; at k == 2 all four cells tie.
-        np.testing.assert_array_equal(batch[:, MULTI_NODE], [0.0, 0.0, 128.0])
+        got = build_speedup_tables_batch([model], [2], cells=cells)
+        assert_same_tables(got, reference_speedup_tables([model], [2], cells=cells))
+        [speedup] = got
         np.testing.assert_array_equal(speedup[:, SINGLE_NODE], [0.0, 1.0, 1.0])
+        # k == 1 cannot span nodes; at k == 2 all four cells tie.
+        np.testing.assert_array_equal(speedup[:, MULTI_NODE], [0.0, 0.0, 1.0])
 
     def test_round_dense_tables_hash_equal(self):
         # The 256 jobs of the ledger's round_dense workload at seed 1, in
@@ -233,11 +239,10 @@ class TestFoldAgainstParent:
         models = [report.goodput_model() for report in reports]
         caps = [report.exploration_cap(cluster.total_gpus) for report in reports]
         digests = []
-        for build in (build_surfaces_batch, reference_build_surfaces_batch):
+        for build in (build_speedup_tables_batch, reference_speedup_tables):
             sha = hashlib.sha256()
             for lo in range(0, 256, 64):
-                for sp, bm in build(models[lo : lo + 64], caps[lo : lo + 64]):
+                for sp in build(models[lo : lo + 64], caps[lo : lo + 64]):
                     sha.update(np.ascontiguousarray(sp).tobytes())
-                    sha.update(np.ascontiguousarray(bm).tobytes())
             digests.append(sha.hexdigest())
         assert digests[0] == digests[1]

@@ -168,6 +168,30 @@ class TestSchedCacheIntegration:
         assert sched.surface_cache.stats.misses == misses_after_round
         assert sched.surface_cache.stats.hits >= len(jobs)
 
+    def test_get_flat_never_takes_a_scheduler_entry(self):
+        """The scheduler's entries hold no batch-size table, so the same
+        report, cap, grid and speed through get_flat must miss and build."""
+        cluster = ClusterSpec.homogeneous(4, 4)
+        report = _report(phi=80.0)
+        sched = PolluxSched(cluster, PolluxSchedConfig(), seed=1)
+        problem = sched.build_problem([_job("j0", report, 4)])
+        cache = sched.surface_cache
+        assert {key[0] for key in cache._entries} == {"speedup", "cells"}
+        cap = report.exploration_cap(cluster.total_gpus)
+        ppo = sched.config.table_points_per_octave
+        (entry,) = (e for key, e in cache._entries.items() if key[0] == "speedup")
+        assert len(entry) == 1 and entry[0] is problem.jobs[0].speedup_table
+        misses = cache.stats.misses
+        speedup, bsz = cache.get_flat(report, cap, ppo, 1.0)
+        assert cache.stats.misses == misses + 1
+        assert speedup.shape == bsz.shape == (cap + 1, 2)
+        want = build_surfaces(report.goodput_model(), cap, ppo, 1.0)
+        assert np.array_equal(speedup, want[0]) and np.array_equal(bsz, want[1])
+        # ... and the scheduler does not take get_flat's pair for its own.
+        hits = cache.stats.hits
+        sched.build_problem([_job("j0", report, 4)])
+        assert cache.stats.hits == hits + 1 and cache.stats.misses == misses + 1
+
     def test_autoscaler_probes_share_scheduler_cache(self):
         """Probes + optimize build each job's table at most once per tick.
 
