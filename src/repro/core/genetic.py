@@ -41,19 +41,26 @@ __all__ = ["GAConfig", "JobGAInfo", "AllocationProblem", "GeneticOptimizer"]
 
 #: Row width from which the repair operators go sparse.  Both are batched
 #: over rows: ``_repair_interference`` over population members, each a
-#: ``(J, N)`` matrix of ``J * N`` cells, ``_batched_remove`` over violating
-#: rows of ``max(J, N)`` columns.  The sparse forms add numpy calls (~9 a pass
-#: to keep the interference counts current, ~15 to pack a removal), so they
-#: pay only once a row's dense work outweighs those.  Measured, sparse over
-#: dense.  Interference, a scheduling round of 24 members on 4 nodes: +3..+5%
-#: at 8-24 cells a member, +0.5..+2.6% at 32, -0.7% at 40, -2..-3% at 64, -13%
-#: at 384 (16 nodes x 24 jobs); per call 0.55x at 384 cells, 0.16x at 16384
-#: (64 nodes x 256 jobs).  With 8 members it pays from ~96 cells, with 48-100
-#: already from 16-32 (0.68-0.82x per call), which this rule leaves unused.
-#: Removal, per call on 20 and 200 rows of 4-8 non-zeros: 0.5-0.7x at 8-16
-#: columns, 0.7-0.9x at 24-32, 0.8-1.4x at 64, 1.1-2.0x at 128, 2.0-2.9x at
-#: 256.  With sparse interference on everywhere, a 16-GPU trace simulation
-#: (4 nodes, 1-10 jobs) read +4.4% on its steady round over ten pairs.
+#: ``(J, N)`` matrix of ``J * N`` cells, ``_repair_caps_capacity`` over
+#: violating rows and columns of ``max(J, N)`` cells.  The sparse forms add
+#: numpy calls (~9 a pass to keep the interference counts current, ~30 to
+#: work on a population's non-zero cells), so they pay only once a row's
+#: dense work outweighs those.  Measured, sparse over dense.  Interference, a
+#: scheduling round of 24 members on 4 nodes: +3..+5% at 8-24 cells a member,
+#: +0.5..+2.6% at 32, -0.7% at 40, -2..-3% at 64, -13% at 384 (16 nodes x 24
+#: jobs); per call 0.55x at 384 cells, 0.16x at 16384 (64 nodes x 256 jobs).
+#: With 8 members it pays from ~96 cells, with 48-100 already from 16-32
+#: (0.68-0.82x per call), which this rule leaves unused.  Caps + capacity,
+#: per call on mutated populations of saturated 4-GPU nodes: at 16 nodes and
+#: 24 members (``service_live`` once 64 or more jobs are active) 0.50x at 64
+#: columns, 0.43-0.47x at 72, 0.37-0.44x at 80, 0.34-0.35x at 96; below the
+#: switch 0.48-0.60x at 40-56 and 0.82x at 32, but 1.16-1.29x at 8-16; with 4
+#: members 0.90x at 64 and 1.03-1.08x at 40-48; at 4 nodes and 24 members
+#: 1.36-1.62x at 2-10 jobs and 1.04x at 32.  At 64 the switch is on the
+#: winning side for every shape measured; lowering it would also move the
+#: interference switch, which loses below ~40 cells.  With sparse
+#: interference on everywhere, a 16-GPU trace simulation (4 nodes, 1-10
+#: jobs) read +4.4% on its steady round over ten pairs.
 _SPARSE_MIN_WIDTH = 64
 
 
@@ -183,9 +190,10 @@ class AllocationProblem:
             for idx, job in enumerate(self.jobs):
                 table = job.speedup_table
                 if table.ndim == 2:
-                    # Untyped table: the same speedup on every type.
-                    table = np.repeat(table[:, :, None], self.num_types, axis=2)
-                if table.shape[2] != self.num_types:
+                    # Untyped table: the same speedup on every type, by
+                    # broadcasting its one type column into the stack.
+                    table = table[:, :, None]
+                elif table.shape[2] != self.num_types:
                     raise ValueError(
                         f"speedup_table has {table.shape[2]} type columns, "
                         f"cluster has {self.num_types}"
@@ -260,12 +268,13 @@ class GeneticOptimizer:
     Every operator is batched over the whole ``(P, J, N)`` population:
 
     - **Vectorized repair.**  Job-cap and capacity repair are *fused*:
-      over-cap job rows and over-capacity node columns are stacked into a
-      single counts matrix and resolved by one :meth:`_batched_remove`
-      call — the excess is split proportionally to the entry counts with
-      the fractional remainder rounded by random priorities (randomized
-      largest-remainder rounding; see :meth:`_repair_caps_capacity`),
-      sorting only each row's non-zero support once rows are wide.
+      over-cap job rows and over-capacity node columns are resolved
+      together by one randomized largest-remainder rounding (the excess is
+      split proportionally to the entry counts, the fractional remainder
+      assigned by random priorities; see :meth:`_repair_caps_capacity`).
+      Narrow populations stack the violating vectors into one dense counts
+      matrix; once rows are ``_SPARSE_MIN_WIDTH`` wide the repair reads and
+      writes only the population's non-zero cells, a few percent of it.
       Interference repair runs node-major passes batched over the whole
       population — every member's first violating node keeps one uniformly
       random distributed job — with the distributed set updated in place
@@ -413,12 +422,12 @@ class GeneticOptimizer:
         """Fused job-cap + node-capacity repair in one batched pass.
 
         Both violation sets are detected on the *same* input matrix and
-        fed through a single :meth:`_batched_remove` call: over-cap job
-        rows (length N) and over-capacity node columns (length J) are
-        padded to a common width and stacked into one counts matrix, so the
-        proportional split, the randomized largest-remainder rounding, and
-        the argsort behind it all run once over the combined violation set
-        instead of twice sequentially.
+        resolved by one :func:`_largest_remainder` call: over-cap job rows
+        (length N) and over-capacity node columns (length J) share one
+        ``rng.random`` block of ``max(J, N)`` columns, so the proportional
+        split, the randomized largest-remainder rounding, and the argsort
+        behind it all run once over the combined violation set instead of
+        twice sequentially.
 
         Application stays order-correct: row removals land first (exact —
         every over-cap job ends at or below its cap, and later column
@@ -427,16 +436,29 @@ class GeneticOptimizer:
         entries no row removal touched applies the fused draw as-is (its
         total already equals the excess).  Columns that overlapped a row
         removal are *redrawn* against the post-row-removal state with a
-        second proportional :meth:`_batched_remove` — exactly what the
-        sequential form did for every column.  The redraw matters: a
-        deterministic fix-up (e.g. clipping plus argmax give-back) skews
-        removals toward the largest allocations and measurably degrades
-        seed-averaged JCT parity, while the randomized-proportional redraw
-        preserves the repair distribution.  Column removals only subtract,
-        so already-satisfied row caps stay satisfied.
+        second proportional removal and a second ``rng.random`` block —
+        exactly what the sequential form did for every column.  The redraw
+        matters: a deterministic fix-up (e.g. clipping plus argmax
+        give-back) skews removals toward the largest allocations and
+        measurably degrades seed-averaged JCT parity, while the
+        randomized-proportional redraw preserves the repair distribution.
+        Column removals only subtract, so already-satisfied row caps stay
+        satisfied.
+
+        Two forms, one result.  Populations narrower than
+        ``_SPARSE_MIN_WIDTH`` pad the violating rows and columns into one
+        dense counts matrix (:meth:`_batched_remove`); wider ones read and
+        write only the population's non-zero cells
+        (:meth:`_repair_on_support`) — a mutated 16 x 256 x 64 population
+        is ~2.5% non-zero.  Both draw the same blocks in the same order and
+        return the same arrays.
         """
         num_jobs = self.problem.num_jobs
         num_nodes = self.problem.num_nodes
+        width = max(num_nodes, num_jobs)
+        if width >= _SPARSE_MIN_WIDTH:
+            self._repair_on_support(pop)
+            return
         row_totals = pop.sum(axis=-1)  # (P, J)
         row_excess = row_totals - self.problem.max_gpus[None, :]
         row_p, row_j = np.where(row_excess > 0)
@@ -447,7 +469,6 @@ class GeneticOptimizer:
         if n_rows == 0 and n_cols == 0:
             return
 
-        width = max(num_nodes, num_jobs)
         counts = np.zeros((n_rows + n_cols, width), dtype=np.int64)
         if n_rows:
             counts[:n_rows, :num_nodes] = pop[row_p, row_j]
@@ -477,77 +498,93 @@ class GeneticOptimizer:
                     take[live] = self._batched_remove(cols[live], need[live])
             pop[col_p, :, col_n] = cols - take
 
+    def _repair_on_support(self, pop: np.ndarray) -> None:
+        """The wide form of :meth:`_repair_caps_capacity`, on non-zero cells.
+
+        ``pop`` must be C-contiguous (``_repair`` hands over its own copy):
+        it is read and written through one flat view.  A vector's entries
+        are its non-zero cells in the order of the dense row — over-cap rows
+        take theirs in flat order, over-capacity columns through a stable
+        sort on ``member * N + node`` — so the stable sort in
+        :func:`_largest_remainder` breaks key ties as it does on the full
+        row.  Keys are gathered from the full-width draw blocks the dense
+        form makes, so the arrays and the random stream are its own.
+        """
+        num_members, num_jobs, num_nodes = pop.shape
+        flat = pop.reshape(-1)
+        cell = np.flatnonzero(flat != 0)
+        count = flat[cell]
+        member_job, node = np.divmod(cell, num_nodes)
+        member, job = np.divmod(member_job, num_jobs)
+        member_node = member * num_nodes + node
+        row_excess = np.bincount(
+            member_job, count, num_members * num_jobs
+        ).astype(np.int64) - np.tile(self.problem.max_gpus, num_members)
+        capacity = np.tile(self.problem.capacities, num_members)
+        col_excess = np.bincount(
+            member_node, count, num_members * num_nodes
+        ).astype(np.int64) - capacity
+        row_over, col_over = row_excess > 0, col_excess > 0
+        n_rows, n_cols = np.count_nonzero(row_over), np.count_nonzero(col_over)
+        if n_rows == 0 and n_cols == 0:
+            return
+
+        row_ent = np.flatnonzero(row_over[member_job])
+        row_vec = (np.cumsum(row_over) - 1)[member_job[row_ent]]
+        col_ent = np.flatnonzero(col_over[member_node])
+        # In the narrowest dtype that holds every key: numpy's stable sort
+        # is a radix sort for 8- and 16-bit integers (6x faster at P x N =
+        # 16 x 64).
+        key = member_node[col_ent].astype(np.min_scalar_type(num_members * num_nodes))
+        col_ent = col_ent[np.argsort(key, kind="stable")]
+        col_vec = (np.cumsum(col_over) - 1)[member_node[col_ent]]
+        draws = self.rng.random((n_rows + n_cols, max(num_nodes, num_jobs)))
+        vec = np.concatenate([row_vec, n_rows + col_vec])
+        removal = _remove_on_entries(
+            vec,
+            count[np.concatenate([row_ent, col_ent])],
+            draws[vec, np.concatenate([node[row_ent], job[col_ent]])],
+            np.concatenate([row_excess[row_over], col_excess[col_over]]),
+        )
+
+        flat[cell[row_ent]] -= removal[: row_ent.size]
+        col_cell = cell[col_ent]
+        held = flat[col_cell]  # post-row-removal
+        take = np.minimum(removal[row_ent.size:], held)
+        need = np.maximum(
+            np.bincount(col_vec, held, n_cols).astype(np.int64)
+            - capacity[col_over],
+            0,
+        )
+        # As in the dense form: columns untouched by row removals keep the
+        # fused draw, the rest are redrawn on the surviving mass.
+        redo = np.bincount(col_vec, take, n_cols) != need
+        if redo.any():
+            take[redo[col_vec]] = 0
+            live = redo & (need > 0)
+            if live.any():
+                # The redraw's support is the column's post-row-removal
+                # one: an entry a row removal zeroed sheds nothing.
+                sel = np.flatnonzero(live[col_vec] & (held > 0))
+                live_vec = (np.cumsum(live) - 1)[col_vec[sel]]
+                redraw = self.rng.random((int(live.sum()), num_jobs))
+                take[sel] = _remove_on_entries(
+                    live_vec,
+                    held[sel],
+                    redraw[live_vec, job[col_ent[sel]]],
+                    need[live],
+                )
+        flat[col_cell] = held - take
+
     def _batched_remove(
         self, counts: np.ndarray, excess: np.ndarray
     ) -> np.ndarray:
         """Removal matrix taking ``excess[i]`` units from row ``counts[i]``.
 
-        The removal is proportional to the counts with the fractional
-        remainder assigned by random priorities among the rounded-down
-        entries, so every entry with mass can shed GPUs and the expected
-        removal per entry matches the uniform-without-replacement repair in
-        distribution shape (exactly proportional mean, randomized
-        remainder).  Guarantees ``0 <= removal <= counts`` and
-        ``removal.sum(1) >= excess`` row-wise (equality except in
-        pathological float-rounding corners, where a deterministic top-up
-        keeps the constraint satisfied).
-
-        Rows of ``_SPARSE_MIN_WIDTH`` columns and up are resolved on their
-        *non-zero support* only: a violating row holds a handful of entries
-        (6 of 256 on a 512-GPU round), zero entries never shed anything,
-        and the argsort behind the rounding is the cost of the whole call.
-        The support is packed to the left in column order, so the stable
-        sort breaks key ties exactly as it does on the full row, and the
-        keys are gathered from the same full-width
-        ``rng.random(counts.shape)`` block the dense form draws — the
-        result and the random stream are identical, only the sorted width
-        changes.
+        Draws one uniform per cell, ``rng.random(counts.shape)``, and
+        resolves every row at full width with :func:`_largest_remainder`.
         """
-        full_shape = counts.shape
-        draws = self.rng.random(full_shape)
-        packed = full_shape[1] >= _SPARSE_MIN_WIDTH
-        if packed:
-            v_nz, col = np.nonzero(counts)  # row-major: column order per row
-            support = np.bincount(v_nz, minlength=len(counts))
-            slot = np.arange(v_nz.size) - (np.cumsum(support) - support)[v_nz]
-            held, held_draws = counts[v_nz, col], draws[v_nz, col]
-            counts = np.zeros(
-                (len(support), int(support.max(initial=0))), dtype=np.int64
-            )
-            counts[v_nz, slot] = held
-            draws = np.zeros(counts.shape)
-            draws[v_nz, slot] = held_draws
-        c = counts.astype(float)
-        total = c.sum(axis=1)
-        ideal = np.minimum(excess[:, None] * (c / total[:, None]), c)
-        base = np.floor(ideal)
-        frac = ideal - base
-        base = base.astype(np.int64)
-        extra = excess - base.sum(axis=1)  # (V,)
-        # Random priority among entries with a fractional share; entries
-        # with frac == 0 sort last and are never picked (there are always
-        # at least `extra` fractional entries, since the fracs sum to it).
-        keys = np.where(frac > 0.0, draws, -1.0)
-        order = np.argsort(-keys, axis=1, kind="stable")
-        ranks = np.empty_like(order)
-        v_idx = np.arange(order.shape[0])[:, None]
-        ranks[v_idx, order] = np.arange(order.shape[1])[None, :]
-        removal = base + ((ranks < extra[:, None]) & (frac > 0.0))
-        # Float-rounding safety net: top up any row still short of its
-        # excess from the entries with the most remaining mass.  Never
-        # triggers for exact arithmetic; bounded by the residual deficit.
-        deficit = excess - removal.sum(axis=1)
-        while np.any(deficit > 0):
-            rows = np.where(deficit > 0)[0]
-            headroom = counts[rows] - removal[rows]
-            pick = np.argmax(headroom, axis=1)
-            removal[rows, pick] += 1
-            deficit[rows] -= 1
-        if packed:
-            unpacked = np.zeros(full_shape, dtype=np.int64)
-            unpacked[v_nz, col] = removal[v_nz, slot]
-            return unpacked
-        return removal
+        return _largest_remainder(counts, self.rng.random(counts.shape), excess)
 
     def _repair_interference(self, pop: np.ndarray) -> None:
         """Node-major interference resolution, batched over the population.
@@ -746,3 +783,69 @@ class GeneticOptimizer:
                 best_fitness = float(fitness[0])
 
         return population[0].copy(), float(fitness[0]), population
+
+
+def _largest_remainder(
+    counts: np.ndarray, draws: np.ndarray, excess: np.ndarray
+) -> np.ndarray:
+    """Removal matrix taking ``excess[i]`` units from row ``counts[i]``.
+
+    The removal is proportional to the counts with the fractional remainder
+    assigned by random priorities (``draws``, one per cell) among the
+    rounded-down entries, so every entry with mass can shed GPUs and the
+    expected removal per entry matches the uniform-without-replacement
+    repair in distribution shape (exactly proportional mean, randomized
+    remainder).  Guarantees ``0 <= removal <= counts`` and ``removal.sum(1)
+    >= excess`` row-wise (equality except in pathological float-rounding
+    corners, where a deterministic top-up keeps the constraint satisfied).
+    Zero cells never shed anything and key ties go to the earlier cell, so
+    a row packed to its non-zero cells in column order (zero padding on the
+    right) gets the removal its full-width form would.
+    """
+    c = counts.astype(float)
+    total = c.sum(axis=1)
+    ideal = np.minimum(excess[:, None] * (c / total[:, None]), c)
+    base = np.floor(ideal)
+    frac = ideal - base
+    base = base.astype(np.int64)
+    extra = excess - base.sum(axis=1)  # (V,)
+    # Random priority among entries with a fractional share; entries
+    # with frac == 0 sort last and are never picked (there are always
+    # at least `extra` fractional entries, since the fracs sum to it).
+    keys = np.where(frac > 0.0, draws, -1.0)
+    order = np.argsort(-keys, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    v_idx = np.arange(order.shape[0])[:, None]
+    ranks[v_idx, order] = np.arange(order.shape[1])[None, :]
+    removal = base + ((ranks < extra[:, None]) & (frac > 0.0))
+    # Float-rounding safety net: top up any row still short of its
+    # excess from the entries with the most remaining mass.  Never
+    # triggers for exact arithmetic; bounded by the residual deficit.
+    deficit = excess - removal.sum(axis=1)
+    while np.any(deficit > 0):
+        rows = np.where(deficit > 0)[0]
+        headroom = counts[rows] - removal[rows]
+        pick = np.argmax(headroom, axis=1)
+        removal[rows, pick] += 1
+        deficit[rows] -= 1
+    return removal
+
+
+def _remove_on_entries(
+    vec: np.ndarray, held: np.ndarray, held_draws: np.ndarray, excess: np.ndarray
+) -> np.ndarray:
+    """:func:`_largest_remainder` on vectors given as their entries.
+
+    Entry ``e`` holds ``held[e]`` GPUs in vector ``vec[e]`` with key
+    ``held_draws[e]``; ``vec`` is non-decreasing and lists each vector's
+    entries in column order.  They are packed into a ``(V, S)`` matrix, S
+    the widest support; returns the per-entry removal.
+    """
+    support = np.bincount(vec, minlength=len(excess))
+    slot = np.arange(vec.size) - (np.cumsum(support) - support)[vec]
+    shape = (len(excess), int(support.max()))
+    counts = np.zeros(shape, dtype=np.int64)
+    counts[vec, slot] = held
+    draws = np.zeros(shape)
+    draws[vec, slot] = held_draws
+    return _largest_remainder(counts, draws, excess)[vec, slot]

@@ -171,7 +171,8 @@ class PolluxSched:
         #: ``repair_ms``/``fitness_ms``/``select_ms``/``mutate_ms``, and
         #: ``total_ms``; under a :attr:`ga_gate` also ``wait_ms``, the wait
         #: for it, which ``total_ms`` leaves out.  Lets perf regressions
-        #: localize to a phase (recorded by ``benchmarks/bench_perf.py``).
+        #: localize to a phase: the perf ledger's traced runs read it every
+        #: round into its ``core.*_ms_mean`` rows (``benchmarks/e2e/``).
         self.last_phase_timings: Dict[str, float] = {}
         #: Lock held around the GA (not the table builds), or None.  Set by
         #: whoever runs several schedulers on threads of one interpreter

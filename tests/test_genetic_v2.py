@@ -26,7 +26,7 @@ from repro.core import (
     PolluxSchedConfig,
     SchedJobInfo,
 )
-from repro.core.genetic import _SPARSE_MIN_WIDTH
+from repro.core.genetic import _SPARSE_MIN_WIDTH, _remove_on_entries
 from repro.workload import MODEL_ZOO
 
 
@@ -200,6 +200,45 @@ class TestRepairInvariants:
             assert (repaired[:, j].sum(axis=-1) <= job.max_gpus).all()
         # Repair only removes GPUs, never adds.
         assert np.all(repaired <= pop)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        members=st.integers(1, 4),
+        num_jobs=st.integers(1, 140),
+        num_nodes=st.integers(1, 80),
+        gpus=st.integers(1, 8),
+        density=st.sampled_from([0.02, 0.1, 0.5]),
+        two_type=st.booleans(),
+        forbid=st.booleans(),
+    )
+    def test_repair_postconditions(
+        self, seed, members, num_jobs, num_nodes, gpus, density, two_type, forbid
+    ):
+        """Every repaired member is a valid single-type allocation within
+        its job caps, and repairing it again changes nothing and draws
+        nothing: each round re-repairs its warm seed population, so one
+        draw there would shift every later stream."""
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, num_jobs, num_nodes, gpus, two_type, forbid)
+        pop = random_population(rng, members, problem, density, 2 * gpus)
+        opt = GeneticOptimizer(
+            problem,
+            GAConfig(population_size=4, generations=1),
+            rng=np.random.default_rng(seed),
+        )
+        repaired = opt._repair(pop)
+        assert (repaired <= pop).all()
+        for member in repaired:
+            assert validate_allocation_matrix(
+                member, problem.cluster, forbid_interference=forbid
+            ) == []
+            assert (member.sum(axis=1) <= problem.max_gpus).all()
+            types_held = (member @ problem.type_masks.T > 0).sum(axis=1)
+            assert (types_held <= 1).all()
+        state = opt.rng.bit_generator.state
+        np.testing.assert_array_equal(opt._repair(repaired), repaired)
+        assert opt.rng.bit_generator.state == state
 
     def test_repair_preserves_feasible(self, small_cluster, quick_ga):
         problem = make_problem(small_cluster, num_jobs=3)
@@ -450,11 +489,52 @@ class RescanOptimizerV2(GeneticOptimizer):
     """The oracle for stream identity: the engine with the repair bodies it
     had before they were made incremental.
 
-    ``_batched_remove`` sorts every row at full width and
-    ``_repair_interference`` re-reduces the whole ``(P, J, N)`` tensor on
-    every pass.  The shipped methods must return the same arrays *and*
-    leave the generator in the same state.
+    ``_repair_caps_capacity`` gathers every violating row and column at
+    full width into one dense counts matrix, ``_batched_remove`` sorts every
+    row at full width and ``_repair_interference`` re-reduces the whole
+    ``(P, J, N)`` tensor on every pass.  The shipped methods must return the
+    same arrays *and* leave the generator in the same state.
     """
+
+    def _repair_caps_capacity(self, pop):
+        num_jobs = self.problem.num_jobs
+        num_nodes = self.problem.num_nodes
+        row_totals = pop.sum(axis=-1)  # (P, J)
+        row_excess = row_totals - self.problem.max_gpus[None, :]
+        row_p, row_j = np.where(row_excess > 0)
+        col_totals = pop.sum(axis=1)  # (P, N)
+        col_excess = col_totals - self.problem.capacities[None, :]
+        col_p, col_n = np.where(col_excess > 0)
+        n_rows, n_cols = len(row_p), len(col_p)
+        if n_rows == 0 and n_cols == 0:
+            return
+
+        width = max(num_nodes, num_jobs)
+        counts = np.zeros((n_rows + n_cols, width), dtype=np.int64)
+        if n_rows:
+            counts[:n_rows, :num_nodes] = pop[row_p, row_j]
+        if n_cols:
+            counts[n_rows:, :num_jobs] = pop[col_p, :, col_n]
+        excess = np.concatenate(
+            [row_excess[row_p, row_j], col_excess[col_p, col_n]]
+        )
+        removal = self._batched_remove(counts, excess)
+
+        if n_rows:
+            pop[row_p, row_j] -= removal[:n_rows, :num_nodes]
+        if n_cols:
+            cols = pop[col_p, :, col_n]  # (V, J), post-row-removal
+            take = np.minimum(removal[n_rows:, :num_jobs], cols)
+            need = np.maximum(
+                cols.sum(axis=1) - self.problem.capacities[col_n], 0
+            )
+            redo = np.where(take.sum(axis=1) != need)[0]
+            if len(redo):
+                take[redo] = 0
+                live = redo[need[redo] > 0]
+                if len(live):
+                    take[live] = self._batched_remove(cols[live], need[live])
+            pop[col_p, :, col_n] = cols - take
 
     def _batched_remove(self, counts, excess):
         c = counts.astype(float)
@@ -595,6 +675,8 @@ class TestRepairStreamIdentity:
     )
     @pytest.mark.parametrize("coarse", [False, True])
     def test_batched_remove_matches_full_width(self, width, coarse):
+        # The dense form, and the same rows packed to their non-zero cells
+        # with the keys gathered from the same draws, against the oracle.
         problem = make_problem(ClusterSpec.homogeneous(4, 4))
         data = np.random.default_rng(width)
         for trial in range(20):
@@ -603,17 +685,26 @@ class TestRepairStreamIdentity:
             counts[counts.sum(axis=1) == 0, data.integers(width)] = 1
             excess = data.integers(1, counts.sum(axis=1) + 1)
             oracle, shipped = engine_pair(problem)
+            # ``draws`` is the block the oracle's first call draws.
             if coarse:
                 oracle.rng, shipped.rng = CoarseRng(trial), CoarseRng(trial)
+                draws = CoarseRng(trial).random(counts.shape)
+            else:
+                draws = np.random.default_rng(0).random(counts.shape)
             got = shipped._batched_remove(counts, excess)
             want = oracle._batched_remove(counts, excess)
             np.testing.assert_array_equal(got, want)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got.sum(axis=1), excess)
-            # Same number of uniforms consumed, full width or packed.
             np.testing.assert_array_equal(
                 shipped.rng.random(3), oracle.rng.random(3)
             )
+            vec, col = np.nonzero(counts)
+            packed = np.zeros_like(counts)
+            packed[vec, col] = _remove_on_entries(
+                vec, counts[vec, col], draws[vec, col], excess
+            )
+            np.testing.assert_array_equal(packed, want)
 
     def test_interference_with_tied_keys(self):
         # Ties between candidates' keys go to the lowest job index, in
@@ -633,21 +724,70 @@ class TestRepairStreamIdentity:
                 shipped.rng.random(3), oracle.rng.random(3)
             )
 
-    def test_dense_round_shape(self):
-        # (16, 256, 64): the 512-GPU / 256-job round the sparse paths are
-        # for.  A repaired population, mutated, is what every generation
-        # hands to repair.
+    @staticmethod
+    def _round_shape(num_jobs, num_nodes):
+        # A repaired population, mutated, is what every generation hands to
+        # repair.
         data = np.random.default_rng(11)
-        problem = random_problem(data, 256, 64, 8, False, True)
+        problem = random_problem(data, num_jobs, num_nodes, 8, False, True)
         oracle, shipped = engine_pair(problem)
         feasible = shipped._repair(random_population(data, 16, problem, 0.02, 8))
         mutated = shipped._mutate(feasible)
-        assert mutated.shape == (16, 256, 64)
+        assert mutated.shape == (16, num_jobs, num_nodes)
         assert_same_repair(problem, mutated, seed=5)
         for member in shipped._repair(mutated):
             assert validate_allocation_matrix(
                 member, problem.cluster, forbid_interference=True
             ) == []
+
+    def test_dense_round_shape(self):
+        # (16, 256, 64): the 512-GPU / 256-job round the sparse paths are
+        # for.
+        self._round_shape(256, 64)
+
+    def test_sharded_cell_shape(self):
+        # (16, 128, 32): one cell of the 2048-GPU / 1024-job sharded round,
+        # wide by its jobs, not its nodes.
+        self._round_shape(128, 32)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        members=st.integers(1, 4),
+        num_jobs=st.integers(_SPARSE_MIN_WIDTH, _SPARSE_MIN_WIDTH + 40),
+        num_nodes=st.integers(2, 8),
+        gpus=st.integers(1, 2),
+        coarse=st.booleans(),
+    )
+    def test_row_removal_shrinks_column_support(
+        self, seed, members, num_jobs, num_nodes, gpus, coarse
+    ):
+        """Every job holds one GPU on every node and may keep one: each row
+        removal zeroes ``num_nodes - 1`` entries, and the columns stay over
+        capacity (they hold ``num_jobs / num_nodes`` kept entries on
+        average), so a column that is redrawn is redrawn on a smaller
+        support than the fused draw saw.  The coarse generator makes keys
+        tie."""
+        cluster = ClusterSpec.homogeneous(num_nodes, gpus)
+        jobs = [
+            JobGAInfo(
+                synthetic_table(1, 0.8), 1.0, 1,
+                np.zeros(num_nodes, dtype=np.int64), False,
+            )
+            for _ in range(num_jobs)
+        ]
+        problem = AllocationProblem(cluster, jobs, forbid_interference=False)
+        pop = np.ones((members, num_jobs, num_nodes), dtype=np.int64)
+        oracle, shipped = engine_pair(problem, seed=seed)
+        if coarse:
+            oracle.rng, shipped.rng = CoarseRng(seed), CoarseRng(seed)
+        want, got = pop.copy(), pop.copy()
+        oracle._repair_caps_capacity(want)
+        shipped._repair_caps_capacity(got)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(shipped.rng.random(3), oracle.rng.random(3))
+        assert (got.sum(axis=-1) <= 1).all()
+        assert (got.sum(axis=1) <= gpus).all()
 
     @pytest.mark.parametrize(
         "num_jobs, num_nodes, two_type, forbid",
