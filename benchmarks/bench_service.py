@@ -189,7 +189,12 @@ def run_live_load() -> Dict[str, object]:
         paths = ["/metrics", "/healthz", f"/v1/tenants/team-{worker:02d}"]
         while not stop_polling.is_set():
             for path in paths:
-                status, dt, _ = _request(base + path)
+                status, dt, payload = _request(base + path)
+                if path == "/healthz" and status == 503:
+                    # A poll that lands after the drain has ended the loop
+                    # reads "stopped"; anything else is a failure.
+                    if json.loads(payload)["status"] == "stopped":
+                        continue
                 with status_lock:
                     read_latencies.append(dt)
                     read_statuses[status] = read_statuses.get(status, 0) + 1

@@ -60,7 +60,10 @@ __all__ = ["GAConfig", "JobGAInfo", "AllocationProblem", "GeneticOptimizer"]
 #: winning side for every shape measured; lowering it would also move the
 #: interference switch, which loses below ~40 cells.  With sparse
 #: interference on everywhere, a 16-GPU trace simulation (4 nodes, 1-10
-#: jobs) read +4.4% on its steady round over ten pairs.
+#: jobs) read +4.4% on its steady round over ten pairs.  The switch also
+#: decides the support hand-off: only the wide caps repair finds a
+#: population's non-zero cells, and only then do interference repair and
+#: fitness read those cells instead of reducing the whole tensor.
 _SPARSE_MIN_WIDTH = 64
 
 
@@ -210,8 +213,13 @@ class AllocationProblem:
             self.current = np.zeros((0, self.num_nodes), dtype=np.int64)
             self.running = np.zeros(0, dtype=bool)
             self.tables = np.zeros((0, 1, 2, self.num_types), dtype=float)
+        #: Nodes each job's current allocation occupies, for the restart
+        #: test on a population's support.
+        self._current_nodes = np.count_nonzero(self.current, axis=1)
 
-    def speedups(self, population: np.ndarray) -> np.ndarray:
+    def speedups(
+        self, population: np.ndarray, *, support: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Per-job SPEEDUP for a (P, J, N) population; returns (P, J).
 
         On typed clusters the lookup uses the *slowest occupied* GPU type,
@@ -220,14 +228,48 @@ class AllocationProblem:
         single-type placements, where this is simply the placement's type;
         un-repaired matrices (e.g. current allocations straddling types
         after a resize) are scored at the speed they would actually run at.
+
+        ``support``, the ascending flat indices of the population's non-zero
+        cells (what the wide repair returns), replaces the reductions over
+        the whole tensor by counts over those cells; the result is
+        bit-identical.  Without it the reductions are dense.
         """
         pop = np.asarray(population)
-        k = np.minimum(pop.sum(axis=-1), self.max_gpus[None, :])
-        flag = ((pop > 0).sum(axis=-1) >= 2).astype(np.int64)
+        return self._lookup(*self._occupancy(pop, support))
+
+    def _occupancy(
+        self, pop: np.ndarray, support: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """GPUs and occupied nodes of every (member, job) row, and on typed
+        clusters its GPUs per type (``None`` on single-type ones)."""
+        per_type = None
+        if support is None:
+            if self.num_types > 1:
+                per_type = np.einsum("pjn,tn->pjt", pop, self.type_masks)
+            return pop.sum(axis=-1), (pop > 0).sum(axis=-1), per_type
+        shape = pop.shape[:2]
+        rows = shape[0] * shape[1]
+        member_job, node = np.divmod(support, self.num_nodes)
+        held = pop.take(support)
+        gpus = np.bincount(member_job, held, rows).astype(np.int64)
+        nodes = np.bincount(member_job, minlength=rows)
+        if self.num_types > 1:
+            num_types = self.num_types
+            per_type = np.bincount(
+                member_job * num_types + self.node_type_ids[node],
+                held,
+                rows * num_types,
+            ).reshape(*shape, num_types)
+        return gpus.reshape(shape), nodes.reshape(shape), per_type
+
+    def _lookup(
+        self, gpus: np.ndarray, nodes: np.ndarray, per_type: Optional[np.ndarray]
+    ) -> np.ndarray:
+        k = np.minimum(gpus, self.max_gpus[None, :])
+        flag = (nodes >= 2).astype(np.int64)
         j_idx = np.arange(self.num_jobs)[None, :]
-        if self.num_types == 1:
+        if per_type is None:
             return self.tables[j_idx, k, flag, 0]
-        per_type = np.einsum("pjn,tn->pjt", pop, self.type_masks)
         occupied_speeds = np.where(
             per_type > 0, self.type_speeds[None, None, :], np.inf
         )
@@ -235,13 +277,30 @@ class AllocationProblem:
         type_idx = np.argmin(occupied_speeds, axis=-1)
         return self.tables[j_idx, k, flag, type_idx]
 
-    def fitness(self, population: np.ndarray) -> np.ndarray:
-        """FITNESS(A) (Eqn. 14) for a (P, J, N) population; returns (P,)."""
+    def fitness(
+        self, population: np.ndarray, *, support: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """FITNESS(A) (Eqn. 14) for a (P, J, N) population; returns (P,).
+
+        With ``support`` (see :meth:`speedups`) every count, the restart
+        test's included, comes from the population's non-zero cells and
+        the result is bit-identical; without it the reductions are dense.
+        """
         pop = np.asarray(population)
         if self.num_jobs == 0:
             return np.zeros(pop.shape[0], dtype=float)
-        sp = self.speedups(pop)
-        changed = np.any(pop != self.current[None], axis=-1)
+        gpus, nodes, per_type = self._occupancy(pop, support)
+        sp = self._lookup(gpus, nodes, per_type)
+        if support is None:
+            changed = np.any(pop != self.current[None], axis=-1)
+        else:
+            # A row equals its current allocation iff it occupies as many
+            # nodes and every one of its non-zero cells matches.
+            differs = pop.take(support) != self.current.take(
+                support % (self.num_jobs * self.num_nodes)
+            )
+            changed = nodes != self._current_nodes[None, :]
+            changed.reshape(-1)[support[differs] // self.num_nodes] = True
         penalty = self.restart_penalty * (changed & self.running[None, :])
         weighted = self.weights[None, :] * (sp - penalty)
         denom = self.weights.sum()
@@ -280,6 +339,12 @@ class GeneticOptimizer:
       random distributed job — with the distributed set updated in place
       between passes (see :meth:`_repair_interference` for why single-pass
       resolution over-removes).
+    - **One scan per population.**  The wide repair hands the non-zero
+      cells it found to interference repair, which hands on the ones it
+      left, and fitness scores the population from them: a repaired
+      population is scanned once.  Narrow populations keep the dense
+      reductions.  :meth:`run` repairs the arrays it owns in place, and
+      crossover builds its offspring with one gather of parent rows.
     - **Explore, then recombine.**  Each generation mutates the
       population, scores the repaired mutants, and recombines tournament
       winners *of the mutants* — the order matters (crossover of two good
@@ -328,9 +393,11 @@ class GeneticOptimizer:
             "mutate_ms": 0.0,
         }
 
-    def _timed_fitness(self, population: np.ndarray) -> np.ndarray:
+    def _timed_fitness(
+        self, population: np.ndarray, support: Optional[np.ndarray]
+    ) -> np.ndarray:
         t0 = time.perf_counter()
-        out = self.problem.fitness(population)
+        out = self.problem.fitness(population, support=support)
         self.phase_ms["fitness_ms"] += (time.perf_counter() - t0) * 1000.0
         return out
 
@@ -375,28 +442,44 @@ class GeneticOptimizer:
         return entrants[np.arange(count), winner_slot]
 
     def _crossover(self, population: np.ndarray, fitness: np.ndarray) -> np.ndarray:
-        """Produce offspring by randomly mixing rows of tournament winners."""
-        count = population.shape[0]
-        parents_a = population[self._tournament(fitness, count)]
-        parents_b = population[self._tournament(fitness, count)]
-        take_a = self.rng.random((count, self.problem.num_jobs, 1)) < 0.5
-        return np.where(take_a, parents_a, parents_b)
+        """Produce offspring by randomly mixing rows of tournament winners.
+
+        Offspring row ``j`` is row ``j`` of parent a or of parent b, so the
+        offspring are one gather from the population's ``(P * J, N)`` rows.
+        """
+        count, num_jobs, num_nodes = population.shape
+        parents_a = self._tournament(fitness, count)
+        parents_b = self._tournament(fitness, count)
+        take_a = self.rng.random((count, num_jobs)) < 0.5
+        rows = np.where(take_a, parents_a[:, None], parents_b[:, None])
+        rows = rows * num_jobs + np.arange(num_jobs)
+        return population.reshape(count * num_jobs, num_nodes).take(rows, axis=0)
 
     # ------------------------------------------------------------------
     # Vectorized repair
     # ------------------------------------------------------------------
 
     def _repair(self, population: np.ndarray) -> np.ndarray:
-        """Type groups, then fused caps+capacity, then interference."""
-        t0 = time.perf_counter()
+        """A repaired copy of ``population`` (see :meth:`_repair_in_place`)."""
         pop = population.copy()
+        self._repair_in_place(pop)
+        return pop
+
+    def _repair_in_place(self, pop: np.ndarray) -> Optional[np.ndarray]:
+        """Type groups, then fused caps+capacity, then interference.
+
+        ``pop`` is repaired in place and must be C-contiguous.  Returns
+        the ascending flat indices of its non-zero cells when the wide
+        repair found them (:meth:`_repair_on_support`), else ``None``.
+        """
+        t0 = time.perf_counter()
         if self.problem.num_types > 1:
             self._repair_type_groups(pop)
-        self._repair_caps_capacity(pop)
+        support = self._repair_caps_capacity(pop)
         if self.problem.forbid_interference:
-            self._repair_interference(pop)
+            support = self._repair_interference(pop, support)
         self.phase_ms["repair_ms"] += (time.perf_counter() - t0) * 1000.0
-        return pop
+        return support
 
     def _repair_type_groups(self, pop: np.ndarray) -> None:
         """Restrict each job's placement to a single GPU-type group.
@@ -451,14 +534,14 @@ class GeneticOptimizer:
         write only the population's non-zero cells
         (:meth:`_repair_on_support`) — a mutated 16 x 256 x 64 population
         is ~2.5% non-zero.  Both draw the same blocks in the same order and
-        return the same arrays.
+        leave the same arrays; the wide form returns the support it
+        repaired, the dense one ``None``.
         """
         num_jobs = self.problem.num_jobs
         num_nodes = self.problem.num_nodes
         width = max(num_nodes, num_jobs)
         if width >= _SPARSE_MIN_WIDTH:
-            self._repair_on_support(pop)
-            return
+            return self._repair_on_support(pop)
         row_totals = pop.sum(axis=-1)  # (P, J)
         row_excess = row_totals - self.problem.max_gpus[None, :]
         row_p, row_j = np.where(row_excess > 0)
@@ -467,7 +550,7 @@ class GeneticOptimizer:
         col_p, col_n = np.where(col_excess > 0)
         n_rows, n_cols = len(row_p), len(col_p)
         if n_rows == 0 and n_cols == 0:
-            return
+            return None
 
         counts = np.zeros((n_rows + n_cols, width), dtype=np.int64)
         if n_rows:
@@ -497,16 +580,19 @@ class GeneticOptimizer:
                 if len(live):
                     take[live] = self._batched_remove(cols[live], need[live])
             pop[col_p, :, col_n] = cols - take
+        return None
 
-    def _repair_on_support(self, pop: np.ndarray) -> None:
+    def _repair_on_support(self, pop: np.ndarray) -> np.ndarray:
         """The wide form of :meth:`_repair_caps_capacity`, on non-zero cells.
 
-        ``pop`` must be C-contiguous (``_repair`` hands over its own copy):
-        it is read and written through one flat view.  A vector's entries
-        are its non-zero cells in the order of the dense row — over-cap rows
-        take theirs in flat order, over-capacity columns through a stable
-        sort on ``member * N + node`` — so the stable sort in
-        :func:`_largest_remainder` breaks key ties as it does on the full
+        ``pop`` must be C-contiguous: it is read and written through one
+        flat view.  Returns the ascending flat indices of the cells still
+        non-zero after the repair, the support the later steps read.
+
+        A vector's entries are its non-zero cells in the order of the dense
+        row — over-cap rows take theirs in flat order, over-capacity columns
+        through a stable sort on ``member * N + node`` — so the stable sort
+        in :func:`_largest_remainder` breaks key ties as it does on the full
         row.  Keys are gathered from the full-width draw blocks the dense
         form makes, so the arrays and the random stream are its own.
         """
@@ -527,7 +613,7 @@ class GeneticOptimizer:
         row_over, col_over = row_excess > 0, col_excess > 0
         n_rows, n_cols = np.count_nonzero(row_over), np.count_nonzero(col_over)
         if n_rows == 0 and n_cols == 0:
-            return
+            return cell
 
         row_ent = np.flatnonzero(row_over[member_job])
         row_vec = (np.cumsum(row_over) - 1)[member_job[row_ent]]
@@ -575,6 +661,7 @@ class GeneticOptimizer:
                     need[live],
                 )
         flat[col_cell] = held - take
+        return cell[flat[cell] != 0]
 
     def _batched_remove(
         self, counts: np.ndarray, excess: np.ndarray
@@ -586,7 +673,9 @@ class GeneticOptimizer:
         """
         return _largest_remainder(counts, self.rng.random(counts.shape), excess)
 
-    def _repair_interference(self, pop: np.ndarray) -> None:
+    def _repair_interference(
+        self, pop: np.ndarray, support: Optional[np.ndarray] = None
+    ) -> Optional[np.ndarray]:
         """Node-major interference resolution, batched over the population.
 
         Each pass picks every member's *first* still-violating node, keeps
@@ -599,33 +688,50 @@ class GeneticOptimizer:
         would lose all of them at once), which measurably under-allocates
         saturated clusters.  At most one pass per node.
 
-        The whole ``(P, J, N)`` tensor is reduced once, into ``cnt`` (nodes
-        each job occupies), ``dist_present`` (the job is distributed and on
-        the node) and ``share`` (distributed jobs on each node); a pass
-        then costs what it repairs.  It moves that state in three places
-        only: the fixed node is left with its one kept job, every dropped
-        job occupies one node fewer, and a job that just fell to a single
-        node stops counting as distributed on the one node it still holds.
+        The population is reduced once, into ``cnt`` (nodes each job
+        occupies), ``dist_present`` (the job is distributed and on the node)
+        and ``share`` (distributed jobs on each node); a pass then costs
+        what it repairs.  With ``support``, the ascending flat indices of
+        ``pop``'s non-zero cells, that reduction is two ``bincount`` calls
+        and one scatter over those cells; without it, it reduces the whole
+        ``(P, J, N)`` tensor.  A pass moves the state in three places only:
+        the fixed node is left with its one kept job, every dropped job
+        occupies one node fewer, and a job that just fell to a single node
+        stops counting as distributed on the one node it still holds.
         Members of fewer than ``_SPARSE_MIN_WIDTH`` cells re-reduce before
         every pass instead, which is cheaper there.  Either way the per-pass
         ``rng.random((V, J))`` block and the first-violating-node order are
         those of a full rescan, and so are the result and the random
-        stream.
+        stream.  Returns ``support`` minus the cells it zeroed, or ``None``
+        when given none.
         """
         num_members, num_jobs, num_nodes = pop.shape
         if num_jobs < 2 or num_nodes < 2:
-            return  # a conflict takes two jobs that each span two nodes
+            return support  # a conflict takes two jobs that each span two nodes
         sparse = num_jobs * num_nodes >= _SPARSE_MIN_WIDTH
         member_idx = np.arange(num_members)
         for n_pass in range(num_nodes):
-            if n_pass == 0 or not sparse:
+            if n_pass == 0 and support is not None:
+                member_job = support // num_nodes
+                cnt = np.bincount(member_job, minlength=num_members * num_jobs)
+                dist = support[cnt[member_job] >= 2]
+                dist_present = np.zeros(pop.shape, dtype=bool)
+                dist_present.reshape(-1)[dist] = True
+                member_node = (
+                    dist // (num_jobs * num_nodes) * num_nodes + dist % num_nodes
+                )
+                share = np.bincount(
+                    member_node, minlength=num_members * num_nodes
+                ).reshape(num_members, num_nodes)
+                cnt = cnt.reshape(num_members, num_jobs)
+            elif n_pass == 0 or not sparse:
                 present = pop > 0
                 cnt = present.sum(axis=-1)  # (P, J)
                 dist_present = present & (cnt >= 2)[:, :, None]  # (P, J, N)
                 share = dist_present.sum(axis=1)  # (P, N)
             violating = share >= 2
             if not violating.any():
-                return
+                break
             first_n = np.argmax(violating, axis=1)  # (P,)
             rows = np.flatnonzero(violating[member_idx, first_n])
             nodes = first_n[rows]
@@ -647,6 +753,9 @@ class GeneticOptimizer:
                 # A single-node row's one positive entry is its argmax.
                 last_n = np.argmax(pop[p_s, j_s], axis=1)
                 np.subtract.at(share, (p_s, last_n), 1)
+        if support is None:
+            return None
+        return support[pop.take(support) != 0]
 
     # ------------------------------------------------------------------
     # Warm start and main loop
@@ -665,6 +774,12 @@ class GeneticOptimizer:
         incumbent solution so warm-started rounds plateau (and early-exit)
         quickly.
         """
+        return self._seed(initial)[0]
+
+    def _seed(
+        self, initial: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """:meth:`seed_population` and the support its repair returned."""
         p_size = self.config.population_size
         num_jobs = self.problem.num_jobs
         num_nodes = self.problem.num_nodes
@@ -689,7 +804,7 @@ class GeneticOptimizer:
             ).astype(np.int64)
         else:
             pop = np.stack(members[:p_size]).astype(np.int64)
-        return self._repair(pop)
+        return pop, self._repair_in_place(pop)
 
     def run(
         self,
@@ -728,8 +843,8 @@ class GeneticOptimizer:
             )
 
         p_size = self.config.population_size
-        population = self.seed_population(initial)
-        fitness = self._timed_fitness(population)
+        population, support = self._seed(initial)
+        fitness = self._timed_fitness(population, support)
         t0 = time.perf_counter()
         order = np.argsort(-fitness, kind="stable")
         population = population[order]
@@ -750,13 +865,13 @@ class GeneticOptimizer:
             t0 = time.perf_counter()
             mutated = self._mutate(population)
             self.phase_ms["mutate_ms"] += (time.perf_counter() - t0) * 1000.0
-            mutated = self._repair(mutated)
-            mutated_fitness = self._timed_fitness(mutated)
+            support = self._repair_in_place(mutated)
+            mutated_fitness = self._timed_fitness(mutated, support)
             t0 = time.perf_counter()
             offspring = self._crossover(mutated, mutated_fitness)
             self.phase_ms["select_ms"] += (time.perf_counter() - t0) * 1000.0
-            offspring = self._repair(offspring)
-            offspring_fitness = self._timed_fitness(offspring)
+            support = self._repair_in_place(offspring)
+            offspring_fitness = self._timed_fitness(offspring, support)
 
             t0 = time.perf_counter()
             pool = np.concatenate([population, mutated, offspring])

@@ -378,6 +378,11 @@ class PolicyHost:
         return self._thread is not None and self._thread.is_alive()
 
     @property
+    def started(self) -> bool:
+        """Whether :meth:`start` launched the dispatch thread."""
+        return self._thread is not None
+
+    @property
     def draining(self) -> bool:
         """Whether :meth:`drain` was requested (read by live backends)."""
         return self._drain.is_set()

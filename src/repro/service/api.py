@@ -371,12 +371,27 @@ class SchedulerService:
             }
 
     def healthz(self) -> dict:
-        """The ``GET /healthz`` operation."""
-        summary = self.host.metrics.summary()
+        """The ``GET /healthz`` operation.
+
+        ``status`` is ``"ok"`` while the dispatch loop runs (a drain in
+        progress included) and for a host whose loop is not on a thread of
+        its own; ``"stopped"`` once the loop has ended after the host's
+        ``stop()`` or ``drain()``; and ``"dead"`` when the loop ``start()``
+        launched has ended without either being requested.  The HTTP layer
+        answers 503 for anything but ``"ok"``.
+        """
+        host = self.host
+        status = "ok"
+        if not host.running:
+            if host.stopping or host.draining:
+                status = "stopped"
+            elif host.started:
+                status = "dead"
+        summary = host.metrics.summary()
         return {
-            "status": "ok",
-            "running": self.host.running,
-            "policy": self.host.policy.name,
+            "status": status,
+            "running": host.running,
+            "policy": host.policy.name,
             "backend": type(self.backend).__name__,
             "host_time_s": self.backend.now(),
             "rounds": summary["rounds"],

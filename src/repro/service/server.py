@@ -10,7 +10,8 @@ in front of a service and serves the JSON API:
 ``DELETE /v1/jobs/{id}``     Cancel (queued: dropped; running: backend
                              completion event through the host's cancel hook)
 ``GET /v1/tenants/{t}``      Usage vs quota for one tenant
-``GET /healthz``             Liveness + host/policy/backend identity
+``GET /healthz``             Liveness + host/policy/backend identity (503
+                             unless the status is ``ok``)
 ``GET /metrics``             Prometheus text exposition (see
                              ``docs/operating.md`` for the series reference)
 ===========================  ===================================================
@@ -120,7 +121,8 @@ class _Handler(BaseHTTPRequestHandler):
         method = self.command
         path = unquote(urlsplit(self.path).path).rstrip("/") or "/"
         if method == "GET" and path == "/healthz":
-            self._send_json(200, self.service.healthz())
+            health = self.service.healthz()
+            self._send_json(200 if health["status"] == "ok" else 503, health)
             return
         if method == "GET" and path == "/metrics":
             page = render_metrics(self.service).encode("utf-8")

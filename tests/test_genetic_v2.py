@@ -216,7 +216,8 @@ class TestRepairInvariants:
         self, seed, members, num_jobs, num_nodes, gpus, density, two_type, forbid
     ):
         """Every repaired member is a valid single-type allocation within
-        its job caps, and repairing it again changes nothing and draws
+        its job caps, the support the wide repair returns is the result's
+        non-zero cells, and repairing it again changes nothing and draws
         nothing: each round re-repairs its warm seed population, so one
         draw there would shift every later stream."""
         rng = np.random.default_rng(seed)
@@ -227,7 +228,12 @@ class TestRepairInvariants:
             GAConfig(population_size=4, generations=1),
             rng=np.random.default_rng(seed),
         )
-        repaired = opt._repair(pop)
+        repaired = pop.copy()
+        support = opt._repair_in_place(repaired)
+        if max(num_jobs, num_nodes) < _SPARSE_MIN_WIDTH:
+            assert support is None
+        else:
+            np.testing.assert_array_equal(support, np.flatnonzero(repaired))
         assert (repaired <= pop).all()
         for member in repaired:
             assert validate_allocation_matrix(
@@ -380,9 +386,9 @@ class TestPatience:
         counting = []
 
         class Counting(GeneticOptimizer):
-            def _repair(self, population):
+            def _repair_in_place(self, pop):
                 counting.append(1)
-                return super()._repair(population)
+                return super()._repair_in_place(pop)
 
         cfg = GAConfig(population_size=16, generations=500, seed=0, patience=4)
         best, fitness, _ = Counting(problem, cfg).run()
@@ -396,9 +402,9 @@ class TestPatience:
         counting = []
 
         class Counting(GeneticOptimizer):
-            def _repair(self, population):
+            def _repair_in_place(self, pop):
                 counting.append(1)
-                return super()._repair(population)
+                return super()._repair_in_place(pop)
 
         cfg = GAConfig(population_size=8, generations=30, seed=0, patience=0)
         Counting(problem, cfg).run()
@@ -491,10 +497,20 @@ class RescanOptimizerV2(GeneticOptimizer):
 
     ``_repair_caps_capacity`` gathers every violating row and column at
     full width into one dense counts matrix, ``_batched_remove`` sorts every
-    row at full width and ``_repair_interference`` re-reduces the whole
-    ``(P, J, N)`` tensor on every pass.  The shipped methods must return the
-    same arrays *and* leave the generator in the same state.
+    row at full width and ``_repair_interference`` ignores any support it is
+    handed and re-reduces the whole ``(P, J, N)`` tensor on every pass.
+    ``_crossover`` selects between two gathered parent populations with
+    ``np.where``.  No repair returns a support, so the oracle's fitness is
+    the dense one.  The shipped methods must return the same arrays *and*
+    leave the generator in the same state.
     """
+
+    def _crossover(self, population, fitness):
+        count = population.shape[0]
+        parents_a = population[self._tournament(fitness, count)]
+        parents_b = population[self._tournament(fitness, count)]
+        take_a = self.rng.random((count, self.problem.num_jobs, 1)) < 0.5
+        return np.where(take_a, parents_a, parents_b)
 
     def _repair_caps_capacity(self, pop):
         num_jobs = self.problem.num_jobs
@@ -559,7 +575,7 @@ class RescanOptimizerV2(GeneticOptimizer):
             deficit[rows] -= 1
         return removal
 
-    def _repair_interference(self, pop):
+    def _repair_interference(self, pop, support=None):
         num_members, _, num_nodes = pop.shape
         member_idx = np.arange(num_members)
         for _ in range(num_nodes):
@@ -592,7 +608,10 @@ class CoarseRng:
         return np.floor(self._rng.random(shape) * 8.0) / 8.0
 
 
-def random_problem(rng, num_jobs, num_nodes, gpus, two_type, forbid):
+def random_problem(rng, num_jobs, num_nodes, gpus, two_type, forbid, incumbents=False):
+    """Jobs with zero current allocations, or with ``incumbents``: running
+    and idle jobs on current allocations that need not be feasible, weights
+    that differ, and a restart penalty.  Typed tables differ by type."""
     if two_type and num_nodes >= 2:
         first = num_nodes // 2
         cluster = ClusterSpec.heterogeneous(
@@ -605,17 +624,18 @@ def random_problem(rng, num_jobs, num_nodes, gpus, two_type, forbid):
         cap = int(rng.integers(1, cluster.total_gpus + 1))
         table = synthetic_table(cap, 0.8)
         if cluster.num_types > 1:
-            table = np.repeat(table[:, :, None], cluster.num_types, axis=2)
-        jobs.append(
-            JobGAInfo(
-                speedup_table=table,
-                weight=1.0,
-                max_gpus=cap,
-                current_alloc=np.zeros(num_nodes, dtype=np.int64),
-                running=False,
-            )
-        )
-    return AllocationProblem(cluster, jobs, forbid_interference=forbid)
+            table = np.stack([table, 0.7 * table], axis=2)
+        current, weight, running = np.zeros(num_nodes, dtype=np.int64), 1.0, False
+        if incumbents:
+            current = rng.integers(1, gpus + 1, size=num_nodes)
+            current *= rng.random(num_nodes) < 0.4
+            weight = float(rng.uniform(0.1, 2.0))
+            running = bool(rng.integers(0, 2))
+        jobs.append(JobGAInfo(table, weight, cap, current, running))
+    penalty = float(rng.uniform(0.05, 0.5)) if incumbents else 0.25
+    return AllocationProblem(
+        cluster, jobs, restart_penalty=penalty, forbid_interference=forbid
+    )
 
 
 def random_population(rng, members, problem, density, top):
@@ -810,3 +830,71 @@ class TestRepairStreamIdentity:
         assert got_fitness == want_fitness
         np.testing.assert_array_equal(got_pop, want_pop)
         assert shipped.rng.bit_generator.state == oracle.rng.bit_generator.state
+
+
+def edited_population(rng, members, problem):
+    """Members built from the current allocations by one edit a row: keep
+    it, drop one of its nodes, add a node, move a node's GPUs elsewhere,
+    change a node's count, or redraw the row."""
+    gpus = int(problem.capacities.max())
+    pop = np.repeat(problem.current[None], members, axis=0)
+    for row in pop.reshape(-1, problem.num_nodes):
+        held, free = np.flatnonzero(row), np.flatnonzero(row == 0)
+        edit = int(rng.integers(0, 6))
+        if edit in (1, 3) and held.size:
+            node = rng.choice(held)
+            if edit == 3 and free.size:
+                row[rng.choice(free)] = row[node]
+            row[node] = 0
+        elif edit == 2 and free.size:
+            row[rng.choice(free)] = rng.integers(1, gpus + 1)
+        elif edit == 4 and held.size:
+            row[rng.choice(held)] = rng.integers(1, gpus + 1)
+        elif edit == 5:
+            row[:] = rng.integers(0, gpus + 1, size=row.size)
+    return pop
+
+
+class TestSupportHandOff:
+    """Fitness on a population's support and the row-gather crossover
+    against the dense forms (the support itself is checked in
+    ``TestRepairInvariants::test_repair_postconditions``)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        members=st.integers(1, 6),
+        num_jobs=st.integers(1, 10),
+        num_nodes=st.integers(1, 10),
+        gpus=st.integers(1, 4),
+        two_type=st.booleans(),
+    )
+    def test_fitness_on_support_is_bit_equal(
+        self, seed, members, num_jobs, num_nodes, gpus, two_type
+    ):
+        rng = np.random.default_rng(seed)
+        problem = random_problem(
+            rng, num_jobs, num_nodes, gpus, two_type, True, incumbents=True
+        )
+        pop = edited_population(rng, members, problem)
+        support = np.flatnonzero(pop)
+        np.testing.assert_array_equal(
+            problem.fitness(pop, support=support), problem.fitness(pop)
+        )
+        np.testing.assert_array_equal(
+            problem.speedups(pop, support=support), problem.speedups(pop)
+        )
+
+    @pytest.mark.parametrize(
+        "members, num_jobs, num_nodes", [(1, 1, 3), (4, 5, 1), (16, 70, 8)]
+    )
+    def test_crossover_gathers_the_oracle_rows(self, members, num_jobs, num_nodes):
+        data = np.random.default_rng(num_jobs)
+        problem = random_problem(data, num_jobs, num_nodes, 4, False, True)
+        for trial in range(5):
+            pop = random_population(data, members, problem, 0.3, 4)
+            fitness = data.random(members)
+            oracle, shipped = engine_pair(problem, seed=trial)
+            got = shipped._crossover(pop, fitness)
+            np.testing.assert_array_equal(got, oracle._crossover(pop, fitness))
+            assert shipped.rng.bit_generator.state == oracle.rng.bit_generator.state

@@ -14,6 +14,7 @@ import json
 import math
 import re
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -454,6 +455,35 @@ class TestHTTPStack:
         status, body, _ = http(f"{served}/v1/tenants/teamA")
         assert status == 200
         assert json.loads(body)["tenant"] == "teamA"
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_healthz_is_503_over_a_dead_loop(self):
+        cluster = ClusterSpec.homogeneous(2, 4)
+        policy = quick_policy("tiresias", cluster)
+
+        def schedule(now, state):
+            raise RuntimeError("policy failure")
+
+        policy.schedule = schedule
+        host = PolicyHost(policy, fast_threaded(cluster))
+        service = SchedulerService(host)
+        server = ServiceServer(service).start()
+        try:
+            host.start()
+            deadline = time.monotonic() + 10.0
+            while host.running and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not host.running
+            status, body, _ = http(f"{server.url}/healthz")
+            assert status == 503
+            assert json.loads(body)["status"] == "dead"
+            host.stop()
+            status, body, _ = http(f"{server.url}/healthz")
+            assert status == 503
+            assert json.loads(body)["status"] == "stopped"
+        finally:
+            server.close()
+            host.stop()
 
     def test_metrics_scrape_parses(self, served):
         http(
