@@ -105,7 +105,7 @@ def run_replay(args: argparse.Namespace) -> None:
         )
     )
     config = SimConfig(seed=1001, max_hours=30.0)
-    print(f"replaying {args.jobs} recorded jobs through both hosts...")
+    print(f"replaying {args.jobs} recorded jobs: simulator, then replay host...")
     sim_result = Simulator(
         cluster, make_policy(args.policy, cluster), trace, config
     ).run()

@@ -1,22 +1,24 @@
-"""The wall-clock scheduling service: the Policy API's second host.
+"""The scheduling service: the one dispatch loop of the Policy API.
 
 The paper's scheduler is a *service*, not just a trace simulator: a
 periodic optimization loop running against live job state, with per-job
 agents reporting asynchronously (Sec. 5).  This package is that service
 for the repo's :mod:`repro.policy` interface, following the Blox-style
-policy/mechanism split: the same registry-constructed ``Policy`` objects
-that drive the discrete-time simulator drive a real-time cluster here,
-unchanged.
+policy/mechanism split: one fixed loop, many clusters.  The discrete-time
+simulator is this loop too — :meth:`repro.sim.Simulator.run` is
+``PolicyHost(policy, ReplayBackend.over(sim)).run()`` — so the same
+registry-constructed ``Policy`` objects drive a simulation, a trace
+replay and a real-time cluster unchanged.
 
 Three pieces:
 
 - :class:`~repro.host.service.PolicyHost` — the dispatch loop.  Builds
   frozen :class:`~repro.policy.views.ClusterState` snapshots at the
   configured cadence (plus lifecycle snapshots on submit/complete
-  events), honors :class:`~repro.policy.base.PolicyCapabilities` exactly
-  like the simulator (agent reports only for ``needs_agent`` policies,
-  cadenced ``decide_resize`` before the same round's ``schedule``,
-  agent-cadence batch re-tuning for ``adapts_batch_size``), applies
+  events), honors :class:`~repro.policy.base.PolicyCapabilities` (agent
+  reports only for ``needs_agent`` policies, cadenced ``decide_resize``
+  before the same round's ``schedule``, agent-cadence batch re-tuning
+  for ``adapts_batch_size``), applies
   :class:`~repro.policy.base.ScheduleDecision`\\ s through the backend
   with restart accounting, and records structured per-round metrics
   (dispatch latency, decisions applied, restarts triggered).  Lifecycle:
@@ -30,7 +32,8 @@ Three pieces:
   threads advancing in real (optionally time-scaled) time; and
   :class:`~repro.host.replay.ReplayBackend`, which replays a recorded
   trace at a configurable time-compression factor through the simulator's
-  own :class:`~repro.sim.engine.ClusterEngine` mechanism.
+  :class:`~repro.sim.engine.ClusterEngine` mechanism (its tick loop is
+  the simulator's).
 
 Running the live host
 ---------------------
@@ -55,14 +58,14 @@ Schedule live jobs with a real policy in a dozen lines
     result = host.drain()    # finish queued work, collect accounting
     print(host.metrics.summary())
 
-Deterministic replay (and the host-agreement guarantee)
--------------------------------------------------------
+Deterministic replay
+--------------------
 
 Replaying a recorded trace reproduces the simulator's decision stream
 **bit-for-bit** — same snapshot-build schedule, same report-call schedule
-(only for ``needs_agent`` policies), same RNG streams — because both
-hosts share one mechanism (:class:`~repro.sim.engine.ClusterEngine`) and
-one dispatch code path (:mod:`repro.policy.dispatch`)::
+(only for ``needs_agent`` policies), same RNG streams — because a
+simulation *is* a replay: the same host round, the same tick loop, the
+same :class:`~repro.sim.engine.ClusterEngine`::
 
     from repro.host import PolicyHost, ReplayBackend
     from repro.sim import SimConfig, decision_digest
@@ -71,12 +74,11 @@ one dispatch code path (:mod:`repro.policy.dispatch`)::
     result = PolicyHost(policy, backend).run()
     assert decision_digest(result) == decision_digest(simulator_result)
 
-``tests/test_host.py`` pins this for every registered policy and the
-``host-smoke`` CI job gates it; ``benchmarks/bench_host_agreement.py`` is
-the standalone checker.  A finite ``compression`` paces the replay
-against the wall clock (e.g. ``compression=3600`` replays an hour of
-trace per second) — useful for watching a policy behave in "fast real
-time" before pointing it at live jobs.
+``tests/test_host.py`` pins this for every registered policy.  A finite
+``compression`` paces the replay against the wall clock (e.g.
+``compression=3600`` replays an hour of trace per second) — useful for
+watching a policy behave in "fast real time" before pointing it at live
+jobs.
 
 Serving the host
 ----------------

@@ -12,7 +12,7 @@ seconds for the replay backend, (optionally scaled) wall-clock seconds for
 the threaded backend.  Job objects returned by :meth:`ClusterBackend.jobs`
 are duck-typed against :class:`repro.sim.job.SimJob` (the attribute shape
 :func:`repro.policy.views.snapshot_job` consumes), so the host builds
-policy snapshots with the same shared builders the simulator uses.
+policy snapshots with one set of builders for every backend.
 
 Lifecycle events (job submitted / completed) flow from the backend to the
 host through ``host.dispatch_event(kind, time, job)`` — synchronously at
@@ -93,7 +93,7 @@ class ClusterBackend(Protocol):
 
         Only trace-replaying backends can see the future; live backends
         return 0.0.  The host re-aligns its dispatch timers by the amount
-        skipped (matching the simulator's idle fast-forward semantics).
+        skipped.
         """
         ...
 

@@ -1,19 +1,18 @@
 """ReplayBackend: a recorded trace replayed on compressed wall-clock time.
 
-Drives the same :class:`~repro.sim.engine.ClusterEngine` mechanism the
-discrete-time simulator runs, but paced by the
-:class:`~repro.host.service.PolicyHost` loop instead of a simulated-time
-loop: each engine tick of ``config.tick_seconds`` virtual seconds takes
-``tick_seconds / compression`` wall seconds (``compression=inf``, the
-default, replays as fast as the policy can decide — the deterministic-test
-mode the ``host-smoke`` CI job runs).
+Drives a :class:`~repro.sim.engine.ClusterEngine` paced by the
+:class:`~repro.host.service.PolicyHost` loop: each engine tick of
+``config.tick_seconds`` virtual seconds takes ``tick_seconds /
+compression`` wall seconds (``compression=inf``, the default, replays as
+fast as the policy can decide).
 
-Because the engine, the dispatch helpers, and the cadence configuration
-are all shared with the simulator, a replay reproduces the simulator's
-decision stream **bit-for-bit** on the same trace and seed: the same
-snapshot-build schedule, agent reports only for ``needs_agent`` policies,
-the same observation-noise RNG stream, the same restart accounting.
-``tests/test_host.py`` pins this digest-for-digest.
+This is the discrete-time simulator's own loop: :meth:`repro.sim.
+Simulator.run` is ``PolicyHost(policy, ReplayBackend.over(sim)).run()``,
+so :meth:`ReplayBackend.advance` is the simulator's tick loop and
+:meth:`ReplayBackend.idle_fast_forward` its idle skip.  A replay of a
+trace therefore reproduces the simulator's decision stream on the same
+trace and seed by construction; ``tests/test_host.py`` pins it
+digest-for-digest all the same.
 """
 
 from __future__ import annotations
@@ -64,9 +63,20 @@ class ReplayBackend:
     ):
         if compression <= 0:
             raise ValueError("compression must be positive")
-        self.engine = ClusterEngine(cluster, trace, config)
-        self.config = config
-        self.compression = float(compression)
+        self._attach(ClusterEngine(cluster, trace, config), float(compression))
+
+    @classmethod
+    def over(cls, engine: ClusterEngine) -> "ReplayBackend":
+        """Replay an existing, not yet started engine at infinite
+        compression — how :meth:`repro.sim.Simulator.run` runs itself."""
+        backend = cls.__new__(cls)
+        backend._attach(engine, float("inf"))
+        return backend
+
+    def _attach(self, engine: ClusterEngine, compression: float) -> None:
+        self.engine = engine
+        self.config = engine.config
+        self.compression = compression
         self._timeline: List[TimelineSample] = []
         self._node_seconds = 0.0
         self._host: Optional["PolicyHost"] = None
@@ -156,21 +166,21 @@ class ReplayBackend:
     def advance(self, until: float) -> None:
         """Step engine ticks until host time ``until`` (or an idle gap).
 
-        Mirrors the simulator's tick body exactly: observe/advance (with
-        profiling gated on the policy's live ``needs_agent``), completion
-        events, timeline sample, clock, admission.  Returns early at an
-        idle gap of a whole tick or more so the host can fast-forward its
-        timers, exactly like the simulator's idle skip.
+        This is the simulator's tick loop: each tick is one
+        :meth:`~repro.sim.engine.ClusterEngine.run_one_tick` (observe/
+        advance with profiling gated on the policy's live ``needs_agent``,
+        completion events, timeline sample, clock, admission).  Returns
+        early at an idle gap of a whole tick or more so the host can
+        fast-forward its timers through :meth:`idle_fast_forward`.
         """
         eng = self.engine
         cfg = self.config
         host = self._host
         deadline = self.deadline()
         # The host loop checked the deadline before this round (with the
-        # pre-fast-forward clock, exactly like the simulator's loop-top
-        # check), so the round's first tick is exempt here — a tick
-        # reached by skipping an idle gap past the deadline still runs
-        # once, matching the simulator bit-for-bit.
+        # pre-fast-forward clock), so the round's first tick is exempt
+        # here: a tick reached by skipping an idle gap past the deadline
+        # still runs once.
         first_tick = True
         while eng.now < until:
             if host.stopping:

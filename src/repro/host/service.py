@@ -1,25 +1,24 @@
-"""PolicyHost: the wall-clock scheduling service driving the Policy API.
+"""PolicyHost: the scheduling service driving the Policy API.
 
 The service owns the dispatch loop the paper's deployed scheduler runs
-(Sec. 5): at a fixed scheduling cadence (and, for autoscaling policies, a
-resize cadence) it builds frozen snapshot views of the live cluster state,
-invokes the policy, and applies the returned decisions through a
-:class:`~repro.host.backend.ClusterBackend`.  It honors
-:class:`~repro.policy.base.PolicyCapabilities` exactly like the simulator
-does — agent reports are attached to snapshots only for ``needs_agent``
-policies, ``decide_resize`` fires on the declared cadence before the same
-round's scheduling event, batch-size re-tuning runs on the agent cadence
-for ``adapts_batch_size`` policies — because both hosts share the dispatch
-helpers in :mod:`repro.policy.dispatch`.
+(Sec. 5), and the only one in the repo: at a fixed scheduling cadence
+(and, for autoscaling policies, a resize cadence) it builds frozen
+snapshot views of the cluster state, invokes the policy, and applies the
+returned decisions through a :class:`~repro.host.backend.ClusterBackend`.
+It honors :class:`~repro.policy.base.PolicyCapabilities` — agent reports
+are attached to snapshots only for ``needs_agent`` policies,
+``decide_resize`` fires on the declared cadence before the same round's
+scheduling event, batch-size re-tuning runs on the agent cadence for
+``adapts_batch_size`` policies — through the helpers in
+:mod:`repro.policy.dispatch`.
 
-Determinism contract: driven by a :class:`~repro.host.replay.ReplayBackend`
-on a recorded trace, the host reproduces the discrete-time simulator's
-decision stream **bit-for-bit** (same snapshot-build schedule, same
-report-call schedule, same RNG streams); ``tests/test_host.py`` and the
-``host-smoke`` CI job pin this.  Driven by a
-:class:`~repro.host.threaded.ThreadedBackend`, the same policy object
-schedules goodput-model-driven worker jobs advancing asynchronously in
-real time.
+The discrete-time simulator runs on this loop: :meth:`repro.sim.Simulator.
+run` drives its engine through a :class:`~repro.host.replay.ReplayBackend`
+at infinite compression, so a replay of a recorded trace reproduces the
+simulator's decision stream by construction (``tests/test_host.py`` pins
+it).  Driven by a :class:`~repro.host.threaded.ThreadedBackend`, the same
+policy object schedules goodput-model-driven worker jobs advancing
+asynchronously in real time.
 """
 
 from __future__ import annotations
@@ -178,7 +177,7 @@ class PolicyHost:
     def dispatch_event(self, kind: str, now: float, job) -> None:
         """Relay a backend lifecycle event to the policy (see
         :func:`~repro.policy.dispatch.relay_job_event`: report-free
-        snapshots, the same relay code path the simulator uses)."""
+        snapshots)."""
         relay_job_event(self.policy, kind, now, job)
 
     # ------------------------------------------------------------------
@@ -188,10 +187,10 @@ class PolicyHost:
     def _dispatch_round(self) -> None:
         """Fire every due dispatch event at the current host time.
 
-        Event order matches the simulator's tick: ``decide_resize`` (if
-        due) before ``schedule`` (if due) before the agent batch-tuning
-        cadence; a fresh snapshot state is built per event.  Runs under
-        the backend's dispatch lock.
+        The round's event order, for the simulator and every backend:
+        ``decide_resize`` (if due) before ``schedule`` (if due) before the
+        agent batch-tuning cadence; a fresh snapshot state is built per
+        event.  Runs under the backend's dispatch lock.
         """
         policy = self.policy
         backend = self.backend
@@ -290,8 +289,8 @@ class PolicyHost:
                     if backend.finite or self._drain.is_set():
                         break
                 # An idle trace-replay fast-forwards to the next arrival;
-                # every periodic timer advances past the skipped gap
-                # (mirroring the simulator's idle fast-forward).
+                # every periodic timer advances past the skipped gap (the
+                # autoscale timer included, though it fires either way).
                 skipped = backend.idle_fast_forward()
                 if skipped > 0:
                     now = backend.now()

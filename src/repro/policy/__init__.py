@@ -3,14 +3,15 @@
 This package is the repo's policy/mechanism seam (in the spirit of Blox,
 Agarwal et al.): scheduling *policies* consume frozen snapshot views and
 return decisions; *hosts* own the event loop, job runtime state,
-profiling, and the application of decisions.  There are two hosts — the
-discrete-time simulator (:mod:`repro.sim`) and the wall-clock service
-(:mod:`repro.host`) — sharing the dispatch helpers in
-:mod:`repro.policy.dispatch`, so a policy written once runs on both (and
-on a recorded trace their decision streams agree bit-for-bit).  The four paper policies — Pollux and the
-Tiresias / Optimus+Oracle / Or-et-al baselines — plus both autoscaling
-behaviors (goodput-utility and throughput-marginal) all live behind this
-one interface, constructible by registry name::
+profiling, and the application of decisions.  There is one host loop —
+:class:`repro.host.PolicyHost`, using the helpers in
+:mod:`repro.policy.dispatch` — and the discrete-time simulator
+(:mod:`repro.sim`) runs on it through a trace-replay backend, so a policy
+written once runs simulated, replayed or live, and a simulation and a
+replay of the same trace agree bit-for-bit.  The four paper policies —
+Pollux and the Tiresias / Optimus+Oracle / Or-et-al baselines — plus
+both autoscaling behaviors (goodput-utility and throughput-marginal) all
+live behind this one interface, constructible by registry name::
 
     import repro.policy
 

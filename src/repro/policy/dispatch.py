@@ -1,8 +1,8 @@
-"""Shared dispatch helpers: one code path for every host of the Policy API.
+"""Dispatch helpers: the steps of the Policy API's one host loop.
 
-A *host* (the discrete-time simulator, the wall-clock :mod:`repro.host`
-service) owns an event loop and job runtime state; what it owes the policy
-is a fixed dispatch contract:
+The host (:class:`repro.host.PolicyHost`, which the discrete-time
+simulator runs on too) owns the event loop; its backend owns job runtime
+state.  What the host owes the policy is a fixed dispatch contract:
 
 - snapshots are built exactly at dispatch events, with agent reports
   attached only for policies whose capabilities declare ``needs_agent``
@@ -14,11 +14,8 @@ is a fixed dispatch contract:
 - batch-size re-tuning (for ``adapts_batch_size`` policies) runs each
   job's agent at the host's agent cadence.
 
-These helpers were extracted from the simulator's dispatch loop so that
-every host shares them *by construction* — the host-agreement guarantee
-(``tests/test_host.py``, ``benchmarks/bench_host_agreement.py``) pins that
-the wall-clock replay host reproduces the simulator's decision streams
-bit-for-bit, and sharing this code path is what makes that hold.
+The simulator runs on the host's round too, so a replay reproduces its
+decision streams by construction (``tests/test_host.py`` pins it).
 
 Jobs are duck-typed against :class:`repro.sim.job.SimJob` (see
 :func:`~repro.policy.views.snapshot_job` for the attribute shape).
@@ -46,8 +43,7 @@ def relay_job_event(policy, kind: str, now: float, job) -> None:
     ``kind`` is ``"submitted"`` or ``"completed"``.  Lifecycle snapshots
     are report-free by contract — agent reports are attached only at
     scheduling/autoscale dispatch events (the report-call schedule is part
-    of the decision stream) — and both hosts relay through this one
-    helper so the event contract cannot drift between them.
+    of the decision stream).
     """
     if kind == "submitted":
         policy.on_job_submitted(now, snapshot_job(job))

@@ -1,4 +1,4 @@
-"""Cluster mechanism layer shared by the simulator and the replay host.
+"""Cluster mechanism layer behind the simulator and every trace replay.
 
 :class:`ClusterEngine` owns everything *mechanical* about driving a
 recorded workload trace against a cluster — the Blox-style mechanism side
@@ -17,13 +17,13 @@ of the policy/mechanism split:
 
 What it deliberately does *not* own is policy dispatch: when scheduling,
 autoscaling, and batch-size-tuning events fire is the host's job.  The
-discrete-time :class:`~repro.sim.simulator.Simulator` subclasses the
-engine and adds the paper's fixed-interval dispatch loop; the wall-clock
-:class:`~repro.host.PolicyHost` drives a standalone engine through
-:class:`~repro.host.ReplayBackend` on real time.  Because both hosts run
-this one mechanism code path, the replay host reproduces the simulator's
-decision streams bit-for-bit on the same trace (pinned by
-``tests/test_host.py`` and the ``host-smoke`` CI job).
+discrete-time :class:`~repro.sim.simulator.Simulator` is an engine that
+:class:`~repro.host.PolicyHost` drives through
+:class:`~repro.host.ReplayBackend` at infinite compression; a standalone
+replay drives a fresh engine the same way, optionally paced against the
+wall clock.  There is one dispatch loop, so a replay reproduces the
+simulator's decision stream on the same trace by construction
+(``tests/test_host.py`` still pins it).
 
 Lifecycle events (admission/completion) are reported through
 :attr:`ClusterEngine.event_sink` at the exact points the pre-refactor
@@ -397,7 +397,7 @@ class ClusterEngine:
         return completed
 
     def run_one_tick(self, profile: bool, utility: float = 0.0) -> TimelineSample:
-        """One complete engine tick, shared verbatim by both hosts.
+        """One complete engine tick of :meth:`repro.host.ReplayBackend.advance`.
 
         Sequence (order is part of the decision-stream contract):
         observe/advance (:meth:`step_tick`, emitting completion events),

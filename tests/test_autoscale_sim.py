@@ -141,11 +141,13 @@ class TestPostIdleAutoscale:
     def test_timer_aligned_with_clock_after_idle(self):
         gap_hours = 4.0
         sim, autoscaler, _ = self._run_with_gap(gap_hours)
-        # After the run, the autoscaler timer must never trail the clock by
-        # more than its interval (it would with the pre-fix stale timer
-        # semantics if the fast-forward left it in the past).
+        # The autoscaler kept firing up to the end of the run: its last
+        # decision is within one interval (plus the tick it lands on) of
+        # the final clock, which a timer left in the past by the idle
+        # fast-forward would not guarantee.
         interval = autoscaler.capabilities.autoscale_interval
-        assert sim._next_autoscale >= sim.now - interval
+        last_decide = autoscaler.decide_times[-1]
+        assert sim.now - last_decide <= interval + sim.config.tick_seconds
         # Post-idle decides respect the configured cadence.
         post_idle = [
             t for t in autoscaler.decide_times if t >= gap_hours * 3600.0

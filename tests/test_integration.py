@@ -115,16 +115,17 @@ class TestPolluxAdaptivity:
         max_gpus_seen = 0
         max_batch_seen = 0.0
         job = sim.jobs[0]
+        next_schedule = 0.0
         # Drive the simulator manually to watch the trajectory.
         while sim.now < 5 * 3600 and not job.complete:
             active = sim.active_jobs()
-            if sim.now >= sim._next_schedule:
+            if sim.now >= next_schedule:
                 state = snapshot_state(cluster, active, with_reports=True)
                 allocs = dict(
                     scheduler.schedule(sim.now, state).allocations
                 )
                 sim._apply_allocations(allocs, active)
-                sim._next_schedule = sim.now + sim.config.scheduling_interval
+                next_schedule = sim.now + sim.config.scheduling_interval
                 sim._tune_batch_sizes(active)
             for j in active:
                 if j.num_gpus > 0 and sim.now >= j.restart_until:

@@ -192,6 +192,28 @@ class TestInterference:
         assert run(0.5).avg_jct() == pytest.approx(run(0.0).avg_jct(), rel=0.01)
 
 
+class TestPolicyFailure:
+    def test_raising_policy_propagates_and_is_closed(self, cluster):
+        """A policy bug ends a simulation with its own exception (a
+        reproduction run must not paper over it), and the policy is still
+        closed so threads and worker processes it owns do not leak."""
+
+        class Failing(FixedScheduler):
+            closed = 0
+
+            def schedule(self, now, state):
+                raise RuntimeError("policy bug")
+
+            def close(self):
+                self.closed += 1
+
+        policy = Failing()
+        sim = Simulator(cluster, policy, [neumf_spec()], SimConfig(seed=0))
+        with pytest.raises(RuntimeError, match="policy bug"):
+            sim.run()
+        assert policy.closed == 1
+
+
 class TestValidation:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
