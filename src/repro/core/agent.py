@@ -101,8 +101,8 @@ class AgentReport:
         separately.  With ``phi_tol > 0``, phi is quantized to relative
         buckets of that width (e.g. 0.05 = 5%-wide buckets on a log scale),
         so fingerprints also collide *across* scheduling rounds while phi
-        drifts within a bucket — an opt-in approximation for cross-round
-        table reuse (see ``PolluxSchedConfig.surface_phi_tol``).
+        drifts within a bucket — the approximation an agent's batch-tuning
+        cache makes for cross-round table reuse (``TABLE_TUNING_PHI_TOL``).
         """
         phi = self.grad_noise_scale
         if phi_tol > 0.0:

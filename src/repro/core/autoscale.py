@@ -100,8 +100,7 @@ class UtilityAutoscaler:
         #: when the caller does not pass the live scheduler's cache.
         if self.sched_config.surface_cache_size > 0:
             self.surface_cache: Optional[SurfaceCache] = SurfaceCache(
-                maxsize=self.sched_config.surface_cache_size,
-                phi_tol=self.sched_config.surface_phi_tol,
+                maxsize=self.sched_config.surface_cache_size
             )
         else:
             self.surface_cache = None
@@ -140,7 +139,6 @@ class UtilityAutoscaler:
             ga=self.config.probe_ga,
             table_points_per_octave=self.sched_config.table_points_per_octave,
             surface_cache_size=self.sched_config.surface_cache_size,
-            surface_phi_tol=self.sched_config.surface_phi_tol,
         )
         sched = PolluxSched(
             cluster, probe_cfg, seed=self._seed, surface_cache=surface_cache

@@ -61,14 +61,12 @@ def _blocks(items: list):
 class PolluxSchedConfig:
     """Operator-facing configuration of PolluxSched (Sec. 5.1 defaults).
 
-    The two ``surface_*`` knobs control the shared
-    :class:`~repro.core.surfacecache.SurfaceCache`:
-    ``surface_cache_size = 0`` disables caching entirely (every round
-    rebuilds every table, the pre-cache behavior); ``surface_phi_tol``
-    quantizes phi in the cache key for opt-in cross-round reuse — at the
-    default 0.0 the cache is keyed on exact values and scheduling decisions
-    are bit-for-bit identical to the uncached path.  ``surface_cache_size``
-    is a *floor*: each round the cache is grown to at least
+    ``surface_cache_size`` sizes the shared
+    :class:`~repro.core.surfacecache.SurfaceCache`, keyed on exact values,
+    so scheduling decisions are bit-for-bit identical to the uncached path;
+    0 disables caching entirely (every round rebuilds every table, the
+    pre-cache behavior).  It is a *floor*: each round the cache is grown to
+    at least
     ``_CACHE_SLOTS_PER_JOB`` entries per active job, so large job counts
     cannot thrash the LRU (growing never changes decisions).
 
@@ -86,7 +84,7 @@ class PolluxSchedConfig:
     changed restricts mutation to those jobs' rows while carrying the rest
     from the warm population.  phi drift alone deliberately does not dirty
     a job (the skip trades bounded goodput-model staleness for round
-    cost, like ``surface_phi_tol``); ``incremental_refresh_every`` forces
+    cost); ``incremental_refresh_every`` forces
     an unrestricted round every that-many rounds (0 = never) to bound the
     staleness.  Departures, cluster resizes, and external allocation
     changes always force a full round.
@@ -99,7 +97,6 @@ class PolluxSchedConfig:
     ga: GAConfig = field(default_factory=GAConfig)
     table_points_per_octave: int = 16
     surface_cache_size: int = 512
-    surface_phi_tol: float = 0.0
     cells_path: Optional[str] = None
     incremental: bool = False
     incremental_refresh_every: int = 10
@@ -113,8 +110,6 @@ class PolluxSchedConfig:
             raise ValueError("weight_decay must be non-negative")
         if self.surface_cache_size < 0:
             raise ValueError("surface_cache_size must be non-negative")
-        if self.surface_phi_tol < 0:
-            raise ValueError("surface_phi_tol must be non-negative")
         if self.incremental_refresh_every < 0:
             raise ValueError("incremental_refresh_every must be non-negative")
 
@@ -185,10 +180,7 @@ class PolluxSched:
         if surface_cache is not None:
             self.surface_cache: Optional[SurfaceCache] = surface_cache
         elif self.config.surface_cache_size > 0:
-            self.surface_cache = SurfaceCache(
-                maxsize=self.config.surface_cache_size,
-                phi_tol=self.config.surface_phi_tol,
-            )
+            self.surface_cache = SurfaceCache(maxsize=self.config.surface_cache_size)
         else:
             self.surface_cache = None
         if self.config.cells_path and self.surface_cache is not None:

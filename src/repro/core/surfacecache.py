@@ -22,13 +22,13 @@ pure value key, a cache hit returns the identical array object a miss
 would have computed — caching is invisible to scheduling decisions
 (asserted bit-for-bit by ``tests/test_surfacecache.py``).
 
-Cross-round reuse is opt-in: agents re-fit theta_sys only every
-``refit_every`` observations, but phi_t drifts every tick, so exact keys
-miss across rounds.  Constructing the cache with ``phi_tol > 0`` quantizes
-phi into relative buckets (see :meth:`repro.core.agent.AgentReport.
-fingerprint`), trading a bounded goodput-model staleness for table reuse
-across rounds.  This changes decisions (slightly) and is therefore off by
-default; ``PolluxSchedConfig.surface_phi_tol`` is the operator knob.
+Agents re-fit theta_sys only every ``refit_every`` observations, but phi_t
+drifts every tick, so exact keys miss across rounds.  Constructing the
+cache with ``phi_tol > 0`` quantizes phi into relative buckets (see
+:meth:`repro.core.agent.AgentReport.fingerprint`), trading a bounded
+goodput-model staleness for table reuse across rounds.  Only an agent's
+own batch-tuning cache does that (``TABLE_TUNING_PHI_TOL``); the
+scheduler's cache keys on exact phi.
 """
 
 from __future__ import annotations

@@ -80,9 +80,9 @@ Decision-stream guarantees
 Hosts build snapshots at exactly the dispatch events (reports only for
 ``needs_agent`` policies), so the report-call schedule — and with it every
 RNG stream — is fixed by the API, not by the host: the default
-configuration's simulator digests in ``BENCH_perf.json`` are pinned through
-registry-constructed policies (``tests/test_pinned_digests.py``,
-``bench_perf.py --check``) and the wall-clock replay host reproduces them
+configuration's simulator digests in ``benchmarks/pins.json`` are pinned
+through registry-constructed policies (``tests/test_pinned_digests.py``,
+``benchmarks/gates.py check``) and the wall-clock replay host reproduces them
 bit-for-bit.  See "Decision-stream policy" in ``docs/operating.md``.
 """
 

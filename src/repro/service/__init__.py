@@ -25,7 +25,8 @@ the running system is observed.
 Operator guide: ``docs/operating.md`` (start/drain/stop, backend choice,
 time compression, the full ``/metrics`` series reference, and the
 two-tier decision-stream policy).  Overview and quickstart: ``README.md``.
-Load benchmark: ``benchmarks/bench_service.py`` → ``BENCH_service.json``.
+Load benchmark: the perf ledger's ``service_live`` workload
+(``benchmarks/e2e``).
 """
 
 from .api import SchedulerService, ServiceError

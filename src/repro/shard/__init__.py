@@ -61,9 +61,9 @@ Decision-stream tier: ``pollux-sharded`` with a single cell (any
 homogeneous cluster under the default partitioner) reproduces the
 unsharded ``pollux`` policy's decision stream **bit-for-bit** (same seed, same RNG
 draws — pinned in tests).  Multi-cell configurations are a different,
-benchmarked stream: ``benchmarks/bench_scale.py`` tracks round-time curves
-(``BENCH_scale.json``) and the nightly workflow holds reduced-scale
-sharded-vs-unsharded JCT parity.
+benchmarked stream: the nightly workflow holds reduced-scale
+sharded-vs-unsharded JCT parity (``benchmarks/gates.py parity``), and the
+perf ledger (``benchmarks/e2e``) times the rounds.
 
 Execution backends
 ------------------
@@ -85,8 +85,7 @@ selected with ``ShardedPolicy(execution=...)``:
   rounds, never re-pickled).  Pays a per-round serialization/IPC toll but
   escapes the GIL entirely — it wins once per-cell GA compute dominates
   that toll, i.e. multi-cell rounds at real job counts on a multi-core
-  host (``BENCH_scale.json`` records the crossover; on a single core it
-  is strictly overhead).
+  host (on a single core it is strictly overhead).
 
 What crosses the pipe each round is a compact delta, not state
 (:mod:`repro.shard.wire`): per job, the current allocation and attained

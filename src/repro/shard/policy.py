@@ -302,8 +302,8 @@ class ShardedPolicy(Policy):
         against unsharded numbers bit-for-bit).
 
         ``last_phase_timings`` stays the per-phase *sum* across cells
-        (the historical shape ``bench_scale`` reads — e.g. a summed
-        ``skipped`` still means "at least one cell skipped").  The richer
+        (the unsharded policy's shape — e.g. a summed ``skipped`` still
+        means "at least one cell skipped").  The richer
         :attr:`last_round_report` adds the per-phase max (the critical
         path under a concurrent executor), the full per-cell breakdown —
         including ``ipc_ms`` under the process executor and ``wait_ms``

@@ -216,7 +216,7 @@ def decision_digest(result: SimResult) -> str:
     decisions: every start/finish time, GPU-time total, restart count, and
     per-tick utilization/efficiency sample hashes in via exact float
     ``repr``.  Used by the pinned tier (the default configuration's digests
-    in ``BENCH_perf.json`` must not move) and by the replay checks (a
+    in ``benchmarks/pins.json`` must not move) and by the replay checks (a
     replay of a trace, bare or behind the service, reproduces the
     simulation).
     """
