@@ -39,7 +39,7 @@ _BUCKET_LOG_BASE = float(np.log(1.05))
 TABLE_TUNING_PHI_TOL = 0.05
 
 #: Batch-size grid density of those tuning tables.  Twice the scheduler's
-#: ``table_points_per_octave``: a lookup has to land within a fraction of a
+#: ``sched.TABLE_POINTS_PER_OCTAVE``: a lookup has to land within a fraction of a
 #: percent of the golden-section optimum's goodput (>= 0.995x, asserted by
 #: ``tests/test_surfacecache.py``).
 TABLE_TUNING_POINTS_PER_OCTAVE = 32

@@ -98,12 +98,7 @@ class UtilityAutoscaler:
         self._seed = seed
         #: Fallback surface cache shared across this autoscaler's probes
         #: when the caller does not pass the live scheduler's cache.
-        if self.sched_config.surface_cache_size > 0:
-            self.surface_cache: Optional[SurfaceCache] = SurfaceCache(
-                maxsize=self.sched_config.surface_cache_size
-            )
-        else:
-            self.surface_cache = None
+        self.surface_cache = SurfaceCache()
 
     def _utility_at(
         self,
@@ -137,8 +132,6 @@ class UtilityAutoscaler:
             gputime_thres=self.sched_config.gputime_thres,
             weight_decay=self.sched_config.weight_decay,
             ga=self.config.probe_ga,
-            table_points_per_octave=self.sched_config.table_points_per_octave,
-            surface_cache_size=self.sched_config.surface_cache_size,
         )
         sched = PolluxSched(
             cluster, probe_cfg, seed=self._seed, surface_cache=surface_cache

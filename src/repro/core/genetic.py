@@ -369,10 +369,6 @@ class GeneticOptimizer:
     instrumentation consumes no randomness.
     """
 
-    #: Optional (J,) bool mask restricting mutation to dirty jobs' rows
-    #: (incremental rounds).  ``None`` — the default — mutates every row.
-    _mutate_rows: Optional[np.ndarray] = None
-
     def __init__(
         self,
         problem: AllocationProblem,
@@ -412,21 +408,11 @@ class GeneticOptimizer:
         upper bound, which is substantially cheaper than the
         broadcast-array bound (same distribution, different stream — which
         of the two runs is fixed by the cluster, not by a switch).
-
-        When ``run(..., mutate_rows=...)`` supplied a dirty-row mask, the
-        mutation mask is intersected with it: clean jobs' rows pass through
-        unchanged, so an incremental round only explores reallocations
-        involving jobs whose inputs actually moved.  The random draws are
-        still made for every entry — masking filters, it does not reshape
-        the stream — which keeps the operator's cost profile and RNG
-        consumption independent of the dirty-set size.
         """
         caps = self.problem.capacities
         prob = 1.0 / max(self.problem.num_nodes, 1)
         shape = population.shape
         mask = self.rng.random(shape) < prob
-        if self._mutate_rows is not None:
-            mask &= self._mutate_rows[None, :, None]
         if caps.size and caps.min() == caps.max():
             random_vals = self.rng.integers(0, int(caps[0]) + 1, size=shape)
         else:
@@ -807,34 +793,14 @@ class GeneticOptimizer:
         return pop, self._repair_in_place(pop)
 
     def run(
-        self,
-        initial: Optional[np.ndarray] = None,
-        mutate_rows: Optional[np.ndarray] = None,
+        self, initial: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, float, np.ndarray]:
         """Run the GA and return (best matrix, best fitness, population).
 
         The returned population is fitness-sorted descending, so element 0
         of the next round's bootstrap is this round's best allocation.
-
-        ``mutate_rows`` — an optional (num_jobs,) bool mask — restricts
-        mutation to the marked (dirty) jobs' rows for incremental rounds:
-        clean jobs ride along unmutated from the warm population, while
-        crossover and repair stay unrestricted so dirty jobs can still
-        claim GPUs held by clean ones (capacity repair arbitrates).
         """
         self._reset_timings()
-        if mutate_rows is None:
-            self._mutate_rows = None
-        else:
-            mask = np.asarray(mutate_rows, dtype=bool)
-            if mask.shape != (self.problem.num_jobs,):
-                raise ValueError(
-                    f"mutate_rows has shape {mask.shape}, expected "
-                    f"({self.problem.num_jobs},)"
-                )
-            # An all-dirty mask is a full round; drop it so the uniform
-            # fast path stays mask-free.
-            self._mutate_rows = mask if not mask.all() else None
         if self.problem.num_jobs == 0:
             empty = np.zeros((0, self.problem.num_nodes), dtype=np.int64)
             return empty, 0.0, np.zeros(

@@ -32,6 +32,10 @@ from .surfacecache import SurfaceCache
 
 __all__ = ["PolluxSchedConfig", "SchedJobInfo", "job_weight", "PolluxSched"]
 
+#: Batch-size grid density of the scheduler's speedup tables (points per
+#: doubling of the batch size; see :mod:`repro.core.speedup`).
+TABLE_POINTS_PER_OCTAVE = 16
+
 #: Surface-cache slots reserved per active job (see ``SurfaceCache.
 #: ensure_capacity``): one slot per distinct (exploration cap, phi) pair a
 #: job's tables are built at within a round — the round itself plus the
@@ -61,33 +65,9 @@ def _blocks(items: list):
 class PolluxSchedConfig:
     """Operator-facing configuration of PolluxSched (Sec. 5.1 defaults).
 
-    ``surface_cache_size`` sizes the shared
-    :class:`~repro.core.surfacecache.SurfaceCache`, keyed on exact values,
-    so scheduling decisions are bit-for-bit identical to the uncached path;
-    0 disables caching entirely (every round rebuilds every table, the
-    pre-cache behavior).  It is a *floor*: each round the cache is grown to
-    at least
-    ``_CACHE_SLOTS_PER_JOB`` entries per active job, so large job counts
-    cannot thrash the LRU (growing never changes decisions).
-
-    ``cells_path`` points at a phi-free ``TputCells`` snapshot written by
-    :meth:`PolluxSched.save_cells` (``SurfaceCache.to_file``); when set,
-    a fresh scheduler pre-warms its surface cache from it, closing most of
-    the cold-start gap across restarts.  A missing file is ignored (the
-    first run has nothing persisted yet).
-
-    ``incremental`` (default off) enables dirty-set rounds: a
-    round whose inputs are unchanged — same job set, same
-    ``theta_fingerprint()`` per job, same exploration caps, allocations
-    still exactly what the previous round assigned — skips the GA entirely
-    and replays the previous allocations; a round where only *some* jobs
-    changed restricts mutation to those jobs' rows while carrying the rest
-    from the warm population.  phi drift alone deliberately does not dirty
-    a job (the skip trades bounded goodput-model staleness for round
-    cost); ``incremental_refresh_every`` forces
-    an unrestricted round every that-many rounds (0 = never) to bound the
-    staleness.  Departures, cluster resizes, and external allocation
-    changes always force a full round.
+    Every scheduler keeps its speedup tables in an in-memory
+    :class:`~repro.core.surfacecache.SurfaceCache` keyed on exact values, so
+    caching never changes a decision and has nothing to configure.
     """
 
     restart_penalty: float = 0.25
@@ -95,11 +75,6 @@ class PolluxSchedConfig:
     gputime_thres: float = 4.0 * 3600.0  # 4 GPU-hours, in GPU-seconds
     weight_decay: float = 0.5  # lambda in Eqn. 16
     ga: GAConfig = field(default_factory=GAConfig)
-    table_points_per_octave: int = 16
-    surface_cache_size: int = 512
-    cells_path: Optional[str] = None
-    incremental: bool = False
-    incremental_refresh_every: int = 10
 
     def __post_init__(self) -> None:
         if self.restart_penalty < 0:
@@ -108,10 +83,6 @@ class PolluxSchedConfig:
             raise ValueError("gputime_thres must be positive")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
-        if self.surface_cache_size < 0:
-            raise ValueError("surface_cache_size must be non-negative")
-        if self.incremental_refresh_every < 0:
-            raise ValueError("incremental_refresh_every must be non-negative")
 
 
 @dataclass
@@ -174,63 +145,14 @@ class PolluxSched:
         #: (``repro.shard.executor.ThreadCellExecutor``): two GAs at once
         #: trade the GIL at every numpy call and finish no sooner.
         self.ga_gate: Optional[threading.Lock] = None
-        #: Shared speedup/batch-size surface cache (None = caching off).  An
-        #: explicitly passed cache (e.g. from the scheduler owning this
-        #: probe instance) wins over the config's own; see surfacecache.py.
-        if surface_cache is not None:
-            self.surface_cache: Optional[SurfaceCache] = surface_cache
-        elif self.config.surface_cache_size > 0:
-            self.surface_cache = SurfaceCache(maxsize=self.config.surface_cache_size)
-        else:
-            self.surface_cache = None
-        if self.config.cells_path and self.surface_cache is not None:
-            try:
-                self.surface_cache.load_file(self.config.cells_path)
-            except FileNotFoundError:
-                pass  # first run: nothing persisted yet
-        #: Incremental-round bookkeeping (``config.incremental``): the
-        #: per-job dirty signature and the allocation vector handed out
-        #: last round, plus a counter driving the periodic forced refresh.
-        self._last_sigs: Dict[str, tuple] = {}
-        self._last_allocs: Dict[str, np.ndarray] = {}
-        self._rounds_since_full = 0
+        #: Shared speedup-table cache.  An explicitly passed cache (e.g. the
+        #: live scheduler's, handed to an autoscaler probe) wins over a
+        #: fresh one of its own; see surfacecache.py.
+        self.surface_cache = (
+            surface_cache if surface_cache is not None else SurfaceCache()
+        )
 
     # ------------------------------------------------------------------
-
-    def save_cells(self, path: Optional[str] = None) -> int:
-        """Persist the cache's phi-free ``TputCells`` for warm restarts.
-
-        Writes to ``path`` (default: ``config.cells_path``) via
-        :meth:`SurfaceCache.to_file`; returns the number of entries
-        written, 0 when there is no cache or no target path.
-        """
-        target = path if path is not None else self.config.cells_path
-        if target is None or self.surface_cache is None:
-            return 0
-        return self.surface_cache.to_file(target)
-
-    def export_cells(self) -> list:
-        """Picklable warm-cells snapshot (``SurfaceCache.export_cells``).
-
-        The in-memory counterpart of :meth:`save_cells`: the sharded
-        policy's process executor ships these between worker generations
-        so a replacement scheduler starts with warm throughput cells
-        instead of re-deriving every surface.  Returns ``[]`` when
-        caching is off.
-        """
-        if self.surface_cache is None:
-            return []
-        return self.surface_cache.export_cells()
-
-    def import_cells(self, entries) -> int:
-        """Merge an :meth:`export_cells` snapshot; 0 when caching is off.
-
-        Decision-safe: a cells hit feeds the identical table assembly a
-        rebuild would (the same guarantee ``cells_path`` loading makes).
-        """
-        if self.surface_cache is None:
-            return 0
-        return self.surface_cache.import_cells(entries)
 
     def set_cluster(self, cluster: ClusterSpec) -> None:
         """Replace the cluster (cloud auto-scaling).
@@ -292,26 +214,23 @@ class PolluxSched:
         pow-kernel rounding.
         """
         cache = self.surface_cache
-        ppo = self.config.table_points_per_octave
+        ppo = TABLE_POINTS_PER_OCTAVE
         speeds = tuple(float(s) for s in type_speeds)
         tables: List[Optional[np.ndarray]] = [None] * len(jobs)
         # Jobs without a cached table: (index, table key, cells key, cells).
         missing: List[tuple] = []
-        if cache is not None:
-            for idx, (job, cap) in enumerate(zip(jobs, caps)):
-                key = cache.speedup_key(job.report, cap, ppo, speeds)
-                entry = cache.lookup(key)
-                if entry is not None:
-                    tables[idx] = entry[0]
-                    continue
-                # Second level: phi-free throughput cells survive across
-                # rounds while only phi drifted (the steady-state case).
-                ckey = cache.cells_key(job.report, cap, ppo, speeds)
-                centry = cache.lookup(ckey)
-                cells = TputCells(*centry) if centry is not None else None
-                missing.append((idx, key, ckey, cells))
-        else:
-            missing = [(idx, None, None, None) for idx in range(len(jobs))]
+        for idx, (job, cap) in enumerate(zip(jobs, caps)):
+            key = cache.speedup_key(job.report, cap, ppo, speeds)
+            entry = cache.lookup(key)
+            if entry is not None:
+                tables[idx] = entry[0]
+                continue
+            # Second level: phi-free throughput cells survive across
+            # rounds while only phi drifted (the steady-state case).
+            ckey = cache.cells_key(job.report, cap, ppo, speeds)
+            centry = cache.lookup(ckey)
+            cells = TputCells(*centry) if centry is not None else None
+            missing.append((idx, key, ckey, cells))
         if missing:
             models = [jobs[idx].report.goodput_model() for idx, _, _, _ in missing]
             miss_caps = [caps[idx] for idx, _, _, _ in missing]
@@ -331,22 +250,21 @@ class PolluxSched:
                 )
                 for pos, cells in zip(block, built_cells):
                     idx, key, ckey, _ = missing[pos]
-                    if cache is not None:
-                        # Copy out of the batch's shared backing arrays:
-                        # a cached view would pin the whole block's buffer
-                        # for as long as any one entry survives the LRU.
-                        # The fold below reads the copies too, so the next
-                        # block reuses this block's memory.
-                        cells = TputCells(
-                            *cache.store(
-                                ckey,
-                                (
-                                    cells.tput.copy(),
-                                    cells.m_cells.copy(),
-                                    cells.counts.copy(),
-                                ),
-                            )
+                    # Copy out of the batch's shared backing arrays: a
+                    # cached view would pin the whole block's buffer for as
+                    # long as any one entry survives the LRU.  The fold
+                    # below reads the copies too, so the next block reuses
+                    # this block's memory.
+                    cells = TputCells(
+                        *cache.store(
+                            ckey,
+                            (
+                                cells.tput.copy(),
+                                cells.m_cells.copy(),
+                                cells.counts.copy(),
+                            ),
                         )
+                    )
                     missing[pos] = (idx, key, ckey, cells)
             for block, block_models, block_caps in zip(
                 _blocks(missing), _blocks(models), _blocks(miss_caps)
@@ -359,31 +277,24 @@ class PolluxSched:
                     cells=[cells for _, _, _, cells in block],
                 )
                 for (idx, key, _, _), table in zip(block, built):
-                    if cache is not None:
-                        # A copy for the reason the cells are copied above.
-                        (table,) = cache.store(key, (table.copy(),))
-                    tables[idx] = table
+                    # A copy for the reason the cells are copied above.
+                    (tables[idx],) = cache.store(key, (table.copy(),))
         return tables
 
     def build_problem(self, jobs: Sequence[SchedJobInfo]) -> AllocationProblem:
         """Construct the GA allocation problem for one scheduling round.
 
-        Speedup tables come from the shared :class:`SurfaceCache` when one
-        is configured, so ``optimize``, ``utility``, and autoscaler probes
-        that see the same reports within a tick build each job's table at
-        most once; with caching disabled every table is rebuilt in place.
-        The cache is grown to the round's working-set size first (see
+        Speedup tables come from the shared :class:`SurfaceCache`, so
+        ``optimize``, ``utility``, and autoscaler probes that see the same
+        reports within a tick build each job's table at most once.  The
+        cache is grown to the round's working-set size first (see
         ``_CACHE_SLOTS_PER_JOB``); the misses are built in ragged batched
         surface passes.
         """
         cfg = self.config
-        cache = self.surface_cache
         total_gpus = self.cluster.total_gpus
         type_speeds = self.cluster.type_speeds()
-        if cache is not None and jobs:
-            cache.ensure_capacity(
-                max(cfg.surface_cache_size, len(jobs) * _CACHE_SLOTS_PER_JOB)
-            )
+        self.surface_cache.ensure_capacity(len(jobs) * _CACHE_SLOTS_PER_JOB)
         caps = [job.report.exploration_cap(total_gpus) for job in jobs]
         tables = self._tables_batched(jobs, caps, type_speeds)
         ga_jobs: List[JobGAInfo] = []
@@ -405,30 +316,6 @@ class PolluxSched:
             forbid_interference=cfg.forbid_interference,
         )
 
-    def _dirty_rows(
-        self, jobs: Sequence[SchedJobInfo], sigs: Dict[str, tuple]
-    ) -> np.ndarray:
-        """(J,) bool mask of jobs whose scheduling inputs moved.
-
-        A job is dirty when it is new, its phi-free signature
-        (``theta_fingerprint()`` + exploration cap) changed, or its current
-        allocation is no longer exactly what the previous round assigned
-        (external reshapes, restarts mid-flight).  phi drift alone is
-        clean by design — see ``PolluxSchedConfig.incremental``.
-        """
-        dirty = np.zeros(len(jobs), dtype=bool)
-        for idx, job in enumerate(jobs):
-            prev = self._last_sigs.get(job.job_id)
-            last = self._last_allocs.get(job.job_id)
-            if (
-                prev is None
-                or prev != sigs[job.job_id]
-                or last is None
-                or not np.array_equal(job.current_alloc, last)
-            ):
-                dirty[idx] = True
-        return dirty
-
     def optimize(
         self, jobs: Sequence[SchedJobInfo]
     ) -> Dict[str, np.ndarray]:
@@ -440,59 +327,11 @@ class PolluxSched:
         if not jobs:
             self._population = None
             self._population_job_ids = []
-            self._last_sigs = {}
-            self._last_allocs = {}
             self.last_utility = 0.0
             self.last_phase_timings = {}
             return {}
 
         t_start = time.perf_counter()
-        cfg = self.config
-        mutate_rows: Optional[np.ndarray] = None
-        sigs: Dict[str, tuple] = {}
-        if cfg.incremental:
-            total_gpus = self.cluster.total_gpus
-            sigs = {
-                job.job_id: (
-                    job.report.theta_fingerprint(),
-                    job.report.exploration_cap(total_gpus),
-                )
-                for job in jobs
-            }
-            # Departures, resizes, a missing warm population, and the
-            # periodic refresh all force an unrestricted round.
-            full = (
-                self._resized_since_round
-                or self._population is None
-                or bool(set(self._last_sigs) - set(job_ids))
-                or (
-                    cfg.incremental_refresh_every > 0
-                    and self._rounds_since_full >= cfg.incremental_refresh_every
-                )
-            )
-            if not full:
-                dirty = self._dirty_rows(jobs, sigs)
-                if not dirty.any():
-                    # Clean round: nothing the GA could act on has moved —
-                    # skip table builds and the GA, replay last round.
-                    self._rounds_since_full += 1
-                    self.last_phase_timings = {
-                        "table_ms": 0.0,
-                        "repair_ms": 0.0,
-                        "fitness_ms": 0.0,
-                        "select_ms": 0.0,
-                        "mutate_ms": 0.0,
-                        "skipped": 1.0,
-                        "total_ms": (time.perf_counter() - t_start) * 1000.0,
-                    }
-                    return {
-                        jid: self._last_allocs[jid].copy() for jid in job_ids
-                    }
-                mutate_rows = dirty
-                self._rounds_since_full += 1
-            else:
-                self._rounds_since_full = 0
-
         problem = self.build_problem(jobs)
         t_tables = time.perf_counter()
         ga_config = self.config.ga
@@ -510,9 +349,7 @@ class PolluxSched:
         t_gate = time.perf_counter()
         with gate if gate is not None else nullcontext():
             t_ga = time.perf_counter()
-            best, _, population = optimizer.run(
-                initial=initial, mutate_rows=mutate_rows
-            )
+            best, _, population = optimizer.run(initial=initial)
 
         self._population = population
         self._population_job_ids = list(job_ids)
@@ -526,13 +363,7 @@ class PolluxSched:
             wait_ms = (t_ga - t_gate) * 1000.0
             self.last_phase_timings["wait_ms"] = wait_ms
             self.last_phase_timings["total_ms"] -= wait_ms
-        result = {jid: best[j].copy() for j, jid in enumerate(job_ids)}
-        if cfg.incremental:
-            self._last_sigs = sigs
-            self._last_allocs = {
-                jid: alloc.copy() for jid, alloc in result.items()
-            }
-        return result
+        return {jid: best[j].copy() for j, jid in enumerate(job_ids)}
 
     def utility(self, jobs: Sequence[SchedJobInfo], matrix: np.ndarray) -> float:
         """UTILITY(A) of an allocation matrix for these jobs (Eqn. 17)."""

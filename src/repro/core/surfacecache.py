@@ -33,7 +33,6 @@ scheduler's cache keys on exact phi.
 
 from __future__ import annotations
 
-import json
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
@@ -270,109 +269,3 @@ class SurfaceCache:
                 ),
             )
         return entry
-
-    # ------------------------------------------------------------------
-    # Persistence (phi-free cells entries only)
-    # ------------------------------------------------------------------
-
-    def export_cells(self) -> list:
-        """The phi-free ``TputCells`` entries as ``[(key, arrays), ...]``.
-
-        The in-memory form of :meth:`to_file`: only ``"cells"`` entries
-        are exported, because their keys contain nothing but
-        ``theta_fingerprint()`` and table-shape scalars (no phi), so they
-        stay valid wherever the same reports are scheduled.  The returned
-        list is picklable — the sharded policy's process executor uses it
-        to hand warm cells between a retiring worker and its replacement
-        without a filesystem round trip.
-        """
-        return [
-            (key, entry)
-            for key, entry in self._entries.items()
-            if key and key[0] == "cells"
-        ]
-
-    def import_cells(self, entries) -> int:
-        """Merge an :meth:`export_cells` list into this cache.
-
-        Decision-safe for the same reason :meth:`load_file` is: a cells
-        hit feeds the same deterministic table assembly a rebuild would.
-        Returns the number of entries imported.
-        """
-        entries = list(entries)
-        self.ensure_capacity(len(self._entries) + len(entries))
-        for key, entry in entries:
-            self.store(key, tuple(np.asarray(array) for array in entry))
-        return len(entries)
-
-    def to_file(self, path: str) -> int:
-        """Serialize the phi-free ``TputCells`` entries to an ``.npz`` file.
-
-        Persists exactly what :meth:`export_cells` returns: entries whose
-        keys carry no phi stay valid across scheduler restarts for as long
-        as the jobs' theta_sys fits do — which is exactly the expensive
-        part of a cold round.  Surface-level entries (phi-keyed, a cheap
-        assembly away from their cells) are rebuilt on demand and not
-        written.
-
-        Returns the number of entries written.  The file is written at
-        ``path`` exactly (no ``.npz`` suffix is appended).
-        """
-        keys: list = []
-        arrays = {}
-        for key, entry in self.export_cells():
-            idx = len(keys)
-            keys.append(list(key[:2]) + [int(key[2]), int(key[3]), list(key[4])])
-            tput, m_cells, counts = entry
-            arrays[f"tput_{idx}"] = tput
-            arrays[f"m_{idx}"] = m_cells
-            arrays[f"counts_{idx}"] = counts
-        # default=float covers numpy scalar leakage into fingerprints;
-        # int/float drift is lookup-safe (tuple hashing treats 1 == 1.0).
-        arrays["keys_json"] = np.array(json.dumps(keys, default=float))
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-        return len(keys)
-
-    def load_file(self, path: str) -> int:
-        """Merge cells entries written by :meth:`to_file` into this cache.
-
-        Loaded entries are decision-safe: a cells hit feeds the same
-        deterministic table assembly a rebuild would, and the persisted
-        arrays are bit-identical to what :func:`~repro.core.speedup.
-        build_tput_cells` computes for the same ``theta_fingerprint()``
-        on the same numpy stack.  Keys whose jobs have since re-fit
-        theta_sys simply never hit and age out of the LRU.
-
-        Returns the number of entries loaded.
-        """
-        with np.load(path, allow_pickle=False) as data:
-            raw_keys = json.loads(str(data["keys_json"]))
-            self.ensure_capacity(len(self._entries) + len(raw_keys))
-            loaded = 0
-            for idx, raw in enumerate(raw_keys):
-                tag, theta, max_gpus, ppo, speeds = raw
-                if tag != "cells":
-                    continue
-                key = (
-                    "cells",
-                    tuple(theta),
-                    int(max_gpus),
-                    int(ppo),
-                    tuple(float(s) for s in speeds),
-                )
-                self.store(
-                    key,
-                    (data[f"tput_{idx}"], data[f"m_{idx}"], data[f"counts_{idx}"]),
-                )
-                loaded += 1
-        return loaded
-
-    @classmethod
-    def from_file(
-        cls, path: str, maxsize: int = 512, phi_tol: float = 0.0
-    ) -> "SurfaceCache":
-        """Construct a cache pre-warmed from a :meth:`to_file` snapshot."""
-        cache = cls(maxsize=maxsize, phi_tol=phi_tol)
-        cache.load_file(path)
-        return cache

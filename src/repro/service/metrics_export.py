@@ -246,12 +246,13 @@ def render_metrics(service: "SchedulerService") -> str:
         )
         for agg, timings in phase_aggs:
             for phase, ms in sorted(timings.items()):
-                key = phase[:-3] if phase.endswith("_ms") else phase
+                if not phase.endswith("_ms"):
+                    continue  # only times are phases
                 _sample(
                     lines,
                     "scheduler_round_phase_seconds",
                     float(ms) / 1e3,
-                    {"phase": key, "agg": agg},
+                    {"phase": phase[:-3], "agg": agg},
                 )
 
     # -- tenants ---------------------------------------------------------

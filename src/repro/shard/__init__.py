@@ -1,4 +1,4 @@
-"""Sharded scheduling: cells + incremental GA rounds for 10k-GPU scale.
+"""Sharded scheduling: cell-partitioned GA rounds for 10k-GPU scale.
 
 Pollux's GA re-optimizes the entire cluster every round, so round cost
 grows with total jobs × nodes even when almost nothing changed.  This
@@ -40,19 +40,11 @@ Scaling out, step by step
     host's restart accounting charges the move like any reallocation.
 
 3.  **Optimize per cell.**  Each cell scheduler sees a standalone
-    sub-cluster and only its resident jobs: warm-started populations,
-    plateau early-exit, surface caching, and ``cells_path`` persistence
-    all apply per cell unchanged.
+    sub-cluster and only its resident jobs, and re-optimizes all of them
+    every round: warm-started populations, plateau early-exit and surface
+    caching all apply per cell unchanged.
 
-4.  **Go incremental.**  With ``PolluxSchedConfig(incremental=True)`` a
-    cell whose inputs did not move (no arrivals/departures, no theta_sys
-    re-fits, allocations untouched) skips its GA entirely and replays its
-    previous allocations; a cell where only some jobs changed restricts
-    mutation to the dirty jobs' rows and carries the rest from the warm
-    population.  ``incremental_refresh_every`` bounds staleness with a
-    periodic unrestricted round.
-
-5.  **Stitch.**  Cell-local allocation vectors are scattered back into
+4.  **Stitch.**  Cell-local allocation vectors are scattered back into
     full-cluster coordinates; every active job appears in the decision
     (zeros outside its cell), so no job is ever double-allocated across
     cells — pinned by ``tests/test_shard.py``.
@@ -104,7 +96,7 @@ parent-side fallback scheduler (logged, counted in
 ``ShardedPolicy.fallback_rounds``) and the worker is replaced, cold, for
 the next round.  ``Policy.close()`` tears the backend down (hosts call it
 at end of run); a closed policy revives its executor on the next
-``schedule``, re-shipping the warm throughput cells harvested at close.
+``schedule``, with cold workers.
 """
 
 from .executor import (

@@ -63,7 +63,7 @@ logger = logging.getLogger("repro.shard")
 #: Generous ceiling for worker construction (spawn pays an interpreter
 #: start plus a numpy import before it can acknowledge the configure).
 _CONFIGURE_TIMEOUT_S = 120.0
-#: How long close() waits for a worker to hand back its warm cells.
+#: How long a terminated worker process is given to exit.
 _EXIT_TIMEOUT_S = 5.0
 
 
@@ -256,7 +256,8 @@ def _worker_main(conn) -> None:
 
     Top-level so every start method (including ``spawn``) can import it.
     Messages are ``(kind, payload)`` tuples; every request gets exactly
-    one reply, so the parent can match them without sequence numbers.
+    one reply, so the parent can match them without sequence numbers.  A
+    worker runs until its pipe closes or the parent terminates it.
     """
     scheds: Dict[int, PolluxSched] = {}
     reports: Dict[int, dict] = {}
@@ -270,11 +271,8 @@ def _worker_main(conn) -> None:
             try:
                 scheds = {}
                 reports = {}
-                for idx, (spec, config, seed, cells_entries) in msg[1].items():
-                    sched = PolluxSched(spec, config, seed=seed)
-                    if cells_entries:
-                        sched.import_cells(cells_entries)
-                    scheds[idx] = sched
+                for idx, (spec, config, seed) in msg[1].items():
+                    scheds[idx] = PolluxSched(spec, config, seed=seed)
                     reports[idx] = {}
                 conn.send(("ok",))
             except Exception:
@@ -297,20 +295,6 @@ def _worker_main(conn) -> None:
                 conn.send(("results", out))
             except Exception:
                 conn.send(("error", traceback.format_exc()))
-        elif kind == "exit":
-            try:
-                conn.send(
-                    (
-                        "cells",
-                        {
-                            idx: sched.export_cells()
-                            for idx, sched in scheds.items()
-                        },
-                    )
-                )
-            except Exception:
-                conn.send(("error", traceback.format_exc()))
-            return
         else:  # pragma: no cover - protocol guard
             conn.send(("error", f"unknown message kind {kind!r}"))
 
@@ -354,11 +338,6 @@ class ProcessCellExecutor(CellExecutor):
         self._cells: Tuple[Cell, ...] = ()
         self._config: Optional[PolluxSchedConfig] = None
         self._seed = 0
-        #: Warm ``TputCells`` handed back by workers at close(), re-shipped
-        #: to their replacements if the executor revives on the same
-        #: partition (cell index -> exported entries).
-        self._warm_cells: Dict[int, list] = {}
-        self._warm_key: Optional[tuple] = None
 
     @property
     def schedulers(self) -> Tuple[PolluxSched, ...]:
@@ -407,23 +386,13 @@ class ProcessCellExecutor(CellExecutor):
             self._workers[idx % num_workers].cell_indices.append(idx)
         for handle in self._workers:
             self._configure_worker(handle)
-        if self._warm_key != self._partition_key():
-            self._warm_cells = {}
-            self._warm_key = None
-
-    def _partition_key(self) -> tuple:
-        return (self._cluster, self._cells, self._config, self._seed)
 
     def _configure_worker(self, handle: _WorkerHandle) -> None:
-        warm = (
-            self._warm_cells if self._warm_key == self._partition_key() else {}
-        )
         payload = {
             idx: (
                 self._cells[idx].subspec(self._cluster),
                 self._config,
                 self._seed + idx,
-                warm.get(idx, []),
             )
             for idx in handle.cell_indices
         }
@@ -453,30 +422,12 @@ class ProcessCellExecutor(CellExecutor):
         handle.process.join(timeout=_EXIT_TIMEOUT_S)
 
     def close(self):
-        """Stop the workers, harvesting their warm ``TputCells`` first.
+        """Stop the workers; their warm state goes with them.
 
-        The harvested entries are re-shipped to replacement workers if the
-        executor revives on an unchanged partition, so a close/reopen
-        cycle (host teardown, pickling a policy-owning object, ...) does
-        not throw away every cached throughput surface.  GA populations
-        and RNG state are not harvested — a revived executor is a cold
-        start decision-wise, exactly like a repartition.
+        A revived executor respawns workers on the retained configuration
+        and starts cold decision-wise, exactly like a repartition.
         """
-        harvested: Dict[int, list] = {}
-        for handle in self._workers:
-            if handle.alive:
-                try:
-                    handle.conn.send(("exit",))
-                    reply = self._recv(handle, _EXIT_TIMEOUT_S)
-                    if reply is not None and reply[0] == "cells":
-                        harvested.update(reply[1])
-                except (BrokenPipeError, OSError):
-                    pass
-            self._kill_worker(handle)
-        self._workers = []
-        if harvested:
-            self._warm_cells = harvested
-            self._warm_key = self._partition_key()
+        self._stop_workers()
 
     # -- rounds ---------------------------------------------------------
 
@@ -565,12 +516,10 @@ class ProcessCellExecutor(CellExecutor):
             )
             self._fallback_scheds[idx] = sched
         allocations = sched.optimize(jobs)
-        timings = dict(sched.last_phase_timings)
-        timings["fallback"] = 1.0
         return CellResult(
             allocations=allocations,
             utility=float(sched.last_utility),
-            phase_timings=timings,
+            phase_timings=dict(sched.last_phase_timings),
             fallback=True,
         )
 

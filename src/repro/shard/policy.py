@@ -31,9 +31,7 @@ class ShardedPolicy(Policy):
             construction (and re-partitioned whenever the node layout
             changes).
         config: Per-cell :class:`~repro.core.sched.PolluxSchedConfig`
-            (every cell scheduler gets the same one — including
-            ``incremental`` and ``cells_path``, which compose with
-            sharding unchanged).
+            (every cell scheduler gets the same one).
         seed: Cell ``i`` seeds its scheduler with ``seed + i``, so the
             single-cell default on a homogeneous cluster runs the exact
             RNG stream of an unsharded ``PolluxSched(cluster, config,
@@ -155,9 +153,9 @@ class ShardedPolicy(Policy):
         """Release executor resources (threads or worker processes).
 
         Idempotent, and not final: a closed policy revives its executor
-        on the next :meth:`schedule` (the process backend even re-ships
-        the warm throughput cells it harvested at close).  Hosts call
-        this at the end of a run; ``__del__`` is only the safety net.
+        on the next :meth:`schedule` (the process backend with cold
+        workers).  Hosts call this at the end of a run; ``__del__`` is
+        only the safety net.
         """
         self._executor.close()
 
@@ -302,8 +300,7 @@ class ShardedPolicy(Policy):
         against unsharded numbers bit-for-bit).
 
         ``last_phase_timings`` stays the per-phase *sum* across cells
-        (the unsharded policy's shape — e.g. a summed ``skipped`` still
-        means "at least one cell skipped").  The richer
+        (the unsharded policy's shape).  The richer
         :attr:`last_round_report` adds the per-phase max (the critical
         path under a concurrent executor), the full per-cell breakdown —
         including ``ipc_ms`` under the process executor and ``wait_ms``

@@ -13,6 +13,7 @@ from repro.core import (
     PolluxSched,
     PolluxSchedConfig,
     SchedJobInfo,
+    SurfaceCache,
     ThroughputParams,
     job_weight,
 )
@@ -240,9 +241,12 @@ class TestBlockedTableBuilds:
         speeds = cluster.type_speeds()
         # A cache smaller than a round's two entries per job, so stores
         # evict and the LRU order is part of what is compared.
-        config = PolluxSchedConfig(surface_cache_size=count + 10)
-        blocked = PolluxSched(cluster, config, seed=0)
-        one_pass = PolluxSched(cluster, config, seed=0)
+        blocked = PolluxSched(
+            cluster, surface_cache=SurfaceCache(maxsize=count + 10)
+        )
+        one_pass = PolluxSched(
+            cluster, surface_cache=SurfaceCache(maxsize=count + 10)
+        )
 
         all_miss = _varied_jobs(count, cluster.num_nodes, seed=count)
         cells_hit = [_with_phi(job, 1.01) for job in all_miss]
@@ -265,7 +269,7 @@ class TestBlockedTableBuilds:
             direct = build_speedup_tables_batch(
                 [job.report.goodput_model() for job in jobs],
                 caps,
-                points_per_octave=config.table_points_per_octave,
+                points_per_octave=sched_module.TABLE_POINTS_PER_OCTAVE,
                 type_speeds=tuple(float(s) for s in speeds),
             )
             for table, reference, built in zip(got, want, direct):
@@ -279,16 +283,3 @@ class TestBlockedTableBuilds:
                 one_pass.surface_cache._entries
             )
         assert stats.evictions > 0 and stats.hits > 0 and stats.cells_hits > 0
-
-    def test_uncached_blocks_match_one_pass(self, monkeypatch):
-        cluster = ClusterSpec.homogeneous(8, 4)
-        config = PolluxSchedConfig(surface_cache_size=0)
-        sched = PolluxSched(cluster, config, seed=0)
-        assert sched.surface_cache is None
-        jobs = _varied_jobs(self.BLOCK + 6, cluster.num_nodes, seed=3)
-        caps = [job.report.exploration_cap(cluster.total_gpus) for job in jobs]
-        got = sched._tables_batched(jobs, caps, cluster.type_speeds())
-        monkeypatch.setattr(sched_module, "_TABLE_BLOCK_JOBS", 10**9)
-        want = sched._tables_batched(jobs, caps, cluster.type_speeds())
-        for table, reference in zip(got, want):
-            np.testing.assert_array_equal(table, reference)

@@ -350,6 +350,34 @@ class TestMetricsExport:
         finally:
             host.stop()
 
+    def test_round_phases_are_times_only(self):
+        service, host = make_service(policy="pollux")
+        try:
+            service.submit("t", {"model": "neumf-movielens", "num_gpus": 2})
+            deadline = time.monotonic() + 30.0
+            while not host.policy.last_phase_timings:
+                assert time.monotonic() < deadline, "no Pollux round ran"
+                time.sleep(0.01)
+        finally:
+            host.stop()
+        # A flag in the timings is not a phase and is not exported as one.
+        host.policy.last_phase_timings["fallback"] = 1.0
+        page = render_metrics(service)
+        phases = set(
+            re.findall(r'^scheduler_round_phase_seconds\{phase="(\w+)"', page, re.M)
+        )
+        assert {"table", "repair", "total"} <= phases
+        assert phases <= {
+            "table",
+            "repair",
+            "fitness",
+            "select",
+            "mutate",
+            "wait",
+            "ipc",
+            "total",
+        }
+
 
 # ----------------------------------------------------------------------
 # HTTP stack end-to-end

@@ -9,10 +9,6 @@ homogeneous configuration reproduces the unsharded v2 decision stream
 bit-for-bit.  The ``pollux-sharded`` registry entry is additionally held
 to the full Policy API contract on both hosts by
 ``tests/test_policy_contract.py``, automatically.
-
-Also covers the two single-cell levers that ship with the sharding layer:
-``SurfaceCache`` cells persistence (``to_file``/``from_file`` +
-``PolluxSchedConfig(cells_path=...)``) and incremental dirty-set rounds.
 """
 
 import dataclasses
@@ -25,11 +21,8 @@ from repro.cluster import ClusterSpec, validate_allocation_matrix
 from repro.core import (
     AgentReport,
     GAConfig,
-    PolluxSched,
     PolluxSchedConfig,
-    SchedJobInfo,
 )
-from repro.core.surfacecache import SurfaceCache
 from repro.policy.views import ClusterState, JobSnapshot
 from repro.shard import (
     Cell,
@@ -289,165 +282,3 @@ class TestSingleCellBitForBit:
             )
             state_u = feedback(state_u, du)
             state_s = feedback(state_s, ds)
-
-
-class TestCellsPersistence:
-    def make_jobs(self, cluster, count):
-        # Distinct max_gpus_seen per job -> distinct exploration caps ->
-        # distinct cells keys (phi varies too, but cells keys ignore it).
-        return [
-            SchedJobInfo(
-                job_id=f"job-{i}",
-                report=make_report(phi=500.0 + 100.0 * i, max_gpus_seen=i + 1),
-                current_alloc=np.zeros(cluster.num_nodes, dtype=np.int64),
-                gputime=0.0,
-            )
-            for i in range(count)
-        ]
-
-    def test_roundtrip_preserves_entries_and_decisions(self, tmp_path):
-        cluster = ClusterSpec.homogeneous(4, 4)
-        path = str(tmp_path / "cells.npz")
-        warm = PolluxSched(cluster, QUICK_CFG, seed=1)
-        jobs = self.make_jobs(cluster, 5)
-        baseline = warm.optimize(jobs)
-        written = warm.save_cells(path)
-        assert written == 5
-
-        loaded = SurfaceCache.from_file(path)
-        assert len(loaded) == written
-        cold = PolluxSched(
-            cluster, dataclasses.replace(QUICK_CFG, cells_path=path), seed=1
-        )
-        result = cold.optimize(self.make_jobs(cluster, 5))
-        # Warm cells are decision-invisible: the pre-warmed scheduler
-        # reproduces the fresh scheduler's round bit-for-bit...
-        for jid in baseline:
-            assert np.array_equal(baseline[jid], result[jid])
-        # ...without a single cells rebuild.
-        assert cold.surface_cache.stats.cells_misses == 0
-        assert cold.surface_cache.stats.cells_hits == 5
-
-    def test_missing_file_is_ignored(self, tmp_path):
-        cluster = ClusterSpec.homogeneous(2, 4)
-        cfg = dataclasses.replace(
-            QUICK_CFG, cells_path=str(tmp_path / "absent.npz")
-        )
-        sched = PolluxSched(cluster, cfg, seed=0)
-        assert len(sched.surface_cache) == 0
-
-    def test_save_without_path_or_cache_is_noop(self, tmp_path):
-        cluster = ClusterSpec.homogeneous(2, 4)
-        sched = PolluxSched(cluster, QUICK_CFG, seed=0)
-        assert sched.save_cells() == 0
-        no_cache = PolluxSched(
-            cluster,
-            dataclasses.replace(QUICK_CFG, surface_cache_size=0),
-            seed=0,
-        )
-        assert no_cache.save_cells(str(tmp_path / "x.npz")) == 0
-
-
-class TestIncrementalRounds:
-    def make_jobs(self, cluster, count, phi_round=0):
-        return [
-            SchedJobInfo(
-                job_id=f"job-{i}",
-                report=make_report(
-                    phi=1000.0 * (1.0 + 0.01 * phi_round * (i + 1)),
-                    max_gpus_seen=4,
-                ),
-                current_alloc=np.zeros(cluster.num_nodes, dtype=np.int64),
-                gputime=0.0,
-            )
-            for i in range(count)
-        ]
-
-    def make_sched(self, cluster, **overrides):
-        cfg = dataclasses.replace(QUICK_CFG, incremental=True, **overrides)
-        return PolluxSched(cluster, cfg, seed=2)
-
-    def test_clean_round_skips_ga_and_replays(self):
-        cluster = ClusterSpec.homogeneous(4, 4)
-        sched = self.make_sched(cluster, incremental_refresh_every=0)
-        jobs = self.make_jobs(cluster, 6)
-        first = sched.optimize(jobs)
-        for job in jobs:
-            job.current_alloc = first[job.job_id].copy()
-        second = sched.optimize(jobs)
-        assert sched.last_phase_timings.get("skipped") == 1.0
-        for jid in first:
-            assert np.array_equal(first[jid], second[jid])
-
-    def test_phi_drift_alone_stays_clean(self):
-        cluster = ClusterSpec.homogeneous(4, 4)
-        sched = self.make_sched(cluster, incremental_refresh_every=0)
-        jobs = self.make_jobs(cluster, 6)
-        first = sched.optimize(jobs)
-        drifted = self.make_jobs(cluster, 6, phi_round=3)
-        for job in drifted:
-            job.current_alloc = first[job.job_id].copy()
-        sched.optimize(drifted)
-        assert sched.last_phase_timings.get("skipped") == 1.0
-
-    def test_arrival_dirties_and_runs_ga(self):
-        cluster = ClusterSpec.homogeneous(4, 4)
-        sched = self.make_sched(cluster, incremental_refresh_every=0)
-        jobs = self.make_jobs(cluster, 4)
-        first = sched.optimize(jobs)
-        for job in jobs:
-            job.current_alloc = first[job.job_id].copy()
-        jobs.append(
-            SchedJobInfo(
-                job_id="job-new",
-                report=make_report(phi=123.0, max_gpus_seen=4),
-                current_alloc=np.zeros(cluster.num_nodes, dtype=np.int64),
-                gputime=0.0,
-            )
-        )
-        result = sched.optimize(jobs)
-        assert "skipped" not in sched.last_phase_timings
-        assert "job-new" in result
-
-    def test_departure_forces_full_round(self):
-        cluster = ClusterSpec.homogeneous(4, 4)
-        sched = self.make_sched(cluster, incremental_refresh_every=0)
-        jobs = self.make_jobs(cluster, 4)
-        first = sched.optimize(jobs)
-        remaining = jobs[:3]
-        for job in remaining:
-            job.current_alloc = first[job.job_id].copy()
-        sched.optimize(remaining)
-        assert "skipped" not in sched.last_phase_timings
-
-    def test_refresh_cadence_forces_unrestricted_round(self):
-        cluster = ClusterSpec.homogeneous(4, 4)
-        sched = self.make_sched(cluster, incremental_refresh_every=2)
-        jobs = self.make_jobs(cluster, 4)
-        result = sched.optimize(jobs)
-        skipped = []
-        for _ in range(4):
-            for job in jobs:
-                job.current_alloc = result[job.job_id].copy()
-            result = sched.optimize(jobs)
-            skipped.append(sched.last_phase_timings.get("skipped") == 1.0)
-        # The periodic refresh breaks runs of clean skips.
-        assert not all(skipped)
-        assert any(skipped)
-
-    def test_allocations_stay_feasible_across_incremental_rounds(self):
-        cluster = ClusterSpec.homogeneous(4, 4)
-        sched = self.make_sched(cluster)
-        jobs = self.make_jobs(cluster, 6)
-        result = sched.optimize(jobs)
-        for rnd in range(5):
-            for i, job in enumerate(jobs):
-                job.current_alloc = result[job.job_id].copy()
-                if rnd == 2 and i == 0:
-                    # External reshape: dirty exactly one job.
-                    job.current_alloc = np.zeros(
-                        cluster.num_nodes, dtype=np.int64
-                    )
-            result = sched.optimize(jobs)
-            matrix = np.stack([result[j.job_id] for j in jobs])
-            assert validate_allocation_matrix(matrix, cluster) == []

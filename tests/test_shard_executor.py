@@ -4,7 +4,7 @@ Pins the PR's central guarantee: ``execution="process"`` (persistent
 worker processes fed per-round deltas) reproduces the threaded executor's
 decision stream **bit-for-bit** at a fixed seed — including across phi
 drift (the PHI delta path), theta re-fits (the FULL path), mid-run
-resizes, incremental rounds, and worker counts below the cell count —
+resizes, and worker counts below the cell count —
 and that the fan-out width (``fanout_width``: cores, or ``max_workers``)
 never moves a decision under either backend.  The thread pool's GA gate
 (one cell in ``GeneticOptimizer.run`` at a time) is held to: no overlap,
@@ -210,22 +210,6 @@ class TestDigestEquality:
         thread = stream(make_sharded("thread"), CLUSTER, evolve=evolve)
         process = stream(make_sharded("process"), CLUSTER, evolve=evolve)
         assert_streams_equal(thread, process)
-
-    def test_incremental_rounds(self):
-        config = dataclasses.replace(
-            QUICK_CFG, incremental=True, incremental_refresh_every=0
-        )
-        thread_policy = make_sharded("thread", config=config, migrate_every=0)
-        process_policy = make_sharded(
-            "process", config=config, migrate_every=0
-        )
-        thread = stream(thread_policy, CLUSTER)
-        process = stream(process_policy, CLUSTER)
-        assert_streams_equal(thread, process)
-        # Steady rounds (feedback + phi-only drift) are clean: the skip
-        # must surface through the process executor's timings too.
-        assert process_policy.last_phase_timings.get("skipped", 0.0) > 0.0
-        assert thread_policy.last_phase_timings.get("skipped", 0.0) > 0.0
 
 
 # ----------------------------------------------------------------------
@@ -497,6 +481,9 @@ class TestFallback:
         assert policy.fallback_rounds >= 1
         report = policy.last_round_report
         assert any(cell["fallback"] for cell in report["per_cell"])
+        # The fallback is a flag, not a phase: every timing is a time.
+        for timings in (policy.last_phase_timings, report["sum"], report["max"]):
+            assert timings and all(key.endswith("_ms") for key in timings)
         policy.close()
 
     def test_invalid_round_timeout_rejected(self):
@@ -528,19 +515,6 @@ class TestLifecycle:
         decision = policy.schedule(60.0, state)
         assert set(decision.allocations) == {s.name for s in state.jobs}
         assert policy._executor._workers
-        policy.close()
-
-    def test_close_harvests_and_reships_warm_cells(self):
-        policy = make_sharded("process")
-        policy.schedule(0.0, make_state(CLUSTER, 6))
-        policy.close()
-        # The harvested snapshot holds the workers' phi-free TputCells.
-        harvested = policy._executor._warm_cells
-        assert harvested and any(entries for entries in harvested.values())
-        # An unchanged partition re-ships them to the revived workers.
-        assert policy._executor._warm_key is not None
-        decision = policy.schedule(60.0, make_state(CLUSTER, 6))
-        assert decision.allocations
         policy.close()
 
     def test_thread_repartition_and_close_leak_no_threads(self):

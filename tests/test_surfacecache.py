@@ -19,7 +19,8 @@ from repro.core import (
     build_typed_speedup_table,
     build_typed_surfaces,
 )
-from repro.core.speedup import MULTI_NODE, SINGLE_NODE
+from repro.core.sched import TABLE_POINTS_PER_OCTAVE
+from repro.core.speedup import MULTI_NODE, SINGLE_NODE, build_speedup_tables_batch
 from repro.sim import SimConfig, Simulator
 from repro.workload import MODEL_ZOO, TraceConfig, generate_trace
 from repro.policy import PolluxPolicy, snapshot_job
@@ -131,25 +132,25 @@ class TestSurfaceCache:
 
 class TestSchedCacheIntegration:
     def test_cached_and_uncached_rounds_identical(self):
-        """Same seeds, cache on vs off: allocations must be bit-identical."""
+        """Same seeds, a kept cache vs one cleared before every round (so
+        every table is built fresh): allocations must be bit-identical."""
         cluster = ClusterSpec.homogeneous(4, 4)
         reports = [_report(phi=50.0 * (i + 1), max_gpus_seen=2) for i in range(6)]
         jobs = [_job(f"j{i}", r, 4) for i, r in enumerate(reports)]
-        cfg_on = PolluxSchedConfig(ga=GAConfig(population_size=10, generations=4))
-        cfg_off = PolluxSchedConfig(
-            ga=GAConfig(population_size=10, generations=4), surface_cache_size=0
-        )
-        sched_on = PolluxSched(cluster, cfg_on, seed=7)
-        sched_off = PolluxSched(cluster, cfg_off, seed=7)
-        assert sched_on.surface_cache is not None
-        assert sched_off.surface_cache is None
+        cfg = PolluxSchedConfig(ga=GAConfig(population_size=10, generations=4))
+        kept = PolluxSched(cluster, cfg, seed=7)
+        cleared = PolluxSched(cluster, cfg, seed=7)
         for _ in range(3):
-            a = sched_on.optimize(jobs)
-            b = sched_off.optimize(jobs)
+            a = kept.optimize(jobs)
+            cleared.surface_cache.clear()
+            hits = cleared.surface_cache.stats.hits
+            b = cleared.optimize(jobs)
+            assert cleared.surface_cache.stats.hits == hits
             assert set(a) == set(b)
             for name in a:
                 assert np.array_equal(a[name], b[name])
-        assert sched_on.surface_cache.stats.misses > 0
+        assert kept.surface_cache.stats.hits > 0
+        assert cleared.surface_cache.stats.misses == 3 * len(jobs)
 
     def test_utility_reuses_round_tables(self):
         """optimize() then utility() with the same snapshots: all hits."""
@@ -178,7 +179,7 @@ class TestSchedCacheIntegration:
         cache = sched.surface_cache
         assert {key[0] for key in cache._entries} == {"speedup", "cells"}
         cap = report.exploration_cap(cluster.total_gpus)
-        ppo = sched.config.table_points_per_octave
+        ppo = TABLE_POINTS_PER_OCTAVE
         (entry,) = (e for key, e in cache._entries.items() if key[0] == "speedup")
         assert len(entry) == 1 and entry[0] is problem.jobs[0].speedup_table
         misses = cache.stats.misses
@@ -231,16 +232,8 @@ class TestSchedCacheIntegration:
 
     def test_explicit_cache_wins_over_config(self):
         shared = SurfaceCache(maxsize=16)
-        sched = PolluxSched(
-            ClusterSpec.homogeneous(2, 4),
-            PolluxSchedConfig(surface_cache_size=0),
-            surface_cache=shared,
-        )
+        sched = PolluxSched(ClusterSpec.homogeneous(2, 4), surface_cache=shared)
         assert sched.surface_cache is shared
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PolluxSchedConfig(surface_cache_size=-1)
 
 
 class TestTableBatchTuning:
@@ -367,11 +360,9 @@ class TestCacheSizing:
         cluster = ClusterSpec.homogeneous(4, 4)
         sched = PolluxSched(
             cluster,
-            PolluxSchedConfig(
-                ga=GAConfig(population_size=8, generations=2),
-                surface_cache_size=8,
-            ),
+            PolluxSchedConfig(ga=GAConfig(population_size=8, generations=2)),
             seed=0,
+            surface_cache=SurfaceCache(maxsize=8),
         )
         assert sched.surface_cache.maxsize == 8
         jobs = [_job(f"j{i}", _report(phi=10.0 + i), 4) for i in range(40)]
@@ -424,31 +415,36 @@ class TestCacheSizing:
         assert len(cells_entries) == 1
 
     def test_tput_cells_give_identical_tables(self):
-        """Tables assembled from cached cells match tables built fresh."""
+        """Tables assembled from cached cells match tables built fresh, by
+        a new scheduler and by the batch builder itself."""
         cluster = ClusterSpec.homogeneous(4, 4)
+        config = PolluxSchedConfig(ga=GAConfig(population_size=8, generations=2))
 
-        def tables_for(sched, phi_offset):
-            jobs = [
+        def jobs_at(phi_offset):
+            return [
                 _job(f"j{i}", _report(phi=40.0 + 13 * i + phi_offset), 4)
                 for i in range(6)
             ]
-            problem = sched.build_problem(jobs)
-            return problem.tables.copy()
 
-        warm = PolluxSched(
-            cluster,
-            PolluxSchedConfig(ga=GAConfig(population_size=8, generations=2)),
-            seed=0,
+        def tables(sched, jobs):
+            return [job.speedup_table for job in sched.build_problem(jobs).jobs]
+
+        warm = PolluxSched(cluster, config, seed=0)
+        tables(warm, jobs_at(0.0))  # populate the cells cache
+        cells_hits = warm.surface_cache.stats.cells_hits
+        # phi moved: every table is assembled from cached cells.
+        from_cells = tables(warm, jobs_at(7.5))
+        assert warm.surface_cache.stats.cells_hits == cells_hits + 6
+        cold = PolluxSched(cluster, config, seed=0)
+        fresh = tables(cold, jobs_at(7.5))
+        assert cold.surface_cache.stats.cells_hits == 0
+        reports = [job.report for job in jobs_at(7.5)]
+        direct = build_speedup_tables_batch(
+            [report.goodput_model() for report in reports],
+            [report.exploration_cap(cluster.total_gpus) for report in reports],
+            points_per_octave=TABLE_POINTS_PER_OCTAVE,
+            type_speeds=tuple(float(s) for s in cluster.type_speeds()),
         )
-        tables_for(warm, 0.0)  # populate the cells cache
-        from_cells = tables_for(warm, 7.5)  # phi moved: assemble from cells
-        cold = PolluxSched(
-            cluster,
-            PolluxSchedConfig(
-                ga=GAConfig(population_size=8, generations=2),
-                surface_cache_size=0,
-            ),
-            seed=0,
-        )
-        fresh = tables_for(cold, 7.5)
-        np.testing.assert_array_equal(from_cells, fresh)
+        for got, new, built in zip(from_cells, fresh, direct):
+            np.testing.assert_array_equal(got, new)
+            np.testing.assert_array_equal(got, built)
