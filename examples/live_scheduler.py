@@ -7,8 +7,8 @@ unchanged — the Blox-style policy/mechanism split in action.
 
 Two modes:
 
-- **live** (default): an in-process cluster of goodput-model-driven worker
-  threads (:class:`~repro.host.ThreadedBackend`).  Jobs are submitted
+- **live** (default): an in-process cluster, the simulator's engine on a
+  paced clock (:class:`~repro.host.ThreadedBackend`).  Jobs are submitted
   *while the host is running*; the host dispatches the policy on its
   wall-clock cadence and prints per-round metrics.  ``--time-scale``
   compresses cluster time (600 = one wall second is 10 cluster minutes).

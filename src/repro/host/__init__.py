@@ -27,13 +27,12 @@ Three pieces:
 - :class:`~repro.host.backend.ClusterBackend` — the mechanism protocol
   (node inventory, active jobs, allocation apply, resize, lifecycle
   events, time).
-- Two backends: :class:`~repro.host.threaded.ThreadedBackend`, an
-  in-process live cluster whose jobs are goodput-model-driven worker
-  threads advancing in real (optionally time-scaled) time; and
-  :class:`~repro.host.replay.ReplayBackend`, which replays a recorded
-  trace at a configurable time-compression factor through the simulator's
-  :class:`~repro.sim.engine.ClusterEngine` mechanism (its tick loop is
-  the simulator's).
+- One mechanism, two modes: :class:`~repro.host.replay.ReplayBackend`
+  replays a recorded trace at a configurable time-compression factor
+  through the simulator's :class:`~repro.sim.engine.ClusterEngine` (its
+  tick loop is the simulator's), and
+  :class:`~repro.host.threaded.ThreadedBackend` is the same engine on a
+  paced clock that accepts live submissions from any thread.
 
 Running the live host
 ---------------------

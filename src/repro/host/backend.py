@@ -2,22 +2,24 @@
 
 :class:`~repro.host.service.PolicyHost` is mechanism-agnostic: it speaks to
 the cluster through this protocol, which abstracts *where jobs actually
-run* — an in-process thread pool advancing goodput models in real time
-(:class:`~repro.host.threaded.ThreadedBackend`), a recorded trace replayed
-on compressed time (:class:`~repro.host.replay.ReplayBackend`), or, in a
-real deployment, a Kubernetes/Ray operator speaking to pods.
+run* — the simulator's :class:`~repro.sim.engine.ClusterEngine` replaying
+a recorded trace (:class:`~repro.host.replay.ReplayBackend`) or paced on
+the wall clock as a live cluster that accepts submissions
+(:class:`~repro.host.threaded.ThreadedBackend`), or, in a real
+deployment, a Kubernetes/Ray operator speaking to pods.
 
-Time is *host time* in seconds since :meth:`ClusterBackend.start` — virtual
-seconds for the replay backend, (optionally scaled) wall-clock seconds for
-the threaded backend.  Job objects returned by :meth:`ClusterBackend.jobs`
-are duck-typed against :class:`repro.sim.job.SimJob` (the attribute shape
+Time is *host time* in seconds since :meth:`ClusterBackend.start` — the
+engine clock for both backends in this package, which a finite
+compression paces against the wall clock.  Job objects returned by
+:meth:`ClusterBackend.jobs` are duck-typed against
+:class:`repro.sim.job.SimJob` (the attribute shape
 :func:`repro.policy.views.snapshot_job` consumes), so the host builds
 policy snapshots with one set of builders for every backend.
 
 Lifecycle events (job submitted / completed) flow from the backend to the
-host through ``host.dispatch_event(kind, time, job)`` — synchronously at
-the exact event point for deterministic backends, drained from a queue
-during :meth:`ClusterBackend.advance` for asynchronous ones.
+host through ``host.dispatch_event(kind, time, job)``; both backends in
+this package deliver them synchronously at the exact engine point they
+occur.
 """
 
 from __future__ import annotations
@@ -100,12 +102,12 @@ class ClusterBackend(Protocol):
     def advance(self, until: float) -> None:
         """Run the cluster forward to host time ``until``.
 
-        Replay backends step their engine tick-by-tick (sleeping
-        ``tick/compression`` per tick); live backends sleep while worker
-        threads advance.  Lifecycle events are delivered to
-        ``host.dispatch_event`` during the call, in event order.  Returns
-        early when the active set empties (so the host can fast-forward)
-        or the backend is stopped/drained.
+        This package's backends step their engine tick by tick, paced at
+        ``tick/compression`` wall seconds per tick (a paced backend more
+        than a tick late gives the lost time up).  Lifecycle events are
+        delivered to ``host.dispatch_event`` during the call, in event
+        order.  Returns early when the active set empties (so a replay
+        can fast-forward) or the backend is stopped/drained.
         """
         ...
 
@@ -114,7 +116,8 @@ class ClusterBackend(Protocol):
 
         The host calls this before every dispatch round so a policy never
         sees a job in a snapshot before its ``on_job_submitted`` event.
-        No-op for backends that deliver events synchronously (replay).
+        A no-op for backends that deliver events synchronously, as both
+        backends in this package do.
         """
         ...
 
@@ -134,8 +137,8 @@ class ClusterBackend(Protocol):
         An active job is finished immediately at the current host time
         (allocation zeroed, a ``completed`` lifecycle event delivered to
         the policy through the normal event path); a queued-but-unadmitted
-        submission is silently dropped.  Returns False when the name is
-        unknown or the job already completed.
+        submission is dropped and the policy never sees it.  Returns False
+        when the name is unknown or the job already completed.
         """
         ...
 
@@ -143,7 +146,7 @@ class ClusterBackend(Protocol):
 
     def dispatch_lock(self) -> AbstractContextManager:
         """Context manager the host holds while building snapshots and
-        applying decisions (a no-op for single-threaded backends)."""
+        applying decisions; service reads from other threads hold it too."""
         ...
 
     def apply_allocations(self, allocations, jobs: Sequence) -> None:

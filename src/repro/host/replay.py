@@ -1,10 +1,12 @@
-"""ReplayBackend: a recorded trace replayed on compressed wall-clock time.
+"""ReplayBackend: the simulator's engine on a paced clock.
 
 Drives a :class:`~repro.sim.engine.ClusterEngine` paced by the
 :class:`~repro.host.service.PolicyHost` loop: each engine tick of
 ``config.tick_seconds`` virtual seconds takes ``tick_seconds /
 compression`` wall seconds (``compression=inf``, the default, replays as
-fast as the policy can decide).
+fast as the policy can decide).  A paced step runs once the wall clock
+has reached its end; a backend more than a step late gives the lost wall
+time up instead of racing to catch it up.
 
 This is the discrete-time simulator's own loop: :meth:`repro.sim.
 Simulator.run` is ``PolicyHost(policy, ReplayBackend.over(sim)).run()``,
@@ -13,16 +15,27 @@ so :meth:`ReplayBackend.advance` is the simulator's tick loop and
 trace therefore reproduces the simulator's decision stream on the same
 trace and seed by construction; ``tests/test_host.py`` pins it
 digest-for-digest all the same.
+
+The live :class:`~repro.host.threaded.ThreadedBackend` is this class with
+``finite = False``; the class attribute is the only switch between the
+two modes:
+
+- a finite replay fast-forwards idle gaps, stops once the trace is
+  drained, steps whole ticks and keeps its whole history;
+- a live backend never fast-forwards and keeps ticking an empty cluster
+  (until the host drains it), ends the step before a dispatch timer
+  exactly on that timer, and keeps a bounded history: completed jobs are
+  compacted to :class:`~repro.sim.metrics.JobRecord`\\ s and the timeline
+  keeps its most recent samples.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
-from contextlib import nullcontext
-from typing import TYPE_CHECKING, List, Optional, Sequence
-
-import numpy as np
+from collections import deque
+from typing import TYPE_CHECKING, Deque, Optional, Sequence
 
 from ..cluster.spec import ClusterSpec, NodeSpec
 from ..sim.engine import ClusterEngine
@@ -35,6 +48,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .service import PolicyHost
 
 __all__ = ["ReplayBackend"]
+
+#: Completed-job records and timeline samples a live backend keeps.
+_HISTORY_LIMIT = 65536
+
+#: Longest single sleep of a paced backend, so a host stop() is prompt.
+_SLEEP_SLICE_S = 0.1
 
 
 class ReplayBackend:
@@ -77,8 +96,15 @@ class ReplayBackend:
         self.engine = engine
         self.config = engine.config
         self.compression = compression
-        self._timeline: List[TimelineSample] = []
+        self._lock = threading.RLock()
+        limit = None if self.finite else _HISTORY_LIMIT
+        self._timeline: Deque[TimelineSample] = deque(maxlen=limit)
+        self._completed: Deque[JobRecord] = deque(maxlen=limit)
         self._node_seconds = 0.0
+        # Pacing anchor: host seconds actually ticked (idle fast-forwards
+        # excluded) against the wall clock at start().
+        self._ticked = 0.0
+        self._wall_start = 0.0
         self._host: Optional["PolicyHost"] = None
 
     # -- lifecycle ------------------------------------------------------
@@ -92,12 +118,14 @@ class ReplayBackend:
         )
 
     def start(self, host: "PolicyHost") -> None:
-        self._host = host
-        if not host.policy.capabilities.adapts_batch_size:
-            for job in self.engine.jobs:
-                job.batch_size = float(job.spec.fixed_batch_size)
-        self.engine.event_sink = host.dispatch_event
-        self.engine._admit_submitted()
+        with self._lock:
+            self._host = host
+            if not host.policy.capabilities.adapts_batch_size:
+                for job in self.engine.jobs:
+                    job.batch_size = float(job.spec.fixed_batch_size)
+            self.engine.event_sink = host.dispatch_event
+            self.engine._admit_submitted()
+            self._wall_start = time.monotonic()
 
     def stop(self) -> None:
         """Nothing persistent to tear down (idempotent)."""
@@ -122,45 +150,37 @@ class ReplayBackend:
     # -- service hooks --------------------------------------------------
 
     def find_job(self, name: str):
-        """Any trace job by name (live SimJob state, admitted or not)."""
+        """A job's live SimJob state (admitted or queued), its JobRecord
+        once a live backend compacted it, or None."""
         for job in self.engine.jobs:
             if job.name == name:
                 return job
+        for record in self._completed:
+            if record.name == name:
+                return record
         return None
 
     def cancel(self, name: str) -> bool:
-        """Cancel an active job (service ``DELETE`` path).
+        """Cancel an active or queued job (service ``DELETE`` path).
 
-        Finishes the job at the current engine time, zeroes its
-        allocation, and fires the ``completed`` lifecycle event through
-        the engine's event sink — the same path a natural completion
-        takes.  Not-yet-admitted trace jobs cannot be cancelled (the
-        replay trace is the recorded ground truth); note that any cancel
-        perturbs the decision stream, so replays being digest-compared to
-        a simulator run must not cancel.
+        See :meth:`~repro.sim.engine.ClusterEngine.cancel`: an active job
+        finishes through the completion path, a queued one is dropped
+        unseen.  Any cancel perturbs the decision stream, so replays being
+        digest-compared to a simulator run must not cancel.
         """
-        eng = self.engine
-        for job in eng._active:
-            if job.name == name:
-                job.finish_time = eng.now
-                job.allocation = np.zeros_like(job.allocation)
-                eng._active.remove(job)
-                eng._alloc_version += 1
-                if eng.event_sink is not None:
-                    eng.event_sink("completed", eng.now, job)
-                return True
-        return False
+        return self.engine.cancel(name)
 
     # -- time -----------------------------------------------------------
 
     def idle_fast_forward(self) -> float:
         eng = self.engine
-        if eng._active or not eng.pending_submissions():
+        if not self.finite or eng._active or not eng.pending_submissions():
             return 0.0
-        idle = eng.idle_skip()
-        if idle > 0:
-            self._node_seconds += eng.cluster.num_nodes * idle
-            eng._admit_submitted()
+        with self._lock:
+            idle = eng.idle_skip()
+            if idle > 0:
+                self._node_seconds += eng.cluster.num_nodes * idle
+                eng._admit_submitted()
         return idle
 
     def advance(self, until: float) -> None:
@@ -169,12 +189,13 @@ class ReplayBackend:
         This is the simulator's tick loop: each tick is one
         :meth:`~repro.sim.engine.ClusterEngine.run_one_tick` (observe/
         advance with profiling gated on the policy's live ``needs_agent``,
-        completion events, timeline sample, clock, admission).  Returns
-        early at an idle gap of a whole tick or more so the host can
-        fast-forward its timers through :meth:`idle_fast_forward`.
+        completion events, timeline sample, clock, admission), run under
+        the dispatch lock.  A finite replay returns early at an idle gap
+        of a whole tick or more so the host can fast-forward its timers
+        through :meth:`idle_fast_forward`.
         """
         eng = self.engine
-        cfg = self.config
+        tick = self.config.tick_seconds
         host = self._host
         deadline = self.deadline()
         # The host loop checked the deadline before this round (with the
@@ -182,42 +203,71 @@ class ReplayBackend:
         # here: a tick reached by skipping an idle gap past the deadline
         # still runs once.
         first_tick = True
-        while eng.now < until:
-            if host.stopping:
-                break
+        while eng.now < until and not host.stopping:
             if not first_tick and eng.now >= deadline:
                 break
             if not eng._active:
                 if not eng.pending_submissions():
-                    break  # drained
-                if eng.idle_gap_ticks() >= 1:
+                    if self.finite or host.draining:
+                        break  # drained
+                elif self.finite and eng.idle_gap_ticks() >= 1:
                     break  # host fast-forwards and re-aligns its timers
-            self._timeline.append(
-                eng.run_one_tick(
-                    host.policy.capabilities.needs_agent,
-                    float(host.policy.last_utility),
+            # A live step lands exactly on the next timer: the one before
+            # it stretches to up to two ticks rather than adding a short
+            # tick, since every tick profiles each running job once.
+            remaining = until - eng.now
+            seconds = remaining if not self.finite and remaining < 2 * tick else tick
+            # A paced step runs once the wall clock has reached its end, so
+            # the host clock never runs ahead of the wall.
+            if math.isfinite(self.compression) and not self._pace(seconds):
+                break
+            # The tick takes the lock object itself: dispatch_lock() is
+            # what a round holds, and may be wrapped to time rounds.
+            with self._lock:
+                self._timeline.append(
+                    eng.run_one_tick(
+                        host.policy.capabilities.needs_agent,
+                        float(host.policy.last_utility),
+                        seconds,
+                    )
                 )
-            )
-            self._node_seconds += eng.cluster.num_nodes * cfg.tick_seconds
+                self._node_seconds += eng.cluster.num_nodes * seconds
+                if not self.finite:
+                    self._completed.extend(map(JobRecord.from_job, eng.compact()))
+            self._ticked += seconds
             first_tick = False
-            if math.isfinite(self.compression):
-                # Paced replay sleeps in short slices so a host stop()
-                # interrupts within ~100 ms instead of a full tick.
-                remaining = cfg.tick_seconds / self.compression
-                while remaining > 0 and not host.stopping:
-                    slice_s = min(remaining, 0.1)
-                    time.sleep(slice_s)
-                    remaining -= slice_s
+
+    def _pace(self, seconds: float) -> bool:
+        """Sleep until the wall clock reaches the end of the next step.
+
+        A backend up to one step late catches up by not sleeping; one
+        later than that gives the lost wall time up (re-anchors), so after
+        a slow round the host clock runs behind ``wall * compression`` but
+        never faster than ``compression``.  False if the host stopped.
+        """
+        host = self._host
+        step = seconds / self.compression
+        due = self._wall_start + self._ticked / self.compression + step
+        late = time.monotonic() - due
+        if late > step:
+            self._wall_start += late
+            return True
+        while not host.stopping:
+            remaining = due - time.monotonic()
+            if remaining <= 0:
+                return True
+            time.sleep(min(remaining, _SLEEP_SLICE_S))
+        return False
 
     def drain_events(self) -> None:
-        """No-op: replay events are delivered synchronously at the exact
-        engine point they occur (the bit-for-bit schedule)."""
+        """No-op: engine events are delivered synchronously at the exact
+        tick point they occur (the bit-for-bit schedule)."""
 
     # -- mechanism ------------------------------------------------------
 
     def dispatch_lock(self):
-        """The replay engine only runs inside the host loop: no lock."""
-        return nullcontext()
+        """The lock every tick, round and service read holds."""
+        return self._lock
 
     def apply_allocations(self, allocations, jobs: Sequence) -> None:
         self.engine._apply_allocations(allocations, jobs)
@@ -228,13 +278,16 @@ class ReplayBackend:
     # -- results --------------------------------------------------------
 
     def collect_result(self, scheduler_name: str) -> SimResult:
-        eng = self.engine
-        result = SimResult(
-            timeline=self._timeline,
-            node_seconds=self._node_seconds,
-            end_time=eng.now,
-            scheduler_name=scheduler_name,
-        )
-        for job in eng.jobs:
-            result.records.append(JobRecord.from_job(job))
-        return result
+        """Every job's record in submission order, plus the timeline."""
+        with self._lock:
+            eng = self.engine
+            records = list(self._completed)
+            records.extend(map(JobRecord.from_job, eng.jobs))
+            records.sort(key=lambda r: (r.submission_time, r.name))
+            return SimResult(
+                records=records,
+                timeline=list(self._timeline),
+                node_seconds=self._node_seconds,
+                end_time=eng.now,
+                scheduler_name=scheduler_name,
+            )

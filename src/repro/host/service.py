@@ -17,8 +17,8 @@ run` drives its engine through a :class:`~repro.host.replay.ReplayBackend`
 at infinite compression, so a replay of a recorded trace reproduces the
 simulator's decision stream by construction (``tests/test_host.py`` pins
 it).  Driven by a :class:`~repro.host.threaded.ThreadedBackend`, the same
-policy object schedules goodput-model-driven worker jobs advancing
-asynchronously in real time.
+policy object schedules live submissions on that engine, paced against
+the (optionally scaled) wall clock.
 """
 
 from __future__ import annotations

@@ -1,40 +1,21 @@
-"""ThreadedBackend: an in-process live cluster of goodput-model workers.
+"""ThreadedBackend: the live in-process cluster.
 
-The paper's deployed scheduler runs against agents reporting
-asynchronously from real training jobs (Sec. 5); this backend reproduces
-that *shape* in one process: every submitted job is a worker thread that
-advances its own ground-truth goodput model in real time (optionally
-time-scaled), records noisy profiling measurements into its
-:class:`~repro.core.agent.PolluxAgent` on its own cadence, and reports
-submission/completion through an event queue the host drains between
-dispatch rounds.  Unlike the replay backend nothing here is tick-aligned
-or deterministic — worker progress depends on real thread timing — which
-is exactly what a wall-clock host must tolerate.
-
-Jobs can be submitted live (:meth:`ThreadedBackend.submit`) while the
-host is dispatching, or pre-loaded as a trace whose recorded submission
-times are honored on the (scaled) wall clock.
+The paper's scheduler runs as a service against jobs submitted while it
+runs (Sec. 5).  This backend is the simulator's engine on a paced clock:
+a :class:`~repro.host.replay.ReplayBackend` with ``finite = False``.
+Jobs are submitted live from any thread (:meth:`ThreadedBackend.submit`)
+and the next engine tick admits them, or pre-loaded as a trace.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
-import numpy as np
-
-from ..cluster.spec import ClusterSpec, NodeSpec
-from ..sim.engine import advance_job_progress, observe_job, reshape_allocations
-from ..sim.job import SimJob
-from ..sim.metrics import JobRecord, SimResult
+from ..cluster.spec import ClusterSpec
+from ..sim.simconfig import SimConfig
 from ..workload.trace import JobSpec
-from .service import HostConfig
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .service import PolicyHost
+from .replay import ReplayBackend
 
 __all__ = ["ThreadedConfig", "ThreadedBackend"]
 
@@ -43,12 +24,12 @@ __all__ = ["ThreadedConfig", "ThreadedBackend"]
 class ThreadedConfig:
     """Parameters of the in-process live cluster.
 
-    ``time_scale`` maps wall-clock to host time: host time advances
-    ``time_scale`` seconds per wall second, so ``time_scale=600`` runs the
-    paper's 60 s scheduling cadence every 100 ms of wall clock (the mode
-    tests use).  Worker threads advance every ``quantum_seconds`` of wall
-    clock regardless, so higher scales coarsen (but never skip) progress
-    accounting.
+    ``time_scale`` is host seconds per wall second (``time_scale=600`` runs
+    the paper's 60 s scheduling cadence every 100 ms of wall clock).
+    ``quantum_seconds`` is the engine tick in wall seconds: a tick is
+    ``quantum_seconds * time_scale`` host seconds, at least the simulator's
+    30 s (each tick profiles every running job once) and at most the
+    scheduling interval.
     """
 
     quantum_seconds: float = 0.05
@@ -56,7 +37,6 @@ class ThreadedConfig:
     restart_delay: float = 30.0
     scheduling_interval: float = 60.0
     agent_interval: float = 30.0
-    profile_interval: float = 30.0
     profile_noise: float = 0.03
     gns_noise: float = 0.10
     max_hours: float = float("inf")
@@ -67,19 +47,13 @@ class ThreadedConfig:
             raise ValueError("quantum_seconds must be positive")
         if self.time_scale <= 0:
             raise ValueError("time_scale must be positive")
-        if self.profile_interval <= 0:
-            raise ValueError("profile_interval must be positive")
 
 
-class ThreadedBackend:
+class ThreadedBackend(ReplayBackend):
     """Live in-process cluster for a :class:`~repro.host.PolicyHost`.
 
-    Args:
-        cluster: Initial node inventory.
-        config: See :class:`ThreadedConfig`.
-        trace: Optional pre-loaded submissions; each is admitted when the
-            host clock reaches its ``submission_time``.  More jobs may be
-            submitted live at any point with :meth:`submit`.
+    ``trace`` pre-loads submissions, each admitted when the host clock
+    reaches its ``submission_time``; :meth:`submit` adds more at any point.
     """
 
     finite = False
@@ -90,301 +64,17 @@ class ThreadedBackend:
         config: ThreadedConfig = ThreadedConfig(),
         trace: Sequence[JobSpec] = (),
     ):
-        self._cluster = cluster
-        self.config = config
-        self._lock = threading.RLock()
-        self._events: Deque[Tuple[str, float, SimJob]] = deque()
-        self._pending: List[JobSpec] = sorted(
-            trace, key=lambda s: (s.submission_time, s.name)
-        )
-        self._active: List[SimJob] = []
-        # Completed jobs become final JobRecords immediately (bounded, so
-        # a dispatch-forever live host cannot grow without bound — same
-        # reasoning as HostMetrics' bounded round history); only active
-        # jobs stay live SimJob state.
-        self._completed: Deque[JobRecord] = deque(maxlen=65536)
-        self._num_admitted = 0
-        self._workers: List[threading.Thread] = []
-        self._stopped = threading.Event()
-        self._started = False
-        self._t0 = 0.0
-        self._host: Optional["PolicyHost"] = None
-
-    # -- lifecycle ------------------------------------------------------
-
-    def host_config(self) -> HostConfig:
-        return HostConfig(
-            scheduling_interval=self.config.scheduling_interval,
-            agent_interval=self.config.agent_interval,
-        )
-
-    def start(self, host: "PolicyHost") -> None:
-        with self._lock:
-            if self._started:
-                raise RuntimeError("backend already started")
-            self._host = host
-            self._started = True
-            self._t0 = time.monotonic()
-            self._admit_due()
-        submitter = threading.Thread(
-            target=self._run_submitter, name="host-submitter", daemon=True
-        )
-        self._workers.append(submitter)
-        submitter.start()
-
-    def stop(self) -> None:
-        self._stopped.set()
-        for worker in self._workers:
-            worker.join(timeout=2.0)
-
-    # -- inventory ------------------------------------------------------
-
-    def now(self) -> float:
-        if not self._started:
-            return 0.0
-        return (time.monotonic() - self._t0) * self.config.time_scale
-
-    def deadline(self) -> float:
-        return self.config.max_hours * 3600.0
-
-    def cluster(self) -> ClusterSpec:
-        return self._cluster
-
-    def jobs(self) -> Sequence:
-        with self._lock:
-            return list(self._active)
-
-    def drained(self) -> bool:
-        with self._lock:
-            return not self._active and not self._pending
-
-    # -- submissions ----------------------------------------------------
+        # Every field but the two clock settings is a SimConfig field.
+        shared = asdict(config)
+        tick = shared.pop("quantum_seconds") * shared.pop("time_scale")
+        tick = max(tick, SimConfig.tick_seconds)
+        shared["tick_seconds"] = min(tick, config.scheduling_interval)
+        super().__init__(cluster, trace, SimConfig(**shared), config.time_scale)
 
     def submit(self, spec: JobSpec) -> None:
-        """Queue a job; it is admitted at ``spec.submission_time`` host
-        time (immediately if that is already in the past)."""
+        """Queue a job for the engine to admit at ``spec.submission_time``."""
         with self._lock:
-            self._pending.append(spec)
-            self._pending.sort(key=lambda s: (s.submission_time, s.name))
-            if self._started:
-                self._admit_due()
-
-    def _admit_due(self) -> None:
-        """Admit every pending spec whose submission time has arrived.
-
-        Caller holds the lock.  Each admission queues a ``submitted``
-        event and starts the job's worker thread.
-        """
-        now = self.now()
-        # Opportunistically drop finished worker threads so a long-lived
-        # service does not accumulate dead Thread objects.
-        if self._pending:
-            self._workers = [w for w in self._workers if w.is_alive()]
-        while self._pending and self._pending[0].submission_time <= now:
-            spec = self._pending.pop(0)
-            idx = self._num_admitted
-            self._num_admitted += 1
-            job = SimJob(
-                spec,
-                self._cluster.num_nodes,
-                agent_seed=self.config.seed + idx,
-                node_speeds=self._cluster.node_speeds(),
-            )
+            job = self.engine.submit(spec)
             host = self._host
             if host is not None and not host.policy.capabilities.adapts_batch_size:
                 job.batch_size = float(spec.fixed_batch_size)
-            self._active.append(job)
-            self._events.append(("submitted", now, job))
-            # The observation-noise stream is seeded on a (seed, idx) key
-            # sequence so it can never collide with any job's integer
-            # agent_seed stream (seed + idx): per-job statistics stay
-            # independent.
-            worker = threading.Thread(
-                target=self._run_worker,
-                args=(job, np.random.default_rng((self.config.seed, idx))),
-                name=f"host-worker-{job.name}",
-                daemon=True,
-            )
-            self._workers.append(worker)
-            worker.start()
-
-    def _run_submitter(self) -> None:
-        """Admits trace/queued submissions as their times arrive."""
-        while not self._stopped.is_set():
-            time.sleep(self.config.quantum_seconds)
-            with self._lock:
-                self._admit_due()
-
-    # -- workers --------------------------------------------------------
-
-    def _run_worker(self, job: SimJob, rng: np.random.Generator) -> None:
-        """One job: advance the ground-truth goodput model in real time."""
-        cfg = self.config
-        last = self.now()
-        next_profile = last
-        while not self._stopped.is_set():
-            time.sleep(cfg.quantum_seconds)
-            with self._lock:
-                now = self.now()
-                if job.finish_time is not None:
-                    return
-                next_profile = self._advance_job(job, last, now, rng, next_profile)
-                last = now
-
-    def _advance_job(
-        self,
-        job: SimJob,
-        t0: float,
-        t1: float,
-        rng: np.random.Generator,
-        next_profile: float,
-    ) -> float:
-        """Advance one job across [t0, t1] host seconds (lock held).
-
-        Progress mechanics are the engine's own
-        :func:`~repro.sim.engine.advance_job_progress`, so live-host
-        accounting cannot diverge from simulator/replay semantics.
-        """
-        cfg = self.config
-        if job.num_gpus == 0:
-            return next_profile
-        host = self._host
-        if (
-            host is not None
-            and host.policy.capabilities.needs_agent
-            and t1 > max(t0, job.restart_until)
-            and t1 >= next_profile
-        ):
-            self._observe(job, rng)
-            next_profile = t1 + cfg.profile_interval
-        if advance_job_progress(job, t0, t1 - t0):
-            self._active.remove(job)
-            self._completed.append(JobRecord.from_job(job))
-            # Event time is the detection time t1, not the interpolated
-            # finish_time: delivered event times stay monotonic (the exact
-            # completion instant is in the job record).
-            self._events.append(("completed", t1, job))
-        return next_profile
-
-    def _observe(self, job: SimJob, rng: np.random.Generator) -> None:
-        """Noisy ground-truth measurement into the job's agent — the exact
-        measurement model the engine uses (shared helper)."""
-        cfg = self.config
-        observe_job(job, rng, cfg.profile_noise, cfg.gns_noise)
-
-    # -- service hooks --------------------------------------------------
-
-    def find_job(self, name: str):
-        """Active SimJob, completed JobRecord, or None (service lookup)."""
-        with self._lock:
-            for job in self._active:
-                if job.name == name:
-                    return job
-            for record in self._completed:
-                if record.name == name:
-                    return record
-            return None
-
-    def cancel(self, name: str) -> bool:
-        """Cancel an active or queued job (service ``DELETE`` path).
-
-        An active job is finished at the current host time: its worker
-        thread exits on the next quantum (it checks ``finish_time`` under
-        the lock), the final :class:`JobRecord` lands in the completed
-        history, and a ``completed`` lifecycle event reaches the policy
-        through the normal event queue.  A queued spec is dropped before
-        admission (no events — the policy never saw it).
-        """
-        with self._lock:
-            for i, spec in enumerate(self._pending):
-                if spec.name == name:
-                    del self._pending[i]
-                    return True
-            now = self.now()
-            for job in self._active:
-                if job.name == name:
-                    job.finish_time = now
-                    job.allocation = np.zeros_like(job.allocation)
-                    self._active.remove(job)
-                    self._completed.append(JobRecord.from_job(job))
-                    self._events.append(("completed", now, job))
-                    return True
-            return False
-
-    # -- time -----------------------------------------------------------
-
-    def idle_fast_forward(self) -> float:
-        """Live backends cannot see the future: never skips."""
-        return 0.0
-
-    def advance(self, until: float) -> None:
-        """Sleep until host time ``until``, delivering lifecycle events."""
-        cfg = self.config
-        host = self._host
-        while not self._stopped.is_set():
-            self._drain_events()
-            remaining = until - self.now()
-            if remaining <= 0:
-                break
-            if host is not None and (
-                host.stopping or (host.draining and self.drained())
-            ):
-                break
-            time.sleep(min(cfg.quantum_seconds, remaining / cfg.time_scale))
-        self._drain_events()
-
-    def drain_events(self) -> None:
-        """Deliver queued worker/submitter events to the host, in order."""
-        self._drain_events()
-
-    def _drain_events(self) -> None:
-        host = self._host
-        while True:
-            with self._lock:
-                if not self._events:
-                    return
-                kind, when, job = self._events.popleft()
-                # Deliver under the lock: the relay snapshots the job, and
-                # a worker mutating it concurrently would tear the
-                # snapshot (policy callbacks never re-enter the backend).
-                if host is not None:
-                    host.dispatch_event(kind, when, job)
-
-    # -- mechanism ------------------------------------------------------
-
-    def dispatch_lock(self):
-        return self._lock
-
-    def apply_allocations(self, allocations, jobs: Sequence) -> None:
-        with self._lock:
-            now = self.now()
-            for job in jobs:
-                alloc = allocations.get(job.name)
-                if alloc is not None:
-                    job.apply_allocation(alloc, now, self.config.restart_delay)
-
-    def resize(self, num_nodes: int, grow_node_spec: Optional[NodeSpec]) -> None:
-        with self._lock:
-            if num_nodes == self._cluster.num_nodes:
-                return
-            keep = min(self._cluster.num_nodes, num_nodes)
-            self._cluster = self._cluster.resized(num_nodes, grow_with=grow_node_spec)
-            reshape_allocations(
-                self._active,
-                keep,
-                num_nodes,
-                self._cluster.node_speeds(),
-                self.now(),
-                self.config.restart_delay,
-            )
-
-    # -- results --------------------------------------------------------
-
-    def collect_result(self, scheduler_name: str) -> SimResult:
-        """Completed-job records (bounded history) plus in-flight jobs."""
-        with self._lock:
-            result = SimResult(end_time=self.now(), scheduler_name=scheduler_name)
-            result.records.extend(self._completed)
-            for job in self._active:
-                result.records.append(JobRecord.from_job(job))
-            return result

@@ -1,11 +1,12 @@
-"""Cluster mechanism layer behind the simulator and every trace replay.
+"""Cluster mechanism layer behind the simulator and every host backend.
 
-:class:`ClusterEngine` owns everything *mechanical* about driving a
-recorded workload trace against a cluster — the Blox-style mechanism side
-of the policy/mechanism split:
+:class:`ClusterEngine` owns everything *mechanical* about driving jobs
+on a cluster — the Blox-style mechanism side of the policy/mechanism
+split:
 
-- job runtime state (:class:`~repro.sim.job.SimJob`), admitted from the
-  trace in submission order by a pointer walk;
+- job runtime state (:class:`~repro.sim.job.SimJob`), kept in submission
+  order and admitted by a pointer walk; :meth:`ClusterEngine.submit` adds
+  a job to the not-yet-admitted tail while the engine runs;
 - ground-truth progress: each tick observes running jobs (noisy profiling
   measurements into their agents) and advances them at their true goodput,
   with interference detection and completion interpolation;
@@ -21,18 +22,22 @@ discrete-time :class:`~repro.sim.simulator.Simulator` is an engine that
 :class:`~repro.host.PolicyHost` drives through
 :class:`~repro.host.ReplayBackend` at infinite compression; a standalone
 replay drives a fresh engine the same way, optionally paced against the
-wall clock.  There is one dispatch loop, so a replay reproduces the
-simulator's decision stream on the same trace by construction
-(``tests/test_host.py`` still pins it).
+wall clock, and the live :class:`~repro.host.ThreadedBackend` is the same
+engine on a paced clock that accepts submissions while it runs.  There is
+one dispatch loop and one tick, so a replay — or a live run over a
+preloaded trace without idle gaps — reproduces the simulator's decision
+stream on the same trace by construction (``tests/test_host.py`` still
+pins it).
 
 Lifecycle events (admission/completion) are reported through
-:attr:`ClusterEngine.event_sink` at the exact points the pre-refactor
-simulator fired them, so hosts can relay them to the policy without
-perturbing the event schedule.
+:attr:`ClusterEngine.event_sink` at the exact points the tick reaches
+them, so hosts relay them to the policy without perturbing the event
+schedule.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -44,102 +49,7 @@ from .job import SimJob
 from .metrics import TimelineSample
 from .simconfig import SimConfig
 
-__all__ = [
-    "ClusterEngine",
-    "advance_job_progress",
-    "observe_job",
-    "reshape_allocations",
-]
-
-
-def advance_job_progress(
-    job: SimJob, start: float, dt: float, slowdown: float = 0.0
-) -> bool:
-    """Advance one job across ``[start, start + dt]`` host seconds.
-
-    The decision-stream-critical progress mechanics, shared by every host
-    mechanism (engine tick, threaded live worker): GPU-time accounting,
-    restart-window clipping, ground-truth goodput integration, and
-    completion interpolation (``finish_time`` lands inside the interval,
-    the allocation is zeroed).  Returns True when the job completed; the
-    caller owns the consequences (allocation-version bump, active-list
-    removal, lifecycle event).
-    """
-    if job.num_gpus == 0:
-        return False
-    job.gputime += job.num_gpus * dt
-    run_start = max(start, job.restart_until)
-    run_time = start + dt - run_start
-    if run_time <= 0:
-        return False
-    rate = job.goodput_true(slowdown)
-    if rate <= 0:
-        return False
-    new_progress = job.progress + rate * run_time
-    if new_progress >= job.target:
-        remaining = job.target - job.progress
-        finish_offset = remaining / rate
-        job.progress = job.target
-        job.finish_time = run_start + finish_offset
-        job.allocation = np.zeros_like(job.allocation)
-        return True
-    job.progress = new_progress
-    return False
-
-
-def observe_job(
-    job: SimJob,
-    rng: np.random.Generator,
-    profile_noise: float,
-    gns_noise: float,
-    slowdown: float = 0.0,
-) -> None:
-    """Feed one noisy ground-truth measurement to the job's agent.
-
-    The measurement model — lognormal noise on the true iteration time and
-    gradient noise scale, phi decomposed into ``(var, sqr)`` at m0 scale —
-    is decision-stream-critical, so every host mechanism (engine tick,
-    threaded live worker) shares this one implementation.
-    """
-    t_iter = job.t_iter_true(slowdown)
-    t_obs = t_iter * float(rng.lognormal(mean=0.0, sigma=profile_noise))
-    job.agent.record_iteration(
-        job.num_nodes_occupied,
-        job.num_gpus,
-        job.batch_size,
-        t_obs,
-        speed=job.current_speed,
-    )
-    phi_obs = job.phi_true() * float(rng.lognormal(mean=0.0, sigma=gns_noise))
-    # Decompose phi into (var, sqr) at m0 scale: var = phi / m0, sqr = 1.
-    job.agent.record_grad_stats(var=phi_obs / job.agent.init_batch_size, sqr=1.0)
-
-
-def reshape_allocations(
-    jobs: Sequence[SimJob],
-    keep: int,
-    num_nodes: int,
-    node_speeds: np.ndarray,
-    now: float,
-    restart_delay: float,
-) -> None:
-    """Reshape every job's allocation vector to a resized cluster.
-
-    Dropped nodes truncate from the end, new nodes start empty; a restart
-    is counted only when the job actually lost GPUs on dropped nodes and
-    still holds some.  Shared by every host mechanism that resizes a
-    cluster (the engine and the threaded live backend).
-    """
-    for job in jobs:
-        old_alloc = job.allocation
-        lost = int(old_alloc[keep:].sum()) > 0
-        new_alloc = np.zeros(num_nodes, dtype=np.int64)
-        new_alloc[:keep] = old_alloc[:keep]
-        job.allocation = new_alloc
-        job.node_speeds = node_speeds
-        if lost and job.num_gpus > 0:
-            job.restart_until = now + restart_delay
-            job.num_restarts += 1
+__all__ = ["ClusterEngine"]
 
 
 class ClusterEngine:
@@ -160,18 +70,6 @@ class ClusterEngine:
         self.cluster = cluster
         self.config = config
         self._rng = np.random.default_rng(config.seed)
-        node_speeds = cluster.node_speeds()
-        self.jobs = [
-            SimJob(
-                spec,
-                cluster.num_nodes,
-                agent_seed=config.seed + idx,
-                node_speeds=node_speeds,
-            )
-            for idx, spec in enumerate(
-                sorted(jobs, key=lambda s: (s.submission_time, s.name))
-            )
-        ]
         self.now = 0.0
         #: Host-facing lifecycle sink: ``sink(kind, now, job)``.
         self.event_sink: Optional[Callable[[str, float, SimJob], None]] = None
@@ -180,8 +78,12 @@ class ClusterEngine:
         # of a full rescan each tick, and `_active` drops jobs as they
         # complete.  active_jobs() remains the stateless scan for external
         # callers driving the engine manually.
+        self.jobs: List[SimJob] = []
         self._active: List[SimJob] = []
         self._next_submit_idx = 0
+        # Jobs ever submitted: the agent-seed counter, which compact()
+        # does not rewind.
+        self._num_submitted = 0
         # Lazily rebuilt (J_active, N) allocation matrix; `_alloc_version`
         # bumps on any event that can change it (scheduling, resize,
         # completion, admission) and `_alloc_cache` pairs a version with
@@ -189,9 +91,12 @@ class ClusterEngine:
         self._alloc_version = 0
         self._alloc_cache: Optional[tuple] = None
         self._refresh_type_cache()
+        for spec in sorted(jobs, key=lambda s: (s.submission_time, s.name)):
+            self.submit(spec)
 
     def _refresh_type_cache(self) -> None:
-        """Cache the cluster's GPU-type structure (changes only on resize)."""
+        """Cache node speeds and GPU-type structure (change only on resize)."""
+        self._node_speeds = self.cluster.node_speeds()
         self._type_ids = self.cluster.node_type_ids()
         self._type_names = tuple(t.name for t in self.cluster.gpu_types)
         self._type_caps = tuple(int(c) for c in self.cluster.type_capacities())
@@ -204,6 +109,67 @@ class ClusterEngine:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
+
+    def submit(self, spec: JobSpec) -> SimJob:
+        """Add a job to the not-yet-admitted tail of :attr:`jobs`.
+
+        The tail stays in ``(submission_time, name)`` order; the next
+        tick's admission walk admits the job once the clock reaches its
+        submission time (at once if that is already past).  The agent
+        seed is ``config.seed`` plus the number of jobs submitted before.
+        """
+        job = SimJob(
+            spec,
+            self.cluster.num_nodes,
+            agent_seed=self.config.seed + self._num_submitted,
+            node_speeds=self._node_speeds,
+        )
+        self._num_submitted += 1
+        idx = bisect.bisect_right(
+            self.jobs,
+            (spec.submission_time, spec.name),
+            lo=self._next_submit_idx,
+            key=lambda j: (j.submission_time, j.name),
+        )
+        self.jobs.insert(idx, job)
+        return job
+
+    def cancel(self, name: str) -> bool:
+        """Cancel an active or not-yet-admitted job by name.
+
+        An active job finishes at the current engine time (allocation
+        zeroed, a ``completed`` event through :attr:`event_sink`, the
+        path a natural completion takes); a queued one is dropped before
+        admission, so no host ever sees it.  False for unknown or
+        completed jobs.
+        """
+        for job in self._active:
+            if job.name == name:
+                job.finish_time = self.now
+                job.allocation = np.zeros_like(job.allocation)
+                self._active.remove(job)
+                self._alloc_version += 1
+                if self.event_sink is not None:
+                    self.event_sink("completed", self.now, job)
+                return True
+        for idx in range(self._next_submit_idx, len(self.jobs)):
+            if self.jobs[idx].name == name:
+                del self.jobs[idx]
+                return True
+        return False
+
+    def compact(self) -> List[SimJob]:
+        """Drop completed jobs from :attr:`jobs` and return them.
+
+        For hosts that run indefinitely and keep only a bounded history
+        of finished jobs; a simulation never compacts.  Only admitted jobs
+        can be complete, so the admission pointer moves back by as many.
+        """
+        done = [job for job in self.jobs[: self._next_submit_idx] if job.complete]
+        if done:
+            self.jobs = [job for job in self.jobs if not job.complete]
+            self._next_submit_idx -= len(done)
+        return done
 
     def active_jobs(self) -> List[SimJob]:
         """Submitted, unfinished jobs."""
@@ -325,14 +291,16 @@ class ClusterEngine:
         self.cluster = self.cluster.resized(num_nodes, grow_with=grow_with)
         self._refresh_type_cache()
         self._alloc_version += 1
-        reshape_allocations(
-            self.jobs,
-            keep,
-            num_nodes,
-            self.cluster.node_speeds(),
-            self.now,
-            self.config.restart_delay,
-        )
+        for job in self.jobs:
+            old_alloc = job.allocation
+            lost = int(old_alloc[keep:].sum()) > 0
+            new_alloc = np.zeros(num_nodes, dtype=np.int64)
+            new_alloc[:keep] = old_alloc[:keep]
+            job.allocation = new_alloc
+            job.node_speeds = self._node_speeds
+            if lost and job.num_gpus > 0:
+                job.restart_until = self.now + self.config.restart_delay
+                job.num_restarts += 1
 
     def _tune_batch_sizes(self, jobs: Sequence[SimJob]) -> None:
         """Let each running Pollux job's agent re-tune its batch size."""
@@ -343,17 +311,56 @@ class ClusterEngine:
     # ------------------------------------------------------------------
 
     def _observe(self, job: SimJob, slowdown: float) -> None:
-        """Feed noisy ground-truth measurements to the job's agent."""
+        """Feed one noisy ground-truth measurement to the job's agent.
+
+        Lognormal noise on the true iteration time and gradient noise
+        scale; phi is decomposed into ``(var, sqr)`` at m0 scale.
+        """
         cfg = self.config
-        observe_job(job, self._rng, cfg.profile_noise, cfg.gns_noise, slowdown)
+        t_iter = job.t_iter_true(slowdown)
+        t_obs = t_iter * float(self._rng.lognormal(mean=0.0, sigma=cfg.profile_noise))
+        job.agent.record_iteration(
+            job.num_nodes_occupied,
+            job.num_gpus,
+            job.batch_size,
+            t_obs,
+            speed=job.current_speed,
+        )
+        phi_obs = job.phi_true() * float(
+            self._rng.lognormal(mean=0.0, sigma=cfg.gns_noise)
+        )
+        # Decompose phi into (var, sqr) at m0 scale: var = phi / m0, sqr = 1.
+        job.agent.record_grad_stats(var=phi_obs / job.agent.init_batch_size, sqr=1.0)
 
     def _advance(self, job: SimJob, dt: float, slowdown: float) -> None:
-        """Advance one job by dt seconds of engine time."""
-        if advance_job_progress(job, self.now, dt, slowdown):
-            self._alloc_version += 1
+        """Advance one job across ``[now, now + dt]`` engine seconds.
 
-    def step_tick(self, profile: bool) -> List[SimJob]:
-        """Observe (optionally) and advance every active job by one tick.
+        GPU-time accounting, restart-window clipping, ground-truth goodput
+        integration, and completion interpolation (``finish_time`` lands
+        inside the interval, the allocation is zeroed).
+        """
+        if job.num_gpus == 0:
+            return
+        job.gputime += job.num_gpus * dt
+        run_start = max(self.now, job.restart_until)
+        run_time = self.now + dt - run_start
+        if run_time <= 0:
+            return
+        rate = job.goodput_true(slowdown)
+        if rate <= 0:
+            return
+        new_progress = job.progress + rate * run_time
+        if new_progress >= job.target:
+            remaining = job.target - job.progress
+            job.progress = job.target
+            job.finish_time = run_start + remaining / rate
+            job.allocation = np.zeros_like(job.allocation)
+            self._alloc_version += 1
+            return
+        job.progress = new_progress
+
+    def step_tick(self, profile: bool, seconds: float) -> List[SimJob]:
+        """Observe (optionally) and advance every active job by ``seconds``.
 
         ``profile`` gates agent profiling (hosts pass the policy's
         ``needs_agent`` capability).  Jobs that complete during the tick
@@ -383,7 +390,7 @@ class ClusterEngine:
                 and self.now >= job.restart_until
             ):
                 self._observe(job, slowdown)
-            self._advance(job, cfg.tick_seconds, slowdown)
+            self._advance(job, seconds, slowdown)
 
         completed: List[SimJob] = []
         if self._alloc_cache is None or self._alloc_cache[0] != self._alloc_version:
@@ -396,27 +403,32 @@ class ClusterEngine:
                         self.event_sink("completed", self.now, job)
         return completed
 
-    def run_one_tick(self, profile: bool, utility: float = 0.0) -> TimelineSample:
+    def run_one_tick(
+        self, profile: bool, utility: float, seconds: float
+    ) -> TimelineSample:
         """One complete engine tick of :meth:`repro.host.ReplayBackend.advance`.
 
         Sequence (order is part of the decision-stream contract):
         observe/advance (:meth:`step_tick`, emitting completion events),
-        utilization sample, clock advance, admission (emitting submission
-        events at the new time).  Returns the tick's sample; the caller
-        accounts node-seconds (``cluster.num_nodes * tick_seconds`` —
+        utilization sample, clock advance by ``seconds``, admission
+        (emitting submission events at the new time).  A simulation steps
+        ``config.tick_seconds``; a live host stretches or shortens the step
+        before a timer to land on it.  Returns the tick's sample; the
+        caller accounts node-seconds (``cluster.num_nodes * seconds`` —
         the cluster cannot change inside a tick).
         """
-        self.step_tick(profile=profile)
-        sample = self.sample_tick(utility)
-        self.now += self.config.tick_seconds
+        self.step_tick(profile, seconds)
+        sample = self.sample_tick(utility, seconds)
+        self.now += seconds
         self._admit_submitted()
         return sample
 
-    def sample_tick(self, utility: float = 0.0) -> TimelineSample:
+    def sample_tick(self, utility: float, seconds: float) -> TimelineSample:
         """Cluster-wide utilization/efficiency sample at the current tick.
 
         ``utility`` is the policy's last UTILITY(A) telemetry (hosts pass
         ``policy.last_utility``); the engine itself is policy-agnostic.
+        ``seconds`` is the length of the step the sample stands for.
         """
         active = self._active
         matrix = self._alloc_matrix(active)
@@ -450,6 +462,7 @@ class ClusterEngine:
                 else 0.0
             ),
             mean_speedup_utility=float(utility),
+            seconds=float(seconds),
             gpu_type_names=self._type_names,
             gpus_in_use_by_type=gpus_by_type,
             total_gpus_by_type=self._type_caps,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +55,12 @@ class JobRecord:
 
 @dataclass(frozen=True)
 class TimelineSample:
-    """One sampled instant of cluster-wide state."""
+    """One sampled instant of cluster-wide state.
+
+    ``seconds`` is the length of the step the sample stands for (a live
+    host's steps differ in length); the time averages of
+    :class:`SimResult` weight each sample by it.
+    """
 
     time: float
     num_nodes: int
@@ -69,6 +74,7 @@ class TimelineSample:
     gpu_type_names: Tuple[str, ...] = ()
     gpus_in_use_by_type: Tuple[int, ...] = ()
     total_gpus_by_type: Tuple[int, ...] = ()
+    seconds: float = 1.0
 
 
 @dataclass
@@ -138,15 +144,17 @@ class SimResult:
         The paper reports Pollux maintaining ~91 % average statistical
         efficiency vs ~74 % for the baselines (Sec. 5.2.1).
         """
-        samples = [t.mean_efficiency for t in self.timeline if t.running_jobs > 0]
-        return float(np.mean(samples)) if samples else float("nan")
+        return _time_average(
+            (t.mean_efficiency, t.seconds) for t in self.timeline if t.running_jobs > 0
+        )
 
     def avg_gpu_utilization(self) -> float:
         """Time-averaged fraction of cluster GPUs allocated."""
-        samples = [
-            t.gpus_in_use / t.total_gpus for t in self.timeline if t.total_gpus > 0
-        ]
-        return float(np.mean(samples)) if samples else float("nan")
+        return _time_average(
+            (t.gpus_in_use / t.total_gpus, t.seconds)
+            for t in self.timeline
+            if t.total_gpus > 0
+        )
 
     def avg_speedup_utility(self) -> float:
         """Time-averaged UTILITY(A) (Eqn. 17) while jobs were running.
@@ -154,10 +162,11 @@ class SimResult:
         Only meaningful for schedulers that report a utility (Pollux); 0 for
         the baselines.
         """
-        samples = [
-            t.mean_speedup_utility for t in self.timeline if t.running_jobs > 0
-        ]
-        return float(np.mean(samples)) if samples else float("nan")
+        return _time_average(
+            (t.mean_speedup_utility, t.seconds)
+            for t in self.timeline
+            if t.running_jobs > 0
+        )
 
     def per_type_utilization(self) -> Dict[str, float]:
         """Time-averaged GPU utilization per GPU type.
@@ -166,7 +175,7 @@ class SimResult:
         the type set changing mid-run under autoscaling).  Empty for runs
         recorded before typed clusters existed.
         """
-        used: Dict[str, List[float]] = {}
+        used: Dict[str, List[Tuple[float, float]]] = {}
         for sample in self.timeline:
             for name, in_use, total in zip(
                 sample.gpu_type_names,
@@ -174,8 +183,8 @@ class SimResult:
                 sample.total_gpus_by_type,
             ):
                 if total > 0:
-                    used.setdefault(name, []).append(in_use / total)
-        return {name: float(np.mean(vals)) for name, vals in used.items()}
+                    used.setdefault(name, []).append((in_use / total, sample.seconds))
+        return {name: _time_average(vals) for name, vals in used.items()}
 
     def node_hours(self) -> float:
         """Total node-hours provisioned (the cloud cost proxy, Sec. 5.3.3)."""
@@ -207,6 +216,15 @@ class SimResult:
             f"p99 {s['p99_jct_hours']:.2f}h  makespan {s['makespan_hours']:.2f}h  "
             f"eff {s['avg_efficiency'] * 100.0:.0f}%"
         )
+
+
+def _time_average(pairs: Iterable[Tuple[float, float]]) -> float:
+    """Mean of ``(value, seconds)`` pairs weighted by seconds (nan if none)."""
+    pairs = list(pairs)
+    if not pairs:
+        return float("nan")
+    values, weights = zip(*pairs)
+    return float(np.average(values, weights=weights))
 
 
 def decision_digest(result: SimResult) -> str:

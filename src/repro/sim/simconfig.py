@@ -1,4 +1,4 @@
-"""Shared run configuration for trace-driven hosts (simulator and replay)."""
+"""Shared run configuration of every engine-backed host."""
 
 from __future__ import annotations
 
@@ -11,10 +11,11 @@ __all__ = ["SimConfig"]
 class SimConfig:
     """Simulator parameters (defaults follow Sec. 5.1).
 
-    Consumed by both trace-driven hosts: the discrete-time
-    :class:`~repro.sim.simulator.Simulator` and the wall-clock replay host
-    (:class:`~repro.host.ReplayBackend`), which share the
-    :class:`~repro.sim.engine.ClusterEngine` mechanism layer.
+    Consumed by every host of the :class:`~repro.sim.engine.ClusterEngine`
+    mechanism layer: the discrete-time :class:`~repro.sim.simulator.
+    Simulator`, the wall-clock replay (:class:`~repro.host.ReplayBackend`)
+    and the live cluster (:class:`~repro.host.ThreadedBackend`, which maps
+    its :class:`~repro.host.ThreadedConfig` onto one).
 
     Every ``agent_interval`` Pollux jobs re-tune their batch size by an
     O(1) lookup from the agent's memoized argmax batch-size table

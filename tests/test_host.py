@@ -5,9 +5,13 @@ ReplayBackend reproduces the discrete-time simulator's decision stream
 bit-for-bit — same snapshot-build schedule, agent reports only for
 ``needs_agent`` policies, same RNG streams — for every registered policy,
 including autoscaling, idle gaps, heterogeneous clusters, and
-interference.  Plus service-lifecycle and live-threaded-backend behavior.
+interference.  The live backend is the same engine on a paced clock, so
+over a preloaded trace without idle gaps it agrees with the simulator too.
+Plus service-lifecycle and live-backend behavior.
 """
 
+import dataclasses
+import threading
 import time
 
 import numpy as np
@@ -23,7 +27,7 @@ from repro.host import (
     ThreadedBackend,
     ThreadedConfig,
 )
-from repro.sim import SimConfig, Simulator, decision_digest
+from repro.sim import JobRecord, SimConfig, Simulator, decision_digest
 from repro.workload import MODEL_ZOO, JobSpec, TraceConfig, generate_trace
 
 QUICK_GA = PolluxSchedConfig(ga=GAConfig(population_size=8, generations=4))
@@ -429,3 +433,228 @@ class TestThreadedBackend:
         assert result is not None
         assert len(result.records) == 1
         assert result.records[0].finish_time is None  # abandoned in flight
+
+
+def gapless_trace(cluster: ClusterSpec, count: int = 6):
+    """small_trace re-timed so that every arrival finds a job active."""
+    return [
+        dataclasses.replace(spec, submission_time=60.0 * idx)
+        for idx, spec in enumerate(small_trace(cluster, count))
+    ]
+
+
+class TestLiveAgreement:
+    """The live backend is the simulator's engine on a paced clock: over a
+    preloaded trace with no idle gap it makes the simulator's decisions."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(repro.policy.available()) - {"orelastic"})
+    )
+    def test_every_policy_agrees(self, name):
+        cluster = ClusterSpec.homogeneous(2, 4)
+        trace = gapless_trace(cluster)
+        sim_result = Simulator(
+            cluster,
+            quick_policy(name, cluster),
+            trace,
+            SimConfig(seed=1001, max_hours=30.0),
+        ).run()
+        # No idle gap: the simulator never fast-forwarded.
+        finishes = [r.finish_time for r in sim_result.records]
+        for idx, record in enumerate(sim_result.records[1:], start=1):
+            assert max(finishes[:idx]) > record.submission_time
+        # quantum_seconds * time_scale is the simulator's 30 s tick.
+        backend = ThreadedBackend(
+            cluster,
+            ThreadedConfig(
+                quantum_seconds=0.001, time_scale=30000.0, max_hours=30.0, seed=1001
+            ),
+            trace=trace,
+        )
+        host = PolicyHost(quick_policy(name, cluster), backend)
+        host.start()
+        live_result = host.drain(timeout=300.0)
+        assert live_result is not None
+        names = [r.name for r in live_result.records]
+        assert names == [r.name for r in sim_result.records]
+        assert decision_digest(live_result) == decision_digest(sim_result)
+
+
+class TestLiveMechanism:
+    def test_threads_do_not_grow_with_jobs(self):
+        cluster = ClusterSpec.homogeneous(2, 4)
+        backend = fast_threaded(cluster)
+        host = PolicyHost(quick_policy("tiresias", cluster), backend)
+        host.start()
+        try:
+            baseline = threading.active_count()
+            for idx in range(200):
+                backend.submit(
+                    JobSpec(f"j{idx}", MODEL_ZOO["resnet50-imagenet"], 0.0, 1, 256)
+                )
+            deadline = time.monotonic() + 30.0
+            while len(backend.jobs()) < 200 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(backend.jobs()) == 200
+            assert threading.active_count() <= baseline
+        finally:
+            host.stop(timeout=30.0)
+
+    def test_tick_is_never_shorter_than_the_simulator_tick(self):
+        # Every tick profiles each running job once, so a tick shorter
+        # than the simulator's would profile more often per host second.
+        cluster = ClusterSpec.homogeneous(1, 2)
+        ticks = {
+            (1.0, 0.05): 30.0,
+            (600.0, 0.02): 30.0,
+            (1000.0, 0.05): 50.0,
+            (2400.0, 1.0): 60.0,  # capped at the scheduling interval
+        }
+        for (scale, quantum), tick in ticks.items():
+            backend = ThreadedBackend(
+                cluster, ThreadedConfig(time_scale=scale, quantum_seconds=quantum)
+            )
+            assert backend.config.tick_seconds == tick
+            assert backend.compression == scale
+
+    def test_rounds_fire_on_the_interval(self):
+        # A 0.015 s x 2400 = 36 s tick does not divide the 120 s interval:
+        # the live clock steps whole ticks and stretches the step before
+        # each timer to land on it (36 + 36 + 48).
+        cluster = ClusterSpec.homogeneous(2, 4)
+        backend = fast_threaded(
+            cluster,
+            quantum_seconds=0.015,
+            scheduling_interval=120.0,
+            agent_interval=120.0,
+        )
+        host = PolicyHost(quick_policy("tiresias", cluster), backend)
+        host.start()
+        backend.submit(JobSpec("j0", MODEL_ZOO["resnet50-imagenet"], 0.0, 2, 256))
+        try:
+            deadline = time.monotonic() + 30.0
+            while host.metrics.summary()["scheduling_rounds"] < 6:
+                assert time.monotonic() < deadline, "too few rounds"
+                time.sleep(0.01)
+        finally:
+            host.stop(timeout=30.0)
+        times = [r.time for r in host.metrics.rounds if r.scheduled]
+        assert len(times) >= 6
+        assert [b - a for a, b in zip(times, times[1:])] == [120.0] * (len(times) - 1)
+        steps = [sample.seconds for sample in host.result.timeline]
+        assert steps[:6] == [36.0, 36.0, 48.0] * 2
+
+    def test_time_averages_weight_unequal_steps(self):
+        # 36 + 36 + 48 s steps: the timeline's time averages agree with
+        # node_seconds, which every step adds its own length to.
+        cluster = ClusterSpec.homogeneous(2, 4)
+        trace = [
+            JobSpec("a", MODEL_ZOO["neumf-movielens"], 0.0, 2, 256),
+            JobSpec("b", MODEL_ZOO["resnet18-cifar10"], 200.0, 4, 256),
+        ]
+        backend = ThreadedBackend(
+            cluster,
+            ThreadedConfig(
+                time_scale=2400.0,
+                quantum_seconds=0.015,
+                scheduling_interval=120.0,
+                agent_interval=120.0,
+            ),
+            trace,
+        )
+        host = PolicyHost(quick_policy("tiresias", cluster), backend)
+        host.start()
+        result = host.drain(timeout=120.0)
+        assert result is not None
+        timeline = result.timeline
+        assert len({sample.seconds for sample in timeline}) > 1
+        assert sum(s.seconds for s in timeline) * cluster.num_nodes == pytest.approx(
+            result.node_seconds
+        )
+        gpu_seconds = sum(s.gpus_in_use * s.seconds for s in timeline)
+        assert result.avg_gpu_utilization() == pytest.approx(
+            gpu_seconds / (result.node_seconds * cluster.max_gpus_per_node)
+        )
+
+    def test_slow_round_gives_lost_time_up(self):
+        # One 0.5 s round at 2400x is 1200 host seconds late: the host
+        # clock gives them up rather than running unpaced to catch up.
+        cluster = ClusterSpec.homogeneous(2, 4)
+        seen = []
+
+        class Slow(repro.policy.Policy):
+            name = "slow"
+            capabilities = repro.policy.PolicyCapabilities()
+
+            def schedule(self, now, state):
+                seen.append((time.monotonic(), now))
+                if len(seen) == 1:
+                    time.sleep(0.5)
+                return repro.policy.ScheduleDecision(allocations={})
+
+        backend = fast_threaded(cluster, quantum_seconds=0.0125)
+        host = PolicyHost(Slow(), backend)
+        host.start()
+        backend.submit(JobSpec("j0", MODEL_ZOO["resnet50-imagenet"], 0.0, 2, 256))
+        try:
+            deadline = time.monotonic() + 30.0
+            while len(seen) < 12:
+                assert time.monotonic() < deadline, "too few rounds"
+                time.sleep(0.01)
+        finally:
+            host.stop(timeout=30.0)
+        (wall_a, host_a), (wall_b, host_b) = seen[2], seen[11]
+        # Never faster than time_scale, up to one round of jitter (a step
+        # caught up late plus the time from the tick to the round).
+        assert host_b - host_a <= (wall_b - wall_a) * 2400.0 + 60.0
+
+    @pytest.mark.parametrize("live", [False, True])
+    def test_cancel_queued_job_is_never_seen(self, live):
+        cluster = ClusterSpec.homogeneous(2, 4)
+        trace = [
+            JobSpec("early", MODEL_ZOO["neumf-movielens"], 0.0, 2, 256),
+            JobSpec("late", MODEL_ZOO["neumf-movielens"], 600.0, 2, 256),
+        ]
+        if live:
+            backend = ThreadedBackend(
+                cluster, ThreadedConfig(time_scale=2400.0, quantum_seconds=0.01), trace
+            )
+        else:
+            backend = ReplayBackend(cluster, trace, SimConfig(seed=1, max_hours=10.0))
+        seen = []
+
+        class Recorder(repro.policy.Policy):
+            name = "recorder"
+            capabilities = repro.policy.PolicyCapabilities()
+
+            def on_job_submitted(self, now, job):
+                seen.append(job.name)
+
+            def schedule(self, now, state):
+                allocations = {
+                    snap.name: np.array([snap.fixed_num_gpus, 0])
+                    for snap in state.jobs
+                }
+                return repro.policy.ScheduleDecision(allocations=allocations)
+
+        host = PolicyHost(Recorder(), backend)
+        assert host.cancel_job("late")
+        assert not host.cancel_job("late")
+        host.start()
+        result = host.drain(timeout=120.0)
+        assert result is not None
+        assert seen == ["early"]
+        assert [r.name for r in result.records] == ["early"]
+
+    def test_completed_live_job_is_a_record(self):
+        cluster = ClusterSpec.homogeneous(2, 4)
+        backend = fast_threaded(cluster)
+        host = PolicyHost(quick_policy("tiresias", cluster), backend)
+        host.start()
+        backend.submit(JobSpec("short", MODEL_ZOO["neumf-movielens"], 0.0, 2, 256))
+        assert host.drain(timeout=120.0) is not None
+        found = host.find_job("short")
+        assert isinstance(found, JobRecord)
+        assert found.finish_time is not None
+        assert not backend.jobs() and not backend.engine.jobs
+        assert not host.cancel_job("short")

@@ -88,6 +88,15 @@ class TestClusterStats:
         ]
         assert res.avg_gpu_utilization() == pytest.approx(0.75)
 
+    def test_time_averages_weight_by_step_length(self):
+        res = SimResult()
+        res.timeline = [
+            TimelineSample(0, 4, 8, 16, 1, 0, 0.5, 0.0, seconds=10.0),
+            TimelineSample(10, 4, 16, 16, 1, 0, 1.0, 0.0, seconds=30.0),
+        ]
+        assert res.avg_gpu_utilization() == pytest.approx(0.875)
+        assert res.avg_efficiency() == pytest.approx(0.875)
+
     def test_node_hours(self):
         res = SimResult()
         res.node_seconds = 7200.0
