@@ -21,8 +21,6 @@ Public API overview:
   (``pollux-sharded``) for 10k-GPU / 5k-job scale.
 - :mod:`repro.service` — scheduling-as-a-service: the multi-tenant HTTP
   front-end + Prometheus ``/metrics`` on top of a running host.
-- :mod:`repro.training` — numpy data-parallel training substrate with real
-  gradient-noise-scale measurement and AdaScale SGD.
 
 Start at ``README.md`` (overview, quickstart, headline numbers); the
 operator guide for running the service is ``docs/operating.md``.

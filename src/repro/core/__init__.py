@@ -1,17 +1,11 @@
 """Pollux core: goodput modeling, job-level and cluster-wide optimization."""
 
-from .adascale import (
-    AdaScaleState,
-    adascale_gain,
-    adascale_lr,
-    linear_scale_lr,
-    sqrt_scale_lr,
-)
+from .adascale import adascale_gain
 from .agent import AgentReport, PolluxAgent, optimistic_params
 from .autoscale import AutoscaleConfig, AutoscaleDecision, UtilityAutoscaler
 from .efficiency import EfficiencyModel, GradientStats, efficiency, gradient_noise_scale
 from .genetic import AllocationProblem, GAConfig, GeneticOptimizer, JobGAInfo
-from .goldensection import golden_section_search, golden_section_search_int
+from .goldensection import golden_section_search
 from .goodput import BatchSizeLimits, GoodputModel, batch_size_grid
 from .sched import PolluxSched, PolluxSchedConfig, SchedJobInfo, job_weight
 from .speedup import (
@@ -36,11 +30,7 @@ from .throughput import (
 )
 
 __all__ = [
-    "AdaScaleState",
     "adascale_gain",
-    "adascale_lr",
-    "linear_scale_lr",
-    "sqrt_scale_lr",
     "AgentReport",
     "PolluxAgent",
     "optimistic_params",
@@ -56,7 +46,6 @@ __all__ = [
     "GeneticOptimizer",
     "JobGAInfo",
     "golden_section_search",
-    "golden_section_search_int",
     "BatchSizeLimits",
     "GoodputModel",
     "batch_size_grid",

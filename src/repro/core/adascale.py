@@ -1,4 +1,4 @@
-"""Learning-rate scaling rules (Sec. 2.2): AdaScale, linear, square-root.
+"""The AdaScale gain (Sec. 2.2, Eqn. 5).
 
 AdaScale [Johnson et al. 2020] scales the learning rate adaptively based on
 the gradient noise scale phi_t.  When a job configured with (m0, eta0) runs
@@ -9,26 +9,15 @@ with batch size m > m0, AdaScale multiplies the learning rate by the gain
 and one iteration at batch size m is worth r_t iterations at m0 — the
 "scale-invariant iterations" that make AdaScale's progress predictable, which
 is what Pollux builds its EFFICIENCY measure on (Appendix A).
-
-The simple linear [Krizhevsky / Goyal et al.] and square-root rules are
-provided for comparison; unlike AdaScale they cannot *predict* statistical
-efficiency ahead of time (Sec. 2.2).
+``PolluxAgent.tune_batch_size`` returns eta0 * r_t as the learning rate for
+the batch size it picks.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
 import numpy as np
 
-__all__ = [
-    "adascale_gain",
-    "adascale_lr",
-    "linear_scale_lr",
-    "sqrt_scale_lr",
-    "LR_SCALING_RULES",
-    "AdaScaleState",
-]
+__all__ = ["adascale_gain"]
 
 
 def adascale_gain(grad_noise_scale: float, init_batch_size: float, batch_size):
@@ -42,88 +31,3 @@ def adascale_gain(grad_noise_scale: float, init_batch_size: float, batch_size):
     if gain.ndim == 0:
         return float(gain)
     return gain
-
-
-def adascale_lr(
-    init_lr: float,
-    grad_noise_scale: float,
-    init_batch_size: float,
-    batch_size: float,
-) -> float:
-    """Learning rate for batch size m under AdaScale: eta0 * r_t."""
-    return init_lr * adascale_gain(grad_noise_scale, init_batch_size, batch_size)
-
-
-def linear_scale_lr(
-    init_lr: float,
-    grad_noise_scale: float,
-    init_batch_size: float,
-    batch_size: float,
-) -> float:
-    """Linear scaling rule: eta proportional to m (gradient noise ignored)."""
-    del grad_noise_scale
-    if init_batch_size <= 0:
-        raise ValueError("init_batch_size must be positive")
-    return init_lr * (batch_size / init_batch_size)
-
-
-def sqrt_scale_lr(
-    init_lr: float,
-    grad_noise_scale: float,
-    init_batch_size: float,
-    batch_size: float,
-) -> float:
-    """Square-root scaling rule: eta proportional to sqrt(m)."""
-    del grad_noise_scale
-    if init_batch_size <= 0:
-        raise ValueError("init_batch_size must be positive")
-    return init_lr * float(np.sqrt(batch_size / init_batch_size))
-
-
-LR_SCALING_RULES: Dict[str, Callable[[float, float, float, float], float]] = {
-    "adascale": adascale_lr,
-    "linear": linear_scale_lr,
-    "sqrt": sqrt_scale_lr,
-}
-
-
-class AdaScaleState:
-    """Scale-invariant iteration accounting for one training job.
-
-    Tracks the cumulative number of *scale-invariant* iterations (progress
-    measured in units of m0-iterations) and the cumulative m0-equivalent
-    samples processed.  PolluxAgent uses this to express training progress in
-    a batch-size-independent way ("statistical epochs" in Fig. 2a).
-    """
-
-    def __init__(self, init_batch_size: float, init_lr: float):
-        if init_batch_size <= 0:
-            raise ValueError("init_batch_size must be positive")
-        if init_lr <= 0:
-            raise ValueError("init_lr must be positive")
-        self.init_batch_size = float(init_batch_size)
-        self.init_lr = float(init_lr)
-        self.scale_invariant_iters = 0.0
-        self.statistical_samples = 0.0
-        self.raw_iters = 0
-        self.raw_samples = 0.0
-
-    def step(self, batch_size: float, grad_noise_scale: float) -> float:
-        """Account for one SGD iteration at ``batch_size``.
-
-        Returns:
-            The learning rate to use for this iteration (AdaScale-scaled).
-        """
-        gain = adascale_gain(grad_noise_scale, self.init_batch_size, batch_size)
-        self.scale_invariant_iters += gain
-        self.statistical_samples += gain * self.init_batch_size
-        self.raw_iters += 1
-        self.raw_samples += batch_size
-        return self.init_lr * gain
-
-    @property
-    def efficiency_to_date(self) -> float:
-        """Average statistical efficiency over the job's lifetime so far."""
-        if self.raw_samples == 0:
-            return 1.0
-        return self.statistical_samples / self.raw_samples

@@ -185,7 +185,7 @@ class PolluxAgent:
         # Surface cache backing table-driven batch tuning (created on first
         # use).  phi drifts a little on every observation, so the keys
         # quantize it (TABLE_TUNING_PHI_TOL) — otherwise no tuning tick
-        # would ever hit and "table mode" would rebuild a surface per tick.
+        # would ever hit and tuning would rebuild a surface per tick.
         self._tune_cache: Optional[SurfaceCache] = None
         #: Re-fit after this many observations even without new configs, to
         #: absorb measurement noise into the running means.
@@ -317,49 +317,16 @@ class PolluxAgent:
         num_nodes: int,
         num_gpus: int,
         speed: float = 1.0,
-        method: str = "search",
     ) -> Tuple[float, float]:
         """Most efficient batch size for the current allocation (Eqn. 13).
 
-        Args:
-            num_nodes: Nodes hosting at least one replica.
-            num_gpus: Total allocated GPUs.
-            speed: Relative compute speed of the allocated GPU type.
-            method: ``"search"`` runs golden-section search over the
-                feasible batch sizes — the paper's Eqn. 13 procedure, what
-                a training loop calls (:mod:`repro.training.trainer`).
-                ``"table"`` (what every scheduling host calls, through
-                :func:`repro.policy.dispatch.tune_batch_sizes`) takes an
-                O(1) lookup from the memoized argmax batch-size table of
-                :func:`repro.core.speedup.best_batch_size_table` instead,
-                on a ``TABLE_TUNING_POINTS_PER_OCTAVE`` grid; the goodput
-                at the table's choice matches the search optimum to within
-                the geometric grid's resolution (asserted by
-                ``tests/test_surfacecache.py``), though the batch size
-                itself can differ by up to one grid step.
-
-        Returns:
-            Tuple ``(batch_size, learning_rate)`` where the learning rate is
-            the AdaScale-adapted eta0 * r_t for the chosen batch size.
-        """
-        if num_gpus < 1:
-            raise ValueError("job has no GPUs allocated")
-        if method == "search":
-            model = self.goodput_model()
-            m_star, _ = model.optimize_batch_size(num_nodes, num_gpus, speed=speed)
-        elif method == "table":
-            m_star = self._tune_from_table(num_nodes, num_gpus, speed)
-        else:
-            raise ValueError(f"unknown batch tuning method {method!r}")
-        lr = self.init_lr * adascale_gain(
-            self.grad_noise_scale, self.init_batch_size, m_star
-        )
-        return m_star, lr
-
-    def _tune_from_table(
-        self, num_nodes: int, num_gpus: int, speed: float
-    ) -> float:
-        """O(1) batch-size lookup from the cached argmax table.
+        An O(1) lookup from the memoized argmax batch-size table of
+        :func:`repro.core.speedup.best_batch_size_table`, on a
+        ``TABLE_TUNING_POINTS_PER_OCTAVE`` grid.  The goodput at the
+        table's choice matches ``GoodputModel.optimize_batch_size``'s
+        golden-section optimum to within the grid's resolution (asserted
+        by ``tests/test_surfacecache.py``), though the batch size itself
+        can differ by up to one grid step.
 
         The table comes from the agent's own :class:`SurfaceCache` (the
         same entry type PolluxSched caches — speedup plus argmax surfaces
@@ -367,7 +334,18 @@ class PolluxAgent:
         consecutive tuning ticks hit the cache while theta_sys is stable:
         a surface is recomputed only after a re-fit or once phi drifts out
         of its bucket, and every tick in between is a pure lookup.
+
+        Args:
+            num_nodes: Nodes hosting at least one replica.
+            num_gpus: Total allocated GPUs.
+            speed: Relative compute speed of the allocated GPU type.
+
+        Returns:
+            Tuple ``(batch_size, learning_rate)`` where the learning rate is
+            the AdaScale-adapted eta0 * r_t for the chosen batch size.
         """
+        if num_gpus < 1:
+            raise ValueError("job has no GPUs allocated")
         if self._tune_cache is None:
             self._tune_cache = SurfaceCache(
                 maxsize=8, phi_tol=TABLE_TUNING_PHI_TOL
@@ -384,4 +362,7 @@ class PolluxAgent:
                 f"on {num_gpus} GPU(s) with max_local_bsz "
                 f"{self.limits.max_local_bsz}"
             )
-        return m_star
+        lr = self.init_lr * adascale_gain(
+            self.grad_noise_scale, self.init_batch_size, m_star
+        )
+        return m_star, lr

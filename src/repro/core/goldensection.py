@@ -3,7 +3,7 @@
 Pollux maximizes GOODPUT(a, m) over the batch size m (Sec. 4.1, Eqn. 13) and
 the numerator/denominator of SPEEDUP (Sec. 4.2, Eqn. 15) using golden-section
 search [Kiefer 1953], exploiting the observation that GOODPUT is a unimodal
-function of m.  This module provides both a continuous and an integer variant.
+function of m.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Tuple
 
-__all__ = ["golden_section_search", "golden_section_search_int"]
+__all__ = ["golden_section_search"]
 
 #: The inverse golden ratio, (sqrt(5) - 1) / 2.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -75,60 +75,3 @@ def golden_section_search(
     if fc >= fd:
         return xc, fc
     return xd, fd
-
-
-def golden_section_search_int(
-    fn: Callable[[int], float],
-    lo: int,
-    hi: int,
-    max_iters: int = 200,
-) -> Tuple[int, float]:
-    """Maximize a unimodal function over the integers in ``[lo, hi]``.
-
-    Uses golden-section bracketing on the integer lattice, then resolves the
-    final (small) bracket by exhaustive evaluation.  Suitable for discrete
-    batch sizes.
-
-    Args:
-        fn: Unimodal function over integers to maximize.
-        lo: Smallest candidate (inclusive).
-        hi: Largest candidate (inclusive).
-        max_iters: Hard cap on bracketing iterations.
-
-    Returns:
-        Tuple ``(x, fn(x))`` at the located maximum.
-
-    Raises:
-        ValueError: If ``lo > hi``.
-    """
-    if lo > hi:
-        raise ValueError(f"invalid interval: lo={lo} > hi={hi}")
-    a, b = lo, hi
-    cache = {}
-
-    def eval_cached(x: int) -> float:
-        if x not in cache:
-            cache[x] = fn(x)
-        return cache[x]
-
-    iters = 0
-    while b - a > 3 and iters < max_iters:
-        h = b - a
-        xc = a + int(round(INV_PHI2 * h))
-        xd = a + int(round(INV_PHI * h))
-        # Keep probes strictly interior and distinct.
-        xc = min(max(xc, a + 1), b - 1)
-        xd = min(max(xd, xc + 1), b - 1)
-        if eval_cached(xc) >= eval_cached(xd):
-            b = xd
-        else:
-            a = xc
-        iters += 1
-
-    best_x = a
-    best_f = eval_cached(a)
-    for x in range(a + 1, b + 1):
-        fx = eval_cached(x)
-        if fx > best_f:
-            best_x, best_f = x, fx
-    return best_x, best_f

@@ -16,11 +16,11 @@ compute once, look up everywhere.
 ``(AgentReport.fingerprint(), table shape parameters)``; the scheduler
 stores speedup tables, and :meth:`SurfaceCache.get_flat` the speedup
 table *and* the argmax batch-size table of one per-job surface pass, for
-table-driven batch tuning (``PolluxAgent.tune_batch_size`` with
-``method="table"``).  Because the fingerprint is a
-pure value key, a cache hit returns the identical array object a miss
-would have computed — caching is invisible to scheduling decisions
-(asserted bit-for-bit by ``tests/test_surfacecache.py``).
+table-driven batch tuning (``PolluxAgent.tune_batch_size``).  Because
+the fingerprint is a pure value key, a cache hit returns the identical
+array object a miss would have computed — caching is invisible to
+scheduling decisions (asserted bit-for-bit by
+``tests/test_surfacecache.py``).
 
 Agents re-fit theta_sys only every ``refit_every`` observations, but phi_t
 drifts every tick, so exact keys miss across rounds.  Constructing the

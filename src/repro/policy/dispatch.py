@@ -98,9 +98,9 @@ def apply_decision(
 def tune_batch_sizes(jobs: Sequence) -> None:
     """Let each running adaptive job's agent re-tune its batch size.
 
-    Every host tunes by the O(1) argmax-table lookup
-    (``PolluxAgent.tune_batch_size(method="table")``).  Jobs whose agents
-    cannot tune yet (no fitted model) keep their current batch size.
+    Every host tunes by the agent's O(1) argmax-table lookup
+    (``PolluxAgent.tune_batch_size``).  Jobs whose agents cannot tune yet
+    (no fitted model) keep their current batch size.
     """
     for job in jobs:
         if job.num_gpus == 0:
@@ -110,7 +110,6 @@ def tune_batch_sizes(jobs: Sequence) -> None:
                 job.num_nodes_occupied,
                 job.num_gpus,
                 job.current_speed,
-                method="table",
             )
         except ValueError:
             continue

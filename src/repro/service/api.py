@@ -416,9 +416,10 @@ class SchedulerService:
             return base
         found = self.host.find_job(entry.job_id)
         if found is None:
-            # Submitted but not yet visible in the backend's active set
-            # (pre-admission queue inside the backend) — or terminal with
-            # the record rotated out of the bounded completed history.
+            # A live backend finds a submitted job from submit() on (it
+            # reads "pending" until a tick admits and allocates it), so
+            # None means the job's record rotated out of the backend's
+            # bounded completed history: only the entry's state is left.
             if entry.state == "submitted":
                 base["state"] = "accepted"
             return base

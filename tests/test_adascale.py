@@ -1,15 +1,9 @@
-"""Tests for learning-rate scaling rules (Eqn. 5) and AdaScale accounting."""
+"""Tests for the AdaScale gain (Eqn. 5)."""
 
 import numpy as np
 import pytest
 
-from repro.core.adascale import (
-    AdaScaleState,
-    adascale_gain,
-    adascale_lr,
-    linear_scale_lr,
-    sqrt_scale_lr,
-)
+from repro.core.adascale import adascale_gain
 
 
 class TestGain:
@@ -43,50 +37,7 @@ class TestGain:
 
 
 class TestScalingRules:
-    def test_adascale_lr(self):
-        lr = adascale_lr(0.1, 500.0, 128.0, 512.0)
-        assert lr == pytest.approx(0.1 * adascale_gain(500.0, 128.0, 512.0))
-
-    def test_linear_rule(self):
-        assert linear_scale_lr(0.1, 0.0, 128.0, 512.0) == pytest.approx(0.4)
-
-    def test_sqrt_rule(self):
-        assert sqrt_scale_lr(0.1, 0.0, 128.0, 512.0) == pytest.approx(0.2)
-
     def test_adascale_never_exceeds_linear(self):
-        # r_t <= m / m0, so AdaScale LR <= linear-scaled LR.
+        # r_t <= m / m0: AdaScale never scales the LR past the linear rule.
         for phi in (0.0, 10.0, 1e4, 1e8):
-            ada = adascale_lr(0.1, phi, 128.0, 2048.0)
-            lin = linear_scale_lr(0.1, phi, 128.0, 2048.0)
-            assert ada <= lin + 1e-12
-
-
-class TestAdaScaleState:
-    def test_progress_accounting(self):
-        state = AdaScaleState(init_batch_size=128.0, init_lr=0.1)
-        lr = state.step(batch_size=512.0, grad_noise_scale=500.0)
-        gain = adascale_gain(500.0, 128.0, 512.0)
-        assert lr == pytest.approx(0.1 * gain)
-        assert state.scale_invariant_iters == pytest.approx(gain)
-        assert state.statistical_samples == pytest.approx(gain * 128.0)
-        assert state.raw_iters == 1
-        assert state.raw_samples == 512.0
-
-    def test_efficiency_to_date(self):
-        state = AdaScaleState(init_batch_size=128.0, init_lr=0.1)
-        for _ in range(10):
-            state.step(batch_size=1024.0, grad_noise_scale=1000.0)
-        expected_eff = adascale_gain(1000.0, 128.0, 1024.0) * 128.0 / 1024.0
-        assert state.efficiency_to_date == pytest.approx(expected_eff)
-
-    def test_m0_steps_have_perfect_efficiency(self):
-        state = AdaScaleState(init_batch_size=128.0, init_lr=0.1)
-        for _ in range(5):
-            state.step(batch_size=128.0, grad_noise_scale=123.0)
-        assert state.efficiency_to_date == pytest.approx(1.0)
-
-    def test_rejects_invalid_construction(self):
-        with pytest.raises(ValueError):
-            AdaScaleState(init_batch_size=0.0, init_lr=0.1)
-        with pytest.raises(ValueError):
-            AdaScaleState(init_batch_size=128.0, init_lr=0.0)
+            assert adascale_gain(phi, 128.0, 2048.0) <= 2048.0 / 128.0 + 1e-12

@@ -25,12 +25,6 @@ def test_quickstart_runs():
     assert "SPEEDUP table" in out
 
 
-def test_adascale_training_runs():
-    out = run_example("adascale_training.py")
-    assert "measured gradient noise scale" in out
-    assert "predicted" in out
-
-
 def test_scheduler_comparison_runs():
     out = run_example(
         "scheduler_comparison.py", "--jobs", "4", "--nodes", "2", "--hours", "0.5"

@@ -1,11 +1,11 @@
-"""Tests for golden-section search (continuous and integer)."""
+"""Tests for golden-section search."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.core.goldensection import golden_section_search, golden_section_search_int
+from repro.core.goldensection import golden_section_search
 
 
 class TestContinuous:
@@ -62,37 +62,3 @@ class TestContinuous:
         best = grid[np.argmax([goodput(m) for m in grid])]
         assert abs(x - best) < 2.0
 
-
-class TestInteger:
-    def test_finds_integer_peak(self):
-        x, fx = golden_section_search_int(lambda x: -((x - 37) ** 2), 0, 100)
-        assert x == 37
-        assert fx == 0
-
-    def test_tiny_ranges(self):
-        for lo, hi in [(5, 5), (5, 6), (5, 8)]:
-            x, _ = golden_section_search_int(lambda v: -abs(v - 6), lo, hi)
-            assert lo <= x <= hi
-            expected = min(max(6, lo), hi)
-            assert x == expected
-
-    def test_plateau_returns_valid_point(self):
-        x, fx = golden_section_search_int(lambda v: 1.0, 0, 50)
-        assert 0 <= x <= 50
-        assert fx == 1.0
-
-    def test_invalid_interval_raises(self):
-        with pytest.raises(ValueError):
-            golden_section_search_int(lambda v: v, 3, 1)
-
-    def test_matches_exhaustive_on_unimodal(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            peak = int(rng.integers(0, 200))
-            scale = float(rng.uniform(0.5, 3.0))
-            def fn(v, p=peak, s=scale):
-                return -s * (v - p) ** 2
-
-            x, _ = golden_section_search_int(fn, 0, 199)
-            expected = int(np.argmax([fn(v) for v in range(200)]))
-            assert x == expected

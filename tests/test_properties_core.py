@@ -13,7 +13,7 @@ from repro.core import (
     adascale_gain,
     efficiency,
 )
-from repro.core.goldensection import golden_section_search, golden_section_search_int
+from repro.core.goldensection import golden_section_search
 
 # Strategy: physically sensible throughput parameters.
 params_st = st.builds(
@@ -150,12 +150,3 @@ class TestGoldenSectionProperties:
 
         x, _ = golden_section_search(fn, lo, hi, tol=1e-7)
         assert abs(x - peak) < 1e-3
-
-    @given(peak=st.integers(0, 500))
-    @settings(max_examples=100, deadline=None)
-    def test_integer_search_exact(self, peak):
-        def fn(v):
-            return -abs(v - peak)
-
-        x, _ = golden_section_search_int(fn, 0, 500)
-        assert x == peak

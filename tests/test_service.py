@@ -144,6 +144,23 @@ class TestSchedulerService:
         finally:
             host.stop()
 
+    def test_submitted_job_reads_pending_before_admission(self):
+        """A live job no tick has admitted yet is found by the backend and
+        reads ``pending``, not the service's not-found fallback."""
+        cluster = ClusterSpec.homogeneous(2, 4)
+        backend = fast_threaded(cluster)
+        # Never started: no tick runs, so the job stays in the engine's
+        # not-yet-admitted tail.
+        host = PolicyHost(quick_policy("tiresias", cluster), backend)
+        service = SchedulerService(host)
+        job_id = service.submit("teamA", {"model": "neumf-movielens"})["job_id"]
+        found = host.find_job(job_id)
+        assert found is not None and found.name == job_id
+        assert backend.engine.jobs.index(found) >= backend.engine._next_submit_idx
+        status = service.job_status("teamA", job_id)
+        assert status["state"] == "pending"
+        assert status["allocated_gpus"] == 0
+
     def test_submit_validation_errors(self):
         service, host = make_service()
         try:

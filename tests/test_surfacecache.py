@@ -238,7 +238,8 @@ class TestSchedCacheIntegration:
 
 class TestTableBatchTuning:
     def test_table_choice_near_search_optimum(self):
-        """Goodput at the table's batch size ~= the search optimum."""
+        """Goodput at the table's batch size ~= the golden-section optimum."""
+        from repro.core.adascale import adascale_gain
         from repro.core.agent import PolluxAgent
 
         profile = MODEL_ZOO["resnet18-cifar10"]
@@ -254,11 +255,9 @@ class TestTableBatchTuning:
         agent.record_grad_stats(var=2.0, sqr=1.0)
 
         for gpus, nodes in ((1, 1), (2, 1), (4, 1), (8, 2), (12, 3)):
-            m_search, lr_search = agent.tune_batch_size(
-                nodes, gpus, method="search"
-            )
-            m_table, lr_table = agent.tune_batch_size(nodes, gpus, method="table")
+            m_table, lr_table = agent.tune_batch_size(nodes, gpus)
             model = agent.goodput_model()
+            m_search, _ = model.optimize_batch_size(nodes, gpus)
             g_search = model.goodput_scalar(nodes, gpus, m_search)
             g_table = model.goodput_scalar(nodes, gpus, m_table)
             # The geometric grid (TABLE_TUNING_POINTS_PER_OCTAVE = 32)
@@ -266,18 +265,12 @@ class TestTableBatchTuning:
             # table's pick is within a fraction of a percent of the search
             # optimum.
             assert g_table >= 0.995 * g_search
-
-    def test_unknown_method_rejected(self):
-        from repro.core.agent import PolluxAgent
-
-        profile = MODEL_ZOO["resnet18-cifar10"]
-        agent = PolluxAgent(
-            init_batch_size=float(profile.init_batch_size),
-            init_lr=profile.init_lr,
-            limits=profile.limits,
-        )
-        with pytest.raises(ValueError):
-            agent.tune_batch_size(1, 1, method="bogus")
+            assert lr_table == pytest.approx(
+                profile.init_lr
+                * adascale_gain(
+                    agent.grad_noise_scale, profile.init_batch_size, m_table
+                )
+            )
 
 
 class TestAutoscalerHookSnapshots:
