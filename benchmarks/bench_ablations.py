@@ -28,7 +28,7 @@ from repro.core import (
     GeneticOptimizer,
     GoodputModel,
     JobGAInfo,
-    build_speedup_table,
+    build_speedup_tables_batch,
 )
 from repro.workload import MODEL_ZOO
 
@@ -89,7 +89,7 @@ def _static_problem():
             EfficiencyModel(float(profile.init_batch_size), phi),
             profile.limits,
         )
-        table = build_speedup_table(model, max_gpus=cluster.total_gpus)
+        [table] = build_speedup_tables_batch([model], [cluster.total_gpus])
         jobs.append(
             JobGAInfo(
                 speedup_table=table,
@@ -149,7 +149,7 @@ def run_argmax_comparison():
     t_golden = time.perf_counter() - start
 
     start = time.perf_counter()
-    build_speedup_table(model, max_gpus=32)
+    build_speedup_tables_batch([model], [32])
     t_table = time.perf_counter() - start
 
     grid = [

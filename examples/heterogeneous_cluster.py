@@ -12,7 +12,7 @@ import argparse
 
 import repro.policy
 from repro.cluster import GPU_TYPES, ClusterSpec
-from repro.core import GAConfig, PolluxSchedConfig, build_typed_speedup_table
+from repro.core import GAConfig, PolluxSchedConfig, build_speedup_tables_batch
 from repro.core.throughput import project_throughput_params
 from repro.sim import SimConfig, Simulator
 from repro.workload import MODEL_ZOO, TraceConfig, generate_trace, true_goodput_model
@@ -48,7 +48,9 @@ def main() -> None:
     print(f"  projected beta_grad:       {projected.beta_grad:.2e} s/sample")
 
     # 3. Per-type speedup tables: what the genetic algorithm actually sees.
-    table = build_typed_speedup_table(model, 8, cluster.type_speeds())
+    [table] = build_speedup_tables_batch(
+        [model], [8], type_speeds=cluster.type_speeds(), squeeze=False
+    )
     names = [t.name for t in cluster.gpu_types]
     print("\n== per-type SPEEDUP table (co-located placements) ==")
     print("  K " + "".join(f"{n:>8s}" for n in names))

@@ -17,7 +17,7 @@ import numpy as np
 from repro.core import (
     EfficiencyModel,
     PolluxAgent,
-    build_speedup_table,
+    build_speedup_tables_batch,
 )
 from repro.workload import MODEL_ZOO
 
@@ -82,7 +82,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 4. The speedup table PolluxSched's genetic algorithm consumes.
     # ------------------------------------------------------------------
-    table = build_speedup_table(model, max_gpus=16)
+    [table] = build_speedup_tables_batch([model], [16])
     print("\nSPEEDUP table (column 0: co-located, column 1: multi-node):")
     for gpus in (1, 2, 4, 8, 16):
         print(

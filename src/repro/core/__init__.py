@@ -8,15 +8,7 @@ from .genetic import AllocationProblem, GAConfig, GeneticOptimizer, JobGAInfo
 from .goldensection import golden_section_search
 from .goodput import BatchSizeLimits, GoodputModel, batch_size_grid
 from .sched import PolluxSched, PolluxSchedConfig, SchedJobInfo, job_weight
-from .speedup import (
-    best_batch_size_table,
-    build_speedup_table,
-    build_surfaces,
-    build_speedup_tables_batch,
-    build_typed_speedup_table,
-    build_typed_surfaces,
-    speedup,
-)
+from .speedup import build_speedup_tables_batch
 from .surfacecache import CacheStats, SurfaceCache
 from .throughput import (
     ExplorationState,
@@ -53,13 +45,7 @@ __all__ = [
     "PolluxSchedConfig",
     "SchedJobInfo",
     "job_weight",
-    "best_batch_size_table",
-    "build_speedup_table",
-    "build_surfaces",
     "build_speedup_tables_batch",
-    "build_typed_speedup_table",
-    "build_typed_surfaces",
-    "speedup",
     "CacheStats",
     "SurfaceCache",
     "ExplorationState",

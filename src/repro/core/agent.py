@@ -10,6 +10,7 @@ maximizing GOODPUT(a, m) over m (Eqn. 13).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -19,7 +20,6 @@ from .adascale import adascale_gain
 from .efficiency import EfficiencyModel, GradientStats
 from .goodput import BatchSizeLimits, GoodputModel
 from .speedup import MULTI_NODE, SINGLE_NODE
-from .surfacecache import SurfaceCache
 from .throughput import (
     ExplorationState,
     ProfileEntry,
@@ -32,17 +32,20 @@ __all__ = ["AgentReport", "PolluxAgent", "optimistic_params"]
 #: Batch sizes are bucketed at ~5% resolution: bucket = round(ln m / ln 1.05).
 _BUCKET_LOG_BASE = float(np.log(1.05))
 
-#: Relative phi quantization for table-driven batch tuning: the argmax
-#: batch size is insensitive to small phi changes (both throughput and
-#: efficiency vary smoothly), so tuning tables are reused while phi stays
-#: within a 5% bucket instead of being rebuilt on every noisy EMA update.
+#: Relative phi quantization for grid batch tuning: the argmax batch size
+#: is insensitive to small phi changes (both throughput and efficiency vary
+#: smoothly), so a tuned pair is reused while phi stays within a 5% bucket
+#: instead of being recomputed on every noisy EMA update.
 TABLE_TUNING_PHI_TOL = 0.05
 
-#: Batch-size grid density of those tuning tables.  Twice the scheduler's
-#: ``sched.TABLE_POINTS_PER_OCTAVE``: a lookup has to land within a fraction of a
-#: percent of the golden-section optimum's goodput (>= 0.995x, asserted by
-#: ``tests/test_surfacecache.py``).
+#: Batch-size grid density of that tuning.  Twice the scheduler's
+#: ``sched.TABLE_POINTS_PER_OCTAVE``: the grid optimum has to land within a
+#: fraction of a percent of the golden-section optimum's goodput (>= 0.995x,
+#: asserted by ``tests/test_surfacecache.py``).
 TABLE_TUNING_POINTS_PER_OCTAVE = 32
+
+#: Tuned (single-node, multi-node) batch-size pairs an agent keeps.
+_TUNE_CACHE_SIZE = 8
 
 
 def optimistic_params(beta_grad: float = 1.0, alpha_grad: float = 0.0) -> ThroughputParams:
@@ -90,9 +93,9 @@ class AgentReport:
         """Cheap value key identifying the goodput surface this report spans.
 
         Two reports with equal fingerprints produce bit-identical speedup
-        and batch-size tables (for the same table shape parameters), which
-        is what lets :class:`~repro.core.surfacecache.SurfaceCache` share
-        one table build across PolluxSched's round, ``utility()``
+        tables (for the same table shape parameters) and tuned batch sizes,
+        which is what lets :class:`~repro.core.surfacecache.SurfaceCache`
+        share one table build across PolluxSched's round, ``utility()``
         evaluations, and the autoscaler's cluster-size probes within a tick.
 
         The key covers theta_sys (7 floats), phi_t, and the batch-size
@@ -102,7 +105,7 @@ class AgentReport:
         buckets of that width (e.g. 0.05 = 5%-wide buckets on a log scale),
         so fingerprints also collide *across* scheduling rounds while phi
         drifts within a bucket — the approximation an agent's batch-tuning
-        cache makes for cross-round table reuse (``TABLE_TUNING_PHI_TOL``).
+        cache makes for cross-round reuse (``TABLE_TUNING_PHI_TOL``).
         """
         phi = self.grad_noise_scale
         if phi_tol > 0.0:
@@ -182,11 +185,11 @@ class PolluxAgent:
         self._params: Optional[ThroughputParams] = None
         self._fit_dirty = False
         self._obs_since_fit = 0
-        # Surface cache backing table-driven batch tuning (created on first
-        # use).  phi drifts a little on every observation, so the keys
-        # quantize it (TABLE_TUNING_PHI_TOL) — otherwise no tuning tick
-        # would ever hit and tuning would rebuild a surface per tick.
-        self._tune_cache: Optional[SurfaceCache] = None
+        # LRU of tuned (single-node, multi-node) batch sizes, keyed on
+        # (fingerprint, num_gpus, speed).  phi drifts a little on every
+        # observation, so the keys quantize it (TABLE_TUNING_PHI_TOL) —
+        # otherwise no tuning tick would ever hit.
+        self._tuned: "OrderedDict[tuple, Tuple[float, float]]" = OrderedDict()
         #: Re-fit after this many observations even without new configs, to
         #: absorb measurement noise into the running means.
         self.refit_every = 50
@@ -320,20 +323,23 @@ class PolluxAgent:
     ) -> Tuple[float, float]:
         """Most efficient batch size for the current allocation (Eqn. 13).
 
-        An O(1) lookup from the memoized argmax batch-size table of
-        :func:`repro.core.speedup.best_batch_size_table`, on a
-        ``TABLE_TUNING_POINTS_PER_OCTAVE`` grid.  The goodput at the
-        table's choice matches ``GoodputModel.optimize_batch_size``'s
+        The argmax of GOODPUT over a ``TABLE_TUNING_POINTS_PER_OCTAVE``
+        geometric grid of the placement's feasible batch sizes
+        (:meth:`GoodputModel.optimize_batch_size_grid`).  The goodput at
+        that choice matches ``GoodputModel.optimize_batch_size``'s
         golden-section optimum to within the grid's resolution (asserted
         by ``tests/test_surfacecache.py``), though the batch size itself
         can differ by up to one grid step.
 
-        The table comes from the agent's own :class:`SurfaceCache` (the
-        same entry type PolluxSched caches — speedup plus argmax surfaces
-        from one pass), with phi quantized at ``TABLE_TUNING_PHI_TOL`` so
-        consecutive tuning ticks hit the cache while theta_sys is stable:
-        a surface is recomputed only after a re-fit or once phi drifts out
-        of its bucket, and every tick in between is a pure lookup.
+        A miss computes both placement flags' argmaxes (one node, two or
+        more) at once, from the same goodput model, and keeps the pair in
+        an LRU of ``_TUNE_CACHE_SIZE`` entries keyed on the report's
+        fingerprint with phi quantized at ``TABLE_TUNING_PHI_TOL``, the
+        GPU count and the speed: consecutive tuning ticks hit while
+        theta_sys is stable, and the pair is recomputed only after a
+        re-fit or once phi drifts out of its bucket.  A GPU count the
+        initial batch size does not fit is remembered as ``(0.0, 0.0)``
+        and raises on every call.
 
         Args:
             num_nodes: Nodes hosting at least one replica.
@@ -346,16 +352,18 @@ class PolluxAgent:
         """
         if num_gpus < 1:
             raise ValueError("job has no GPUs allocated")
-        if self._tune_cache is None:
-            self._tune_cache = SurfaceCache(
-                maxsize=8, phi_tol=TABLE_TUNING_PHI_TOL
-            )
         report = self.report()
-        _, bsz_table = self._tune_cache.get_flat(
-            report, num_gpus, TABLE_TUNING_POINTS_PER_OCTAVE, float(speed)
-        )
-        flag = MULTI_NODE if num_nodes >= 2 else SINGLE_NODE
-        m_star = float(bsz_table[num_gpus, flag])
+        num_gpus, speed = int(num_gpus), float(speed)
+        key = (report.fingerprint(TABLE_TUNING_PHI_TOL), num_gpus, speed)
+        tuned = self._tuned.get(key)
+        if tuned is None:
+            tuned = _grid_argmaxes(report.goodput_model(), num_gpus, speed)
+            self._tuned[key] = tuned
+            if len(self._tuned) > _TUNE_CACHE_SIZE:
+                self._tuned.popitem(last=False)
+        else:
+            self._tuned.move_to_end(key)
+        m_star = tuned[MULTI_NODE if num_nodes >= 2 else SINGLE_NODE]
         if m_star <= 0:
             raise ValueError(
                 f"initial batch size {self.init_batch_size} does not fit "
@@ -366,3 +374,21 @@ class PolluxAgent:
             self.grad_noise_scale, self.init_batch_size, m_star
         )
         return m_star, lr
+
+
+def _grid_argmaxes(
+    model: GoodputModel, num_gpus: int, speed: float
+) -> Tuple[float, float]:
+    """Eqn. 13's grid argmax on ``num_gpus`` GPUs, indexed by placement flag.
+
+    ``0.0`` marks a flag no batch size fits: every flag when the initial
+    batch size needs more GPUs, and the multi-node flag of one GPU.
+    """
+    if model.limits.range_for(num_gpus) is None:
+        return 0.0, 0.0
+    ppo = TABLE_TUNING_POINTS_PER_OCTAVE
+    single, _ = model.optimize_batch_size_grid(1, num_gpus, ppo, speed)
+    if num_gpus < 2:
+        return single, 0.0
+    multi, _ = model.optimize_batch_size_grid(2, num_gpus, ppo, speed)
+    return single, multi

@@ -8,9 +8,11 @@ the throughput, with equality only at perfect statistical efficiency.
 
 This module combines a :class:`~repro.core.throughput.ThroughputModel` with
 an :class:`~repro.core.efficiency.EfficiencyModel` and provides the
-batch-size maximization of Eqn. 13 (golden-section over the unimodal
-GOODPUT(a, .)) as well as a vectorized geometric-grid variant used when
-building speedup tables for the genetic algorithm.
+batch-size maximization of Eqn. 13: golden-section over the unimodal
+GOODPUT(a, .), and the geometric-grid argmax an agent tunes by
+(``PolluxAgent.tune_batch_size``).  The speedup tables the genetic
+algorithm reads take the same grid maximum for every (K, placement) at
+once, in :mod:`repro.core.speedup`.
 """
 
 from __future__ import annotations
@@ -190,10 +192,13 @@ class GoodputModel:
     ) -> Tuple[float, float]:
         """Grid-search variant of :meth:`optimize_batch_size`.
 
-        Evaluates the goodput on a dense geometric grid; since the goodput is
-        unimodal and smooth in m, the grid optimum matches golden-section to
-        within grid resolution.  Exposed mainly for testing the equivalence;
-        speedup tables use the fully vectorized form in
+        Evaluates the goodput on a dense geometric grid over the
+        placement's feasible range and returns the first maximum; since
+        the goodput is unimodal and smooth in m, the grid optimum matches
+        golden-section to within grid resolution.  This is the body of an
+        agent's batch tuning (``PolluxAgent.tune_batch_size``, at
+        ``TABLE_TUNING_POINTS_PER_OCTAVE``); speedup tables take the same
+        maximum for every (K, placement) at once in
         :mod:`repro.core.speedup`.
         """
         rng = self.limits.range_for(num_gpus)

@@ -209,9 +209,7 @@ class PolluxSched:
 
         Cache hits are looked up per job (two-phase protocol); all misses
         are then built by :func:`build_speedup_tables_batch`, at most
-        ``_TABLE_BLOCK_JOBS`` jobs a pass, and stored.  Values match the
-        per-job builders (``build_speedup_table`` and friends) up to
-        pow-kernel rounding.
+        ``_TABLE_BLOCK_JOBS`` jobs a pass, and stored.
         """
         cache = self.surface_cache
         ppo = TABLE_POINTS_PER_OCTAVE

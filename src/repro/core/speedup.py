@@ -1,4 +1,4 @@
-"""SPEEDUP_j(A_j) (Sec. 4.2, Eqn. 15) and vectorized speedup tables.
+"""SPEEDUP_j(A_j) (Sec. 4.2, Eqn. 15) as per-job lookup tables.
 
     SPEEDUP_j(A_j) = max_m GOODPUT_j(A_j, m) / max_m GOODPUT_j(1, m)
 
@@ -8,273 +8,49 @@ distinguishes placements only by K (total GPUs) and whether all replicas are
 co-located on one node, SPEEDUP depends on the placement A_j only through
 (K, min(N, 2)).  We exploit this to precompute per-job speedup *tables* of
 shape (K_max + 1, 2) which the genetic algorithm evaluates with O(1) lookups,
-and we vectorize the inner max over the batch size on a dense geometric grid
+and we take the inner max over the batch size on a dense geometric grid
 (GOODPUT is unimodal in m, so the grid optimum matches golden-section).
+
+One builder makes every table: :func:`build_speedup_tables_batch`, which
+evaluates THROUGHPUT once per feasible grid cell of a whole round's jobs
+(:func:`build_tput_cells`) and folds in each job's efficiency curve.  The
+scheduler, its autoscaler probes and the workload configs all read it;
+``batch_sizes=True`` also returns each cell's argmax batch size, which
+the configs need and the GA does not.  An agent tunes its batch size for
+its own placement alone (Eqn. 13, ``GoodputModel.optimize_batch_size_grid``)
+and builds no table.
 
 **Typed GPU nodes.**  On a heterogeneous cluster every placement the genetic
 algorithm considers lives inside a single GPU-type group (the type-group
 repair in :mod:`repro.core.genetic`), so SPEEDUP additionally depends only on
-the group's relative compute speed.  :func:`build_typed_speedup_table`
-evaluates the same surface once per type and stacks the results into a
-``(K_max + 1, 2, num_types)`` table, normalized by the *slowest* type's
-smallest feasible co-located placement — so the slowest type's single GPU has
-speedup 1 and faster types score proportionally higher, which is what steers
-the GA toward fast nodes.  The GA lookup stays O(1): ``table[K, flag,
-type]``.  With a single type at speed 1.0 the typed table collapses exactly
-to the seed's ``(K_max + 1, 2)`` table.
+the group's relative compute speed.  With several ``type_speeds`` (or
+``squeeze=False``) the builder evaluates the same surface once per type
+into a ``(K_max + 1, 2, num_types)`` table, normalized by the *slowest*
+type's smallest feasible co-located placement — so the slowest type's single
+GPU has speedup 1 and faster types score proportionally higher, which is
+what steers the GA toward fast nodes.  The GA lookup stays O(1):
+``table[K, flag, type]``.  With a single type at speed 1.0 the typed table
+collapses exactly to the ``(K_max + 1, 2)`` table.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .goodput import GoodputModel, batch_size_grid
+from .goodput import GoodputModel
 
 __all__ = [
-    "speedup",
-    "build_speedup_table",
-    "build_typed_speedup_table",
-    "build_surfaces",
-    "build_typed_surfaces",
     "build_speedup_tables_batch",
     "build_tput_cells",
     "TputCells",
-    "best_batch_size_table",
 ]
 
 #: Column index for placements co-located on a single node.
 SINGLE_NODE = 0
 #: Column index for placements spanning two or more nodes.
 MULTI_NODE = 1
-
-
-def _reference_goodput(
-    model: GoodputModel, tol: float = 0.5, speed: float = 1.0
-) -> float:
-    """max_m GOODPUT(single process, m): the SPEEDUP denominator.
-
-    If the initial batch size does not fit on a single GPU, the smallest
-    feasible co-located placement is used instead, preserving the property
-    that the smallest feasible allocation has speedup 1.
-    """
-    min_gpus = model.limits.min_gpus()
-    _, best = model.optimize_batch_size(1, min_gpus, tol=tol, speed=speed)
-    return best
-
-
-def speedup(
-    model: GoodputModel,
-    num_nodes: int,
-    num_gpus: int,
-    tol: float = 0.5,
-    speed: float = 1.0,
-) -> float:
-    """SPEEDUP for one placement, via golden-section search (Eqn. 15).
-
-    ``speed`` evaluates both numerator and denominator on a GPU type with
-    the given relative compute speed (self-normalized, as on a homogeneous
-    cluster of that type).
-    """
-    if num_gpus == 0:
-        return 0.0
-    rng = model.limits.range_for(num_gpus)
-    if rng is None:
-        return 0.0
-    _, numer = model.optimize_batch_size(num_nodes, num_gpus, tol=tol, speed=speed)
-    denom = _reference_goodput(model, tol=tol, speed=speed)
-    if denom <= 0:
-        return 0.0
-    return numer / denom
-
-
-def _surface_inputs(
-    model: GoodputModel, max_gpus: int, points_per_octave: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The speed-independent pieces of the goodput surface.
-
-    Returns ``(grid, k_col, m_row, feasible, eff)``; computed once and
-    shared across GPU types when building typed tables (only the
-    throughput evaluation depends on the device speed).
-    """
-    limits = model.limits
-    global_hi = min(limits.max_batch_size, max_gpus * limits.max_local_bsz)
-    grid = batch_size_grid(
-        limits.init_batch_size, max(global_hi, limits.init_batch_size),
-        points_per_octave=points_per_octave,
-    )  # (M,)
-
-    ks = np.arange(1, max_gpus + 1, dtype=float)  # (K,)
-    k_col = ks[:, None]  # (K, 1)
-    m_row = grid[None, :]  # (1, M)
-
-    # Feasibility mask: m0 <= m <= min(max_batch_size, K * max_local_bsz).
-    feasible = m_row <= np.minimum(
-        limits.max_batch_size, k_col * limits.max_local_bsz
-    )
-
-    eff = model.efficiency_model.efficiency(grid)[None, :]  # (1, M)
-    return grid, k_col, m_row, feasible, eff
-
-
-def _surface_at_speed(
-    model: GoodputModel,
-    max_gpus: int,
-    inputs: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    speed: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Goodput surface for one device speed, given precomputed inputs."""
-    grid, k_col, m_row, feasible, eff = inputs
-    num_ks = k_col.shape[0]
-    surfaces = np.zeros((max_gpus + 1, 2), dtype=float)
-    argmax_m = np.zeros((max_gpus + 1, 2), dtype=float)
-    for flag, nodes in ((SINGLE_NODE, 1), (MULTI_NODE, 2)):
-        tput = model.throughput_model.throughput(
-            nodes, k_col, m_row, speed
-        )  # (K, M)
-        good = np.where(feasible, tput * eff, -np.inf)
-        best_idx = np.argmax(good, axis=1)  # (K,)
-        best_val = good[np.arange(num_ks), best_idx]
-        valid = np.isfinite(best_val)
-        surfaces[1:, flag] = np.where(valid, best_val, 0.0)
-        argmax_m[1:, flag] = np.where(valid, grid[best_idx], 0.0)
-
-    # A placement spanning >= 2 nodes needs >= 2 GPUs.
-    surfaces[1, MULTI_NODE] = 0.0
-    argmax_m[1, MULTI_NODE] = 0.0
-    return surfaces, argmax_m
-
-
-def _goodput_surface(
-    model: GoodputModel,
-    max_gpus: int,
-    points_per_octave: int,
-    speed: float = 1.0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized max_m GOODPUT over a (K, placement-flag) surface.
-
-    Returns:
-        Tuple of two arrays of shape ``(max_gpus + 1, 2)``: the maximal
-        goodput and the corresponding argmax batch size.  Row 0 and
-        infeasible cells are 0.
-    """
-    inputs = _surface_inputs(model, max_gpus, points_per_octave)
-    return _surface_at_speed(model, max_gpus, inputs, speed)
-
-
-def build_surfaces(
-    model: GoodputModel,
-    max_gpus: int,
-    points_per_octave: int = 16,
-    speed: float = 1.0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Speedup table plus argmax batch-size table from one surface pass.
-
-    Returns ``(speedup_table, batch_size_table)``, both of shape
-    ``(max_gpus + 1, 2)``: the speedup table is exactly
-    :func:`build_speedup_table`'s output and the batch-size table exactly
-    :func:`best_batch_size_table`'s — they come from a single goodput
-    surface evaluation, which is what
-    :meth:`~repro.core.surfacecache.SurfaceCache.get_flat` stores for
-    agent-side batch tuning.
-    """
-    if max_gpus < 1:
-        raise ValueError("max_gpus must be >= 1")
-    surfaces, argmax_m = _goodput_surface(model, max_gpus, points_per_octave, speed)
-    min_gpus = model.limits.min_gpus()
-    denom = surfaces[min_gpus, SINGLE_NODE] if min_gpus <= max_gpus else 0.0
-    if denom <= 0:
-        return np.zeros_like(surfaces), argmax_m
-    return surfaces / denom, argmax_m
-
-
-def build_speedup_table(
-    model: GoodputModel,
-    max_gpus: int,
-    points_per_octave: int = 16,
-    speed: float = 1.0,
-) -> np.ndarray:
-    """Speedup lookup table of shape ``(max_gpus + 1, 2)``.
-
-    ``table[k, SINGLE_NODE]`` is the speedup of k GPUs co-located on one
-    node; ``table[k, MULTI_NODE]`` of k GPUs spanning two or more nodes.
-    ``table[0, :] == 0`` and infeasible cells are 0.
-
-    Args:
-        model: The job's goodput model at its current training moment.
-        max_gpus: Largest GPU count the table covers (e.g. the job's
-            exploration cap).
-        points_per_octave: Density of the batch-size grid.
-        speed: Relative compute speed of the (single) GPU type; the table is
-            self-normalized, so speed only matters through the
-            compute/communication balance.  Use
-            :func:`build_typed_speedup_table` for mixed-type clusters.
-    """
-    return build_surfaces(model, max_gpus, points_per_octave, speed)[0]
-
-
-def build_typed_surfaces(
-    model: GoodputModel,
-    max_gpus: int,
-    type_speeds: Sequence[float],
-    points_per_octave: int = 16,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Typed speedup table plus typed argmax batch-size table.
-
-    Returns ``(speedup_table, batch_size_table)``, both of shape
-    ``(max_gpus + 1, 2, num_types)``, from a single per-type surface pass
-    (the speedup table exactly matches :func:`build_typed_speedup_table`).
-    ``batch_size_table[k, flag, t]`` is the goodput-maximizing total batch
-    size for k GPUs of type t.
-    """
-    if max_gpus < 1:
-        raise ValueError("max_gpus must be >= 1")
-    speeds = np.asarray(type_speeds, dtype=float)
-    if speeds.ndim != 1 or speeds.size < 1:
-        raise ValueError("type_speeds must be a non-empty 1-D sequence")
-    if np.any(speeds <= 0):
-        raise ValueError("type_speeds must be positive")
-    # The batch-size grid, feasibility mask, and efficiency curve are
-    # speed-independent: compute them once and share across types.
-    inputs = _surface_inputs(model, max_gpus, points_per_octave)
-    per_type = [
-        _surface_at_speed(model, max_gpus, inputs, float(s)) for s in speeds
-    ]
-    surfaces = np.stack([s for s, _ in per_type], axis=-1)  # (K + 1, 2, T)
-    argmax_m = np.stack([a for _, a in per_type], axis=-1)
-    ref_type = int(np.argmin(speeds))
-    min_gpus = model.limits.min_gpus()
-    denom = (
-        surfaces[min_gpus, SINGLE_NODE, ref_type] if min_gpus <= max_gpus else 0.0
-    )
-    if denom <= 0:
-        return np.zeros_like(surfaces), argmax_m
-    return surfaces / denom, argmax_m
-
-
-def build_typed_speedup_table(
-    model: GoodputModel,
-    max_gpus: int,
-    type_speeds: Sequence[float],
-    points_per_octave: int = 16,
-) -> np.ndarray:
-    """Per-GPU-type speedup table of shape ``(max_gpus + 1, 2, num_types)``.
-
-    ``table[k, flag, t]`` is the speedup of k GPUs of type t (co-located for
-    ``flag == SINGLE_NODE``, spanning nodes otherwise), normalized by the
-    goodput of the smallest feasible co-located placement on the *slowest*
-    type.  On a one-type cluster at speed 1.0 ``table[..., 0]`` equals
-    :func:`build_speedup_table`'s output exactly.
-
-    Args:
-        model: The job's goodput model at its current training moment.
-        max_gpus: Largest GPU count the table covers.
-        type_speeds: Relative compute speed of each GPU type, in the
-            cluster's type order.
-        points_per_octave: Density of the batch-size grid.
-    """
-    return build_typed_surfaces(model, max_gpus, type_speeds, points_per_octave)[0]
 
 
 class TputCells:
@@ -387,9 +163,9 @@ def build_tput_cells(
     # m <= min(max_batch_size, k * max_local_bsz), flattened into one
     # ragged axis with per-row segments.  The grid is ascending, so each
     # row's feasible cells are a prefix; infeasible cells (typically >half
-    # of the padded (R, M) rectangle) are never touched, and the -inf
-    # masking plus argmax of the per-job builders turns into segment
-    # reductions over exactly the cells they would have kept.
+    # of the padded (R, M) rectangle) are never touched, and a masked max
+    # over the rectangle turns into segment reductions over exactly the
+    # cells it would have kept.
     feasible = on_grid[job_of_row] & (
         m_rows <= np.minimum(max_bs, k_row * max_local)[:, None]
     )  # (R, M)
@@ -419,8 +195,8 @@ def build_tput_cells(
     with np.errstate(divide="ignore", invalid="ignore"):
         # lo == 0 wherever hi == 0 (both times are non-negative), so adding
         # the hi == 0 indicator to the denominator yields the same guarded
-        # ratio as the per-job builders' where(hi > 0, lo / hi, 0) — hi + 0.0
-        # is exact for hi > 0 — at a fraction of np.where's cost.
+        # ratio as ThroughputModel.t_iter's where(hi > 0, lo / hi, 0) — hi +
+        # 0.0 is exact for hi > 0 — at a fraction of np.where's cost.
         work = np.divide(lo_t, hi + (hi == 0.0), out=lo_t)
         np.power(work, gamma_c, out=work)
         work += 1.0
@@ -448,26 +224,23 @@ def build_speedup_tables_batch(
     type_speeds: Sequence[float] = (1.0,),
     squeeze: bool = True,
     cells: Optional[Sequence[TputCells]] = None,
-) -> List[np.ndarray]:
+    batch_sizes: bool = False,
+) -> list:
     """Speedup tables for many jobs in one ragged pass.
 
-    The per-job surface builders (:func:`build_surfaces` /
-    :func:`build_typed_surfaces`) are overhead-bound: each spends most of
-    its time in numpy dispatch on small ``(K, M)`` arrays.  This batches
-    the whole scheduling round's table builds into a handful of array
-    operations over one ragged feasible-cell axis — the hot path of
-    ``PolluxSched.build_problem``.  Passing previously built ``cells``
-    (see :func:`build_tput_cells`) skips the throughput evaluation
-    entirely and only folds in each job's current efficiency curve — the
-    steady-state round cost while theta_sys is stable.
+    A per-job build spends most of its time in numpy dispatch on small
+    ``(K, M)`` arrays, so this batches a whole scheduling round's table
+    builds into a handful of array operations over one ragged
+    feasible-cell axis — the hot path of ``PolluxSched.build_problem``.
+    Passing previously built ``cells`` (see :func:`build_tput_cells`)
+    skips the throughput evaluation entirely and only folds in each job's
+    current efficiency curve — the steady-state round cost while
+    theta_sys is stable.
 
-    Per job the *same* grid, feasibility mask, and normalization as the
-    per-job builders are applied, so the returned tables match
-    :func:`build_speedup_table` (``squeeze=True`` with one type) or
-    :func:`build_typed_speedup_table` elementwise up to pow-kernel
-    rounding (``gamma`` enters as an array exponent here).  The argmax
-    batch-size tables agents tune from are not built here but per job
-    (``SurfaceCache.get_flat``): the GA reads speedups alone.
+    ``table[k, flag]`` is the speedup of k GPUs co-located on one node
+    (``flag == SINGLE_NODE``) or spanning two or more (``MULTI_NODE``);
+    row 0 and infeasible cells are 0, and a job whose smallest feasible
+    co-located placement exceeds its cap gets an all-zero table.
 
     Args:
         models: One goodput model per job.
@@ -479,10 +252,14 @@ def build_speedup_tables_batch(
             tables have the flat ``(cap + 1, 2)`` shape.
         cells: Optional per-job throughput cells to reuse (must have been
             built with the same caps/grid/type speeds).
+        batch_sizes: Also take each cell's goodput-maximizing batch size
+            (the first maximum on ties): the workload configs read it, the
+            GA does not.
 
     Returns:
         One speedup table per job, all views into one shared backing
-        array.
+        array; with ``batch_sizes`` one ``(speedup_table,
+        batch_size_table)`` pair of equal shapes per job instead.
     """
     num_jobs = len(models)
     caps, speeds = _check_batch_args(models, caps, type_speeds)
@@ -502,6 +279,8 @@ def build_speedup_tables_batch(
 
     counts = np.concatenate([c.counts for c in cells])  # (R,)
     cells_per_job = np.array([c.m_cells.size for c in cells], dtype=np.int64)
+    if batch_sizes:
+        m_cells = np.concatenate([c.m_cells for c in cells])  # (C,)
 
     # EFFICIENCY_t(m) (Eqn. 7) at each cell, from each job's current phi:
     # (phi + m0) / (phi + m), the numerator added once per job.
@@ -527,20 +306,32 @@ def build_speedup_tables_batch(
     del eff
 
     # Segmented max over each row's cells (rows with no feasible cell —
-    # min feasible m needs more than k GPUs — stay zero, exactly the
-    # per-job builders' all-(-inf) branch).
+    # min feasible m needs more than k GPUs — stay zero).
     best_val = np.zeros((2, num_types, num_rows), dtype=float)
+    best_m = np.zeros_like(best_val) if batch_sizes else None
     if goodput.shape[-1]:
         rows_nz = counts > 0
         starts_nz = np.concatenate([[0], np.cumsum(counts[rows_nz])[:-1]])
-        best_val[:, :, rows_nz] = np.maximum.reduceat(
-            goodput, starts_nz, axis=-1
-        )
+        seg_max = np.maximum.reduceat(goodput, starts_nz, axis=-1)
+        best_val[:, :, rows_nz] = seg_max
+        if batch_sizes:
+            # The first cell of each segment that reaches its maximum.
+            num_cells = m_cells.size
+            seg_of_cell = np.repeat(np.arange(starts_nz.size), counts[rows_nz])
+            cand = np.where(
+                goodput == seg_max[:, :, seg_of_cell],
+                np.arange(num_cells, dtype=np.int32),
+                np.int32(num_cells),
+            )
+            seg_arg = np.minimum.reduceat(cand, starts_nz, axis=-1)
+            best_m[:, :, rows_nz] = m_cells[seg_arg]
     del goodput
 
     # A placement spanning >= 2 nodes needs >= 2 GPUs: zero the k == 1
     # multi-node cells (row offsets[j] is each job's k == 1 row).
     best_val[MULTI_NODE, :, offsets] = 0.0
+    if batch_sizes:
+        best_m[MULTI_NODE, :, offsets] = 0.0
 
     # Per-job normalization by the smallest feasible co-located placement
     # on the reference (slowest) type, batched over jobs.
@@ -551,9 +342,9 @@ def build_speedup_tables_batch(
     denom_job = np.zeros(num_jobs, dtype=float)
     ref_rows = offsets + np.minimum(min_gpus_job, caps) - 1
     denom_job[has_ref] = best_val[SINGLE_NODE, ref_type, ref_rows[has_ref]]
-    # Jobs whose denominator degenerates get an all-zero speedup table
-    # (the per-job builders' behavior); dividing by 1 keeps them zero only
-    # after masking, so zero the rows explicitly.
+    # Jobs whose denominator degenerates get an all-zero speedup table;
+    # dividing by 1 keeps them zero only after masking, so zero the rows
+    # explicitly.
     pos = denom_job > 0
     denom_rows = np.where(pos, denom_job, 1.0)[job_of_row]
     sp_val = (best_val / denom_rows) * pos[job_of_row]
@@ -563,37 +354,21 @@ def build_speedup_tables_batch(
     # per-job copy loop.  Job j's block spans rows offsets[j] + j ..
     # offsets[j] + j + cap_j; its first row is the all-zero k == 0 row.
     sp_full = np.zeros((num_rows + num_jobs, 2, num_types), dtype=float)
-    sp_full[np.arange(num_rows) + job_of_row + 1] = sp_val.transpose(2, 0, 1)
+    target = np.arange(num_rows) + job_of_row + 1
+    sp_full[target] = sp_val.transpose(2, 0, 1)
+    if batch_sizes:
+        bm_full = np.zeros_like(sp_full)
+        bm_full[target] = best_m.transpose(2, 0, 1)
 
-    out: List[np.ndarray] = []
+    out: list = []
     for j, cap in enumerate(caps):
         start = int(offsets[j]) + j
-        block = sp_full[start : start + int(cap) + 1]
-        out.append(block[:, :, 0] if flat else block)
+        block = slice(start, start + int(cap) + 1)
+        speedup = sp_full[block, :, 0] if flat else sp_full[block]
+        if batch_sizes:
+            bsz = bm_full[block, :, 0] if flat else bm_full[block]
+            out.append((speedup, bsz))
+        else:
+            out.append(speedup)
     return out
 
-
-def best_batch_size_table(
-    model: GoodputModel,
-    max_gpus: int,
-    points_per_octave: int = 16,
-    speed: float = 1.0,
-    type_speeds: Optional[Sequence[float]] = None,
-) -> np.ndarray:
-    """argmax_m GOODPUT per (K, placement-flag).
-
-    With ``type_speeds=None`` the table has shape ``(max_gpus + 1, 2)`` at
-    the single device ``speed``.  Passing ``type_speeds`` builds the typed
-    variant of shape ``(max_gpus + 1, 2, num_types)``, one argmax surface
-    per GPU type (``speed`` is then ignored) — the table-driven counterpart
-    of :func:`build_typed_speedup_table` for O(1) batch-size tuning on
-    mixed fleets.
-    """
-    if type_speeds is not None:
-        return build_typed_surfaces(
-            model, max_gpus, type_speeds, points_per_octave
-        )[1]
-    if max_gpus < 1:
-        raise ValueError("max_gpus must be >= 1")
-    _, argmax_m = _goodput_surface(model, max_gpus, points_per_octave, speed)
-    return argmax_m

@@ -1,4 +1,4 @@
-"""Shared cache of per-job speedup/goodput surfaces (perf subsystem).
+"""The scheduler's cache of per-job speedup tables (perf subsystem).
 
 Pollux's scheduling loop evaluates each job's goodput surface — the
 ``max_m GOODPUT(K, placement-flag[, type])`` tables of
@@ -13,22 +13,17 @@ al., OSDI 2020) makes the same observation for throughput-ratio tables:
 compute once, look up everywhere.
 
 :class:`SurfaceCache` is that lookup.  It is keyed on
-``(AgentReport.fingerprint(), table shape parameters)``; the scheduler
-stores speedup tables, and :meth:`SurfaceCache.get_flat` the speedup
-table *and* the argmax batch-size table of one per-job surface pass, for
-table-driven batch tuning (``PolluxAgent.tune_batch_size``).  Because
-the fingerprint is a pure value key, a cache hit returns the identical
-array object a miss would have computed — caching is invisible to
-scheduling decisions (asserted bit-for-bit by
+``(AgentReport.fingerprint(), table shape parameters)`` and stores the
+speedup tables :func:`repro.core.speedup.build_speedup_tables_batch`
+builds.  Because the fingerprint is a pure value key on the exact phi, a
+cache hit returns the identical array object a miss would have computed —
+caching is invisible to scheduling decisions (asserted bit-for-bit by
 ``tests/test_surfacecache.py``).
 
-Agents re-fit theta_sys only every ``refit_every`` observations, but phi_t
-drifts every tick, so exact keys miss across rounds.  Constructing the
-cache with ``phi_tol > 0`` quantizes phi into relative buckets (see
-:meth:`repro.core.agent.AgentReport.fingerprint`), trading a bounded
-goodput-model staleness for table reuse across rounds.  Only an agent's
-own batch-tuning cache does that (``TABLE_TUNING_PHI_TOL``); the
-scheduler's cache keys on exact phi.
+phi_t drifts every tick while agents re-fit theta_sys only every
+``refit_every`` observations, so exact table keys miss across rounds; a
+second level keyed on theta alone (:meth:`SurfaceCache.cells_key`) keeps
+the phi-free throughput cells those rebuilds start from.
 """
 
 from __future__ import annotations
@@ -38,9 +33,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .speedup import build_surfaces
-
-if TYPE_CHECKING:  # avoid a runtime cycle: agent.py imports this module
+if TYPE_CHECKING:  # annotations only
     from .agent import AgentReport
 
 __all__ = ["SurfaceCache", "CacheStats"]
@@ -88,26 +81,19 @@ class SurfaceCache:
     Args:
         maxsize: Maximum number of cached entries; least recently used
             entries are evicted beyond it.  A table entry is a few KB (one
-            or two ``(cap + 1, 2[, T])`` float tables), so the default
-            comfortably covers hundreds of jobs at several caps each.
-        phi_tol: Relative phi quantization passed through to
-            :meth:`~repro.core.agent.AgentReport.fingerprint`.  0 keys on
-            the exact phi (bit-identical scheduling; within-tick reuse
-            only); > 0 buckets phi for opt-in cross-round reuse.
+            ``(cap + 1, 2[, T])`` float table), so the default comfortably
+            covers hundreds of jobs at several caps each.
 
     Cached arrays are returned with ``writeable=False`` — consumers
-    (``JobGAInfo``, the GA's table gather, batch-size lookups) only read
-    them, and the flag turns any accidental in-place mutation into a hard
-    error instead of silent cross-round corruption.
+    (``JobGAInfo``, the GA's table gather) only read them, and the flag
+    turns any accidental in-place mutation into a hard error instead of
+    silent cross-round corruption.
     """
 
-    def __init__(self, maxsize: int = 512, phi_tol: float = 0.0):
+    def __init__(self, maxsize: int = 512):
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
-        if phi_tol < 0:
-            raise ValueError("phi_tol must be non-negative")
         self.maxsize = int(maxsize)
-        self.phi_tol = float(phi_tol)
         self.stats = CacheStats()
         self._entries: "OrderedDict[tuple, Tuple[np.ndarray, ...]]" = (
             OrderedDict()
@@ -139,22 +125,6 @@ class SurfaceCache:
     # Two-phase API (batched builds)
     # ------------------------------------------------------------------
 
-    def flat_key(
-        self,
-        report: "AgentReport",
-        max_gpus: int,
-        points_per_octave: int,
-        speed: float,
-    ) -> tuple:
-        """Cache key for a single-type surface (see :meth:`get_flat`)."""
-        return (
-            "flat",
-            report.fingerprint(self.phi_tol),
-            int(max_gpus),
-            int(points_per_octave),
-            float(speed),
-        )
-
     def speedup_key(
         self,
         report: "AgentReport",
@@ -162,15 +132,14 @@ class SurfaceCache:
         points_per_octave: int,
         type_speeds: Sequence[float],
     ) -> tuple:
-        """Cache key for the scheduler's speedup-only table entries.
+        """Cache key for a job's speedup table.
 
-        Its own tag, so :meth:`get_flat` never takes an entry without a
-        batch-size table.  The table is flat, ``(max_gpus + 1, 2)``,
-        exactly when ``type_speeds`` names one type.
+        The table is flat, ``(max_gpus + 1, 2)``, exactly when
+        ``type_speeds`` names one type.
         """
         return (
             "speedup",
-            report.fingerprint(self.phi_tol),
+            report.fingerprint(),
             int(max_gpus),
             int(points_per_octave),
             tuple(float(s) for s in type_speeds),
@@ -226,8 +195,7 @@ class SurfaceCache:
     def store(self, key: tuple, entry: tuple) -> tuple:
         """Insert a built entry (the other half of :meth:`lookup`).
 
-        ``entry`` is a tuple of arrays, one of three shapes by key tag:
-        ``(speedup_table, bsz_table)`` under :meth:`flat_key`,
+        ``entry`` is a tuple of arrays, one of two shapes by key tag:
         ``(speedup_table,)`` under :meth:`speedup_key` and ``(tput,
         m_cells, counts)`` under :meth:`cells_key`.  Every array is frozen
         read-only on the way in.
@@ -238,34 +206,4 @@ class SurfaceCache:
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-        return entry
-
-    # ------------------------------------------------------------------
-
-    def get_flat(
-        self,
-        report: "AgentReport",
-        max_gpus: int,
-        points_per_octave: int,
-        speed: float,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Surfaces for a single-type cluster: ``(max_gpus + 1, 2)`` pair.
-
-        :meth:`lookup`, then on a miss one per-job
-        :func:`repro.core.speedup.build_surfaces` pass and :meth:`store` —
-        bit-identical to calling the builder directly (a hit returns the
-        very arrays a miss computed).
-        """
-        key = self.flat_key(report, max_gpus, points_per_octave, speed)
-        entry = self.lookup(key)
-        if entry is None:
-            entry = self.store(
-                key,
-                build_surfaces(
-                    report.goodput_model(),
-                    max_gpus,
-                    points_per_octave=points_per_octave,
-                    speed=speed,
-                ),
-            )
         return entry

@@ -293,12 +293,19 @@ class SchedulerService:
     # ------------------------------------------------------------------
 
     def _reconcile_entry(self, entry: JobEntry) -> None:
-        """Fold a backend-side completion into the entry (caller holds lock)."""
+        """Fold a backend-side completion into the entry (caller holds lock).
+
+        A backend finds a submitted job from ``submit()`` on, so ``None``
+        means its record rotated out of the backend's bounded completed
+        history: the job completed, and its demand is released.
+        """
         if entry.state != "submitted":
             return
         found = self.host.find_job(entry.job_id)
-        if isinstance(found, JobRecord) or (
-            found is not None and getattr(found, "complete", False)
+        if (
+            found is None
+            or isinstance(found, JobRecord)
+            or getattr(found, "complete", False)
         ):
             entry.state = "complete"
             self._accounts[entry.tenant].release(entry)
@@ -416,12 +423,8 @@ class SchedulerService:
             return base
         found = self.host.find_job(entry.job_id)
         if found is None:
-            # A live backend finds a submitted job from submit() on (it
-            # reads "pending" until a tick admits and allocates it), so
-            # None means the job's record rotated out of the backend's
-            # bounded completed history: only the entry's state is left.
-            if entry.state == "submitted":
-                base["state"] = "accepted"
+            # The record rotated out of the backend's bounded completed
+            # history (see _reconcile_entry): only the entry's state is left.
             return base
         fields = self._runtime_fields(found)
         if entry.terminal:

@@ -17,14 +17,15 @@ class SimConfig:
     and the live cluster (:class:`~repro.host.ThreadedBackend`, which maps
     its :class:`~repro.host.ThreadedConfig` onto one).
 
-    Every ``agent_interval`` Pollux jobs re-tune their batch size by an
-    O(1) lookup from the agent's memoized argmax batch-size table
-    (:func:`repro.policy.dispatch.tune_batch_sizes`); the grid density is
+    Every ``agent_interval`` Pollux jobs re-tune their batch size by the
+    argmax of Eqn. 13 over a geometric batch-size grid on their own
+    placement (:func:`repro.policy.dispatch.tune_batch_sizes`), memoized
+    per agent while theta and the bucketed phi hold; the grid density is
     ``repro.core.agent.TABLE_TUNING_POINTS_PER_OCTAVE``.  Against the
-    paper's per-tick golden-section maximization of Eqn. 13 the lookup
-    chooses batch sizes within one ~2% grid step, and the last measured
-    seed-averaged avg-JCT delta was -0.4% over 6 seeds at paper scale
-    (historical table in ``docs/operating.md``) at ~6x less per tick.
+    paper's per-tick golden-section maximization the grid chooses batch
+    sizes within one ~2% grid step, and the last measured seed-averaged
+    avg-JCT delta was -0.4% over 6 seeds at paper scale (historical table
+    in ``docs/operating.md``) at ~6x less per tick.
     """
 
     tick_seconds: float = 30.0

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.efficiency import EfficiencyModel
 from ..core.goodput import GoodputModel
-from ..core.speedup import MULTI_NODE, SINGLE_NODE, build_speedup_table, best_batch_size_table
+from ..core.speedup import MULTI_NODE, SINGLE_NODE, build_speedup_tables_batch
 from .models import MODEL_ZOO, Category, ModelProfile
 
 __all__ = [
@@ -80,9 +80,8 @@ def _tuning_tables(
     """(speedup table, best-batch-size table) at the tuning progress point."""
     profile = MODEL_ZOO[model_name]
     model = true_goodput_model(profile)
-    table = build_speedup_table(model, max_gpus=max_gpus)
-    best_bs = best_batch_size_table(model, max_gpus=max_gpus)
-    return table, best_bs
+    [tables] = build_speedup_tables_batch([model], [max_gpus], batch_sizes=True)
+    return tables
 
 
 def valid_tuned_configs(

@@ -1,10 +1,13 @@
 """Tests for PolluxAgent: profiling, online fitting, tuning (Sec. 4.1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import PolluxAgent, optimistic_params
+from repro.core import BatchSizeLimits, PolluxAgent, optimistic_params
 from repro.core.throughput import ThroughputModel
 from repro.workload import MODEL_ZOO
+from surface_reference import ReferenceAgent
 
 
 @pytest.fixture
@@ -153,3 +156,110 @@ class TestTuning:
         m_large, lr = agent.tune_batch_size(1, 4)
         assert m_large > m_small
         assert lr > cifar_profile.init_lr  # AdaScale gain > 1
+
+
+_ZOO = [MODEL_ZOO[name] for name in sorted(MODEL_ZOO)]
+
+
+@st.composite
+def tuning_sessions(draw):
+    """A job's limits and a random stream of agent calls.
+
+    The 24 (GPU count, speed) keys outnumber the agent's 8 cached ones
+    while leaving room for revisits, and one limits variant in two needs
+    2-4 GPUs for m0, so small counts are infeasible.
+    """
+    profile = _ZOO[draw(st.integers(0, len(_ZOO) - 1))]
+    limits = profile.limits
+    if draw(st.booleans()):
+        limits = BatchSizeLimits(
+            init_batch_size=limits.init_batch_size,
+            max_batch_size=limits.max_batch_size,
+            max_local_bsz=limits.init_batch_size / draw(st.sampled_from([1.5, 3.5])),
+        )
+    tune = st.tuples(
+        st.just("tune"),
+        st.integers(1, 3),
+        st.integers(1, 12),
+        st.sampled_from([1.0, 2.5]),
+    )
+    # var / sqr sets phi over six decades: phi crosses buckets both ways.
+    grad = st.tuples(
+        st.just("grad"), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)
+    )
+    observe = st.tuples(
+        st.just("observe"),
+        st.integers(1, 2),
+        st.integers(1, 16),
+        st.floats(1.0, 4.0),
+    )
+    ops = draw(
+        st.lists(
+            st.one_of(tune, tune, grad, observe), min_size=1, max_size=40
+        )
+    )
+    return profile, limits, ops
+
+
+def _tune_outcome(agent, nodes, gpus, speed):
+    try:
+        return agent.tune_batch_size(nodes, gpus, speed)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def _run_session(profile, limits, ops):
+    """Drive a PolluxAgent and the table-driven reference in lockstep."""
+    kwargs = dict(
+        init_batch_size=float(limits.init_batch_size),
+        init_lr=profile.init_lr,
+        limits=limits,
+    )
+    agent, ref = PolluxAgent(**kwargs), ReferenceAgent(**kwargs)
+    truth = profile.throughput_true
+    for op in ops:
+        if op[0] == "tune":
+            _, nodes, gpus, speed = op
+            got = _tune_outcome(agent, nodes, gpus, speed)
+            assert got == _tune_outcome(ref, nodes, gpus, speed), op
+        elif op[0] == "grad":
+            for each in (agent, ref):
+                each.record_grad_stats(op[1], op[2])
+        else:
+            _, nodes, gpus, factor = op
+            gpus = max(gpus, nodes)
+            m = limits.init_batch_size * factor
+            t = float(truth.t_iter(nodes, gpus, m))
+            for each in (agent, ref):
+                each.record_iteration(nodes, gpus, m, t)
+    # Same LRU contents in the same order: evictions never drifted.
+    assert list(agent._tuned) == [
+        (fp, gpus, speed) for _, fp, gpus, _, speed in ref.table_cache._entries
+    ]
+
+
+class TestTuningAgainstTableAgent:
+    """Eqn. 13 on the job's own placement against the memoized argmax
+    tables of ``ReferenceAgent``: equal ``(m, lr)`` or the same
+    ``ValueError`` at every call."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(session=tuning_sessions())
+    def test_random_sessions_tune_identically(self, session):
+        _run_session(*session)
+
+    def test_evictions_revisits_and_infeasible_counts(self):
+        profile = MODEL_ZOO["resnet50-imagenet"]
+        limits = BatchSizeLimits(
+            init_batch_size=profile.limits.init_batch_size,
+            max_batch_size=profile.limits.max_batch_size,
+            max_local_bsz=profile.limits.init_batch_size / 3.5,
+        )
+        ops = [("observe", 1, 4, 1.0), ("grad", 2.0, 1.0)]
+        # 12 distinct GPU counts (m0 needs 4 GPUs, so 1-3 raise), then
+        # revisits of evicted and of resident keys.
+        for gpus in range(1, 13):
+            ops.append(("tune", 2 if gpus % 3 == 0 else 1, gpus, 1.0))
+        ops += [("tune", 2, 2, 1.0), ("tune", 1, 12, 1.0), ("tune", 2, 5, 2.5)]
+        ops += [("grad", 50.0, 1.0), ("tune", 1, 12, 1.0), ("tune", 3, 1, 1.0)]
+        _run_session(profile, limits, ops)

@@ -1,11 +1,33 @@
-"""Smoke tests: the shipped examples must run end-to-end."""
+"""Smoke tests: the shipped examples must run end-to-end, and every
+example and paper benchmark must at least import."""
 
+import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
+BENCHMARKS = ROOT / "benchmarks"
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(EXAMPLES.glob("*.py")) + sorted(BENCHMARKS.glob("bench_*.py")),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_module_imports(path, monkeypatch):
+    """Catches a script that names something the library no longer has,
+    including the ones no other test or CI job runs."""
+    if path.parent == BENCHMARKS:
+        monkeypatch.syspath_prepend(str(ROOT))
+        importlib.import_module(f"benchmarks.{path.stem}")
+        return
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def run_example(name, *args, timeout=240):

@@ -14,7 +14,7 @@ from repro.core import (
     GAConfig,
     GeneticOptimizer,
     JobGAInfo,
-    build_speedup_table,
+    build_speedup_tables_batch,
 )
 
 
@@ -41,7 +41,8 @@ def make_job(
 
 @pytest.fixture
 def speedup_table(cifar_goodput) -> np.ndarray:
-    return build_speedup_table(cifar_goodput, max_gpus=16)
+    [table] = build_speedup_tables_batch([cifar_goodput], [16])
+    return table
 
 
 @pytest.fixture

@@ -19,8 +19,7 @@ from repro.core import (
     JobGAInfo,
     PolluxSched,
     PolluxSchedConfig,
-    build_speedup_table,
-    build_typed_speedup_table,
+    build_speedup_tables_batch,
     project_throughput_params,
 )
 from repro.core.agent import PolluxAgent
@@ -151,6 +150,18 @@ class TestOptimusOracleNodes:
         assert table[9] == 2
         assert table[12] == 2
         assert table[16] == 3
+
+
+def build_speedup_table(model, max_gpus):
+    [table] = build_speedup_tables_batch([model], [max_gpus])
+    return table
+
+
+def build_typed_speedup_table(model, max_gpus, type_speeds):
+    [table] = build_speedup_tables_batch(
+        [model], [max_gpus], type_speeds=type_speeds, squeeze=False
+    )
+    return table
 
 
 class TestTypedSpeedupTables:

@@ -20,6 +20,7 @@ import urllib.request
 
 import pytest
 
+import repro.host.replay
 import repro.policy
 from repro.cluster import ClusterSpec
 from repro.host import PolicyHost, ReplayBackend, ThreadedBackend, ThreadedConfig
@@ -238,6 +239,29 @@ class TestSchedulerService:
             assert err.value.status == 409
             # Quota is free again.
             service.submit("t", {"model": "neumf-movielens", "num_gpus": 2})
+        finally:
+            host.stop()
+
+    def test_rotated_out_records_release_quota(self, monkeypatch):
+        """A completed job whose record left the backend's bounded history
+        still completes in the service: its demand is released and its
+        status reads ``complete``."""
+        monkeypatch.setattr(repro.host.replay, "_HISTORY_LIMIT", 2)
+        service, host = make_service(quotas={"t": 4.0})
+        try:
+            job_ids = [
+                service.submit("t", {"model": "neumf-movielens"})["job_id"]
+                for _ in range(4)
+            ]
+            assert host.drain(timeout=120.0) is not None
+            assert sum(host.find_job(job_id) is None for job_id in job_ids) == 2
+            service.reconcile()
+            usage = service.tenant_usage("t")
+            assert usage["demand_gpu_equivalents"] == 0.0
+            assert usage["completed_total"] == 4
+            assert usage["active_jobs"] == 0
+            for job_id in job_ids:
+                assert service.job_status("t", job_id)["state"] == "complete"
         finally:
             host.stop()
 

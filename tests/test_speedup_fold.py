@@ -3,12 +3,11 @@
 ``build_speedup_tables_batch`` folds each job's current efficiency curve
 into its cached throughput cells and takes a segmented max: the speedup
 tables the GA reads.  Its parent, ``build_surfaces_batch``, also took the
-segmented argmax into a batch-size table that the scheduler never read;
-that body is kept here as the oracle, and every job's speedup table must
-come back ``array_equal`` to the oracle's first element.  What the
-batch-size tables hold is covered where they are still built, by the
-per-job builder tests (``tests/test_speedup.py``,
-``tests/test_surfacecache.py``).
+segmented argmax into a batch-size table on every call; that body is kept
+here as the oracle.  Every job's speedup table must come back
+``array_equal`` to the oracle's first element, and with
+``batch_sizes=True`` (what the workload configs read) the batch-size table
+to its second.
 """
 
 import hashlib
@@ -146,6 +145,15 @@ def assert_same_tables(got, want):
         np.testing.assert_array_equal(sp, ref_sp, err_msg=f"speedup, job {job}")
 
 
+def assert_same_pairs(got, want):
+    """``batch_sizes=True`` output against the oracle's pairs."""
+    assert len(got) == len(want)
+    for job, ((sp, bsz), (ref_sp, ref_bsz)) in enumerate(zip(got, want)):
+        assert sp.shape == bsz.shape == ref_bsz.shape, job
+        np.testing.assert_array_equal(sp, ref_sp, err_msg=f"speedup, job {job}")
+        np.testing.assert_array_equal(bsz, ref_bsz, err_msg=f"batch, job {job}")
+
+
 _ZOO = [MODEL_ZOO[name] for name in sorted(MODEL_ZOO)]
 
 
@@ -190,6 +198,10 @@ class TestFoldAgainstParent:
         got = build_speedup_tables_batch(models, caps, **kwargs)
         want = reference_speedup_tables(models, caps, **kwargs)
         assert_same_tables(got, want)
+        assert_same_pairs(
+            build_speedup_tables_batch(models, caps, batch_sizes=True, **kwargs),
+            reference_build_surfaces_batch(models, caps, **kwargs),
+        )
         # The cached cells are folded from a copy, never written.
         again = build_tput_cells(models, caps, type_speeds=speeds)
         for kept, fresh in zip(cells, again):
@@ -206,6 +218,9 @@ class TestFoldAgainstParent:
         got = build_speedup_tables_batch(models, [3, 7])
         assert_same_tables(got, reference_speedup_tables(models, [3, 7]))
         assert all(not sp.any() for sp in got)
+        pairs = build_speedup_tables_batch(models, [3, 7], batch_sizes=True)
+        assert_same_pairs(pairs, reference_build_surfaces_batch(models, [3, 7]))
+        assert all(not bsz.any() for _, bsz in pairs)
 
     def test_tied_cells_share_one_maximum(self):
         # phi = 0 makes the efficiency curve m0 / m, exact at powers of
@@ -229,6 +244,12 @@ class TestFoldAgainstParent:
         np.testing.assert_array_equal(speedup[:, SINGLE_NODE], [0.0, 1.0, 1.0])
         # k == 1 cannot span nodes; at k == 2 all four cells tie.
         np.testing.assert_array_equal(speedup[:, MULTI_NODE], [0.0, 0.0, 1.0])
+        # Ties go to the first (smallest) batch size of the row.
+        [(_, bsz)] = build_speedup_tables_batch(
+            [model], [2], cells=cells, batch_sizes=True
+        )
+        np.testing.assert_array_equal(bsz[:, SINGLE_NODE], [0.0, 128.0, 256.0])
+        np.testing.assert_array_equal(bsz[:, MULTI_NODE], [0.0, 0.0, 128.0])
 
     def test_round_dense_tables_hash_equal(self):
         # The 256 jobs of the ledger's round_dense workload at seed 1, in

@@ -13,12 +13,8 @@ from repro.core import (
     SchedJobInfo,
     SurfaceCache,
     UtilityAutoscaler,
-    best_batch_size_table,
-    build_speedup_table,
-    build_surfaces,
-    build_typed_speedup_table,
-    build_typed_surfaces,
 )
+from repro.core.agent import TABLE_TUNING_PHI_TOL
 from repro.core.sched import TABLE_POINTS_PER_OCTAVE
 from repro.core.speedup import MULTI_NODE, SINGLE_NODE, build_speedup_tables_batch
 from repro.sim import SimConfig, Simulator
@@ -46,33 +42,37 @@ def _job(job_id: str, report: AgentReport, num_nodes: int) -> SchedJobInfo:
     )
 
 
+def _get(cache, report, cap, ppo=16, speeds=(1.0,)):
+    """One table through the two-phase protocol, as the scheduler runs it."""
+    key = cache.speedup_key(report, cap, ppo, speeds)
+    entry = cache.lookup(key)
+    if entry is None:
+        entry = cache.store(
+            key,
+            tuple(
+                build_speedup_tables_batch(
+                    [report.goodput_model()],
+                    [cap],
+                    points_per_octave=ppo,
+                    type_speeds=speeds,
+                )
+            ),
+        )
+    return entry[0]
+
+
 class TestSurfaceBuilders:
-    def test_build_surfaces_matches_separate_builders(self):
-        model = _report().goodput_model()
-        speedup, bsz = build_surfaces(model, 8, points_per_octave=16, speed=1.0)
-        assert np.array_equal(speedup, build_speedup_table(model, 8))
-        assert np.array_equal(bsz, best_batch_size_table(model, 8))
-
-    def test_typed_surfaces_match_separate_builders(self):
-        model = _report().goodput_model()
-        speeds = [2.0, 1.0]
-        speedup, bsz = build_typed_surfaces(model, 8, speeds)
-        assert np.array_equal(
-            speedup, build_typed_speedup_table(model, 8, speeds)
-        )
-        assert np.array_equal(
-            bsz, best_batch_size_table(model, 8, type_speeds=speeds)
-        )
-        assert speedup.shape == (9, 2, 2)
-        assert bsz.shape == (9, 2, 2)
-
     def test_typed_batch_size_table_per_type_columns(self):
         """Each type column equals the flat table at that type's speed."""
         model = _report().goodput_model()
-        speeds = [3.2, 1.0]
-        _, typed = build_typed_surfaces(model, 6, speeds)
+        speeds = (3.2, 1.0)
+        [(_, typed)] = build_speedup_tables_batch(
+            [model], [6], type_speeds=speeds, batch_sizes=True
+        )
         for t, speed in enumerate(speeds):
-            flat = best_batch_size_table(model, 6, speed=speed)
+            [(_, flat)] = build_speedup_tables_batch(
+                [model], [6], type_speeds=(speed,), batch_sizes=True
+            )
             assert np.array_equal(typed[:, :, t], flat)
 
 
@@ -80,54 +80,55 @@ class TestSurfaceCache:
     def test_hit_returns_bit_identical_tables(self):
         cache = SurfaceCache()
         report = _report()
-        first = cache.get_flat(report, 8, 16, 1.0)
-        again = cache.get_flat(report, 8, 16, 1.0)
+        first = _get(cache, report, 8)
+        again = _get(cache, report, 8)
         assert cache.stats.hits == 1 and cache.stats.misses == 1
-        assert first[0] is again[0] and first[1] is again[1]
-        uncached = build_surfaces(
-            report.goodput_model(), 8, points_per_octave=16, speed=1.0
-        )
-        assert np.array_equal(first[0], uncached[0])
-        assert np.array_equal(first[1], uncached[1])
+        assert first is again
+        [uncached] = build_speedup_tables_batch([report.goodput_model()], [8])
+        assert np.array_equal(first, uncached)
 
     def test_equal_valued_reports_share_entries(self):
         """Fingerprints key on values, not object identity."""
         cache = SurfaceCache()
-        cache.get_flat(_report(), 8, 16, 1.0)
-        cache.get_flat(_report(), 8, 16, 1.0)
+        _get(cache, _report(), 8)
+        _get(cache, _report(), 8)
         assert cache.stats.hits == 1
 
     def test_distinct_parameters_miss(self):
         cache = SurfaceCache()
-        cache.get_flat(_report(phi=120.0), 8, 16, 1.0)
-        cache.get_flat(_report(phi=121.0), 8, 16, 1.0)  # different phi
-        cache.get_flat(_report(phi=120.0), 6, 16, 1.0)  # different cap
-        cache.get_flat(_report(phi=120.0), 8, 16, 2.0)  # different speed
-        cache.get_flat(_report(phi=120.0), 8, 8, 1.0)  # different grid
+        _get(cache, _report(phi=120.0), 8)
+        _get(cache, _report(phi=121.0), 8)  # different phi
+        _get(cache, _report(phi=120.0), 6)  # different cap
+        _get(cache, _report(phi=120.0), 8, speeds=(2.0,))  # different speed
+        _get(cache, _report(phi=120.0), 8, ppo=8)  # different grid
         assert cache.stats.hits == 0 and cache.stats.misses == 5
 
     def test_phi_quantization_collides_nearby_phis(self):
-        cache = SurfaceCache(phi_tol=0.05)
-        cache.get_flat(_report(phi=120.0), 8, 16, 1.0)
-        cache.get_flat(_report(phi=120.5), 8, 16, 1.0)
-        assert cache.stats.hits == 1
+        """Nearby phis share an agent's tuning bucket; the scheduler's
+        cache keys on the exact phi."""
+        near, far = _report(phi=120.0), _report(phi=120.5)
+        tol = TABLE_TUNING_PHI_TOL
+        assert near.fingerprint(tol) == far.fingerprint(tol)
+        assert near.fingerprint() != far.fingerprint()
+        cache = SurfaceCache()
+        _get(cache, near, 8)
+        _get(cache, far, 8)
+        assert cache.stats.hits == 0 and cache.stats.misses == 2
 
     def test_lru_eviction(self):
         cache = SurfaceCache(maxsize=2)
-        cache.get_flat(_report(phi=1.0), 4, 16, 1.0)
-        cache.get_flat(_report(phi=2.0), 4, 16, 1.0)
-        cache.get_flat(_report(phi=3.0), 4, 16, 1.0)  # evicts phi=1
+        _get(cache, _report(phi=1.0), 4)
+        _get(cache, _report(phi=2.0), 4)
+        _get(cache, _report(phi=3.0), 4)  # evicts phi=1
         assert cache.stats.evictions == 1
-        cache.get_flat(_report(phi=1.0), 4, 16, 1.0)  # rebuilt
+        _get(cache, _report(phi=1.0), 4)  # rebuilt
         assert cache.stats.misses == 4
 
     def test_cached_tables_are_readonly(self):
         cache = SurfaceCache()
-        table, bsz = cache.get_flat(_report(), 8, 16, 1.0)
+        table = _get(cache, _report(), 8)
         with pytest.raises(ValueError):
             table[1, 0] = 99.0
-        with pytest.raises(ValueError):
-            bsz[1, 0] = 99.0
 
 
 class TestSchedCacheIntegration:
@@ -168,30 +169,6 @@ class TestSchedCacheIntegration:
         sched.utility(jobs, matrix)
         assert sched.surface_cache.stats.misses == misses_after_round
         assert sched.surface_cache.stats.hits >= len(jobs)
-
-    def test_get_flat_never_takes_a_scheduler_entry(self):
-        """The scheduler's entries hold no batch-size table, so the same
-        report, cap, grid and speed through get_flat must miss and build."""
-        cluster = ClusterSpec.homogeneous(4, 4)
-        report = _report(phi=80.0)
-        sched = PolluxSched(cluster, PolluxSchedConfig(), seed=1)
-        problem = sched.build_problem([_job("j0", report, 4)])
-        cache = sched.surface_cache
-        assert {key[0] for key in cache._entries} == {"speedup", "cells"}
-        cap = report.exploration_cap(cluster.total_gpus)
-        ppo = TABLE_POINTS_PER_OCTAVE
-        (entry,) = (e for key, e in cache._entries.items() if key[0] == "speedup")
-        assert len(entry) == 1 and entry[0] is problem.jobs[0].speedup_table
-        misses = cache.stats.misses
-        speedup, bsz = cache.get_flat(report, cap, ppo, 1.0)
-        assert cache.stats.misses == misses + 1
-        assert speedup.shape == bsz.shape == (cap + 1, 2)
-        want = build_surfaces(report.goodput_model(), cap, ppo, 1.0)
-        assert np.array_equal(speedup, want[0]) and np.array_equal(bsz, want[1])
-        # ... and the scheduler does not take get_flat's pair for its own.
-        hits = cache.stats.hits
-        sched.build_problem([_job("j0", report, 4)])
-        assert cache.stats.hits == hits + 1 and cache.stats.misses == misses + 1
 
     def test_autoscaler_probes_share_scheduler_cache(self):
         """Probes + optimize build each job's table at most once per tick.
@@ -322,7 +299,7 @@ class TestBatchSizeTableLookups:
         points can differ by a grid step — the achieved goodput must not.
         """
         model = _report().goodput_model()
-        _, bsz = build_surfaces(model, 8, points_per_octave=16, speed=1.0)
+        [(_, bsz)] = build_speedup_tables_batch([model], [8], batch_sizes=True)
         for k, (flag, nodes) in (
             (4, (SINGLE_NODE, 1)),
             (4, (MULTI_NODE, 2)),

@@ -100,11 +100,11 @@ class TestTunedConfigs:
 
     def test_band_respected(self):
         from repro.workload.configs import TUNED_SPEEDUP_BAND, true_goodput_model
-        from repro.core.speedup import build_speedup_table
+        from repro.core.speedup import build_speedup_tables_batch
 
         profile = MODEL_ZOO["resnet18-cifar10"]
         model = true_goodput_model(profile)
-        table = build_speedup_table(model, max_gpus=32)
+        [table] = build_speedup_tables_batch([model], [32])
         lo, hi = TUNED_SPEEDUP_BAND
         for k, _ in valid_tuned_configs(profile, max_gpus=32):
             if k == 1:
@@ -142,6 +142,38 @@ class TestTunedConfigs:
             low_bound = max(optimal / 2.0, lo)
             high_bound = min(optimal * 2.0, hi)
             assert low_bound - 1 <= bs <= high_bound + 1
+
+
+class TestConfigsAgainstPerJobBuilders:
+    def test_configs_equal_through_the_reference_builder(self, monkeypatch):
+        """The batched builder's tables give the configs the per-job
+        builders gave: the same valid set and the same sampled pair."""
+        import surface_reference
+        from repro.workload import configs
+
+        grid = [(m, g) for m in (8, 16, 32, 64) for g in (4, 8)]
+
+        def outcomes():
+            out = []
+            for profile in MODEL_ZOO.values():
+                for max_gpus, per_node in grid:
+                    rng = np.random.default_rng(11)
+                    out.append(
+                        (
+                            valid_tuned_configs(profile, max_gpus, per_node),
+                            [
+                                sample_user_config(profile, rng, max_gpus, per_node)
+                                for _ in range(4)
+                            ],
+                        )
+                    )
+            return out
+
+        got = outcomes()
+        monkeypatch.setattr(
+            configs, "_tuning_tables", surface_reference.reference_tuning_tables
+        )
+        assert got == outcomes()
 
 
 class TestTrace:
