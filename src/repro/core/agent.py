@@ -332,7 +332,8 @@ class PolluxAgent:
         can differ by up to one grid step.
 
         A miss computes both placement flags' argmaxes (one node, two or
-        more) at once, from the same goodput model, and keeps the pair in
+        more) at once, sharing the grid, T_grad and the efficiency
+        (:meth:`GoodputModel.grid_argmaxes`), and keeps the pair in
         an LRU of ``_TUNE_CACHE_SIZE`` entries keyed on the report's
         fingerprint with phi quantized at ``TABLE_TUNING_PHI_TOL``, the
         GPU count and the speed: consecutive tuning ticks hit while
@@ -387,8 +388,8 @@ def _grid_argmaxes(
     if model.limits.range_for(num_gpus) is None:
         return 0.0, 0.0
     ppo = TABLE_TUNING_POINTS_PER_OCTAVE
-    single, _ = model.optimize_batch_size_grid(1, num_gpus, ppo, speed)
     if num_gpus < 2:
+        ((single, _),) = model.grid_argmaxes((1,), num_gpus, ppo, speed)
         return single, 0.0
-    multi, _ = model.optimize_batch_size_grid(2, num_gpus, ppo, speed)
+    (single, _), (multi, _) = model.grid_argmaxes((1, 2), num_gpus, ppo, speed)
     return single, multi

@@ -18,7 +18,7 @@ once, in :mod:`repro.core.speedup`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -195,11 +195,27 @@ class GoodputModel:
         Evaluates the goodput on a dense geometric grid over the
         placement's feasible range and returns the first maximum; since
         the goodput is unimodal and smooth in m, the grid optimum matches
-        golden-section to within grid resolution.  This is the body of an
-        agent's batch tuning (``PolluxAgent.tune_batch_size``, at
-        ``TABLE_TUNING_POINTS_PER_OCTAVE``); speedup tables take the same
-        maximum for every (K, placement) at once in
+        golden-section to within grid resolution.  The one-placement case
+        of :meth:`grid_argmaxes`, which is the body of an agent's batch
+        tuning (``PolluxAgent.tune_batch_size``); speedup tables take the
+        same maximum for every (K, placement) at once in
         :mod:`repro.core.speedup`.
+        """
+        (best,) = self.grid_argmaxes((num_nodes,), num_gpus, points_per_octave, speed)
+        return best
+
+    def grid_argmaxes(
+        self,
+        node_counts: Sequence[int],
+        num_gpus: int,
+        points_per_octave: int = 16,
+        speed: float = 1.0,
+    ) -> Tuple[Tuple[float, float], ...]:
+        """:meth:`optimize_batch_size_grid` on ``num_gpus`` GPUs spread over
+        each of ``node_counts`` nodes, as ``(m_star, goodput)`` per count.
+
+        Only T_sync depends on the node count, so the grid, T_grad and
+        the efficiency are evaluated once for all of them.
         """
         rng = self.limits.range_for(num_gpus)
         if rng is None:
@@ -208,6 +224,13 @@ class GoodputModel:
                 f"on {num_gpus} GPU(s)"
             )
         grid = batch_size_grid(*rng, points_per_octave=points_per_octave)
-        values = np.asarray(self.goodput(num_nodes, num_gpus, grid, speed))
-        idx = int(np.argmax(values))
-        return float(grid[idx]), float(values[idx])
+        model = self.throughput_model
+        t_grad = model.t_grad(num_gpus, grid, speed)
+        efficiency = self.efficiency(grid)
+        best = []
+        for num_nodes in node_counts:
+            t_iter = model.overlap(t_grad, model.t_sync(num_nodes, num_gpus))
+            values = grid / t_iter * efficiency
+            idx = int(np.argmax(values))
+            best.append((float(grid[idx]), float(values[idx])))
+        return tuple(best)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import _lbfgsb
 
 __all__ = [
     "ThroughputParams",
@@ -219,9 +219,19 @@ class ThroughputModel:
 
     def t_iter(self, num_nodes, num_gpus, batch_size, speed=1.0):
         """Total time per training iteration (Eqn. 11)."""
+        return self.overlap(
+            self.t_grad(num_gpus, batch_size, speed), self.t_sync(num_nodes, num_gpus)
+        )
+
+    def overlap(self, t_grad, t_sync):
+        """Eqn. 11 over given T_grad and T_sync: the iteration time.
+
+        Lets a caller that evaluates T_grad once pair it with several
+        T_sync values (one per placement flag, say).
+        """
         gamma = self.params.gamma
-        tg = np.asarray(self.t_grad(num_gpus, batch_size, speed), dtype=float)
-        ts = np.asarray(self.t_sync(num_nodes, num_gpus), dtype=float)
+        tg = np.asarray(t_grad, dtype=float)
+        ts = np.asarray(t_sync, dtype=float)
         tg, ts = np.broadcast_arrays(tg, ts)
         # (tg^g + ts^g)^(1/g), computed stably by factoring out the max term.
         hi = np.maximum(tg, ts)
@@ -300,14 +310,104 @@ _LOG_PRED_FLOOR = float(np.log(1e-12))
 _EXACT_FIT_LOSS = 2.220446049250313e-09
 
 
+#: scipy 1.17's L-BFGS-B defaults, with the fit's 60-iteration cap: 10
+#: corrections, factr = ftol / eps, pgtol 1e-5, 20 line-search steps,
+#: 15000 evaluations.
+_LBFGSB_MAXCOR = 10
+_LBFGSB_FACTR = _EXACT_FIT_LOSS / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-5
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXITER = 60
+_LBFGSB_MAXFUN = 15000
+
+#: ``setulb``'s task codes (``task[0]``): evaluate f and g at ``x``; a new
+#: iterate was accepted; converged.  Anything else ends the run.
+_TASK_FG, _TASK_NEW_X, _TASK_CONVERGENCE = 3, 1, 4
+
+
+def _run_lbfgsb(
+    objective, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> Tuple[np.ndarray, int]:
+    """Minimize ``objective`` from ``x0`` within ``[lower, upper]``.
+
+    scipy 1.17.1's ``_minimize_lbfgsb`` loop over its ``setulb`` kernel,
+    with the settings above and none of the ``minimize`` wrapper stack
+    around it (function memoization, argument copies, result objects),
+    which took about two thirds of a fit's time.  ``objective(x) ->
+    (loss, grad)`` must be deterministic: scipy evaluates ``x0`` up front
+    and answers the kernel's first request from that, this loop evaluates
+    on the request — the same point, so the same iterates.  Every lower
+    bound is finite; an infinite upper bound means ``[lower, inf)``.
+
+    Returns ``(x, status)`` with scipy's ``status``: 0 converged, 1 hit the
+    iteration or evaluation limit, 2 stopped abnormally (a failed line
+    search).  ``x`` is the kernel's last accepted iterate.
+    """
+    m = _LBFGSB_MAXCOR
+    n = x0.size
+    x = np.array(x0, dtype=np.float64)
+    bounded = np.isfinite(upper)
+    low = np.array(lower, dtype=np.float64)
+    up = np.where(bounded, upper, 0.0)
+    nbd = np.where(bounded, 2, 1).astype(np.int32)
+    f = np.array(0.0)
+    g = np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    nfev = 0
+    nit = 0
+    while True:
+        _lbfgsb.setulb(
+            m,
+            x,
+            low,
+            up,
+            nbd,
+            f,
+            g,
+            _LBFGSB_FACTR,
+            _LBFGSB_PGTOL,
+            wa,
+            iwa,
+            task,
+            lsave,
+            isave,
+            dsave,
+            _LBFGSB_MAXLS,
+            ln_task,
+        )
+        if task[0] == _TASK_FG:
+            f, g = objective(x)
+            nfev += 1
+        elif task[0] == _TASK_NEW_X:
+            nit += 1
+            # scipy's limits, checked once per iteration: stop with task 5.
+            if nit >= _LBFGSB_MAXITER:
+                task[:] = 5, 504
+            elif nfev > _LBFGSB_MAXFUN:
+                task[:] = 5, 502
+        else:
+            break
+    if task[0] == _TASK_CONVERGENCE:
+        return x, 0
+    if nfev > _LBFGSB_MAXFUN or nit >= _LBFGSB_MAXITER:
+        return x, 1
+    return x, 2
+
+
 class _RmsleObjective:
     """RMSLE of Eqn. 11 against a profile, with its exact gradient.
 
-    ``objective(x) -> (loss, grad)`` over the free parameters, scipy's
-    ``jac=True`` protocol; the fitting hot path.  T_grad and T_sync are
-    linear in the alpha/beta parameters, so one stacked design matrix maps
-    ``x[:-1]`` to both (rows ``[:n]`` and ``[n:]``) and chains the gradient
-    back.  With ``hi/lo = max/min(T_grad, T_sync)``,
+    ``objective(x) -> (loss, grad)`` over the free parameters, what
+    :func:`_run_lbfgsb` asks for; the fitting hot path.  T_grad and T_sync
+    are linear in the alpha/beta parameters, so one stacked design matrix
+    maps ``x[:-1]`` to both (rows ``[:n]`` and ``[n:]``) and chains the
+    gradient back.  With ``hi/lo = max/min(T_grad, T_sync)``,
     ``r = lo / hi`` and ``q = r^gamma``::
 
         log T_iter        = log hi + log1p(q) / gamma
@@ -462,13 +562,6 @@ def fit_throughput_params(
         "gamma": 2.0,
     }
 
-    bounds = []
-    for name in free_names:
-        if name == "gamma":
-            bounds.append((GAMMA_MIN, GAMMA_MAX))
-        else:
-            bounds.append((0.0, None))
-
     starts: List[np.ndarray] = []
     if initial is not None:
         starts.append(initial.as_vector()[free_idx])
@@ -482,29 +575,22 @@ def fit_throughput_params(
             start[gidx] = rng.uniform(GAMMA_MIN, GAMMA_MAX)
         starts.append(start)
 
-    lb = np.array([b[0] for b in bounds], dtype=float)
-    ub = np.array(
-        [b[1] if b[1] is not None else np.inf for b in bounds], dtype=float
-    )
+    # alpha/beta in [0, inf), gamma (always free, always last) in [1, 10].
+    lb = np.zeros(len(free_names))
+    lb[-1] = GAMMA_MIN
+    ub = np.full(len(free_names), np.inf)
+    ub[-1] = GAMMA_MAX
     objective = _RmsleObjective(free_idx, nodes, gpus, batch, speeds, t_obs)
     best_vec: Optional[np.ndarray] = None
     best_loss = np.inf
     for start in starts:
-        result = minimize(
-            objective,
-            np.clip(start, lb, ub),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 60},
-        )
-        # Score the vector that comes back, not ``result.fun``: after an
-        # aborted line search scipy pairs the previous iterate with the
-        # last trial's loss.
-        loss = objective(result.x)[0]
+        x, _ = _run_lbfgsb(objective, np.clip(start, lb, ub), lb, ub)
+        # Score the vector that comes back: after an aborted line search
+        # the kernel's last loss belongs to a trial point, not to ``x``.
+        loss = objective(x)[0]
         if loss < best_loss:
             best_loss = loss
-            best_vec = np.asarray(result.x, dtype=float)
+            best_vec = x
         if best_loss <= _EXACT_FIT_LOSS:
             # No later start can end meaningfully lower.  Every job's first
             # fit (one observation, three free parameters) ends here at 0.0

@@ -19,15 +19,23 @@ simulator's decision stream by construction (``tests/test_host.py`` pins
 it).  Driven by a :class:`~repro.host.threaded.ThreadedBackend`, the same
 policy object schedules live submissions on that engine, paced against
 the (optionally scaled) wall clock.
+
+A live host contains policy faults: an exception out of ``decide_resize``,
+``schedule`` or the application of their decisions is logged under
+``repro.host``, recorded on the round, and the loop carries on with the
+allocations it had.  A finite replay (the simulator) raises instead, so a
+reproduction run never papers over a bug.
 """
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, Iterator, List, Optional
 
 from ..policy.base import Policy
 from ..policy.dispatch import (
@@ -40,6 +48,8 @@ from ..sim.metrics import SimResult
 from .backend import ClusterBackend
 
 __all__ = ["HostConfig", "RoundMetrics", "HostMetrics", "PolicyHost"]
+
+logger = logging.getLogger("repro.host")
 
 
 @dataclass(frozen=True)
@@ -72,7 +82,9 @@ class RoundMetrics:
     (scheduling, agent, or autoscale) was due.  ``latency_s`` is real
     wall-clock (``time.perf_counter``) spent inside policy dispatch —
     snapshot builds, the policy calls, and decision application —
-    regardless of the backend's time compression.
+    regardless of the backend's time compression.  ``error`` names what
+    raised in a live host's round (``"schedule: RuntimeError: ..."``, one
+    entry per failed event, ``"; "``-joined), else ``None``.
     """
 
     time: float  # host time of the round
@@ -83,6 +95,7 @@ class RoundMetrics:
     restarts_triggered: int  # job restarts caused by this round
     resized: bool  # the cluster was resized this round
     utility: float  # policy.last_utility after dispatch
+    error: Optional[str] = None  # contained policy failure, live host only
 
 
 class HostMetrics:
@@ -101,6 +114,7 @@ class HostMetrics:
         self._decisions_applied = 0
         self._restarts_triggered = 0
         self._resizes = 0
+        self._policy_errors = 0
         self._latency_sum = 0.0
         self._latency_max = 0.0
 
@@ -115,6 +129,8 @@ class HostMetrics:
         self._latency_max = max(self._latency_max, round_.latency_s)
         if round_.resized:
             self._resizes += 1
+        if round_.error is not None:
+            self._policy_errors += 1
         if round_.scheduled:
             self._scheduling_rounds += 1
             self._decisions_applied += round_.decisions_applied
@@ -126,6 +142,7 @@ class HostMetrics:
             "decisions_applied": self._decisions_applied,
             "restarts_triggered": self._restarts_triggered,
             "resizes": self._resizes,
+            "policy_errors": self._policy_errors,
             "mean_latency_s": (
                 self._latency_sum / self._rounds if self._rounds else 0.0
             ),
@@ -214,13 +231,15 @@ class PolicyHost:
         nodes_before = backend.cluster().num_nodes
         restarts_before = sum(j.num_restarts for j in jobs)
 
+        errors: List[str] = []
         autoscale_fired = False
         if caps.autoscales and now >= self._next_autoscale:
             autoscale_fired = True
-            state = build_cluster_state(backend.cluster(), jobs, caps)
-            request = policy.decide_resize(now, state)
-            if request is not None:
-                backend.resize(int(request.num_nodes), request.grow_node_spec)
+            with self._contained("decide_resize", now, errors):
+                state = build_cluster_state(backend.cluster(), jobs, caps)
+                request = policy.decide_resize(now, state)
+                if request is not None:
+                    backend.resize(int(request.num_nodes), request.grow_node_spec)
             # Re-read the cadence after the decision: a policy may adapt
             # its own interval inside decide_resize().
             self._next_autoscale = now + policy.capabilities.autoscale_interval
@@ -228,16 +247,17 @@ class PolicyHost:
         tuned_this_round = False
         if now >= self._next_schedule:
             scheduled = True
-            state = build_cluster_state(backend.cluster(), jobs, caps)
-            decision = policy.schedule(now, state)
-            applied = len(decision.allocations)
-            apply_decision(
-                decision,
-                jobs,
-                caps,
-                apply_allocations=backend.apply_allocations,
-                resize_cluster=backend.resize,
-            )
+            with self._contained("schedule", now, errors):
+                state = build_cluster_state(backend.cluster(), jobs, caps)
+                decision = policy.schedule(now, state)
+                apply_decision(
+                    decision,
+                    jobs,
+                    caps,
+                    apply_allocations=backend.apply_allocations,
+                    resize_cluster=backend.resize,
+                )
+                applied = len(decision.allocations)
             self._next_schedule = now + cfg.scheduling_interval
             if caps.adapts_batch_size:
                 tune_batch_sizes(jobs)
@@ -252,7 +272,15 @@ class PolicyHost:
 
         # Covers both resize paths: cadenced decide_resize and a resize
         # bundled in the ScheduleDecision (applied by apply_decision).
-        resized = backend.cluster().num_nodes != nodes_before
+        nodes_after = backend.cluster().num_nodes
+        resized = nodes_after != nodes_before
+        if resized:
+            logger.info(
+                "cluster resized from %d to %d nodes at host time %.1f s",
+                nodes_before,
+                nodes_after,
+                now,
+            )
         if scheduled or resized or agent_fired or autoscale_fired:
             restarts_after = sum(j.num_restarts for j in jobs)
             self.metrics.record(
@@ -265,8 +293,33 @@ class PolicyHost:
                     restarts_triggered=max(restarts_after - restarts_before, 0),
                     resized=resized,
                     utility=float(policy.last_utility),
+                    error="; ".join(errors) or None,
                 )
             )
+
+    @contextmanager
+    def _contained(self, event: str, now: float, errors: List[str]) -> Iterator[None]:
+        """Contain an exception out of one dispatch event in a live host.
+
+        The traceback is logged under ``repro.host`` with the round's host
+        time and the failure appended to ``errors``; the caller advances
+        its timers as usual, so a failing policy is retried on its next
+        cadence instead of in a hot loop.  The policy's decision is not
+        applied, or — if application itself raised — applied only up to
+        the failure.  A finite backend re-raises: the simulator stops on
+        a policy bug.
+        """
+        try:
+            yield
+        except Exception as exc:
+            if self.backend.finite:
+                raise
+            logger.exception(
+                "%s raised at host time %.1f s; dispatch goes on at the next timer",
+                event,
+                now,
+            )
+            errors.append(f"{event}: {type(exc).__name__}: {exc}")
 
     def run(self) -> SimResult:
         """Dispatch until the backend drains (or :meth:`stop` is called).
@@ -348,6 +401,11 @@ class PolicyHost:
         """Run the dispatch loop on a background thread."""
         if self._thread is not None:
             raise RuntimeError("host already started")
+        logger.info(
+            "host starting: policy %s on %s",
+            self.policy.name,
+            type(self.backend).__name__,
+        )
         self._thread = threading.Thread(
             target=self.run, name="policy-host", daemon=True
         )
@@ -355,6 +413,7 @@ class PolicyHost:
 
     def stop(self, timeout: Optional[float] = None) -> None:
         """Halt dispatch as soon as the current round completes."""
+        logger.info("host stopping at host time %.1f s", self.backend.now())
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout)
@@ -365,6 +424,7 @@ class PolicyHost:
         Blocks until the loop exits (backend drained) or ``timeout``
         elapses; returns the final result when the loop has exited.
         """
+        logger.info("host draining at host time %.1f s", self.backend.now())
         self._drain.set()
         if self._thread is not None:
             self._thread.join(timeout)

@@ -98,9 +98,10 @@ def apply_decision(
 def tune_batch_sizes(jobs: Sequence) -> None:
     """Let each running adaptive job's agent re-tune its batch size.
 
-    Every host tunes by the agent's O(1) argmax-table lookup
-    (``PolluxAgent.tune_batch_size``).  Jobs whose agents cannot tune yet
-    (no fitted model) keep their current batch size.
+    Every host tunes by the agent's Eqn. 13 grid argmax on the job's own
+    placement, memoized per agent (``PolluxAgent.tune_batch_size``).  Jobs
+    whose agents cannot tune yet (no fitted model) keep their current
+    batch size.
     """
     for job in jobs:
         if job.num_gpus == 0:

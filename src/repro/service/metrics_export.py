@@ -201,6 +201,11 @@ def render_metrics(service: "SchedulerService") -> str:
             "Cluster resizes applied (autoscaling).",
             summary["resizes"],
         ),
+        (
+            "scheduler_policy_errors_total",
+            "Dispatch rounds in which the policy or its decision raised.",
+            summary["policy_errors"],
+        ),
     ]
     for name, help_, value in counters:
         _header(lines, name, "counter", help_)

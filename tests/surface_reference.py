@@ -10,7 +10,8 @@ per-job :func:`build_surfaces` an agent's cache called, and the
 workload configs read.  The per-job builders and the golden-section
 :func:`speedup` are kept here, unchanged, so the tests can hold the
 library's paths to them, and :class:`ReferenceAgent` is ``PolluxAgent``
-tuning through its old table cache.
+tuning through its old table cache.  :func:`grid_argmax` is the grid
+argmax of one placement flag as it was before both flags shared one grid.
 """
 
 from __future__ import annotations
@@ -181,6 +182,28 @@ def best_batch_size_table(
         raise ValueError("max_gpus must be >= 1")
     _, argmax_m = _goodput_surface(model, max_gpus, points_per_octave, speed)
     return argmax_m
+
+
+def grid_argmax(
+    model: GoodputModel,
+    num_nodes: int,
+    num_gpus: int,
+    points_per_octave: int = 16,
+    speed: float = 1.0,
+) -> Tuple[float, float]:
+    """``GoodputModel.optimize_batch_size_grid`` as it was before
+    :meth:`~repro.core.goodput.GoodputModel.grid_argmaxes` shared one grid
+    across placement flags: the whole goodput evaluated per call."""
+    rng = model.limits.range_for(num_gpus)
+    if rng is None:
+        raise ValueError(
+            f"initial batch size {model.limits.init_batch_size} does not fit "
+            f"on {num_gpus} GPU(s)"
+        )
+    grid = batch_size_grid(*rng, points_per_octave=points_per_octave)
+    values = np.asarray(model.goodput(num_nodes, num_gpus, grid, speed))
+    idx = int(np.argmax(values))
+    return float(grid[idx]), float(values[idx])
 
 
 def reference_tuning_tables(model_name: str, max_gpus: int, gpus_per_node: int):

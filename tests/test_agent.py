@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BatchSizeLimits, PolluxAgent, optimistic_params
-from repro.core.throughput import ThroughputModel
+from repro.core.agent import TABLE_TUNING_POINTS_PER_OCTAVE, _grid_argmaxes
+from repro.core.efficiency import EfficiencyModel
+from repro.core.goodput import GoodputModel
+from repro.core.throughput import ThroughputModel, ThroughputParams
 from repro.workload import MODEL_ZOO
-from surface_reference import ReferenceAgent
+from surface_reference import ReferenceAgent, grid_argmax
 
 
 @pytest.fixture
@@ -263,3 +266,50 @@ class TestTuningAgainstTableAgent:
         ops += [("tune", 2, 2, 1.0), ("tune", 1, 12, 1.0), ("tune", 2, 5, 2.5)]
         ops += [("grad", 50.0, 1.0), ("tune", 1, 12, 1.0), ("tune", 3, 1, 1.0)]
         _run_session(profile, limits, ops)
+
+
+_sync_st = st.one_of(st.just(0.0), st.floats(1e-4, 0.5))
+theta_st = st.builds(
+    ThroughputParams,
+    alpha_grad=st.one_of(st.just(0.0), st.floats(1e-4, 0.5)),
+    beta_grad=st.floats(1e-5, 0.05),
+    alpha_sync_local=_sync_st,
+    beta_sync_local=_sync_st,
+    alpha_sync_node=_sync_st,
+    beta_sync_node=_sync_st,
+    gamma=st.floats(1.0, 10.0),
+)
+
+
+class TestSharedGridTuning:
+    """One tuning miss evaluates the grid, T_grad and the efficiency once
+    for both placement flags; each flag's argmax is still the whole-goodput
+    grid argmax of that flag alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        theta=theta_st,
+        phi=st.floats(0.0, 1e4),
+        m0=st.sampled_from([32.0, 128.0, 256.0]),
+        local_factor=st.sampled_from([0.3, 1.0, 4.0]),
+        num_gpus=st.integers(1, 64),
+        speed=st.sampled_from([0.5, 1.0, 2.5]),
+    )
+    def test_pair_equals_two_single_flag_grids(
+        self, theta, phi, m0, local_factor, num_gpus, speed
+    ):
+        limits = BatchSizeLimits(m0, 64.0 * m0, m0 * local_factor)
+        model = GoodputModel(theta, EfficiencyModel(m0, phi), limits)
+        ppo = TABLE_TUNING_POINTS_PER_OCTAVE
+        if limits.range_for(num_gpus) is None:
+            expected = (0.0, 0.0)
+        else:
+            flags = (1, 2) if num_gpus >= 2 else (1,)
+            argmaxes = [
+                grid_argmax(model, nodes, num_gpus, ppo, speed) for nodes in flags
+            ]
+            for nodes, best in zip(flags, argmaxes):
+                got = model.optimize_batch_size_grid(nodes, num_gpus, ppo, speed)
+                assert got == best
+            expected = (argmaxes[0][0], argmaxes[1][0] if num_gpus >= 2 else 0.0)
+        assert _grid_argmaxes(model, num_gpus, speed) == expected

@@ -11,6 +11,7 @@ Plus service-lifecycle and live-backend behavior.
 """
 
 import dataclasses
+import logging
 import threading
 import time
 
@@ -658,3 +659,126 @@ class TestLiveMechanism:
         assert found.finish_time is not None
         assert not backend.jobs() and not backend.engine.jobs
         assert not host.cancel_job("short")
+
+
+class TestLiveContainment:
+    """A live host outlives a policy that raises: the round is recorded with
+    its error, the allocations the policy made before stand, and dispatch
+    goes on at its cadence.  (A finite replay raises instead:
+    ``tests/test_simulator.py::TestPolicyFailure``.)"""
+
+    def test_failing_schedule_is_contained(self, caplog):
+        cluster = ClusterSpec.homogeneous(2, 4)
+
+        class Flaky(repro.policy.Policy):
+            """Puts the job on node 0, raises on its next two calls, then
+            moves the job to node 1; records what each call was shown."""
+
+            name = "flaky"
+
+            def __init__(self):
+                self.shown = []
+
+            def schedule(self, now, state):
+                if not state.jobs:
+                    return repro.policy.ScheduleDecision()
+                self.shown.append(np.array(state.jobs[0].allocation))
+                if len(self.shown) in (2, 3):
+                    raise RuntimeError("policy bug")
+                alloc = np.zeros(cluster.num_nodes, dtype=np.int64)
+                alloc[0 if len(self.shown) == 1 else 1] = 4
+                return repro.policy.ScheduleDecision({state.jobs[0].name: alloc})
+
+        policy = Flaky()
+        backend = fast_threaded(
+            cluster, quantum_seconds=0.015, scheduling_interval=120.0
+        )
+        host = PolicyHost(policy, backend)
+        caplog.set_level(logging.INFO, logger="repro.host")
+        host.start()
+        backend.submit(JobSpec("j0", MODEL_ZOO["resnet50-imagenet"], 0.0, 4, 256))
+        try:
+            deadline = time.monotonic() + 30.0
+            while len(policy.shown) < 5:
+                assert time.monotonic() < deadline, "dispatch stopped"
+                time.sleep(0.01)
+            assert host.running
+        finally:
+            host.stop(timeout=30.0)
+
+        on_node_0 = np.array([4, 0])
+        # The failed calls left the first decision in place; the next one
+        # was applied.
+        for shown in policy.shown[1:4]:
+            assert np.array_equal(shown, on_node_0)
+        assert np.array_equal(policy.shown[4], np.array([0, 4]))
+        assert host.metrics.summary()["policy_errors"] == 2
+        failed = [r for r in host.metrics.rounds if r.error is not None]
+        assert [r.error for r in failed] == ["schedule: RuntimeError: policy bug"] * 2
+        assert all(r.scheduled and r.decisions_applied == 0 for r in failed)
+        # The timers advanced through the failures: no hot loop.
+        times = [r.time for r in host.metrics.rounds if r.scheduled]
+        assert [b - a for a, b in zip(times, times[1:])] == [120.0] * (len(times) - 1)
+        errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 2
+        for record, round_ in zip(errors, failed):
+            assert record.name == "repro.host"
+            assert record.exc_info is not None
+            assert f"host time {round_.time:.1f} s" in record.getMessage()
+        messages = [r.getMessage() for r in caplog.records]
+        assert any(m.startswith("host starting: policy flaky") for m in messages)
+        assert any(m.startswith("host stopping") for m in messages)
+
+    def test_failing_decide_resize_is_contained(self):
+        cluster = ClusterSpec.homogeneous(2, 4)
+
+        class Failing(repro.policy.Policy):
+            name = "failing-resize"
+            capabilities = repro.policy.PolicyCapabilities(
+                autoscales=True, autoscale_interval=120.0
+            )
+
+            def schedule(self, now, state):
+                return repro.policy.ScheduleDecision()
+
+            def decide_resize(self, now, state):
+                raise ValueError("bad size")
+
+        backend = fast_threaded(cluster, quantum_seconds=0.015)
+        host = PolicyHost(Failing(), backend)
+        host.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while host.metrics.summary()["policy_errors"] < 3:
+                assert time.monotonic() < deadline, "dispatch stopped"
+                time.sleep(0.01)
+            assert host.running
+        finally:
+            host.stop(timeout=30.0)
+        assert "decide_resize: ValueError: bad size" in host.metrics.rounds[0].error
+        assert backend.cluster().num_nodes == 2
+
+    def test_resize_and_drain_are_logged(self, caplog):
+        cluster = ClusterSpec.homogeneous(2, 4)
+
+        class Growing(repro.policy.Policy):
+            name = "growing"
+            capabilities = repro.policy.PolicyCapabilities(autoscales=True)
+
+            def schedule(self, now, state):
+                return repro.policy.ScheduleDecision(
+                    resize=repro.policy.ClusterResizeRequest(3)
+                )
+
+        caplog.set_level(logging.INFO, logger="repro.host")
+        host = PolicyHost(Growing(), fast_threaded(cluster))
+        host.start()
+        deadline = time.monotonic() + 30.0
+        while host.metrics.summary()["resizes"] < 1:
+            assert time.monotonic() < deadline, "no resize"
+            time.sleep(0.01)
+        # Nothing was submitted: the drain ends the loop at once.
+        assert host.drain(timeout=30.0) is not None
+        messages = [r.getMessage() for r in caplog.records if r.name == "repro.host"]
+        assert any(m.startswith("cluster resized from 2 to 3 nodes") for m in messages)
+        assert any(m.startswith("host draining") for m in messages)

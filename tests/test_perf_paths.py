@@ -8,15 +8,19 @@ formulation (the homogeneous default-config invariant from PR 1).  The
 theta_sys fit is held differently since PR 17: its objective hands L-BFGS-B
 an exact gradient, checked here against central differences, at the corners
 of the bounds, and for fit quality against scipy's own finite differences.
+The fit drives scipy's L-BFGS-B kernel itself; it is held bit for bit to
+the ``scipy.optimize.minimize`` loop it replaced (``fit_reference.py``).
 """
 
+import itertools
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import Bounds, minimize
 
 import repro.core.throughput as throughput_module
 
@@ -30,11 +34,13 @@ from repro.core.throughput import (
     ThroughputParams,
     _PARAM_NAMES,
     _RmsleObjective,
+    _run_lbfgsb,
     fit_throughput_params,
     t_iter_scalar,
     throughput_scalar,
 )
 from repro.workload.gns import GNSTrajectory
+from fit_reference import reference_fit
 
 
 def _random_params(rng) -> ThroughputParams:
@@ -267,23 +273,29 @@ class TestRmsleGradient:
         assert np.array_equal(grad, np.zeros(7))
 
 
-class _MinimizeSpy:
-    """Stands in for ``repro.core.throughput.minimize`` and records each start."""
+class _DriverSpy:
+    """Stands in for ``repro.core.throughput._run_lbfgsb`` and records each
+    start: its bounds, the vector that came back, that vector's loss and
+    the status.  ``wrap`` replaces the objective the driver minimizes."""
 
-    def __init__(self, after=None):
+    def __init__(self, wrap=None):
         self.starts = []
-        self._after = after
+        self._wrap = wrap
 
-    def __call__(self, fun, x0, **kwargs):
-        result = minimize(fun, x0, **kwargs)
+    def __call__(self, objective, x0, lower, upper):
+        driven = objective if self._wrap is None else self._wrap(objective)
+        x, status = _run_lbfgsb(driven, x0, lower, upper)
         self.starts.append(
             SimpleNamespace(
-                x0=np.array(x0), kwargs=kwargs, fun=result.fun, status=result.status
+                x0=np.array(x0),
+                lower=np.array(lower),
+                upper=np.array(upper),
+                x=np.array(x),
+                fun=objective(x)[0],
+                status=status,
             )
         )
-        if self._after is not None:
-            self._after(result)
-        return result
+        return x, status
 
 
 class TestFitMultiStart:
@@ -293,16 +305,16 @@ class TestFitMultiStart:
         entry = ProfileEntry(1, 1, 128.0, 0.37)
         state = ExplorationState()
         state.observe(1, 1)
-        spy = _MinimizeSpy()
-        monkeypatch.setattr(throughput_module, "minimize", spy)
+        spy = _DriverSpy()
+        monkeypatch.setattr(throughput_module, "_run_lbfgsb", spy)
         early = fit_throughput_params([entry], state, seed=3)
         assert len(spy.starts) == 1
 
         # No loss is below -1: the exit never fires, ties still go to the
         # first start.
         monkeypatch.setattr(throughput_module, "_EXACT_FIT_LOSS", -1.0)
-        all_starts = _MinimizeSpy()
-        monkeypatch.setattr(throughput_module, "minimize", all_starts)
+        all_starts = _DriverSpy()
+        monkeypatch.setattr(throughput_module, "_run_lbfgsb", all_starts)
         full = fit_throughput_params([entry], state, seed=3)
         assert len(all_starts.starts) == 5
         assert all_starts.starts[0].fun == 0.0
@@ -316,8 +328,8 @@ class TestFitMultiStart:
         it won with is the public RMSLE of the parameters it returns."""
         entry = ProfileEntry(2, 8, 32.0, 0.0357)
         columns = _columns([entry])
-        spy = _MinimizeSpy()
-        monkeypatch.setattr(throughput_module, "minimize", spy)
+        spy = _DriverSpy()
+        monkeypatch.setattr(throughput_module, "_run_lbfgsb", spy)
         cold = fit_throughput_params([entry], seed=0)
         assert len(spy.starts) == 1
         loss = _public_rmsle(cold.as_vector(), columns)
@@ -333,9 +345,9 @@ class TestFitMultiStart:
         assert warm.as_vector() == pytest.approx(cold.as_vector(), rel=0.02)
 
     def test_start_is_scored_at_the_vector_it_returns(self, monkeypatch):
-        """After an aborted line search scipy 1.17 returns the previous
-        iterate with the last trial's loss; a ``result.fun`` that does not
-        belong to ``result.x`` must neither win nor end the loop."""
+        """After an aborted line search the kernel's last loss is a trial
+        point's, not the returned vector's.  No loss the driver saw may win
+        or end the loop: here every one of them claims an exact fit."""
         truth = ThroughputModel(
             ThroughputParams(0.05, 0.002, 0.01, 0.002, 0.03, 0.004, 2.0)
         )
@@ -344,15 +356,17 @@ class TestFitMultiStart:
             for nodes, gpus in [(1, 1), (1, 4), (2, 8)]
             for m, noise in [(128, 1.03), (256, 0.98), (512, 1.01)]
         ]
-        honest = fit_throughput_params(entries, seed=5)
 
-        def claim_exact(result):
-            result.fun = 0.0
+        def claim_exact(objective):
+            return lambda x: (0.0, objective(x)[1])
 
-        spy = _MinimizeSpy(after=claim_exact)
-        monkeypatch.setattr(throughput_module, "minimize", spy)
-        assert fit_throughput_params(entries, seed=5) == honest
+        spy = _DriverSpy(wrap=claim_exact)
+        monkeypatch.setattr(throughput_module, "_run_lbfgsb", spy)
+        fitted = fit_throughput_params(entries, seed=5)
         assert len(spy.starts) == 5
+        best = min(spy.starts, key=lambda start: start.fun)
+        assert best.fun > throughput_module._EXACT_FIT_LOSS
+        assert np.array_equal(fitted.as_vector(), best.x)
 
     def test_warm_start_leaves_a_just_unpinned_zero(self, cifar_params, monkeypatch):
         """The priors unpin alpha_sync_node at the first multi-node
@@ -373,24 +387,59 @@ class TestFitMultiStart:
         previous = true_params.replace(
             alpha_sync_node=0.0, beta_sync_local=0.0, beta_sync_node=0.0
         )
-        spy = _MinimizeSpy()
-        monkeypatch.setattr(throughput_module, "minimize", spy)
+        spy = _DriverSpy()
+        monkeypatch.setattr(throughput_module, "_run_lbfgsb", spy)
         fitted = fit_throughput_params(
             entries, state, initial=previous, num_restarts=0
         )
         warm, default = spy.starts
+        assert warm.x0[3] == 0.0  # alpha_sync_node, free, starts at its bound
         assert warm.fun <= default.fun
         assert fitted.alpha_sync_node == pytest.approx(0.05, rel=0.1)
 
     def test_no_finite_loss_raises(self, monkeypatch):
-        def nan_result(fun, x0, **kwargs):
-            result = minimize(fun, x0, **kwargs)
-            result.x = np.full_like(result.x, np.nan)
-            return result
+        def nan_result(objective, x0, lower, upper):
+            x, status = _run_lbfgsb(objective, x0, lower, upper)
+            return np.full_like(x, np.nan), status
 
-        monkeypatch.setattr(throughput_module, "minimize", nan_result)
+        monkeypatch.setattr(throughput_module, "_run_lbfgsb", nan_result)
         with pytest.raises(RuntimeError, match="no finite loss"):
             fit_throughput_params([ProfileEntry(1, 1, 128.0, 0.37)])
+
+
+_pin_sets = st.sampled_from(
+    [ExplorationState(*seen) for seen in itertools.product((False, True), repeat=3)]
+)
+_theta_st = st.builds(
+    lambda alpha_beta, gamma: ThroughputParams(*alpha_beta, gamma),
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 0.5)), min_size=6, max_size=6),
+    st.floats(1.0, 10.0),
+)
+
+
+class TestDriverAgainstMinimize:
+    """The fit drives scipy's L-BFGS-B kernel itself; through
+    ``scipy.optimize.minimize`` (``tests/fit_reference.py``) it returns
+    the same parameters, and every start ends with the same status."""
+
+    @given(
+        entries=st.lists(entry_st, min_size=1, max_size=40),
+        exploration=st.one_of(st.none(), _pin_sets),
+        initial=st.one_of(st.none(), _theta_st),
+        num_restarts=st.integers(0, 4),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_fit_is_bit_identical(
+        self, entries, exploration, initial, num_restarts, seed
+    ):
+        spy = _DriverSpy()
+        args = (entries, exploration, initial, num_restarts, seed)
+        with mock.patch.object(throughput_module, "_run_lbfgsb", spy):
+            fitted = fit_throughput_params(*args)
+        expected, statuses = reference_fit(*args)
+        assert fitted == expected
+        assert [start.status for start in spy.starts] == statuses
 
 
 class TestFitQuality:
@@ -432,14 +481,20 @@ class TestFitQuality:
             ]
             reference = _written_out_rmsle(columns, free_idx)
 
-            spy = _MinimizeSpy()
-            monkeypatch.setattr(throughput_module, "minimize", spy)
+            spy = _DriverSpy()
+            monkeypatch.setattr(throughput_module, "_run_lbfgsb", spy)
             fitted = fit_throughput_params(entries, state, seed=seed)
             fitted_losses.append(_public_rmsle(fitted.as_vector(), columns))
             statuses += [start.status for start in spy.starts]
             best = min(
                 (
-                    minimize(reference, start.x0, **{**start.kwargs, "jac": None})
+                    minimize(
+                        reference,
+                        start.x0,
+                        method="L-BFGS-B",
+                        bounds=Bounds(start.lower, start.upper),
+                        options={"maxiter": 60},
+                    )
                     for start in spy.starts
                 ),
                 key=lambda result: result.fun,

@@ -375,6 +375,7 @@ class TestMetricsExport:
             assert 'scheduler_tenant_quota_gpu_equivalents{tenant="teamA"} 8' in page
             assert 'scheduler_http_requests_total{method="POST",code="201"} 1' in page
             assert "scheduler_dispatch_latency_seconds_bucket" in page
+            assert "\nscheduler_policy_errors_total 0\n" in page
         finally:
             host.stop()
 
@@ -528,13 +529,15 @@ class TestHTTPStack:
     @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_healthz_is_503_over_a_dead_loop(self):
         cluster = ClusterSpec.homogeneous(2, 4)
-        policy = quick_policy("tiresias", cluster)
+        backend = fast_threaded(cluster)
 
-        def schedule(now, state):
-            raise RuntimeError("policy failure")
+        # The live host contains policy errors; a backend fault still ends
+        # the loop.
+        def advance(until):
+            raise RuntimeError("backend failure")
 
-        policy.schedule = schedule
-        host = PolicyHost(policy, fast_threaded(cluster))
+        backend.advance = advance
+        host = PolicyHost(quick_policy("tiresias", cluster), backend)
         service = SchedulerService(host)
         server = ServiceServer(service).start()
         try:
