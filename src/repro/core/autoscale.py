@@ -81,51 +81,41 @@ class AutoscaleDecision:
 
 
 class UtilityAutoscaler:
-    """Chooses cluster sizes by goodput-based utility (Sec. 4.2.2)."""
+    """Chooses cluster sizes by goodput-based utility (Sec. 4.2.2).
+
+    ``surface_cache`` is the live scheduler's: probed clusters share its
+    type set, so probes at sizes whose exploration caps coincide hit the
+    tables the scheduling round already built.  The probe GAs draw from
+    ``config.probe_ga.seed``.
+    """
 
     def __init__(
         self,
         config: AutoscaleConfig,
+        surface_cache: SurfaceCache,
         sched_config: Optional[PolluxSchedConfig] = None,
-        gpus_per_node: int = 4,
-        seed: int = 0,
     ):
         self.config = config
+        self.surface_cache = surface_cache
         self.sched_config = (
             sched_config if sched_config is not None else PolluxSchedConfig()
         )
-        self.gpus_per_node = gpus_per_node
-        self._seed = seed
-        #: Fallback surface cache shared across this autoscaler's probes
-        #: when the caller does not pass the live scheduler's cache.
-        self.surface_cache = SurfaceCache()
 
     def _utility_at(
         self,
         num_nodes: int,
         jobs: Sequence[SchedJobInfo],
-        cluster: Optional[ClusterSpec] = None,
+        cluster: ClusterSpec,
         grow_with: Optional[NodeSpec] = None,
-        surface_cache: Optional[SurfaceCache] = None,
     ) -> float:
-        """Best achievable UTILITY on a cluster of ``num_nodes`` nodes.
+        """Best achievable UTILITY on ``cluster`` resized to ``num_nodes``.
 
-        Runs a (small-budget) GA on the probed cluster size and evaluates
-        Eqn. 17 on the best allocation matrix found.  When ``cluster`` is
-        given, the probe resizes *that* cluster (preserving its GPU types
-        and per-node shapes, growing with ``grow_with``); otherwise it
-        probes a homogeneous reference fleet of ``gpus_per_node``-GPU nodes.
-        ``surface_cache`` (typically the live scheduler's) lets the probe
-        reuse the speedup tables the round already built: probed clusters
-        share the live type set, so probes at sizes whose exploration caps
-        coincide hit the cache instead of rebuilding every job's table.
+        Runs a (small-budget) GA on the probed cluster, which keeps
+        ``cluster``'s GPU types and per-node shapes and grows with
+        ``grow_with``, and evaluates Eqn. 17 on the best allocation matrix
+        found.
         """
-        if surface_cache is None:
-            surface_cache = self.surface_cache
-        if cluster is not None:
-            cluster = cluster.resized(num_nodes, grow_with=grow_with)
-        else:
-            cluster = ClusterSpec.homogeneous(num_nodes, self.gpus_per_node)
+        cluster = cluster.resized(num_nodes, grow_with=grow_with)
         probe_cfg = PolluxSchedConfig(
             restart_penalty=0.0,  # probes are hypothetical; no restarts paid
             forbid_interference=self.sched_config.forbid_interference,
@@ -133,9 +123,7 @@ class UtilityAutoscaler:
             weight_decay=self.sched_config.weight_decay,
             ga=self.config.probe_ga,
         )
-        sched = PolluxSched(
-            cluster, probe_cfg, seed=self._seed, surface_cache=surface_cache
-        )
+        sched = PolluxSched(cluster, probe_cfg, surface_cache=self.surface_cache)
         probe_jobs = [
             SchedJobInfo(
                 job_id=j.job_id,
@@ -151,24 +139,20 @@ class UtilityAutoscaler:
 
     def decide(
         self,
-        current_nodes: int,
         current_utility: float,
         jobs: Sequence[SchedJobInfo],
-        cluster: Optional[ClusterSpec] = None,
+        cluster: ClusterSpec,
         grow_with: Optional[NodeSpec] = None,
-        surface_cache: Optional[SurfaceCache] = None,
     ) -> AutoscaleDecision:
-        """Decide the next cluster size.
+        """Decide the next size of ``cluster``.
 
         If the utility of the *applied* allocations is within the operator
         band, the size is kept.  Otherwise, binary search for the size whose
-        achievable utility is closest to the band's midpoint.  On typed
-        fleets pass ``cluster`` (and the ``grow_with`` node spec the caller
-        will grow by) so the probes evaluate the real node types instead of
-        the homogeneous reference fleet.  ``surface_cache`` (normally the
-        live scheduler's) deduplicates speedup-table builds across the
-        probes and the scheduling round itself.
+        achievable utility is closest to the band's midpoint, probing
+        ``cluster`` resized (grown with ``grow_with``, the node spec the
+        caller will grow by) so typed fleets are evaluated as they are.
         """
+        current_nodes = cluster.num_nodes
         cfg = self.config
         if not jobs:
             return AutoscaleDecision(cfg.min_nodes, 0.0, cfg.min_nodes != current_nodes)
@@ -183,7 +167,7 @@ class UtilityAutoscaler:
         # utility is <= target, then compare with its neighbor.
         while lo < hi:
             mid = (lo + hi) // 2
-            util = self._utility_at(mid, jobs, cluster, grow_with, surface_cache)
+            util = self._utility_at(mid, jobs, cluster, grow_with)
             probed.append((mid, util))
             if util > target:
                 lo = mid + 1
@@ -192,17 +176,13 @@ class UtilityAutoscaler:
         best_nodes = lo
         best_util = dict(probed).get(best_nodes)
         if best_util is None:
-            best_util = self._utility_at(
-                best_nodes, jobs, cluster, grow_with, surface_cache
-            )
+            best_util = self._utility_at(best_nodes, jobs, cluster, grow_with)
             probed.append((best_nodes, best_util))
         if best_nodes > cfg.min_nodes:
             below = best_nodes - 1
             util_below = dict(probed).get(below)
             if util_below is None:
-                util_below = self._utility_at(
-                    below, jobs, cluster, grow_with, surface_cache
-                )
+                util_below = self._utility_at(below, jobs, cluster, grow_with)
                 probed.append((below, util_below))
             if abs(util_below - target) < abs(best_util - target):
                 best_nodes = below

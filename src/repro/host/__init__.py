@@ -91,12 +91,11 @@ metrics reference) and ``README.md`` for the repo overview.
 
 from .backend import ClusterBackend
 from .replay import ReplayBackend
-from .service import HostConfig, HostMetrics, PolicyHost, RoundMetrics
+from .service import HostMetrics, PolicyHost, RoundMetrics
 from .threaded import ThreadedBackend, ThreadedConfig
 
 __all__ = [
     "ClusterBackend",
-    "HostConfig",
     "HostMetrics",
     "PolicyHost",
     "RoundMetrics",

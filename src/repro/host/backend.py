@@ -29,9 +29,10 @@ from typing import TYPE_CHECKING, Optional, Protocol, Sequence, runtime_checkabl
 
 from ..cluster.spec import ClusterSpec, NodeSpec
 from ..sim.metrics import SimResult
+from ..sim.simconfig import SimConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .service import HostConfig, PolicyHost
+    from .service import PolicyHost
 
 __all__ = ["ClusterBackend"]
 
@@ -43,10 +44,12 @@ class ClusterBackend(Protocol):
     ``finite`` declares whether the backend drains a fixed workload (the
     host's run loop then ends when :meth:`drained`) or serves live
     submissions indefinitely (the host keeps dispatching until stopped or
-    drained on request).
+    drained on request).  ``config`` holds the run's parameters; the host
+    dispatches on its ``scheduling_interval`` and ``agent_interval``.
     """
 
     finite: bool
+    config: SimConfig
 
     # -- lifecycle ------------------------------------------------------
 
@@ -158,10 +161,6 @@ class ClusterBackend(Protocol):
         ...
 
     # -- results --------------------------------------------------------
-
-    def host_config(self) -> "HostConfig":
-        """The dispatch cadences this backend expects (the host's default)."""
-        ...
 
     def collect_result(self, scheduler_name: str) -> SimResult:
         """Final accounting for the run, simulator-result-shaped."""

@@ -42,7 +42,6 @@ from ..sim.engine import ClusterEngine
 from ..sim.metrics import JobRecord, SimResult, TimelineSample
 from ..sim.simconfig import SimConfig
 from ..workload.trace import JobSpec
-from .service import HostConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .service import PolicyHost
@@ -63,8 +62,9 @@ class ReplayBackend:
         cluster: Initial node inventory.
         trace: The recorded submissions (:class:`~repro.workload.trace.
             JobSpec` list), replayed at their recorded times.
-        config: Simulator-shaped run parameters (tick size, noise seeds,
-            restart delay, ``max_hours`` cap); sharing :class:`~repro.sim.
+        config: Simulator-shaped run parameters (tick size, the host's
+            dispatch cadences, noise seeds, restart delay, ``max_hours``
+            cap); sharing :class:`~repro.sim.
             SimConfig` is what makes replays comparable to simulations.
         compression: Virtual seconds replayed per wall-clock second.
             ``inf`` (default) never sleeps; ``3600.0`` replays an hour of
@@ -108,14 +108,6 @@ class ReplayBackend:
         self._host: Optional["PolicyHost"] = None
 
     # -- lifecycle ------------------------------------------------------
-
-    def host_config(self) -> HostConfig:
-        """Cadences matching this replay's SimConfig (simulator parity)."""
-        cfg = self.config
-        return HostConfig(
-            scheduling_interval=cfg.scheduling_interval,
-            agent_interval=cfg.agent_interval,
-        )
 
     def start(self, host: "PolicyHost") -> None:
         with self._lock:

@@ -29,13 +29,15 @@ reproduction run never papers over a bug.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import logging
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Deque, Iterator, List, Optional
+from typing import Deque, Iterator, List, Optional, Tuple
 
 from ..policy.base import Policy
 from ..policy.dispatch import (
@@ -47,31 +49,27 @@ from ..policy.dispatch import (
 from ..sim.metrics import SimResult
 from .backend import ClusterBackend
 
-__all__ = ["HostConfig", "RoundMetrics", "HostMetrics", "PolicyHost"]
+__all__ = ["LATENCY_BUCKETS", "RoundMetrics", "HostMetrics", "PolicyHost"]
 
 logger = logging.getLogger("repro.host")
 
-
-@dataclass(frozen=True)
-class HostConfig:
-    """Dispatch cadences of a :class:`PolicyHost`, in host-time seconds.
-
-    Defaults follow the paper's deployment (Sec. 5.1): schedule every 60 s,
-    let agents re-tune batch sizes every 30 s.  When constructed without an
-    explicit config, the host asks the backend for its preferred cadences
-    (:meth:`~repro.host.backend.ClusterBackend.host_config`) — the replay
-    backend derives them from its ``SimConfig`` so replays match the
-    simulator by construction.
-    """
-
-    scheduling_interval: float = 60.0
-    agent_interval: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.scheduling_interval <= 0:
-            raise ValueError("scheduling_interval must be positive")
-        if self.agent_interval <= 0:
-            raise ValueError("agent_interval must be positive")
+#: Upper bounds (seconds) of the dispatch latency histogram's buckets:
+#: sub-millisecond cheap rounds up to multi-second GA rounds on big clusters.
+LATENCY_BUCKETS: Tuple[float, ...] = (
+    0.001,
+    0.0025,
+    0.005,
+    0.01,
+    0.025,
+    0.05,
+    0.1,
+    0.25,
+    0.5,
+    1.0,
+    2.5,
+    5.0,
+    10.0,
+)
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,8 @@ class HostMetrics:
     A live host dispatches forever, so :attr:`rounds` keeps only the most
     recent ``history_limit`` :class:`RoundMetrics` (a bounded deque);
     :meth:`summary` aggregates over the *whole* run via running counters,
-    so the totals stay exact no matter how much history was dropped.
+    so the totals stay exact no matter how much history was dropped, and
+    so does :meth:`latency_histogram`.
     """
 
     def __init__(self, history_limit: int = 4096):
@@ -117,6 +116,9 @@ class HostMetrics:
         self._policy_errors = 0
         self._latency_sum = 0.0
         self._latency_max = 0.0
+        # Rounds per latency bucket: one per LATENCY_BUCKETS bound, then
+        # the rounds slower than the last bound.
+        self._latency_buckets = [0] * (len(LATENCY_BUCKETS) + 1)
 
     def record(self, round_: RoundMetrics) -> None:
         self.rounds.append(round_)
@@ -127,6 +129,9 @@ class HostMetrics:
         # slowest dispatches.
         self._latency_sum += round_.latency_s
         self._latency_max = max(self._latency_max, round_.latency_s)
+        self._latency_buckets[
+            bisect.bisect_left(LATENCY_BUCKETS, round_.latency_s)
+        ] += 1
         if round_.resized:
             self._resizes += 1
         if round_.error is not None:
@@ -149,6 +154,11 @@ class HostMetrics:
             "max_latency_s": self._latency_max,
         }
 
+    def latency_histogram(self) -> Tuple[List[int], float]:
+        """Cumulative round counts at each :data:`LATENCY_BUCKETS` bound and
+        then ``+Inf`` (every round), and the sum of the rounds' latencies."""
+        return list(itertools.accumulate(self._latency_buckets)), self._latency_sum
+
 
 class PolicyHost:
     """Drives a :class:`~repro.policy.base.Policy` against live cluster state.
@@ -166,18 +176,13 @@ class PolicyHost:
     ``stop()`` halts dispatch immediately (jobs in flight are abandoned);
     ``drain()`` lets the backend run dry first.  ``host.metrics`` holds
     per-round :class:`RoundMetrics`; ``host.metrics.summary()`` aggregates
-    them.
+    them.  The scheduling and agent cadences are the backend's
+    ``config.scheduling_interval`` and ``config.agent_interval``.
     """
 
-    def __init__(
-        self,
-        policy: Policy,
-        backend: ClusterBackend,
-        config: Optional[HostConfig] = None,
-    ):
+    def __init__(self, policy: Policy, backend: ClusterBackend):
         self.policy = policy
         self.backend = backend
-        self.config = config if config is not None else backend.host_config()
         self.metrics = HostMetrics()
         self.result: Optional[SimResult] = None
         self._stop = threading.Event()
@@ -211,7 +216,7 @@ class PolicyHost:
         """
         policy = self.policy
         backend = self.backend
-        cfg = self.config
+        cfg = backend.config
         caps = policy.capabilities
         t0 = time.perf_counter()
         scheduled = False

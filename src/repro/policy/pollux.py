@@ -69,16 +69,14 @@ class PolluxPolicy(Policy):
             via :meth:`~repro.core.sched.PolluxSched.set_cluster`).
         config: :class:`~repro.core.sched.PolluxSchedConfig`; defaults to
             the paper's Sec. 5.1 settings.
-        seed: Seeds the genetic algorithm's random stream (and, unless
-            ``autoscale_seed`` overrides it, the autoscaler's probe GAs).
+        seed: Seeds the genetic algorithm's random stream.
         autoscale: An :class:`~repro.core.autoscale.AutoscaleConfig`
             enables goodput-utility cloud autoscaling; ``None`` (default)
-            disables it.
+            disables it.  Its resize probes are seeded by
+            ``AutoscaleConfig.probe_ga.seed``.
         autoscale_interval: Cadence of resize decisions, seconds.
         grow_node_spec: Node shape added when growing a heterogeneous
             fleet; ``None`` clones the last node.
-        autoscale_seed: Seed for the autoscaler's probe GAs; defaults to
-            ``seed``.
     """
 
     name = "pollux"
@@ -91,7 +89,6 @@ class PolluxPolicy(Policy):
         autoscale: Optional[AutoscaleConfig] = None,
         autoscale_interval: float = 600.0,
         grow_node_spec: Optional[NodeSpec] = None,
-        autoscale_seed: Optional[int] = None,
     ):
         self.sched = PolluxSched(cluster, config, seed=seed)
         self.seed = seed
@@ -105,9 +102,7 @@ class PolluxPolicy(Policy):
         self._autoscaler: Optional[UtilityAutoscaler] = None
         if autoscale is not None:
             self._autoscaler = UtilityAutoscaler(
-                autoscale,
-                sched_config=self.sched.config,
-                seed=seed if autoscale_seed is None else autoscale_seed,
+                autoscale, self.sched.surface_cache, self.sched.config
             )
 
     # ------------------------------------------------------------------
@@ -138,12 +133,7 @@ class PolluxPolicy(Policy):
         matrix = np.stack([snap.allocation for snap in state.jobs])
         utility = self.utility_of(infos, matrix)
         decision = self._autoscaler.decide(
-            state.cluster.num_nodes,
-            utility,
-            infos,
-            cluster=state.cluster,
-            grow_with=self.grow_node_spec,
-            surface_cache=self.sched.surface_cache,
+            utility, infos, state.cluster, self.grow_node_spec
         )
         return ClusterResizeRequest(decision.num_nodes, self.grow_node_spec)
 

@@ -7,10 +7,9 @@ the running system is observed.
 
 - :class:`SchedulerService` (``api.py``) — the transport-free core:
   tenant-namespaced job submission against GPU-equivalent quotas
-  (429 over quota), round-robin admission across tenants, status /
-  cancel with tenant isolation, and usage accounting.  Tenancy sits
-  strictly *above* the Policy API: it decides only whether and in what
-  order jobs reach the backend, never what the policy decides, so
+  (429 over quota), status / cancel with tenant isolation, and usage
+  accounting.  Tenancy sits strictly *above* the Policy API: it decides
+  only whether a job reaches the backend, never what the policy decides, so
   host-agreement digests cannot move (reads are read-only; see
   ``tests/test_service.py::test_service_fronted_replay_matches_simulator``).
 - :class:`ServiceServer` (``server.py``) — stdlib ``ThreadingHTTPServer``
@@ -19,8 +18,8 @@ the running system is observed.
 - ``metrics_export.py`` — the ``/metrics`` page in Prometheus text
   exposition format (dispatch latency histogram, decision/restart
   counters, per-tenant GPU-equivalent gauges, shard phase timings).
-- ``tenants.py`` — the deterministic accounting layer (quotas, fair
-  admission queue).
+- ``tenants.py`` — the deterministic accounting layer (namespaces,
+  quotas).
 
 Operator guide: ``docs/operating.md`` (start/drain/stop, backend choice,
 time compression, the full ``/metrics`` series reference, and the
@@ -30,11 +29,10 @@ Load benchmark: the perf ledger's ``service_live`` workload
 """
 
 from .api import SchedulerService, ServiceError
-from .metrics_export import CONTENT_TYPE, DispatchLatencyHistogram, render_metrics
+from .metrics_export import CONTENT_TYPE, render_metrics
 from .server import ServiceServer
 from .tenants import (
     DEFAULT_TENANT,
-    AdmissionQueue,
     JobEntry,
     TenantAccount,
     valid_tenant_name,
@@ -46,10 +44,8 @@ __all__ = [
     "ServiceServer",
     "render_metrics",
     "CONTENT_TYPE",
-    "DispatchLatencyHistogram",
     "DEFAULT_TENANT",
     "JobEntry",
     "TenantAccount",
-    "AdmissionQueue",
     "valid_tenant_name",
 ]

@@ -1,9 +1,9 @@
 """SchedulerService: the multi-tenant front door of a running PolicyHost.
 
 The service is a *thin deterministic layer* above the Policy API: it owns
-tenant namespaces, GPU-equivalent quota admission, and the fair
-round-robin admission queue (:mod:`repro.service.tenants`), and it
-translates front-end operations into the host's service hooks
+tenant namespaces and GPU-equivalent quota admission
+(:mod:`repro.service.tenants`), and it translates front-end operations
+into the host's service hooks
 (``backend.submit``, :meth:`~repro.host.PolicyHost.find_job`,
 :meth:`~repro.host.PolicyHost.cancel_job`).  It never calls the policy and
 never mutates job or cluster state directly, so policy decision streams —
@@ -21,7 +21,6 @@ service end-to-end; the API surface is summarized in ``README.md``.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -31,10 +30,8 @@ from ..host.service import PolicyHost
 from ..sim.metrics import JobRecord
 from ..workload.models import MODEL_ZOO
 from ..workload.trace import JobSpec
-from .metrics_export import DispatchLatencyHistogram
 from .tenants import (
     DEFAULT_TENANT,
-    AdmissionQueue,
     JobEntry,
     TenantAccount,
     valid_tenant_name,
@@ -88,10 +85,7 @@ class SchedulerService:
         self._lock = threading.RLock()
         self._accounts: Dict[str, TenantAccount] = {}
         self._entries: Dict[str, JobEntry] = {}
-        self._queue = AdmissionQueue()
         self._http_requests: Dict[Tuple[str, str], int] = {}
-        #: Fed from HostMetrics rounds by the /metrics exporter.
-        self.latency_histogram = DispatchLatencyHistogram()
         for tenant, quota in (quotas or {}).items():
             if not valid_tenant_name(tenant):
                 raise ValueError(f"invalid tenant name {tenant!r}")
@@ -157,7 +151,7 @@ class SchedulerService:
                         f"{account.demand_eq:g} + {demand_eq:g} > "
                         f"{account.quota_eq:g} GPU-equivalents"
                     ),
-                    retry_after=self.host.config.scheduling_interval,
+                    retry_after=self.backend.config.scheduling_interval,
                 )
             now = self.backend.now()
             spec = JobSpec(
@@ -167,6 +161,9 @@ class SchedulerService:
                 fixed_num_gpus=num_gpus,
                 fixed_batch_size=batch_size,
             )
+            # The backend takes the job before the service records and
+            # charges it, so a submit that raises leaves nothing behind.
+            self.backend.submit(spec)
             entry = JobEntry(
                 job_id=job_id,
                 tenant=tenant,
@@ -176,8 +173,6 @@ class SchedulerService:
             )
             self._entries[job_id] = entry
             account.charge(entry)
-            self._queue.push(entry)
-            self._pump_locked()
             return self._status_locked(entry)
 
     def _validate_payload(
@@ -212,28 +207,6 @@ class SchedulerService:
             raise ServiceError(400, f"invalid job name {name!r}")
         return model, num_gpus, batch_size, name
 
-    def _pump_locked(self) -> None:
-        """Drain the admission queue round-robin into the backend.
-
-        Every queued entry already passed its quota check, so the pump
-        admits everything; round-robin order fixes the *interleaving*
-        across tenants deterministically (one job per tenant per turn)
-        when bursts from several tenants are queued together.
-        """
-        while True:
-            entry = self._queue.pop()
-            if entry is None:
-                return
-            # Stamp the actual admission time: queued entries may sit
-            # behind other tenants' turns for a few iterations.
-            spec = dataclasses.replace(
-                entry.spec, submission_time=self.backend.now()
-            )
-            entry.spec = spec
-            self.backend.submit(spec)
-            entry.state = "submitted"
-            self._accounts[entry.tenant].admitted_total += 1
-
     # ------------------------------------------------------------------
     # Status / cancel
     # ------------------------------------------------------------------
@@ -261,10 +234,9 @@ class SchedulerService:
     def cancel(self, tenant: str, job_id: str) -> dict:
         """The ``DELETE /v1/jobs/{id}`` operation (tenant-isolated).
 
-        A queued entry is dropped before it ever reaches the backend; a
-        submitted one is cancelled through the host's cancel hook, which
-        finishes the job and delivers its ``completed`` lifecycle event to
-        the policy.  409 when the job already reached a terminal state.
+        The job is cancelled through the host's cancel hook, which finishes
+        it and delivers its ``completed`` lifecycle event to the policy.
+        409 when the job already reached a terminal state.
         """
         self.check_tenant(tenant)
         with self._lock:
@@ -273,12 +245,6 @@ class SchedulerService:
                 raise ServiceError(404, f"no job {job_id!r} for tenant {tenant!r}")
             if entry.terminal:
                 raise ServiceError(409, f"job {job_id!r} is already {entry.state}")
-            if entry.state == "queued":
-                self._queue.remove(entry)
-                entry.state = "cancelled"
-                self._accounts[tenant].release(entry)
-                return self._status_locked(entry)
-            # Submitted: cancel through the host (backend completion event).
             if self.host.cancel_job(job_id):
                 entry.state = "cancelled"
                 self._accounts[tenant].release(entry)
@@ -369,9 +335,7 @@ class SchedulerService:
                 "demand_gpu_equivalents": account.demand_eq,
                 "allocated_gpu_equivalents": allocated,
                 "active_jobs": active,
-                "queued_jobs": self._queue.pending(tenant),
                 "submitted_total": account.submitted_total,
-                "admitted_total": account.admitted_total,
                 "rejected_total": account.rejected_total,
                 "cancelled_total": account.cancelled_total,
                 "completed_total": account.completed_total,
@@ -419,8 +383,6 @@ class SchedulerService:
             "demand_gpu_equivalents": entry.demand_eq,
             "created_at": entry.created_at,
         }
-        if entry.state == "queued":
-            return base
         found = self.host.find_job(entry.job_id)
         if found is None:
             # The record rotated out of the backend's bounded completed
@@ -493,9 +455,7 @@ class SchedulerService:
                     "active_jobs": sum(
                         1 for e in account.entries if e.state == "submitted"
                     ),
-                    "queued_jobs": self._queue.pending(name),
                     "submitted_total": account.submitted_total,
-                    "admitted_total": account.admitted_total,
                     "rejected_total": account.rejected_total,
                     "cancelled_total": account.cancelled_total,
                     "completed_total": account.completed_total,

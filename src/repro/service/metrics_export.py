@@ -2,110 +2,38 @@
 
 Renders the ``GET /metrics`` payload in the Prometheus text format
 (version 0.0.4): ``# HELP`` / ``# TYPE`` headers, one
-``name{labels} value`` sample per line.  Every exported series is
-documented in the operator guide's metrics reference table
-(``docs/operating.md``) — keep the two in sync when adding series.
+``name{labels} value`` sample per line.  Every exported series is a row
+of the operator guide's metrics reference tables (``docs/operating.md``);
+``tests/test_service.py`` fails when the two disagree.
 
 Three sources feed the page:
 
 - the host's :class:`~repro.host.service.HostMetrics` running aggregates
-  (monotonic counters — exact over the whole run regardless of the
-  bounded round history) and its recent rounds, which feed the dispatch
-  latency histogram;
+  (monotonic counters and the dispatch latency histogram's bucket counts,
+  exact over the whole run regardless of the bounded round history), read
+  in one snapshot under the dispatch lock so the histogram's ``_count``
+  equals ``scheduler_rounds_total``;
 - the policy's telemetry, when it exposes any: ``last_utility``
   (every policy), ``last_phase_timings`` (Pollux GA phase timings, in
   milliseconds), the sharded policy's ``last_round_report`` (per-phase
   sum/max across cells) and ``fallback_rounds``;
 - the service's tenant ledger and HTTP request counters.
-
-The histogram ingests rounds incrementally by diffing the host's total
-round counter against what it has already consumed, so scrapes are O(new
-rounds) and a quiet service costs nothing; if more rounds elapsed between
-scrapes than the host's bounded history holds, the overflow is counted in
-the histogram's ``+Inf``-free total via the ``_count`` series only when
-observed (dropped rounds are simply not observed — the counters above
-remain exact).
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List
+
+from ..host.service import LATENCY_BUCKETS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api import SchedulerService
 
-__all__ = ["DispatchLatencyHistogram", "render_metrics", "CONTENT_TYPE"]
+__all__ = ["render_metrics", "CONTENT_TYPE"]
 
 #: The Prometheus text exposition content type.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-#: Dispatch latency buckets (seconds): sub-millisecond cheap rounds up to
-#: multi-second GA rounds on big clusters.
-LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.001,
-    0.0025,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-)
-
-
-class DispatchLatencyHistogram:
-    """Cumulative histogram over the host's per-round dispatch latency.
-
-    ``ingest(metrics)`` consumes rounds the histogram has not seen yet
-    (tracked against the host's exact total-round counter; the bounded
-    deque may have dropped very old rounds between rare scrapes — those
-    are skipped, never double-counted).
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._bucket_counts = [0] * len(LATENCY_BUCKETS)
-        self._count = 0
-        self._sum = 0.0
-        self._seen_rounds = 0
-
-    def ingest(self, metrics) -> None:
-        """Fold new rounds from a :class:`~repro.host.HostMetrics` in."""
-        with self._lock:
-            total = metrics.summary()["rounds"]
-            new = total - self._seen_rounds
-            if new <= 0:
-                return
-            rounds = list(metrics.rounds)
-            for round_ in rounds[-new:] if new < len(rounds) else rounds:
-                self._observe(round_.latency_s)
-            self._seen_rounds = total
-
-    def _observe(self, value: float) -> None:
-        self._count += 1
-        self._sum += value
-        for i, bound in enumerate(LATENCY_BUCKETS):
-            if value <= bound:
-                self._bucket_counts[i] += 1
-
-    def render(self, name: str, lines: List[str]) -> None:
-        with self._lock:
-            lines.append(f"# HELP {name} Wall-clock policy dispatch latency per round.")
-            lines.append(f"# TYPE {name} histogram")
-            cumulative = 0
-            for bound, count in zip(LATENCY_BUCKETS, self._bucket_counts):
-                cumulative += count
-                lines.append(f'{name}_bucket{{le="{_fmt(bound)}"}} {cumulative}')
-            lines.append(f'{name}_bucket{{le="+Inf"}} {self._count}')
-            lines.append(f"{name}_sum {_fmt(self._sum)}")
-            lines.append(f"{name}_count {self._count}")
 
 
 def _fmt(value: float) -> str:
@@ -143,7 +71,6 @@ def render_metrics(service: "SchedulerService") -> str:
     host = service.host
     backend = service.backend
     policy = host.policy
-    summary = host.metrics.summary()
     lines: List[str] = []
 
     _header(lines, "scheduler_up", "gauge", "1 while the service is serving.")
@@ -159,6 +86,8 @@ def render_metrics(service: "SchedulerService") -> str:
     _sample(lines, "scheduler_host_time_seconds", backend.now())
 
     with backend.dispatch_lock():
+        summary = host.metrics.summary()
+        latency_counts, latency_sum = host.metrics.latency_histogram()
         cluster = backend.cluster()
         active_jobs = len(backend.jobs())
         gpu_eq = float(
@@ -211,8 +140,12 @@ def render_metrics(service: "SchedulerService") -> str:
         _header(lines, name, "counter", help_)
         _sample(lines, name, value)
 
-    service.latency_histogram.ingest(host.metrics)
-    service.latency_histogram.render("scheduler_dispatch_latency_seconds", lines)
+    name = "scheduler_dispatch_latency_seconds"
+    _header(lines, name, "histogram", "Wall-clock policy dispatch latency per round.")
+    for bound, count in zip(LATENCY_BUCKETS + (math.inf,), latency_counts):
+        _sample(lines, f"{name}_bucket", count, {"le": _fmt(bound)})
+    _sample(lines, f"{name}_sum", latency_sum)
+    _sample(lines, f"{name}_count", latency_counts[-1])
 
     # -- policy telemetry ------------------------------------------------
     _header(
@@ -275,7 +208,6 @@ def render_metrics(service: "SchedulerService") -> str:
             "Live allocated GPU-equivalents (type-aware).",
         ),
         ("scheduler_tenant_active_jobs", "active_jobs", "Submitted, unfinished jobs."),
-        ("scheduler_tenant_queued_jobs", "queued_jobs", "Jobs awaiting admission."),
     ]
     for name, key, help_ in tenant_gauges:
         _header(lines, name, "gauge", help_)
@@ -283,11 +215,6 @@ def render_metrics(service: "SchedulerService") -> str:
             _sample(lines, name, snap[key], {"tenant": tenant})
     tenant_counters = [
         ("scheduler_tenant_submitted_total", "submitted_total", "Accepted POSTs."),
-        (
-            "scheduler_tenant_admitted_total",
-            "admitted_total",
-            "Jobs handed to the backend.",
-        ),
         (
             "scheduler_tenant_rejected_total",
             "rejected_total",

@@ -1,18 +1,17 @@
-"""Multi-tenant accounting: namespaces, GPU-equivalent quotas, fair admission.
+"""Multi-tenant accounting: namespaces and GPU-equivalent quotas.
 
 This is the deterministic layer the service puts *above* the Policy API
 (the third seam of the Blox-style toolkit: policy / mechanism / service).
 It never touches policy decision streams — tenancy decides only *whether*
-and *in what order* submissions reach the backend, so host-agreement
-digests cannot move.
+a submission reaches the backend, so host-agreement digests cannot move.
 
 Quotas are measured in **GPU-equivalents**, not raw GPU counts, because a
 mixed fleet's devices are not interchangeable (Gavel's heterogeneity
 lesson): one A100 at compute speed 3.2 is 3.2 reference-T4 equivalents.
 Two series exist per tenant:
 
-- *demand* — the admission-time charge: each live (queued or submitted,
-  not yet finished) job charges its requested GPU count in reference
+- *demand* — the admission-time charge: each live (submitted, not yet
+  finished) job charges its requested GPU count in reference
   units.  A job has no placement until the policy allocates it, so demand
   is deliberately type-agnostic; it is what quotas are enforced against,
   which keeps admission deterministic and independent of policy decisions.
@@ -21,19 +20,14 @@ Two series exist per tenant:
   ``GET /v1/tenants/{t}`` and exported to Prometheus; on a mixed fleet it
   shows what the quota's raw-count cousin would hide (4 GPUs of A100 are
   12.8 equivalents).
-
-Admission order across tenants is **round-robin**: each tenant owns a FIFO
-queue and :class:`AdmissionQueue` pops one job per tenant in rotation, so
-a burst from one tenant cannot starve another's queued submissions.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import List
 
 from ..workload.trace import JobSpec
 
@@ -41,7 +35,6 @@ __all__ = [
     "DEFAULT_TENANT",
     "JobEntry",
     "TenantAccount",
-    "AdmissionQueue",
     "valid_tenant_name",
 ]
 
@@ -63,10 +56,10 @@ class JobEntry:
 
     ``job_id`` is the tenant-namespaced identity (``tenant/name``) and is
     also the backend job name, so two tenants can both submit ``train-1``
-    without colliding anywhere downstream.  ``state`` walks
-    ``queued -> submitted -> complete`` (or ``cancelled`` from either
-    live state); ``demand_eq`` is the admission charge released when the
-    entry reaches a terminal state.
+    without colliding anywhere downstream.  An entry exists once the
+    backend has taken the job; ``state`` walks ``submitted -> complete``
+    (or ``cancelled``); ``demand_eq`` is the admission charge released
+    when the entry reaches a terminal state.
     """
 
     job_id: str
@@ -74,7 +67,7 @@ class JobEntry:
     spec: JobSpec
     demand_eq: float
     created_at: float
-    state: str = "queued"
+    state: str = "submitted"
 
     @property
     def terminal(self) -> bool:
@@ -95,7 +88,6 @@ class TenantAccount:
     quota_eq: float = math.inf
     demand_eq: float = 0.0
     submitted_total: int = 0
-    admitted_total: int = 0
     rejected_total: int = 0
     cancelled_total: int = 0
     completed_total: int = 0
@@ -122,55 +114,3 @@ class TenantAccount:
         elif entry.state == "complete":
             self.completed_total += 1
 
-
-class AdmissionQueue:
-    """Fair round-robin admission across tenants.
-
-    Each tenant has a FIFO queue; :meth:`pop` serves tenants in a rotating
-    order, one job per turn, skipping tenants with empty queues.  The
-    rotation is deterministic: tenants enter it in first-push order and
-    the cursor advances one tenant per pop, so interleaving depends only
-    on the push sequence (no RNG, no timestamps).
-    """
-
-    def __init__(self) -> None:
-        self._queues: Dict[str, Deque[JobEntry]] = {}
-        self._rotation: List[str] = []
-        self._cursor = 0
-
-    def push(self, entry: JobEntry) -> None:
-        queue = self._queues.get(entry.tenant)
-        if queue is None:
-            queue = deque()
-            self._queues[entry.tenant] = queue
-            self._rotation.append(entry.tenant)
-        queue.append(entry)
-
-    def pop(self) -> Optional[JobEntry]:
-        """Next entry in round-robin order, or None when all queues are
-        empty.  Entries cancelled while queued are skipped (and dropped)."""
-        if not self._rotation:
-            return None
-        for _ in range(len(self._rotation)):
-            tenant = self._rotation[self._cursor]
-            self._cursor = (self._cursor + 1) % len(self._rotation)
-            queue = self._queues[tenant]
-            while queue:
-                entry = queue.popleft()
-                if entry.state == "queued":
-                    return entry
-            # Empty queue: leave the tenant in rotation (cheap, and keeps
-            # the cursor arithmetic simple); its turn is just skipped.
-        return None
-
-    def remove(self, entry: JobEntry) -> bool:
-        """Drop a queued entry (cancellation before admission)."""
-        queue = self._queues.get(entry.tenant)
-        if queue is not None and entry in queue:
-            queue.remove(entry)
-            return True
-        return False
-
-    def pending(self, tenant: str) -> int:
-        queue = self._queues.get(tenant)
-        return len(queue) if queue is not None else 0

@@ -43,6 +43,8 @@ class SimConfig:
             raise ValueError("tick_seconds must be positive")
         if self.scheduling_interval < self.tick_seconds:
             raise ValueError("scheduling_interval must be >= tick_seconds")
+        if self.agent_interval <= 0:
+            raise ValueError("agent_interval must be positive")
         if not (0.0 <= self.interference_slowdown < 1.0):
             raise ValueError("interference_slowdown must be in [0, 1)")
         if self.max_hours <= 0:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import AutoscaleConfig, UtilityAutoscaler
+from repro.cluster import ClusterSpec
+from repro.core import AutoscaleConfig, SurfaceCache, UtilityAutoscaler
 from tests.test_sched import make_job
 
 
@@ -13,7 +14,11 @@ def config() -> AutoscaleConfig:
 
 @pytest.fixture
 def autoscaler(config) -> UtilityAutoscaler:
-    return UtilityAutoscaler(config, gpus_per_node=4, seed=0)
+    return UtilityAutoscaler(config, SurfaceCache())
+
+
+def fleet(n: int) -> ClusterSpec:
+    return ClusterSpec.homogeneous(n, 4)
 
 
 class TestConfig:
@@ -32,19 +37,19 @@ class TestConfig:
 class TestDecide:
     def test_keeps_size_when_in_band(self, autoscaler):
         jobs = [make_job("a")]
-        decision = autoscaler.decide(4, current_utility=0.7, jobs=jobs)
+        decision = autoscaler.decide(0.7, jobs, fleet(4))
         assert decision.num_nodes == 4
         assert not decision.changed
 
     def test_no_jobs_scales_to_min(self, autoscaler, config):
-        decision = autoscaler.decide(6, current_utility=0.0, jobs=[])
+        decision = autoscaler.decide(0.0, [], fleet(6))
         assert decision.num_nodes == config.min_nodes
 
     def test_low_utility_shrinks(self, autoscaler):
         # A job with a tiny noise scale cannot use a big cluster: speedup
         # saturates, utility is low, the autoscaler should shrink.
         jobs = [make_job("a", phi=10.0, max_gpus_seen=32)]
-        decision = autoscaler.decide(8, current_utility=0.1, jobs=jobs)
+        decision = autoscaler.decide(0.1, jobs, fleet(8))
         assert decision.changed
         assert decision.num_nodes < 8
 
@@ -52,7 +57,7 @@ class TestDecide:
         # A job with a huge noise scale scales almost linearly: utility at a
         # small cluster is ~1, so the autoscaler should grow.
         jobs = [make_job("a", phi=1e6, max_gpus_seen=64)]
-        decision = autoscaler.decide(1, current_utility=0.98, jobs=jobs)
+        decision = autoscaler.decide(0.98, jobs, fleet(1))
         assert decision.changed
         assert decision.num_nodes > 1
 
@@ -60,13 +65,13 @@ class TestDecide:
         sizes = []
         for phi in (50.0, 5000.0, 1e6):
             jobs = [make_job("a", phi=phi, max_gpus_seen=64)]
-            decision = autoscaler.decide(1, current_utility=0.99, jobs=jobs)
+            decision = autoscaler.decide(0.99, jobs, fleet(1))
             sizes.append(decision.num_nodes)
         assert sizes == sorted(sizes)
 
     def test_probes_recorded(self, autoscaler):
         jobs = [make_job("a", phi=10.0, max_gpus_seen=32)]
-        decision = autoscaler.decide(8, current_utility=0.1, jobs=jobs)
+        decision = autoscaler.decide(0.1, jobs, fleet(8))
         assert len(decision.probed) >= 1
         for nodes, util in decision.probed:
             assert 1 <= nodes <= 8

@@ -431,7 +431,7 @@ class TestHeterogeneousSimulation:
     def test_utility_probe_sees_real_gpu_types(self, cifar_limits):
         """Autoscale probes evaluate the actual typed fleet, not a
         homogeneous reference cluster."""
-        from repro.core import AutoscaleConfig, UtilityAutoscaler
+        from repro.core import AutoscaleConfig, SurfaceCache, UtilityAutoscaler
         from repro.core.sched import SchedJobInfo
 
         agent = PolluxAgent(128.0, 0.1, cifar_limits)
@@ -439,18 +439,18 @@ class TestHeterogeneousSimulation:
         agent.record_iteration(1, 2, 256.0, 0.25)
         agent.record_grad_stats(var=8.0, sqr=1.0)
         job = SchedJobInfo("j", agent.report(), np.zeros(2, dtype=np.int64), 0.0)
-        scaler = UtilityAutoscaler(AutoscaleConfig(min_nodes=1, max_nodes=4))
+        scaler = UtilityAutoscaler(
+            AutoscaleConfig(min_nodes=1, max_nodes=4), SurfaceCache()
+        )
         base = ClusterSpec.homogeneous(2, 4, GPU_TYPES["t4"])
         # Growing the typed fleet with a V100 node makes the probed cluster
         # mixed: its tables normalize by the slowest type, so the fast
         # node's placements score higher and the achievable utility beats
         # the homogeneous t4 reference probe of the same size.
         u_typed = scaler._utility_at(
-            3, [job], cluster=base, grow_with=NodeSpec(4, GPU_TYPES["v100"])
+            3, [job], base, grow_with=NodeSpec(4, GPU_TYPES["v100"])
         )
-        u_ref = scaler._utility_at(3, [job])
+        u_ref = scaler._utility_at(3, [job], ClusterSpec.homogeneous(3, 4))
         assert u_typed > u_ref
         # A pure-t4 typed probe matches the homogeneous reference probe.
-        assert scaler._utility_at(3, [job], cluster=base) == pytest.approx(
-            u_ref
-        )
+        assert scaler._utility_at(3, [job], base) == pytest.approx(u_ref)

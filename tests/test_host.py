@@ -21,13 +21,7 @@ import pytest
 import repro.policy
 from repro.cluster import ClusterSpec
 from repro.core import AutoscaleConfig, GAConfig, PolluxSchedConfig
-from repro.host import (
-    HostConfig,
-    PolicyHost,
-    ReplayBackend,
-    ThreadedBackend,
-    ThreadedConfig,
-)
+from repro.host import PolicyHost, ReplayBackend, ThreadedBackend, ThreadedConfig
 from repro.sim import JobRecord, SimConfig, Simulator, decision_digest
 from repro.workload import MODEL_ZOO, JobSpec, TraceConfig, generate_trace
 
@@ -255,20 +249,29 @@ class TestPolicyHost:
         assert host.result.end_time < 30.0 * 3600.0
 
     def test_config_defaults_from_backend(self):
+        """The host dispatches on the cadences of its backend's SimConfig."""
         cluster = ClusterSpec.homogeneous(2, 4)
-        config = SimConfig(seed=1, scheduling_interval=120.0, agent_interval=60.0)
+        trace = [JobSpec("j", MODEL_ZOO["neumf-movielens"], 0.0, 1, 256)]
+        config = SimConfig(
+            seed=1, scheduling_interval=120.0, agent_interval=60.0, max_hours=0.1
+        )
         host = PolicyHost(
             quick_policy("tiresias", cluster),
-            ReplayBackend(cluster, [], config),
+            ReplayBackend(cluster, trace, config),
         )
-        assert host.config.scheduling_interval == 120.0
-        assert host.config.agent_interval == 60.0
+        host.run()
+        rounds = list(host.metrics.rounds)
+        assert [r.time for r in rounds] == [60.0 * i for i in range(len(rounds))]
+        assert [r.scheduled for r in rounds] == [
+            i % 2 == 0 for i in range(len(rounds))
+        ]
+        assert len(rounds) >= 4
 
-    def test_host_config_validation(self):
+    def test_sim_config_rejects_bad_cadences(self):
         with pytest.raises(ValueError):
-            HostConfig(scheduling_interval=0.0)
+            SimConfig(scheduling_interval=0.0)
         with pytest.raises(ValueError):
-            HostConfig(agent_interval=-1.0)
+            SimConfig(agent_interval=-1.0)
 
     def test_bundled_resize_counted_in_metrics(self):
         cluster = ClusterSpec.homogeneous(2, 4)

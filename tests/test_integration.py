@@ -15,6 +15,7 @@ import repro.policy
 from repro.cluster import ClusterSpec
 from repro.core import AutoscaleConfig, GAConfig, PolluxSchedConfig
 from repro.policy import snapshot_state
+from repro.policy.dispatch import tune_batch_sizes
 from repro.sim import SimConfig, Simulator
 from repro.workload import MODEL_ZOO, JobSpec, TraceConfig, generate_trace
 
@@ -126,7 +127,7 @@ class TestPolluxAdaptivity:
                 )
                 sim._apply_allocations(allocs, active)
                 next_schedule = sim.now + sim.config.scheduling_interval
-                sim._tune_batch_sizes(active)
+                tune_batch_sizes(active)
             for j in active:
                 if j.num_gpus > 0 and sim.now >= j.restart_until:
                     sim._observe(j, 0.0)

@@ -1,7 +1,7 @@
 """Tests for the multi-tenant scheduling service (repro.service).
 
 Three layers under test: the tenant accounting primitives (quota math,
-round-robin fairness), the transport-free :class:`SchedulerService`
+name validation), the transport-free :class:`SchedulerService`
 operations (admission, isolation, cancel, reconciliation), and the stdlib
 HTTP stack end-to-end (status codes, error envelopes, the Prometheus
 exposition page).  The load-bearing guarantee rides at the bottom:
@@ -13,6 +13,7 @@ simulator's decision digest bit-for-bit even while reads hammer the API.
 import json
 import math
 import re
+from pathlib import Path
 import threading
 import time
 import urllib.error
@@ -23,9 +24,10 @@ import pytest
 import repro.host.replay
 import repro.policy
 from repro.cluster import ClusterSpec
+from repro.core import GAConfig, PolluxSchedConfig
 from repro.host import PolicyHost, ReplayBackend, ThreadedBackend, ThreadedConfig
+from repro.host.service import HostMetrics, RoundMetrics
 from repro.service import (
-    AdmissionQueue,
     JobEntry,
     SchedulerService,
     ServiceError,
@@ -94,30 +96,6 @@ class TestTenantPrimitives:
         assert account.quota_eq == math.inf
         assert account.can_admit(1e9)
 
-    def test_round_robin_interleaves_tenants(self):
-        queue = AdmissionQueue()
-        for i in range(3):
-            queue.push(JobEntry(f"a/{i}", "a", spec(f"a/{i}"), 1.0, 0.0))
-        for i in range(2):
-            queue.push(JobEntry(f"b/{i}", "b", spec(f"b/{i}"), 1.0, 0.0))
-        order = []
-        while True:
-            entry = queue.pop()
-            if entry is None:
-                break
-            order.append(entry.job_id)
-        # One per tenant per turn: a burst from "a" cannot starve "b".
-        assert order == ["a/0", "b/0", "a/1", "b/1", "a/2"]
-
-    def test_cancelled_queued_entries_are_skipped(self):
-        queue = AdmissionQueue()
-        first = JobEntry("a/0", "a", spec("a/0"), 1.0, 0.0)
-        second = JobEntry("a/1", "a", spec("a/1"), 1.0, 0.0)
-        queue.push(first)
-        queue.push(second)
-        first.state = "cancelled"
-        assert queue.pop() is second
-        assert queue.pop() is None
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +171,7 @@ class TestSchedulerService:
             with pytest.raises(ServiceError) as err:
                 service.submit("small", {"model": "neumf-movielens", "num_gpus": 1})
             assert err.value.status == 429
-            assert err.value.retry_after == host.config.scheduling_interval
+            assert err.value.retry_after == host.backend.config.scheduling_interval
             assert service.tenant_usage("small")["rejected_total"] == 1
         finally:
             host.stop()
@@ -317,6 +295,29 @@ class TestSchedulerService:
         finally:
             host.stop()
 
+    def test_failed_backend_submit_charges_nothing(self):
+        """A submit the backend refuses leaves no entry and no charge, so
+        a retry under the same name is admitted."""
+        cluster = ClusterSpec.homogeneous(1, 4)
+        backend = fast_threaded(cluster)
+        host = PolicyHost(quick_policy("tiresias", cluster), backend)
+        service = SchedulerService(host, quotas={"t": 4.0})
+        inner = backend.submit
+
+        def submit_once_failing(job_spec):
+            backend.submit = inner
+            raise RuntimeError("backend refused the job")
+
+        backend.submit = submit_once_failing
+        payload = {"model": "neumf-movielens", "num_gpus": 2, "name": "train"}
+        with pytest.raises(RuntimeError):
+            service.submit("t", payload)
+        usage = service.tenant_usage("t")
+        assert usage["demand_gpu_equivalents"] == 0.0
+        assert usage["submitted_total"] == 0
+        assert service.submit("t", payload)["state"] == "pending"
+        assert service.tenant_usage("t")["demand_gpu_equivalents"] == 2.0
+
     def test_replay_backend_rejects_submissions(self):
         cluster = ClusterSpec.homogeneous(2, 4)
         trace = generate_trace(
@@ -379,6 +380,26 @@ class TestMetricsExport:
         finally:
             host.stop()
 
+    def test_histogram_counts_rounds_beyond_the_history(self):
+        """Rounds the bounded history dropped still count in the histogram,
+        whose ``_count`` is the ``+Inf`` bucket and the rounds total."""
+        cluster = ClusterSpec.homogeneous(2, 4)
+        host = PolicyHost(quick_policy("tiresias", cluster), fast_threaded(cluster))
+        host.metrics = HostMetrics(history_limit=4)
+        for i in range(10):
+            host.metrics.record(
+                RoundMetrics(i * 60.0, 0.002 * i, 1, True, 1, 0, False, 0.0)
+            )
+        page = render_metrics(SchedulerService(host))
+        name = "scheduler_dispatch_latency_seconds"
+        assert f"{name}_count 10\n" in page
+        assert f'{name}_bucket{{le="+Inf"}} 10\n' in page
+        assert "\nscheduler_rounds_total 10\n" in page
+        # Latencies 0, 0.002, ..., 0.018 s: 1 at <= 1 ms, 3 at <= 5 ms.
+        assert f'{name}_bucket{{le="0.001"}} 1\n' in page
+        assert f'{name}_bucket{{le="0.005"}} 3\n' in page
+        assert f'{name}_bucket{{le="0.025"}} 10\n' in page
+
     def test_histogram_counts_rounds_incrementally(self):
         service, host = make_service()
         try:
@@ -419,6 +440,48 @@ class TestMetricsExport:
             "ipc",
             "total",
         }
+
+
+_OPERATING_GUIDE = Path(__file__).resolve().parents[1] / "docs" / "operating.md"
+
+
+def documented_series():
+    """Series rows of the operator guide's ``/metrics`` reference tables."""
+    guide = _OPERATING_GUIDE.read_text(encoding="utf-8")
+    reference = guide.split("## `/metrics` reference", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `(scheduler_\w+)` \|", reference, re.M))
+
+
+def sampled_series(page):
+    """Metric families with at least one sample on a ``/metrics`` page."""
+    typed = set(re.findall(r"^# TYPE (\w+) ", page, re.M))
+    names = re.findall(r"^(\w+)[{ ]", page, re.M)
+    return {
+        name if name in typed else re.sub(r"_(bucket|sum|count)$", "", name)
+        for name in names
+    }
+
+
+class TestMetricsReference:
+    def test_docs_table_lists_every_exported_series(self):
+        """The union of a pollux and a pollux-sharded page is the guide's
+        metrics reference, row for row."""
+        cluster = ClusterSpec.homogeneous(2, 4)
+        trace = [spec("j", gpus=2)]
+        config = SimConfig(seed=1, max_hours=0.02)
+        exported = set()
+        for name in ("pollux", "pollux-sharded"):
+            policy = quick_policy(
+                name,
+                cluster,
+                config=PolluxSchedConfig(ga=GAConfig(population_size=8, generations=4)),
+            )
+            host = PolicyHost(policy, ReplayBackend(cluster, trace, config))
+            host.run()
+            service = SchedulerService(host, quotas={"t": 4.0})
+            service.observe_http("GET", 200)
+            exported |= sampled_series(render_metrics(service))
+        assert exported == documented_series()
 
 
 # ----------------------------------------------------------------------

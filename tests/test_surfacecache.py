@@ -193,13 +193,12 @@ class TestSchedCacheIntegration:
         autoscaler = UtilityAutoscaler(
             AutoscaleConfig(min_nodes=1, max_nodes=8, probe_ga=GAConfig(
                 population_size=8, generations=2, seed=3)),
+            cache,
         )
         decision = autoscaler.decide(
-            cluster.num_nodes,
-            current_utility=0.05,  # far below band -> probes run
-            jobs=jobs,
-            cluster=cluster,
-            surface_cache=cache,
+            0.05,  # far below band -> probes run
+            jobs,
+            cluster,
         )
         assert decision.probed  # the binary search actually probed sizes
         # Every probe evaluation hit the tables built by the round: each
