@@ -93,10 +93,7 @@ class AgentReport:
         """Cheap value key identifying the goodput surface this report spans.
 
         Two reports with equal fingerprints produce bit-identical speedup
-        tables (for the same table shape parameters) and tuned batch sizes,
-        which is what lets :class:`~repro.core.surfacecache.SurfaceCache`
-        share one table build across PolluxSched's round, ``utility()``
-        evaluations, and the autoscaler's cluster-size probes within a tick.
+        tables (for the same table shape parameters) and tuned batch sizes.
 
         The key covers theta_sys (7 floats), phi_t, and the batch-size
         limits; ``max_gpus_seen`` is deliberately excluded — it enters the

@@ -84,9 +84,9 @@ class UtilityAutoscaler:
     """Chooses cluster sizes by goodput-based utility (Sec. 4.2.2).
 
     ``surface_cache`` is the live scheduler's: probed clusters share its
-    type set, so probes at sizes whose exploration caps coincide hit the
-    tables the scheduling round already built.  The probe GAs draw from
-    ``config.probe_ga.seed``.
+    type set, so probes at sizes whose exploration caps coincide fold their
+    tables from the cells the scheduling round already built.  The probe
+    GAs draw from ``config.probe_ga.seed``.
     """
 
     def __init__(

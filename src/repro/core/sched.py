@@ -37,10 +37,10 @@ __all__ = ["PolluxSchedConfig", "SchedJobInfo", "job_weight", "PolluxSched"]
 TABLE_POINTS_PER_OCTAVE = 16
 
 #: Surface-cache slots reserved per active job (see ``SurfaceCache.
-#: ensure_capacity``): one slot per distinct (exploration cap, phi) pair a
-#: job's tables are built at within a round — the round itself plus the
-#: autoscaler's binary-search probes (~log2(max_nodes) cap variants) — with
-#: headroom for cross-round reuse of unchanged reports.
+#: ensure_capacity``): one slot per distinct exploration cap a job's cells
+#: are built at within a tick — the round itself plus the autoscaler's
+#: binary-search probes (~log2(max_nodes) cap variants) — with headroom for
+#: cells kept across a theta_sys re-fit.
 _CACHE_SLOTS_PER_JOB = 16
 
 #: Jobs per batched table-build pass (``PolluxSched._tables_batched``).  One
@@ -65,7 +65,7 @@ def _blocks(items: list):
 class PolluxSchedConfig:
     """Operator-facing configuration of PolluxSched (Sec. 5.1 defaults).
 
-    Every scheduler keeps its speedup tables in an in-memory
+    Every scheduler keeps its throughput cells in an in-memory
     :class:`~repro.core.surfacecache.SurfaceCache` keyed on exact values, so
     caching never changes a decision and has nothing to configure.
     """
@@ -145,8 +145,8 @@ class PolluxSched:
         #: (``repro.shard.executor.ThreadCellExecutor``): two GAs at once
         #: trade the GIL at every numpy call and finish no sooner.
         self.ga_gate: Optional[threading.Lock] = None
-        #: Shared speedup-table cache.  An explicitly passed cache (e.g. the
-        #: live scheduler's, handed to an autoscaler probe) wins over a
+        #: Shared throughput-cell cache.  An explicitly passed cache (e.g.
+        #: the live scheduler's, handed to an autoscaler probe) wins over a
         #: fresh one of its own; see surfacecache.py.
         self.surface_cache = (
             surface_cache if surface_cache is not None else SurfaceCache()
@@ -205,89 +205,67 @@ class PolluxSched:
         caps: Sequence[int],
         type_speeds: np.ndarray,
     ) -> List[np.ndarray]:
-        """One speedup table per job, the round's misses built in batches.
+        """One speedup table per job, folded from cached or batch-built cells.
 
-        Cache hits are looked up per job (two-phase protocol); all misses
-        are then built by :func:`build_speedup_tables_batch`, at most
-        ``_TABLE_BLOCK_JOBS`` jobs a pass, and stored.
+        Each job's phi-free cells are looked up per job (two-phase
+        protocol); the misses are built by :func:`build_tput_cells` and
+        stored, and every table is then folded by
+        :func:`build_speedup_tables_batch`, both at most
+        ``_TABLE_BLOCK_JOBS`` jobs a pass.
         """
         cache = self.surface_cache
         ppo = TABLE_POINTS_PER_OCTAVE
         speeds = tuple(float(s) for s in type_speeds)
-        tables: List[Optional[np.ndarray]] = [None] * len(jobs)
-        # Jobs without a cached table: (index, table key, cells key, cells).
-        missing: List[tuple] = []
-        for idx, (job, cap) in enumerate(zip(jobs, caps)):
-            key = cache.speedup_key(job.report, cap, ppo, speeds)
-            entry = cache.lookup(key)
-            if entry is not None:
-                tables[idx] = entry[0]
-                continue
-            # Second level: phi-free throughput cells survive across
-            # rounds while only phi drifted (the steady-state case).
-            ckey = cache.cells_key(job.report, cap, ppo, speeds)
-            centry = cache.lookup(ckey)
-            cells = TputCells(*centry) if centry is not None else None
-            missing.append((idx, key, ckey, cells))
-        if missing:
-            models = [jobs[idx].report.goodput_model() for idx, _, _, _ in missing]
-            miss_caps = [caps[idx] for idx, _, _, _ in missing]
-            to_build = [
-                pos for pos, (_, _, _, cells) in enumerate(missing)
-                if cells is None
-            ]
-            # Both passes run in blocks of jobs (see ``_TABLE_BLOCK_JOBS``),
-            # all cells before any table, so values, store order and with
-            # it the LRU state are those of one unblocked pass.
-            for block in _blocks(to_build):
-                built_cells = build_tput_cells(
-                    [models[pos] for pos in block],
-                    [miss_caps[pos] for pos in block],
-                    points_per_octave=ppo,
-                    type_speeds=speeds,
+        keys = [
+            cache.cells_key(job.report, cap, speeds) for job, cap in zip(jobs, caps)
+        ]
+        cells: List[Optional[TputCells]] = [cache.lookup(key) for key in keys]
+        models = [job.report.goodput_model() for job in jobs]
+        to_build = [idx for idx, entry in enumerate(cells) if entry is None]
+        # Both passes run in blocks of jobs (see ``_TABLE_BLOCK_JOBS``), all
+        # cells before any table, so values, store order and with it the
+        # LRU state are those of one unblocked pass.
+        for block in _blocks(to_build):
+            built = build_tput_cells(
+                [models[idx] for idx in block],
+                [caps[idx] for idx in block],
+                points_per_octave=ppo,
+                type_speeds=speeds,
+            )
+            for idx, fresh in zip(block, built):
+                # Copy out of the batch's shared backing arrays: a cached
+                # view would pin the whole block's buffer for as long as
+                # any one entry survives the LRU.  The fold below reads the
+                # copies too, so the next block reuses this block's memory.
+                cells[idx] = cache.store(
+                    keys[idx],
+                    TputCells(
+                        fresh.tput.copy(), fresh.m_cells.copy(), fresh.counts.copy()
+                    ),
                 )
-                for pos, cells in zip(block, built_cells):
-                    idx, key, ckey, _ = missing[pos]
-                    # Copy out of the batch's shared backing arrays: a
-                    # cached view would pin the whole block's buffer for as
-                    # long as any one entry survives the LRU.  The fold
-                    # below reads the copies too, so the next block reuses
-                    # this block's memory.
-                    cells = TputCells(
-                        *cache.store(
-                            ckey,
-                            (
-                                cells.tput.copy(),
-                                cells.m_cells.copy(),
-                                cells.counts.copy(),
-                            ),
-                        )
-                    )
-                    missing[pos] = (idx, key, ckey, cells)
-            for block, block_models, block_caps in zip(
-                _blocks(missing), _blocks(models), _blocks(miss_caps)
-            ):
-                built = build_speedup_tables_batch(
-                    block_models,
-                    block_caps,
-                    points_per_octave=ppo,
-                    type_speeds=speeds,
-                    cells=[cells for _, _, _, cells in block],
-                )
-                for (idx, key, _, _), table in zip(block, built):
-                    # A copy for the reason the cells are copied above.
-                    (tables[idx],) = cache.store(key, (table.copy(),))
+        cache.stats.misses += len(jobs)
+        tables: List[np.ndarray] = []
+        for block_models, block_caps, block_cells in zip(
+            _blocks(models), _blocks(caps), _blocks(cells)
+        ):
+            tables += build_speedup_tables_batch(
+                block_models,
+                block_caps,
+                points_per_octave=ppo,
+                type_speeds=speeds,
+                cells=block_cells,
+            )
         return tables
 
     def build_problem(self, jobs: Sequence[SchedJobInfo]) -> AllocationProblem:
         """Construct the GA allocation problem for one scheduling round.
 
-        Speedup tables come from the shared :class:`SurfaceCache`, so
-        ``optimize``, ``utility``, and autoscaler probes that see the same
-        reports within a tick build each job's table at most once.  The
-        cache is grown to the round's working-set size first (see
-        ``_CACHE_SLOTS_PER_JOB``); the misses are built in ragged batched
-        surface passes.
+        Each call folds every job's speedup table from its throughput
+        cells.  The cells come from the shared :class:`SurfaceCache`, so
+        ``optimize``, ``utility``, and autoscaler probes build them at most
+        once per (theta_sys, cap, type set).  The cache is grown to the
+        round's working-set size first (see ``_CACHE_SLOTS_PER_JOB``); the
+        misses are built in ragged batched surface passes.
         """
         cfg = self.config
         total_gpus = self.cluster.total_gpus

@@ -61,9 +61,9 @@ class TputCells:
     grid cell — does not depend on the gradient noise scale phi_t, which
     is the *only* part of a job's report that drifts on every simulator
     tick.  Caching these cells (keyed on theta_sys + limits + table shape,
-    see ``SurfaceCache.cells_key``) turns the per-round table rebuild into
-    one efficiency multiply plus a segmented max; a full surface pass
-    is only paid again when theta_sys actually re-fits.
+    see ``SurfaceCache.cells_key``) turns every table build into one
+    efficiency multiply plus a segmented max; a full surface pass is only
+    paid again when theta_sys actually re-fits.
 
     Attributes:
         tput: ``(2, T, C)`` throughput at every feasible cell.

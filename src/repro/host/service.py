@@ -367,7 +367,8 @@ class PolicyHost:
             backend.drain_events()
             backend.stop()
             # Release whatever the policy holds (shard-cell threads,
-            # worker processes, ...) — the host owns the policy lifecycle.
+            # worker processes, cached cells) — the host owns the policy
+            # lifecycle.
             policy.close()
         self.result = backend.collect_result(policy.name)
         return self.result

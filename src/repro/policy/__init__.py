@@ -99,7 +99,7 @@ from .dispatch import (
     tune_batch_sizes,
 )
 from .registry import available, canonical, create, describe, register
-from .views import ClusterState, JobSnapshot, snapshot_job, snapshot_state
+from .views import ClusterState, JobSnapshot, snapshot_job
 
 # Importing the policy modules registers the built-in policies.
 from .optimus import OptimusPolicy
@@ -119,7 +119,6 @@ __all__ = [
     "ClusterState",
     "JobSnapshot",
     "snapshot_job",
-    "snapshot_state",
     "build_cluster_state",
     "apply_decision",
     "relay_job_event",

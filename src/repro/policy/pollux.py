@@ -127,8 +127,8 @@ class PolluxPolicy(Policy):
             )
         # One set of job infos serves both the in-band utility check and
         # the probes, and the probes share the live scheduler's surface
-        # cache — each job's speedup table is built at most once per tick
-        # across the utility check + probes + the scheduling round itself.
+        # cache: each job's throughput cells are built at most once per
+        # (theta_sys, cap, type set), while its table folds per call.
         infos = _infos(state.jobs)
         matrix = np.stack([snap.allocation for snap in state.jobs])
         utility = self.utility_of(infos, matrix)
@@ -136,6 +136,14 @@ class PolluxPolicy(Policy):
             utility, infos, state.cluster, self.grow_node_spec
         )
         return ClusterResizeRequest(decision.num_nodes, self.grow_node_spec)
+
+    def close(self) -> None:
+        """Drop the cached throughput cells.
+
+        Decision-free: a policy scheduled again after close rebuilds the
+        same cells on its next round.
+        """
+        self.sched.surface_cache.clear()
 
     # ------------------------------------------------------------------
     # Telemetry

@@ -15,14 +15,15 @@ event:
 Snapshots are immutable by contract: the dataclasses are frozen and the
 allocation arrays are write-locked copies, so a policy cannot accidentally
 mutate host state (``tests/test_policy_contract.py`` pins this).  Hosts
-build them with :func:`snapshot_job` / :func:`snapshot_state`, which accept
-any object with the simulator's job attribute shape.
+build them with ``repro.policy.dispatch.build_cluster_state``, which calls
+:func:`snapshot_job` on any object with the simulator's job attribute
+shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from ..core.efficiency import efficiency_scalar
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..workload.models import ModelProfile
 
-__all__ = ["JobSnapshot", "ClusterState", "snapshot_job", "snapshot_state"]
+__all__ = ["JobSnapshot", "ClusterState", "snapshot_job"]
 
 
 @dataclass(frozen=True)
@@ -178,14 +179,4 @@ def snapshot_job(job, with_report: bool = False) -> JobSnapshot:
         target=float(job.target),
         agent_report=job.agent.report() if with_report else None,
         model=job.model,
-    )
-
-
-def snapshot_state(
-    cluster: ClusterSpec, jobs: Iterable, with_reports: bool = False
-) -> ClusterState:
-    """Build a :class:`ClusterState` from simulator-shaped job objects."""
-    return ClusterState(
-        cluster=cluster,
-        jobs=tuple(snapshot_job(j, with_report=with_reports) for j in jobs),
     )

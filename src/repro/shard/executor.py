@@ -174,10 +174,10 @@ class ThreadCellExecutor(CellExecutor):
     included (like ``ipc_ms`` under the process executor).  A GA that
     raises releases the lock.
 
-    ``close()`` only shuts the pool down (with ``wait=True``, so no
-    ``shard-cell`` thread outlives the policy); the schedulers and their
-    warm state survive, and the pool is recreated on the next round if the
-    policy keeps going.
+    ``close()`` shuts the pool down (with ``wait=True``, so no
+    ``shard-cell`` thread outlives the policy) and drops the schedulers'
+    cached cells; their GA populations survive, and the pool is recreated
+    on the next round if the policy keeps going.
     """
 
     def __init__(self, max_workers: Optional[int] = None):
@@ -231,6 +231,8 @@ class ThreadCellExecutor(CellExecutor):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        for sched in self._scheds:
+            sched.surface_cache.clear()
 
 
 # ----------------------------------------------------------------------
@@ -422,12 +424,15 @@ class ProcessCellExecutor(CellExecutor):
         handle.process.join(timeout=_EXIT_TIMEOUT_S)
 
     def close(self):
-        """Stop the workers; their warm state goes with them.
+        """Stop the workers; their warm state goes with them, and the
+        fallback schedulers drop their cached cells.
 
         A revived executor respawns workers on the retained configuration
         and starts cold decision-wise, exactly like a repartition.
         """
         self._stop_workers()
+        for sched in self._fallback_scheds.values():
+            sched.surface_cache.clear()
 
     # -- rounds ---------------------------------------------------------
 

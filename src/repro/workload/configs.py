@@ -74,9 +74,7 @@ def _placement_flag(num_gpus: int, gpus_per_node: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _tuning_tables(
-    model_name: str, max_gpus: int, gpus_per_node: int
-) -> Tuple[np.ndarray, np.ndarray]:
+def _tuning_tables(model_name: str, max_gpus: int) -> Tuple[np.ndarray, np.ndarray]:
     """(speedup table, best-batch-size table) at the tuning progress point."""
     profile = MODEL_ZOO[model_name]
     model = true_goodput_model(profile)
@@ -98,7 +96,7 @@ def valid_tuned_configs(
     100 % of ideal by definition).  If no K falls inside the band (a model
     that scales either perfectly or not at all), K = 1 is the fallback.
     """
-    table, best_bs = _tuning_tables(profile.name, max_gpus, gpus_per_node)
+    table, best_bs = _tuning_tables(profile.name, max_gpus)
     lo_frac, hi_frac = TUNED_SPEEDUP_BAND
     configs: List[Tuple[int, int]] = []
     for num_gpus in range(2, max_gpus + 1):
@@ -145,7 +143,7 @@ def sample_user_config(
     num_gpus = max(num_gpus, profile.limits.min_gpus())
     num_gpus = min(num_gpus, max_gpus)
 
-    _, best_bs = _tuning_tables(profile.name, max_gpus, gpus_per_node)
+    _, best_bs = _tuning_tables(profile.name, max_gpus)
     flag = _placement_flag(num_gpus, gpus_per_node)
     optimal = float(best_bs[num_gpus, flag])
     factor = float(np.exp(rng.uniform(-np.log(2.0), np.log(2.0))))

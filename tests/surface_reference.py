@@ -16,6 +16,7 @@ argmax of one placement flag as it was before both flags shared one grid.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -28,7 +29,6 @@ from repro.core.agent import (
 )
 from repro.core.goodput import GoodputModel, batch_size_grid
 from repro.core.speedup import MULTI_NODE, SINGLE_NODE
-from repro.core.surfacecache import SurfaceCache
 
 
 def _reference_goodput(
@@ -206,7 +206,7 @@ def grid_argmax(
     return float(grid[idx]), float(values[idx])
 
 
-def reference_tuning_tables(model_name: str, max_gpus: int, gpus_per_node: int):
+def reference_tuning_tables(model_name: str, max_gpus: int):
     """``repro.workload.configs._tuning_tables`` through the per-job builders."""
     from repro.workload.configs import MODEL_ZOO, true_goodput_model
 
@@ -221,15 +221,17 @@ class ReferenceAgent(PolluxAgent):
     """A ``PolluxAgent`` that tunes from a memoized argmax table.
 
     Each cache miss builds the whole ``(num_gpus + 1, 2)`` surface pair
-    with :func:`build_surfaces` and keeps it in an 8-entry
-    :class:`SurfaceCache` under ``("flat", fingerprint, num_gpus, grid,
-    speed)``, phi bucketed at ``TABLE_TUNING_PHI_TOL``; the agent reads
-    the one cell ``[num_gpus, flag]``.
+    with :func:`build_surfaces` and keeps it in an 8-entry LRU under
+    ``("flat", fingerprint, num_gpus, grid, speed)``, phi bucketed at
+    ``TABLE_TUNING_PHI_TOL``; the agent reads the one cell
+    ``[num_gpus, flag]``.
     """
+
+    TABLE_CACHE_SIZE = 8
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.table_cache = SurfaceCache(maxsize=8)
+        self.table_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
 
     def _get_flat(self, report, max_gpus, points_per_octave, speed):
         cache = self.table_cache
@@ -240,17 +242,18 @@ class ReferenceAgent(PolluxAgent):
             int(points_per_octave),
             float(speed),
         )
-        entry = cache.lookup(key)
-        if entry is None:
-            entry = cache.store(
-                key,
-                build_surfaces(
-                    report.goodput_model(),
-                    max_gpus,
-                    points_per_octave=points_per_octave,
-                    speed=speed,
-                ),
-            )
+        entry = cache.get(key)
+        if entry is not None:
+            cache.move_to_end(key)
+            return entry
+        entry = cache[key] = build_surfaces(
+            report.goodput_model(),
+            max_gpus,
+            points_per_octave=points_per_octave,
+            speed=speed,
+        )
+        if len(cache) > self.TABLE_CACHE_SIZE:
+            cache.popitem(last=False)
         return entry
 
     def tune_batch_size(self, num_nodes, num_gpus, speed=1.0):

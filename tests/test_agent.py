@@ -237,7 +237,7 @@ def _run_session(profile, limits, ops):
                 each.record_iteration(nodes, gpus, m, t)
     # Same LRU contents in the same order: evictions never drifted.
     assert list(agent._tuned) == [
-        (fp, gpus, speed) for _, fp, gpus, _, speed in ref.table_cache._entries
+        (fp, gpus, speed) for _, fp, gpus, _, speed in ref.table_cache
     ]
 
 

@@ -14,10 +14,13 @@ import pytest
 import repro.policy
 from repro.cluster import ClusterSpec
 from repro.core import AutoscaleConfig, GAConfig, PolluxSchedConfig
-from repro.policy import snapshot_state
+from repro.policy import PolicyCapabilities, build_cluster_state
 from repro.policy.dispatch import tune_batch_sizes
 from repro.sim import SimConfig, Simulator
 from repro.workload import MODEL_ZOO, JobSpec, TraceConfig, generate_trace
+
+#: Capabilities that attach agent reports to the snapshots.
+REPORTS = PolicyCapabilities(needs_agent=True)
 
 SMALL_MIX = {
     "resnet18-cifar10": 0.5,
@@ -121,7 +124,7 @@ class TestPolluxAdaptivity:
         while sim.now < 5 * 3600 and not job.complete:
             active = sim.active_jobs()
             if sim.now >= next_schedule:
-                state = snapshot_state(cluster, active, with_reports=True)
+                state = build_cluster_state(cluster, active, REPORTS)
                 allocs = dict(
                     scheduler.schedule(sim.now, state).allocations
                 )
@@ -151,7 +154,7 @@ class TestPolluxAdaptivity:
         scheduler = quick_pollux(cluster)
         sim = Simulator(cluster, scheduler, [spec], SimConfig(seed=3, max_hours=1))
         active = sim.active_jobs()
-        state = snapshot_state(cluster, active, with_reports=True)
+        state = build_cluster_state(cluster, active, REPORTS)
         allocs = scheduler.schedule(0.0, state).allocations
         assert allocs["solo"].sum() <= 1
 

@@ -27,7 +27,7 @@ from repro.policy import (
     Policy,
     PolicyCapabilities,
     ScheduleDecision,
-    snapshot_state,
+    build_cluster_state,
 )
 from repro.sim import SimConfig, Simulator
 from repro.sim.job import SimJob
@@ -93,10 +93,8 @@ def make_sim_jobs(cluster: ClusterSpec, count: int):
 
 
 def make_state(policy: Policy, cluster: ClusterSpec, count: int) -> ClusterState:
-    return snapshot_state(
-        cluster,
-        make_sim_jobs(cluster, count),
-        with_reports=policy.capabilities.needs_agent,
+    return build_cluster_state(
+        cluster, make_sim_jobs(cluster, count), policy.capabilities
     )
 
 
@@ -249,7 +247,9 @@ class TestSnapshotImmutability:
         assert snap.allocation.sum() == 0  # unchanged view
 
     def test_state_jobs_tuple(self, cluster):
-        state = snapshot_state(cluster, make_sim_jobs(cluster, 2))
+        state = build_cluster_state(
+            cluster, make_sim_jobs(cluster, 2), PolicyCapabilities()
+        )
         assert isinstance(state.jobs, tuple)
         assert state.job("job-1").name == "job-1"
         with pytest.raises(KeyError):

@@ -14,8 +14,9 @@ from repro.policy import (
     OrElasticPolicy,
     Policy,
     PolluxPolicy,
+    PolicyCapabilities,
     TiresiasPolicy,
-    snapshot_state,
+    build_cluster_state,
 )
 from repro.sim.job import SimJob
 from repro.workload import MODEL_ZOO, JobSpec
@@ -46,9 +47,7 @@ def make_sim_job(
 
 def run_schedule(policy: Policy, jobs, cluster, now=0.0):
     """Dispatch one scheduling event through the Policy API."""
-    state = snapshot_state(
-        cluster, jobs, with_reports=policy.capabilities.needs_agent
-    )
+    state = build_cluster_state(cluster, jobs, policy.capabilities)
     return policy.schedule(now, state)
 
 
@@ -185,7 +184,9 @@ class TestPolluxPolicy:
         )
         jobs = [make_sim_job("a")]
         jobs[0].allocation = np.array([1, 0, 0, 0])
-        state = snapshot_state(cluster, jobs, with_reports=True)
+        state = build_cluster_state(
+            cluster, jobs, PolicyCapabilities(needs_agent=True)
+        )
         util = sched.current_utility(state.jobs)
         assert 0.0 <= util <= 1.0
         assert sched.current_utility([]) == 0.0
@@ -195,7 +196,9 @@ class TestPolluxPolicy:
             cluster,
             PolluxSchedConfig(ga=GAConfig(population_size=8, generations=4)),
         )
-        state = snapshot_state(cluster, [make_sim_job("a")], with_reports=False)
+        state = build_cluster_state(
+            cluster, [make_sim_job("a")], PolicyCapabilities()
+        )
         with pytest.raises(ValueError, match="no agent report"):
             sched.schedule(0.0, state)
 
@@ -222,7 +225,7 @@ class TestOrElastic:
     def test_autoscaler_scales_out_for_scalable_model(self, cluster):
         sched = OrElasticPolicy(autoscale=True, max_nodes=16, marginal_efficiency=0.5)
         job = make_sim_job("solo", model="resnet50-imagenet", bs=256)
-        state = snapshot_state(cluster, [job])
+        state = build_cluster_state(cluster, [job], PolicyCapabilities())
         request = sched.decide_resize(0.0, state)
         assert request.num_nodes > 4  # ImageNet scales well on throughput alone
 
@@ -232,11 +235,18 @@ class TestOrElastic:
         sched = OrElasticPolicy(autoscale=True, max_nodes=16)
         early = make_sim_job("e", model="resnet50-imagenet", progress_frac=0.01)
         late = make_sim_job("l", model="resnet50-imagenet", progress_frac=0.95)
-        early_req = sched.decide_resize(0.0, snapshot_state(cluster, [early]))
-        late_req = sched.decide_resize(0.0, snapshot_state(cluster, [late]))
+        no_reports = PolicyCapabilities()
+        early_req = sched.decide_resize(
+            0.0, build_cluster_state(cluster, [early], no_reports)
+        )
+        late_req = sched.decide_resize(
+            0.0, build_cluster_state(cluster, [late], no_reports)
+        )
         assert early_req.num_nodes == late_req.num_nodes
 
     def test_empty_decide_returns_min(self, cluster):
         sched = OrElasticPolicy(autoscale=True, min_nodes=2, max_nodes=8)
-        request = sched.decide_resize(0.0, snapshot_state(cluster, []))
+        request = sched.decide_resize(
+            0.0, build_cluster_state(cluster, [], PolicyCapabilities())
+        )
         assert request.num_nodes == 2

@@ -535,8 +535,9 @@ class TestLifecycle:
         policy.close()
 
     def test_thread_scheduler_state_survives_close(self):
-        # close() only releases the pool; warm schedulers stay, so a
-        # close mid-stream does not perturb decisions.
+        # close() releases the pool and the cached cells; warm GA
+        # populations stay, so a close mid-stream does not perturb
+        # decisions.
         uninterrupted = stream(make_sharded("thread"), CLUSTER)
         policy = make_sharded("thread")
         state = make_state(CLUSTER, 10)
@@ -548,6 +549,7 @@ class TestLifecycle:
             )
             state = next_state(state, decision, drift=0.01 * (r + 1))
             policy.close()
+            assert not any(len(s.surface_cache) for s in policy.cell_schedulers)
         assert_streams_equal(uninterrupted, decisions)
 
     def test_simulator_closes_policy(self):

@@ -1,7 +1,11 @@
-"""Tests for the shared speedup/goodput surface cache (and its consumers)."""
+"""Tests for the scheduler's throughput-cell cache (and its consumers)."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+
+import repro.core.surfacecache as surfacecache
 
 from repro.cluster import ClusterSpec
 from repro.core import (
@@ -16,10 +20,15 @@ from repro.core import (
 )
 from repro.core.agent import TABLE_TUNING_PHI_TOL
 from repro.core.sched import TABLE_POINTS_PER_OCTAVE
-from repro.core.speedup import MULTI_NODE, SINGLE_NODE, build_speedup_tables_batch
+from repro.core.speedup import (
+    MULTI_NODE,
+    SINGLE_NODE,
+    build_speedup_tables_batch,
+    build_tput_cells,
+)
 from repro.sim import SimConfig, Simulator
 from repro.workload import MODEL_ZOO, TraceConfig, generate_trace
-from repro.policy import PolluxPolicy, snapshot_job
+from repro.policy import ClusterState, JobSnapshot, PolluxPolicy, snapshot_job
 
 
 def _report(phi: float = 120.0, max_gpus_seen: int = 4) -> AgentReport:
@@ -42,23 +51,31 @@ def _job(job_id: str, report: AgentReport, num_nodes: int) -> SchedJobInfo:
     )
 
 
-def _get(cache, report, cap, ppo=16, speeds=(1.0,)):
-    """One table through the two-phase protocol, as the scheduler runs it."""
-    key = cache.speedup_key(report, cap, ppo, speeds)
-    entry = cache.lookup(key)
-    if entry is None:
-        entry = cache.store(
-            key,
-            tuple(
-                build_speedup_tables_batch(
-                    [report.goodput_model()],
-                    [cap],
-                    points_per_octave=ppo,
-                    type_speeds=speeds,
-                )
-            ),
+def _get(cache, report, cap, speeds=(1.0,)):
+    """One job's cells through the two-phase protocol, as the scheduler
+    runs it."""
+    key = cache.cells_key(report, cap, speeds)
+    cells = cache.lookup(key)
+    if cells is None:
+        [cells] = build_tput_cells(
+            [report.goodput_model()],
+            [cap],
+            points_per_octave=TABLE_POINTS_PER_OCTAVE,
+            type_speeds=speeds,
         )
-    return entry[0]
+        cells = cache.store(key, cells)
+    return cells
+
+
+def _fold(report, cap, cells=None):
+    """The report's flat speedup table, folded from ``cells`` if given."""
+    [table] = build_speedup_tables_batch(
+        [report.goodput_model()],
+        [cap],
+        points_per_octave=TABLE_POINTS_PER_OCTAVE,
+        cells=None if cells is None else [cells],
+    )
+    return table
 
 
 class TestSurfaceBuilders:
@@ -82,59 +99,65 @@ class TestSurfaceCache:
         report = _report()
         first = _get(cache, report, 8)
         again = _get(cache, report, 8)
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        assert cache.stats.cells_hits == 1 and cache.stats.cells_misses == 1
         assert first is again
-        [uncached] = build_speedup_tables_batch([report.goodput_model()], [8])
-        assert np.array_equal(first, uncached)
+        assert np.array_equal(_fold(report, 8, again), _fold(report, 8))
 
     def test_equal_valued_reports_share_entries(self):
-        """Fingerprints key on values, not object identity."""
+        """Keys are values, not object identity."""
         cache = SurfaceCache()
         _get(cache, _report(), 8)
         _get(cache, _report(), 8)
-        assert cache.stats.hits == 1
+        assert cache.stats.cells_hits == 1
 
     def test_distinct_parameters_miss(self):
         cache = SurfaceCache()
-        _get(cache, _report(phi=120.0), 8)
-        _get(cache, _report(phi=121.0), 8)  # different phi
-        _get(cache, _report(phi=120.0), 6)  # different cap
-        _get(cache, _report(phi=120.0), 8, speeds=(2.0,))  # different speed
-        _get(cache, _report(phi=120.0), 8, ppo=8)  # different grid
-        assert cache.stats.hits == 0 and cache.stats.misses == 5
+        _get(cache, _report(), 8)
+        _get(cache, _report(), 6)  # different cap
+        _get(cache, _report(), 8, speeds=(2.0,))  # different speed
+        other = dataclasses.replace(
+            _report(), throughput_params=MODEL_ZOO["yolov3-voc"].theta_true
+        )
+        _get(cache, other, 8)  # different theta
+        assert cache.stats.cells_hits == 0 and cache.stats.cells_misses == 4
+        _get(cache, _report(phi=121.0), 8)  # phi is not part of the key
+        assert cache.stats.cells_hits == 1
 
     def test_phi_quantization_collides_nearby_phis(self):
         """Nearby phis share an agent's tuning bucket; the scheduler's
-        cache keys on the exact phi."""
+        cache keys on no phi at all, yet each table folds in its exact phi."""
         near, far = _report(phi=120.0), _report(phi=120.5)
         tol = TABLE_TUNING_PHI_TOL
         assert near.fingerprint(tol) == far.fingerprint(tol)
         assert near.fingerprint() != far.fingerprint()
         cache = SurfaceCache()
-        _get(cache, near, 8)
-        _get(cache, far, 8)
-        assert cache.stats.hits == 0 and cache.stats.misses == 2
+        cells = _get(cache, near, 8)
+        assert _get(cache, far, 8) is cells
+        assert cache.stats.cells_hits == 1 and cache.stats.cells_misses == 1
+        assert np.array_equal(_fold(far, 8, cells), _fold(far, 8))
+        assert not np.array_equal(_fold(near, 8, cells), _fold(far, 8, cells))
 
-    def test_lru_eviction(self):
-        cache = SurfaceCache(maxsize=2)
-        _get(cache, _report(phi=1.0), 4)
-        _get(cache, _report(phi=2.0), 4)
-        _get(cache, _report(phi=3.0), 4)  # evicts phi=1
-        assert cache.stats.evictions == 1
-        _get(cache, _report(phi=1.0), 4)  # rebuilt
-        assert cache.stats.misses == 4
-
-    def test_cached_tables_are_readonly(self):
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(surfacecache, "INITIAL_MAXSIZE", 2)
         cache = SurfaceCache()
-        table = _get(cache, _report(), 8)
-        with pytest.raises(ValueError):
-            table[1, 0] = 99.0
+        _get(cache, _report(), 2)
+        _get(cache, _report(), 4)
+        _get(cache, _report(), 6)  # evicts cap 2
+        assert cache.stats.evictions == 1 and len(cache) == 2
+        _get(cache, _report(), 2)  # rebuilt
+        assert cache.stats.cells_misses == 4
+
+    def test_cached_cells_are_readonly(self):
+        cells = _get(SurfaceCache(), _report(), 8)
+        for array in (cells.tput, cells.m_cells, cells.counts):
+            with pytest.raises(ValueError):
+                array[0] = 99
 
 
 class TestSchedCacheIntegration:
     def test_cached_and_uncached_rounds_identical(self):
         """Same seeds, a kept cache vs one cleared before every round (so
-        every table is built fresh): allocations must be bit-identical."""
+        all cells are built fresh): allocations must be bit-identical."""
         cluster = ClusterSpec.homogeneous(4, 4)
         reports = [_report(phi=50.0 * (i + 1), max_gpus_seen=2) for i in range(6)]
         jobs = [_job(f"j{i}", r, 4) for i, r in enumerate(reports)]
@@ -144,17 +167,17 @@ class TestSchedCacheIntegration:
         for _ in range(3):
             a = kept.optimize(jobs)
             cleared.surface_cache.clear()
-            hits = cleared.surface_cache.stats.hits
             b = cleared.optimize(jobs)
-            assert cleared.surface_cache.stats.hits == hits
             assert set(a) == set(b)
             for name in a:
                 assert np.array_equal(a[name], b[name])
-        assert kept.surface_cache.stats.hits > 0
-        assert cleared.surface_cache.stats.misses == 3 * len(jobs)
+        assert kept.surface_cache.stats.cells_hits == 2 * len(jobs)
+        assert cleared.surface_cache.stats.cells_hits == 0
+        assert cleared.surface_cache.stats.cells_misses == 3 * len(jobs)
 
-    def test_utility_reuses_round_tables(self):
-        """optimize() then utility() with the same snapshots: all hits."""
+    def test_utility_reuses_round_cells(self):
+        """optimize() then utility() with the same snapshots: the tables
+        fold again, every one from the round's cells."""
         cluster = ClusterSpec.homogeneous(4, 4)
         jobs = [_job(f"j{i}", _report(phi=80.0 + i), 4) for i in range(4)]
         sched = PolluxSched(
@@ -163,18 +186,19 @@ class TestSchedCacheIntegration:
             seed=1,
         )
         allocs = sched.optimize(jobs)
-        misses_after_round = sched.surface_cache.stats.misses
-        assert misses_after_round == len(jobs)
+        stats = sched.surface_cache.stats
+        assert stats.cells_misses == len(jobs)
         matrix = np.stack([allocs[f"j{i}"] for i in range(4)])
         sched.utility(jobs, matrix)
-        assert sched.surface_cache.stats.misses == misses_after_round
-        assert sched.surface_cache.stats.hits >= len(jobs)
+        assert stats.cells_misses == len(jobs)
+        assert stats.cells_hits == len(jobs)
+        assert stats.misses == 2 * len(jobs)  # tables folded
 
     def test_autoscaler_probes_share_scheduler_cache(self):
-        """Probes + optimize build each job's table at most once per tick.
+        """Probes + optimize build each job's cells at most once per tick.
 
         All jobs have small exploration caps, so every probed cluster size
-        yields the same cap and the probes' table lookups must all hit the
+        yields the same cap and the probes' cells lookups must all hit the
         cache that the scheduling round populated.
         """
         cluster = ClusterSpec.homogeneous(4, 4)
@@ -189,7 +213,7 @@ class TestSchedCacheIntegration:
         )
         sched.optimize(jobs)
         cache = sched.surface_cache
-        assert cache.stats.misses == len(jobs)
+        assert cache.stats.cells_misses == len(jobs)
         autoscaler = UtilityAutoscaler(
             AutoscaleConfig(min_nodes=1, max_nodes=8, probe_ga=GAConfig(
                 population_size=8, generations=2, seed=3)),
@@ -201,15 +225,65 @@ class TestSchedCacheIntegration:
             cluster,
         )
         assert decision.probed  # the binary search actually probed sizes
-        # Every probe evaluation hit the tables built by the round: each
-        # job's surface was computed exactly once this tick.
-        assert cache.stats.misses == len(jobs)
-        assert cache.stats.hits >= len(jobs) * len(decision.probed)
+        # Every probe folded its tables from the cells the round built:
+        # each job's throughput surface was evaluated once this tick.
+        assert cache.stats.cells_misses == len(jobs)
+        assert cache.stats.cells_hits >= len(jobs) * len(decision.probed)
 
     def test_explicit_cache_wins_over_config(self):
-        shared = SurfaceCache(maxsize=16)
+        shared = SurfaceCache()
         sched = PolluxSched(ClusterSpec.homogeneous(2, 4), surface_cache=shared)
         assert sched.surface_cache is shared
+
+
+class TestPolicyClose:
+    """``Policy.close()`` releases what the policy holds: its cells."""
+
+    CONFIG = PolluxSchedConfig(ga=GAConfig(population_size=8, generations=2))
+
+    def test_closed_policy_holds_no_cells(self):
+        cluster = ClusterSpec.homogeneous(2, 4)
+        trace = generate_trace(
+            TraceConfig(
+                num_jobs=3, duration_hours=0.2, seed=5, max_gpus=8,
+                gpus_per_node=4,
+            )
+        )
+        policy = PolluxPolicy(cluster, self.CONFIG)
+        sim = Simulator(
+            cluster, policy, trace, SimConfig(seed=2, max_hours=0.5)
+        )
+        sim.run()
+        assert policy.sched.surface_cache.stats.cells_misses > 0
+        assert len(policy.sched.surface_cache) == 0
+
+    def test_rescheduled_after_close_matches_unclosed(self):
+        cluster = ClusterSpec.homogeneous(4, 4)
+        closed = PolluxPolicy(cluster, self.CONFIG, seed=3)
+        kept = PolluxPolicy(cluster, self.CONFIG, seed=3)
+        for round_idx in range(3):
+            state = ClusterState(
+                cluster,
+                tuple(
+                    JobSnapshot(
+                        name=f"j{i}",
+                        submission_time=0.0,
+                        allocation=np.zeros(4, dtype=np.int64),
+                        batch_size=128.0,
+                        agent_report=_report(phi=40.0 * (i + 1) + round_idx),
+                    )
+                    for i in range(5)
+                ),
+            )
+            got = closed.schedule(0.0, state).allocations
+            closed.close()
+            want = kept.schedule(0.0, state).allocations
+            assert got.keys() == want.keys()
+            for name in want:
+                assert np.array_equal(got[name], want[name])
+            assert closed.last_utility == kept.last_utility
+        assert kept.sched.surface_cache.stats.cells_hits > 0
+        assert closed.sched.surface_cache.stats.cells_hits == 0
 
 
 class TestTableBatchTuning:
@@ -318,20 +392,21 @@ class TestCacheSizing:
     a tick's working set outgrew the LRU, evicting entries before their
     cross-round reuse)."""
 
-    def test_ensure_capacity_grows_never_shrinks(self):
-        cache = SurfaceCache(maxsize=4)
+    def test_ensure_capacity_grows_never_shrinks(self, monkeypatch):
+        monkeypatch.setattr(surfacecache, "INITIAL_MAXSIZE", 4)
+        cache = SurfaceCache()
         cache.ensure_capacity(100)
         assert cache.maxsize == 100
         cache.ensure_capacity(10)
         assert cache.maxsize == 100
 
-    def test_build_problem_autosizes_to_job_count(self):
+    def test_build_problem_autosizes_to_job_count(self, monkeypatch):
+        monkeypatch.setattr(surfacecache, "INITIAL_MAXSIZE", 8)
         cluster = ClusterSpec.homogeneous(4, 4)
         sched = PolluxSched(
             cluster,
             PolluxSchedConfig(ga=GAConfig(population_size=8, generations=2)),
             seed=0,
-            surface_cache=SurfaceCache(maxsize=8),
         )
         assert sched.surface_cache.maxsize == 8
         jobs = [_job(f"j{i}", _report(phi=10.0 + i), 4) for i in range(40)]
@@ -339,9 +414,9 @@ class TestCacheSizing:
         assert sched.surface_cache.maxsize >= 40 * 16
 
     def test_steady_state_hit_rate_exceeds_miss_rate(self):
-        """Rounds over a steady job set (reports unchanged between rounds,
+        """Rounds over a steady job set (theta unchanged between rounds,
         as for pending jobs or between agent refits) must be cache-hit
-        dominated: hit-rate > miss-rate."""
+        dominated: every cell is built in the first round only."""
         cluster = ClusterSpec.homogeneous(4, 4)
         config = PolluxSchedConfig(ga=GAConfig(population_size=8, generations=2))
         sched = PolluxSched(cluster, config, seed=0)
@@ -351,13 +426,13 @@ class TestCacheSizing:
             sched.optimize(jobs)
             sched.utility(jobs, matrix)
         stats = sched.surface_cache.stats
-        assert stats.hits > stats.misses, stats
+        assert stats.cells_misses == 20, stats
+        assert stats.cells_hits == 7 * 20, stats
         assert stats.evictions == 0, stats
 
     def test_drifting_phi_reuses_tput_cells(self):
-        """The scheduler's second-level cache: when only phi moves between
-        rounds (every simulator tick), the phi-free throughput cells hit
-        even though the full-table key misses."""
+        """When only phi moves between rounds (every simulator tick), the
+        phi-free throughput cells hit and only the tables fold again."""
         cluster = ClusterSpec.homogeneous(4, 4)
         sched = PolluxSched(
             cluster,
@@ -371,17 +446,14 @@ class TestCacheSizing:
             ]
             sched.optimize(jobs)
         stats = sched.surface_cache.stats
-        # Rounds 2-4: full-table keys miss (phi moved) but the cells keys
-        # hit, so no throughput surface is re-evaluated after round 1.
+        # Rounds 2-4: phi moved but the cells keys hit, so no throughput
+        # surface is re-evaluated after round 1.
         assert stats.misses == 40  # every round's tables re-assembled
         assert stats.cells_hits >= 30, stats
         assert stats.cells_misses == 10, stats  # built in round 1 only
         # All 10 jobs share one theta_sys here, so their cells collapse
         # onto a single cache entry.
-        cells_entries = [
-            k for k in sched.surface_cache._entries if k[0] == "cells"
-        ]
-        assert len(cells_entries) == 1
+        assert len(sched.surface_cache) == 1
 
     def test_tput_cells_give_identical_tables(self):
         """Tables assembled from cached cells match tables built fresh, by

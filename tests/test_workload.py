@@ -134,7 +134,7 @@ class TestTunedConfigs:
 
         rng = np.random.default_rng(1)
         profile = MODEL_ZOO["resnet18-cifar10"]
-        _, best_bs = _tuning_tables(profile.name, 64, 4)
+        _, best_bs = _tuning_tables(profile.name, 64)
         for _ in range(20):
             gpus, bs = sample_user_config(profile, rng)
             optimal = best_bs[gpus, _placement_flag(gpus, 4)]
