@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,7 +113,9 @@ class JobGAInfo:
             axis 1 index 0 is the speedup when all GPUs are co-located on
             one node, index 1 when they span two or more nodes, and the
             trailing axis (when present) selects the GPU type of the
-            placement (see :mod:`repro.core.speedup`).
+            placement (see :mod:`repro.core.speedup`).  ``None`` when the
+            problem fills its table on demand (``AllocationProblem``'s
+            ``fill``).
         weight: The job's weight w_j in FITNESS (Eqn. 14/16).
         max_gpus: Hard cap on total GPUs for this job (Sec. 4.1: at most 2x
             the lifetime maximum).
@@ -124,32 +126,47 @@ class JobGAInfo:
             RESTART_PENALTY).
     """
 
-    speedup_table: np.ndarray
+    speedup_table: Optional[np.ndarray]
     weight: float
     max_gpus: int
     current_alloc: np.ndarray
     running: bool
 
     def __post_init__(self) -> None:
+        if self.max_gpus < 1:
+            raise ValueError("max_gpus must be >= 1")
+        if self.weight < 0:
+            raise ValueError("weight must be non-negative")
+        self.current_alloc = np.asarray(self.current_alloc, dtype=np.int64)
+        if self.speedup_table is None:
+            return
         self.speedup_table = np.asarray(self.speedup_table, dtype=float)
         if self.speedup_table.ndim not in (2, 3) or self.speedup_table.shape[1] != 2:
             raise ValueError(
                 "speedup_table must have shape (K+1, 2) or (K+1, 2, T)"
             )
-        if self.max_gpus < 1:
-            raise ValueError("max_gpus must be >= 1")
         if self.max_gpus > self.speedup_table.shape[0] - 1:
             raise ValueError(
                 f"max_gpus={self.max_gpus} exceeds speedup table rows "
                 f"({self.speedup_table.shape[0]})"
             )
-        if self.weight < 0:
-            raise ValueError("weight must be non-negative")
-        self.current_alloc = np.asarray(self.current_alloc, dtype=np.int64)
+
+
+#: Fills (job, K) rows of a speedup table: given aligned job indices and
+#: GPU counts, sorted by (job, K), returns their ``(R, 2, T)`` entries.
+RowFill = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class AllocationProblem:
-    """Fitness evaluation and constraints for one scheduling round."""
+    """Fitness evaluation and constraints for one scheduling round.
+
+    The speedup table ``tables[j, K, flag, type]`` is either stacked from
+    the jobs' own ``speedup_table`` arrays, or, given ``fill``, filled on
+    demand: a (job, K) row is filled the first time a lookup reaches it,
+    at most one ``fill`` call per :meth:`fitness` or :meth:`speedups` call
+    (:meth:`ensure_rows`).  ``fill_ms`` is the wall-clock those calls
+    took.
+    """
 
     def __init__(
         self,
@@ -157,6 +174,7 @@ class AllocationProblem:
         jobs: Sequence[JobGAInfo],
         restart_penalty: float = 0.25,
         forbid_interference: bool = True,
+        fill: Optional[RowFill] = None,
     ):
         self.cluster = cluster
         self.jobs = list(jobs)
@@ -181,41 +199,82 @@ class AllocationProblem:
             / self.type_speeds.min()
         )
 
+        self._fill = fill
+        self.fill_ms = 0.0
         if self.num_jobs:
             self.max_gpus = np.array([j.max_gpus for j in self.jobs], dtype=np.int64)
             self.weights = np.array([j.weight for j in self.jobs], dtype=float)
             self.current = np.stack([j.current_alloc for j in self.jobs])
             self.running = np.array([j.running for j in self.jobs], dtype=bool)
-            k_rows = int(self.max_gpus.max()) + 1
-            self.tables = np.zeros(
-                (self.num_jobs, k_rows, 2, self.num_types), dtype=float
-            )
-            for idx, job in enumerate(self.jobs):
-                table = job.speedup_table
-                if table.ndim == 2:
-                    # Untyped table: the same speedup on every type, by
-                    # broadcasting its one type column into the stack.
-                    table = table[:, :, None]
-                elif table.shape[2] != self.num_types:
-                    raise ValueError(
-                        f"speedup_table has {table.shape[2]} type columns, "
-                        f"cluster has {self.num_types}"
-                    )
-                rows = min(table.shape[0], k_rows)
-                self.tables[idx, :rows] = table[:rows]
-                if rows < k_rows:
-                    # Pad with the last row; repair keeps K <= max_gpus so
-                    # these cells are never actually selected.
-                    self.tables[idx, rows:] = table[-1]
         else:
             self.max_gpus = np.zeros(0, dtype=np.int64)
             self.weights = np.zeros(0, dtype=float)
             self.current = np.zeros((0, self.num_nodes), dtype=np.int64)
             self.running = np.zeros(0, dtype=bool)
-            self.tables = np.zeros((0, 1, 2, self.num_types), dtype=float)
+        k_rows = int(self.max_gpus.max(initial=0)) + 1
+        if fill is None:
+            self.tables = self._stack_tables(k_rows)
+        else:
+            self.tables = np.zeros(
+                (self.num_jobs, k_rows, 2, self.num_types), dtype=float
+            )
+            #: Filled rows, flat over (job, K).  K = 0 is all-zero and rows
+            #: past a job's cap are never read: both count as filled.
+            k = np.arange(k_rows)
+            self._filled = ((k == 0) | (k > self.max_gpus[:, None])).reshape(-1)
+            self._row_base = np.arange(self.num_jobs) * k_rows
         #: Nodes each job's current allocation occupies, for the restart
         #: test on a population's support.
         self._current_nodes = np.count_nonzero(self.current, axis=1)
+
+    def _stack_tables(self, k_rows: int) -> np.ndarray:
+        """The jobs' own tables as one ``(J, k_rows, 2, T)`` stack.
+
+        An untyped table broadcasts its one type column to every type; a
+        table shorter than ``k_rows`` repeats its last row, which repair
+        (K <= max_gpus) never selects.
+        """
+        shape = (self.num_jobs, k_rows, 2, self.num_types)
+        if not self.num_jobs:
+            return np.zeros(shape)
+        tables = []
+        for job in self.jobs:
+            table = job.speedup_table
+            if table.ndim == 2:
+                table = table[:, :, None]
+            elif table.shape[2] != self.num_types:
+                raise ValueError(
+                    f"speedup_table has {table.shape[2]} type columns, "
+                    f"cluster has {self.num_types}"
+                )
+            tables.append(np.broadcast_to(table, (len(table), 2, self.num_types)))
+        lengths = np.array([len(table) for table in tables])
+        starts = np.cumsum(lengths) - lengths
+        rows = np.minimum(np.arange(k_rows), lengths[:, None] - 1)
+        return np.concatenate(tables)[starts[:, None] + rows]
+
+    def ensure_rows(self, job: np.ndarray, k: np.ndarray) -> None:
+        """Fill the (``job``, ``k``) rows not filled yet, in one ``fill``.
+
+        A no-op on a stacked or complete table.  Rows reach ``fill``
+        deduplicated and sorted by (job, K).
+        """
+        if self._fill is not None:
+            self._ensure_keys(np.asarray(job) * self.tables.shape[1] + k)
+
+    def _ensure_keys(self, keys: np.ndarray) -> None:
+        """:meth:`ensure_rows` on flat (job, K) keys."""
+        keys = keys[~self._filled[keys]]
+        if not keys.size:
+            return
+        t0 = time.perf_counter()
+        keys = np.unique(keys)
+        job, k = np.divmod(keys, self.tables.shape[1])
+        self.tables[job, k] = self._fill(job, k)
+        self._filled[keys] = True
+        if self._filled.all():  # complete: lookups stop checking
+            self._fill = None
+        self.fill_ms += (time.perf_counter() - t0) * 1000.0
 
     def speedups(
         self, population: np.ndarray, *, support: Optional[np.ndarray] = None
@@ -266,6 +325,8 @@ class AllocationProblem:
         self, gpus: np.ndarray, nodes: np.ndarray, per_type: Optional[np.ndarray]
     ) -> np.ndarray:
         k = np.minimum(gpus, self.max_gpus[None, :])
+        if self._fill is not None:
+            self._ensure_keys(self._row_base + k)
         flag = (nodes >= 2).astype(np.int64)
         j_idx = np.arange(self.num_jobs)[None, :]
         if per_type is None:
@@ -392,9 +453,14 @@ class GeneticOptimizer:
     def _timed_fitness(
         self, population: np.ndarray, support: Optional[np.ndarray]
     ) -> np.ndarray:
+        """Fitness, timed without the table rows it fills (the problem's
+        ``fill_ms``, which the scheduler counts as table time)."""
+        filled_ms = self.problem.fill_ms
         t0 = time.perf_counter()
         out = self.problem.fitness(population, support=support)
-        self.phase_ms["fitness_ms"] += (time.perf_counter() - t0) * 1000.0
+        self.phase_ms["fitness_ms"] += (
+            (time.perf_counter() - t0) * 1000.0 - (self.problem.fill_ms - filled_ms)
+        )
         return out
 
     # ------------------------------------------------------------------

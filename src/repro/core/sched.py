@@ -20,15 +20,23 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cluster.spec import ClusterSpec
 from .agent import AgentReport
 from .genetic import AllocationProblem, GAConfig, GeneticOptimizer, JobGAInfo
-from .speedup import TputCells, build_speedup_tables_batch, build_tput_cells
-from .surfacecache import SurfaceCache
+from .speedup import (
+    SINGLE_NODE,
+    TputCells,
+    all_rows,
+    build_tput_cells,
+    fold_rows,
+    normalization_rows,
+    normalize_rows,
+)
+from .surfacecache import RowCells, SurfaceCache
 
 __all__ = ["PolluxSchedConfig", "SchedJobInfo", "job_weight", "PolluxSched"]
 
@@ -43,22 +51,18 @@ TABLE_POINTS_PER_OCTAVE = 16
 #: cells kept across a theta_sys re-fit.
 _CACHE_SLOTS_PER_JOB = 16
 
-#: Jobs per batched table-build pass (``PolluxSched._tables_batched``).  One
-#: pass over a 256-job round walks ~10 temporaries of 11-23 MB each (1.43 M
-#: feasible cells x 2 placement flags), every one fresh memory: 28-32
-#: thousand first-touch page faults per steady fold, more than half its
-#: time.  At 64 jobs a pass the allocator hands each block the pages the
-#: last one freed and the fold takes no fault at all.  Measured steady fold:
-#: 111-128 ms in one pass, 73-104 ms at 128 jobs a pass, 50-52 ms at 64,
-#: 50-51 ms at 32, 52-54 ms at 16; a fresh scheduler's first build 299-431
-#: -> 192-219 ms at 64.  Tables are elementwise identical at any block size.
-_TABLE_BLOCK_JOBS = 64
-
-
-def _blocks(items: list):
-    """``items`` in runs of at most ``_TABLE_BLOCK_JOBS``, in order."""
-    for start in range(0, len(items), _TABLE_BLOCK_JOBS):
-        yield items[start : start + _TABLE_BLOCK_JOBS]
+#: Round size, in table rows (the sum of the jobs' exploration caps),
+#: below which ``build_problem`` fills every row at construction; larger
+#: rounds fill only the rows their GA reaches.  Each on-demand fill is one
+#: more pass of the row kernel, ~0.3-1 ms of mostly fixed numpy overhead,
+#: and a round makes one per fitness call that reaches a new row (10-15 of
+#: them), so small rounds are cheaper built whole.  Measured on cold
+#: rounds (process CPU time, 2-core host): eager wins at 200 rows (a
+#: 16-GPU trace simulation's largest), the two tie at 400-800, on-demand
+#: wins by 15-20% at ~1,150 rows and by ~2x at 4-8k; steady rounds tie at
+#: every size.  1,024 sits just above the tie, where the 12-job live
+#: rounds of a 64-GPU service (up to ~700 rows) stay on one side.
+_EAGER_MAX_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,111 @@ def job_weight(gputime: float, gputime_thres: float, decay: float) -> float:
     return float((gputime_thres / gputime) ** decay)
 
 
+class _RowFill:
+    """The on-demand speedup rows of one round (``AllocationProblem``'s fill).
+
+    Holds each job's cache entry, looked up once per job at construction;
+    a call folds the requested (job, k) rows from the entries' cells,
+    building the missing cells first in one :func:`build_tput_cells` pass
+    and adding them to the entries.  The first call must hold every job's
+    :func:`normalization_rows` row: it fixes the SPEEDUP denominators.
+    """
+
+    def __init__(
+        self,
+        cache: SurfaceCache,
+        jobs: Sequence[SchedJobInfo],
+        caps: np.ndarray,
+        speeds: tuple,
+    ):
+        keys = [
+            cache.cells_key(job.report, cap, speeds) for job, cap in zip(jobs, caps)
+        ]
+        entries: List[Optional[RowCells]] = [cache.lookup(key) for key in keys]
+        for idx, entry in enumerate(entries):
+            if entry is None:
+                entries[idx] = cache.store(keys[idx], RowCells(int(caps[idx])))
+        self.entries = entries
+        self.stats = cache.stats
+        self.models = [job.report.goodput_model() for job in jobs]
+        self.caps = caps
+        self.speeds = speeds
+        self.norm_k, self.has_norm = normalization_rows(self.models, caps)
+        self.denom: Optional[np.ndarray] = None
+
+    def _models(self, job: np.ndarray) -> Tuple[list, np.ndarray, np.ndarray]:
+        """The models and caps ``job`` (sorted) reaches, and ``job``
+        re-indexed into them."""
+        new = job[1:] != job[:-1]
+        used = job[np.concatenate(([True], new))]
+        local = np.concatenate(([0], np.cumsum(new)))
+        return [self.models[j] for j in used.tolist()], self.caps[used], local
+
+    def _build(self, job: np.ndarray, k: np.ndarray) -> TputCells:
+        """Build the cells of rows (job, k), sorted by job, into the
+        entries: one copy per job's run of rows."""
+        models, caps, local = self._models(job)
+        built = build_tput_cells(
+            models, caps, TABLE_POINTS_PER_OCTAVE, self.speeds, rows=(local, k)
+        )
+        runs = np.flatnonzero(np.diff(job)) + 1
+        row_bounds = [0, *runs.tolist(), len(job)]
+        cell_bounds = np.concatenate([[0], np.cumsum(built.counts)])[row_bounds]
+        for r0, r1, c0, c1 in zip(
+            row_bounds, row_bounds[1:], cell_bounds.tolist(), cell_bounds[1:].tolist()
+        ):
+            self.entries[int(job[r0])].add(
+                k[r0:r1].tolist(),
+                TputCells(
+                    built.tput[:, :, c0:c1], built.m_cells[c0:c1], built.counts[r0:r1]
+                ),
+            )
+        return built
+
+    def _cells(self, job: np.ndarray, k: np.ndarray) -> List[TputCells]:
+        """The cells of rows (job, k) in pieces, built where no entry
+        holds them."""
+        entries = self.entries
+        if len(job) == int(self.caps.sum()):
+            # Every row: an eager round, read whole jobs.
+            missing = [j for j, entry in enumerate(entries) if entry.full is None]
+            if missing:
+                miss = np.array(missing)
+                local, rows_k = all_rows(self.caps[miss])
+                built = self._build(miss[local], rows_k)
+                if len(missing) == len(entries):
+                    return [built]
+            return [entry.full for entry in entries]
+        pairs = list(zip(job.tolist(), k.tolist()))
+        missing = [i for i, (j, kk) in enumerate(pairs) if not entries[j].has(kk)]
+        if missing:
+            built = self._build(job[missing], k[missing])
+            if len(missing) == len(pairs):
+                return [built]
+        tput, m_cells = zip(*[entries[j].row(kk) for j, kk in pairs])
+        return [
+            TputCells(
+                np.concatenate(tput, axis=-1),
+                np.concatenate(m_cells),
+                np.array([m.size for m in m_cells], dtype=np.int64),
+            )
+        ]
+
+    def __call__(self, job: np.ndarray, k: np.ndarray) -> np.ndarray:
+        cells = self._cells(job, k)
+        models, _, local = self._models(job)
+        best, _ = fold_rows(models, (local, k), cells)
+        if self.denom is None:
+            stride = int(self.caps.max()) + 1
+            at = np.searchsorted(
+                job * stride + k, np.arange(len(self.caps)) * stride + self.norm_k
+            )
+            ref_type = int(np.argmin(self.speeds))
+            self.denom = np.where(self.has_norm, best[SINGLE_NODE, ref_type, at], 0.0)
+        self.stats.rows_folded += len(job)
+        return normalize_rows(best, job, self.denom).transpose(2, 0, 1)
+
+
 class PolluxSched:
     """Cluster-wide goodput-maximizing scheduler."""
 
@@ -133,14 +242,16 @@ class PolluxSched:
         #: UTILITY(A) (Eqn. 17) of the last optimized allocation matrix.
         self.last_utility = 0.0
         #: Wall-clock per phase of the last ``optimize`` round, in ms:
-        #: ``table_ms`` (speedup-table builds), the GA engine's
-        #: ``repair_ms``/``fitness_ms``/``select_ms``/``mutate_ms``, and
+        #: ``table_ms`` (speedup-table rows: the prefill and every fill
+        #: the GA's lookups make, which ``fitness_ms`` leaves out), the GA
+        #: engine's ``repair_ms``/``fitness_ms``/``select_ms``/``mutate_ms``, and
         #: ``total_ms``; under a :attr:`ga_gate` also ``wait_ms``, the wait
         #: for it, which ``total_ms`` leaves out.  Lets perf regressions
         #: localize to a phase: the perf ledger's traced runs read it every
         #: round into its ``core.*_ms_mean`` rows (``benchmarks/e2e/``).
         self.last_phase_timings: Dict[str, float] = {}
-        #: Lock held around the GA (not the table builds), or None.  Set by
+        #: Lock held around the GA (not the prefill; the GA's on-demand
+        #: table fills run under it), or None.  Set by
         #: whoever runs several schedulers on threads of one interpreter
         #: (``repro.shard.executor.ThreadCellExecutor``): two GAs at once
         #: trade the GIL at every numpy call and finish no sooner.
@@ -199,98 +310,60 @@ class PolluxSched:
             out[:, arrived] = 0
         return out
 
-    def _tables_batched(
+    def build_problem(
         self,
         jobs: Sequence[SchedJobInfo],
-        caps: Sequence[int],
-        type_speeds: np.ndarray,
-    ) -> List[np.ndarray]:
-        """One speedup table per job, folded from cached or batch-built cells.
-
-        Each job's phi-free cells are looked up per job (two-phase
-        protocol); the misses are built by :func:`build_tput_cells` and
-        stored, and every table is then folded by
-        :func:`build_speedup_tables_batch`, both at most
-        ``_TABLE_BLOCK_JOBS`` jobs a pass.
-        """
-        cache = self.surface_cache
-        ppo = TABLE_POINTS_PER_OCTAVE
-        speeds = tuple(float(s) for s in type_speeds)
-        keys = [
-            cache.cells_key(job.report, cap, speeds) for job, cap in zip(jobs, caps)
-        ]
-        cells: List[Optional[TputCells]] = [cache.lookup(key) for key in keys]
-        models = [job.report.goodput_model() for job in jobs]
-        to_build = [idx for idx, entry in enumerate(cells) if entry is None]
-        # Both passes run in blocks of jobs (see ``_TABLE_BLOCK_JOBS``), all
-        # cells before any table, so values, store order and with it the
-        # LRU state are those of one unblocked pass.
-        for block in _blocks(to_build):
-            built = build_tput_cells(
-                [models[idx] for idx in block],
-                [caps[idx] for idx in block],
-                points_per_octave=ppo,
-                type_speeds=speeds,
-            )
-            for idx, fresh in zip(block, built):
-                # Copy out of the batch's shared backing arrays: a cached
-                # view would pin the whole block's buffer for as long as
-                # any one entry survives the LRU.  The fold below reads the
-                # copies too, so the next block reuses this block's memory.
-                cells[idx] = cache.store(
-                    keys[idx],
-                    TputCells(
-                        fresh.tput.copy(), fresh.m_cells.copy(), fresh.counts.copy()
-                    ),
-                )
-        cache.stats.misses += len(jobs)
-        tables: List[np.ndarray] = []
-        for block_models, block_caps, block_cells in zip(
-            _blocks(models), _blocks(caps), _blocks(cells)
-        ):
-            tables += build_speedup_tables_batch(
-                block_models,
-                block_caps,
-                points_per_octave=ppo,
-                type_speeds=speeds,
-                cells=block_cells,
-            )
-        return tables
-
-    def build_problem(self, jobs: Sequence[SchedJobInfo]) -> AllocationProblem:
+        population: Optional[np.ndarray] = None,
+    ) -> AllocationProblem:
         """Construct the GA allocation problem for one scheduling round.
 
-        Each call folds every job's speedup table from its throughput
-        cells.  The cells come from the shared :class:`SurfaceCache`, so
-        ``optimize``, ``utility``, and autoscaler probes build them at most
-        once per (theta_sys, cap, type set).  The cache is grown to the
-        round's working-set size first (see ``_CACHE_SLOTS_PER_JOB``); the
-        misses are built in ragged batched surface passes.
+        The problem's speedup table fills on demand (:class:`_RowFill`):
+        built here are each job's normalization row, the row of its
+        current allocation and those of ``population`` (the bootstrap the
+        GA will seed from), or every row of a round under
+        ``_EAGER_MAX_ROWS``; the GA's lookups fill the rest as they reach
+        them.  Cells come from the shared :class:`SurfaceCache`, so
+        ``optimize``, ``utility``, and autoscaler probes build each row's
+        cells at most once per (theta_sys, cap, type set).  The cache is grown
+        to the round's working-set size first (see
+        ``_CACHE_SLOTS_PER_JOB``).
         """
         cfg = self.config
         total_gpus = self.cluster.total_gpus
-        type_speeds = self.cluster.type_speeds()
-        self.surface_cache.ensure_capacity(len(jobs) * _CACHE_SLOTS_PER_JOB)
-        caps = [job.report.exploration_cap(total_gpus) for job in jobs]
-        tables = self._tables_batched(jobs, caps, type_speeds)
-        ga_jobs: List[JobGAInfo] = []
-        for job, cap, table in zip(jobs, caps, tables):
-            weight = job_weight(job.gputime, cfg.gputime_thres, cfg.weight_decay)
-            ga_jobs.append(
-                JobGAInfo(
-                    speedup_table=table,
-                    weight=weight,
-                    max_gpus=cap,
-                    current_alloc=job.current_alloc,
-                    running=bool(job.current_alloc.sum() > 0),
-                )
+        speeds = tuple(float(s) for s in self.cluster.type_speeds())
+        cache = self.surface_cache
+        cache.ensure_capacity(len(jobs) * _CACHE_SLOTS_PER_JOB)
+        caps = np.array(
+            [job.report.exploration_cap(total_gpus) for job in jobs], dtype=np.int64
+        )
+        fill = _RowFill(cache, jobs, caps, speeds)
+        cache.stats.misses += len(jobs)
+        ga_jobs = [
+            JobGAInfo(
+                speedup_table=None,
+                weight=job_weight(job.gputime, cfg.gputime_thres, cfg.weight_decay),
+                max_gpus=int(cap),
+                current_alloc=job.current_alloc,
+                running=bool(job.current_alloc.sum() > 0),
             )
-        return AllocationProblem(
+            for job, cap in zip(jobs, caps)
+        ]
+        problem = AllocationProblem(
             self.cluster,
             ga_jobs,
             restart_penalty=cfg.restart_penalty,
             forbid_interference=cfg.forbid_interference,
+            fill=fill,
         )
+        if caps.sum() < _EAGER_MAX_ROWS:
+            problem.ensure_rows(*all_rows(caps))
+        else:
+            held = [problem.current.sum(axis=-1)[None]]
+            if population is not None:
+                held.append(population.sum(axis=-1))
+            k = np.minimum(np.concatenate([fill.norm_k[None], *held]), caps)
+            problem.ensure_rows(np.broadcast_to(np.arange(len(jobs)), k.shape), k)
+        return problem
 
     def optimize(
         self, jobs: Sequence[SchedJobInfo]
@@ -308,8 +381,10 @@ class PolluxSched:
             return {}
 
         t_start = time.perf_counter()
-        problem = self.build_problem(jobs)
+        initial = self._bootstrap_population(job_ids)
+        problem = self.build_problem(jobs, initial)
         t_tables = time.perf_counter()
+        prefill_ms = problem.fill_ms
         ga_config = self.config.ga
         if self._resized_since_round:
             # First round on a changed node layout: force the full budget
@@ -320,7 +395,6 @@ class PolluxSched:
                 ga_config = replace(ga_config, patience=0)
             self._resized_since_round = False
         optimizer = GeneticOptimizer(problem, ga_config, rng=self._rng)
-        initial = self._bootstrap_population(job_ids)
         gate = self.ga_gate
         t_gate = time.perf_counter()
         with gate if gate is not None else nullcontext():
@@ -331,7 +405,7 @@ class PolluxSched:
         self._population_job_ids = list(job_ids)
         self.last_utility = problem.utility(best)
         self.last_phase_timings = {
-            "table_ms": (t_tables - t_start) * 1000.0,
+            "table_ms": (t_tables - t_start) * 1000.0 + problem.fill_ms - prefill_ms,
             **optimizer.phase_ms,
             "total_ms": (time.perf_counter() - t_start) * 1000.0,
         }

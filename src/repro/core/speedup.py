@@ -11,14 +11,16 @@ shape (K_max + 1, 2) which the genetic algorithm evaluates with O(1) lookups,
 and we take the inner max over the batch size on a dense geometric grid
 (GOODPUT is unimodal in m, so the grid optimum matches golden-section).
 
-One builder makes every table: :func:`build_speedup_tables_batch`, which
-evaluates THROUGHPUT once per feasible grid cell of a whole round's jobs
-(:func:`build_tput_cells`) and folds in each job's efficiency curve.  The
-scheduler, its autoscaler probes and the workload configs all read it;
-``batch_sizes=True`` also returns each cell's argmax batch size, which
-the configs need and the GA does not.  An agent tunes its batch size for
-its own placement alone (Eqn. 13, ``GoodputModel.optimize_batch_size_grid``)
-and builds no table.
+One row kernel makes every table entry: :func:`build_tput_cells`
+evaluates THROUGHPUT once per feasible grid cell of an explicit set of
+(job, K) rows, :func:`fold_rows` folds in each job's efficiency curve, and
+:func:`normalize_rows` divides by each job's :func:`normalization_rows`
+row.  The scheduler runs it on the rows its GA reaches (``repro.core.
+sched``); :func:`build_speedup_tables_batch` runs it on every row for the
+workload configs, and its ``batch_sizes=True`` also returns each cell's
+argmax batch size, which the configs need and the GA does not.  An agent
+tunes its batch size for its own placement alone (Eqn. 13,
+``GoodputModel.optimize_batch_size_grid``) and builds no table.
 
 **Typed GPU nodes.**  On a heterogeneous cluster every placement the genetic
 algorithm considers lives inside a single GPU-type group (the type-group
@@ -35,15 +37,19 @@ collapses exactly to the ``(K_max + 1, 2)`` table.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .goodput import GoodputModel
 
 __all__ = [
+    "all_rows",
     "build_speedup_tables_batch",
     "build_tput_cells",
+    "fold_rows",
+    "normalization_rows",
+    "normalize_rows",
     "TputCells",
 ]
 
@@ -54,21 +60,21 @@ MULTI_NODE = 1
 
 
 class TputCells:
-    """Phi-independent throughput cells for one job's goodput surface.
+    """Phi-independent throughput cells of a set of (job, k) table rows.
 
     The expensive part of a speedup-table build — evaluating THROUGHPUT
     (Eqns. 9-11) on every feasible (k, placement-flag, type, batch-size)
     grid cell — does not depend on the gradient noise scale phi_t, which
     is the *only* part of a job's report that drifts on every simulator
-    tick.  Caching these cells (keyed on theta_sys + limits + table shape,
-    see ``SurfaceCache.cells_key``) turns every table build into one
-    efficiency multiply plus a segmented max; a full surface pass is only
-    paid again when theta_sys actually re-fits.
+    tick.  Caching these cells (per row, keyed on theta_sys + cap + type
+    speeds, see ``SurfaceCache.cells_key``) turns every table fold into
+    one efficiency multiply plus a segmented max; a row's surface pass is
+    only paid again when theta_sys actually re-fits.
 
     Attributes:
         tput: ``(2, T, C)`` throughput at every feasible cell.
         m_cells: ``(C,)`` batch size of each cell (ascending per row).
-        counts: ``(cap,)`` feasible-cell count per k row (k = 1..cap).
+        counts: ``(R,)`` feasible-cell count per row, in row-set order.
     """
 
     __slots__ = ("tput", "m_cells", "counts")
@@ -92,25 +98,55 @@ def _check_batch_args(models, caps, type_speeds):
     return caps, speeds
 
 
+def all_rows(caps: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Every table row (job, k), k = 1..cap_j, job-major: the eager row set."""
+    caps = np.asarray(caps, dtype=np.int64)
+    offsets = np.cumsum(caps) - caps
+    row_job = np.repeat(np.arange(caps.size), caps)
+    return row_job, np.arange(row_job.size) - offsets[row_job] + 1
+
+
+def normalization_rows(
+    models: Sequence[GoodputModel], caps: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each job's SPEEDUP denominator row and whether it exists.
+
+    Row ``min(min_gpus, cap)``, read co-located on the slowest type; a job
+    whose smallest feasible placement exceeds its cap has none (``False``)
+    and an all-zero table.
+    """
+    caps = np.asarray(caps, dtype=np.int64)
+    min_gpus = np.array([model.limits.min_gpus() for model in models], dtype=np.int64)
+    return np.minimum(min_gpus, caps), min_gpus <= caps
+
+
 def build_tput_cells(
     models: Sequence[GoodputModel],
     caps: Sequence[int],
     points_per_octave: int = 16,
     type_speeds: Sequence[float] = (1.0,),
-) -> List[TputCells]:
-    """Throughput cells for many jobs in one flattened ragged pass.
+    rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> TputCells:
+    """Throughput cells of a set of (job, k) rows in one flattened ragged pass.
 
-    Evaluates Eqns. 9-11 over every *feasible* grid cell of every job —
-    one flattened row per (job, k) pair, one ragged cell axis instead of a
-    padded rectangle — so the whole round's surface evaluation is a
-    handful of large array operations.  The result is phi-independent (see
-    :class:`TputCells`); :func:`build_speedup_tables_batch` folds in each job's
+    ``rows`` is a pair of aligned arrays, the job index into ``models`` and
+    the GPU count k in ``1..caps[job]`` of every row, by default
+    :func:`all_rows`.  Eqns. 9-11 are evaluated over every *feasible* grid
+    cell of those rows only — one flattened row per (job, k) pair, one
+    ragged cell axis instead of a padded rectangle — so a round's surface
+    evaluation is a handful of large array operations whatever rows it
+    asks for.  Every cell is an elementwise function of its own job and k:
+    it comes out the same in any row set.  The result is phi-independent
+    (see :class:`TputCells`); :func:`fold_rows` folds in each job's
     current efficiency curve.
     """
     num_jobs = len(models)
     caps, speeds = _check_batch_args(models, caps, type_speeds)
-    if num_jobs == 0:
-        return []
+    job_of_row, k = all_rows(caps) if rows is None else rows
+    if num_jobs == 0 or len(job_of_row) == 0:
+        return TputCells(
+            np.zeros((2, speeds.size, 0)), np.zeros(0), np.zeros(0, dtype=np.int64)
+        )
 
     # Vectorized replica of batch_size_grid for every job at once: the
     # same geometric grid (10 ** linspace of log10 endpoints, exact
@@ -135,17 +171,13 @@ def build_tput_cells(
     m[np.arange(num_jobs), num_points - 1] = hi_grid
     on_grid = m_idx[None, :] < num_points[:, None]
 
-    # One flattened row per (job, k) pair with k in [1, cap_j] — no K
-    # padding, only the (small) M padding to the longest grid.
-    offsets = np.concatenate([[0], np.cumsum(caps)[:-1]])
-    num_rows = int(caps.sum())
-    job_of_row = np.repeat(np.arange(num_jobs), caps)
-    k_row = (np.arange(num_rows) - np.repeat(offsets, caps) + 1).astype(float)
-
+    # One flattened row per (job, k) pair — no K padding, only the (small)
+    # M padding to the longest grid.
+    k_row = np.asarray(k, dtype=float)
     params = [model.throughput_model.params for model in models]
 
     def per_row(values) -> np.ndarray:
-        return np.repeat(np.asarray(values, dtype=float), caps)
+        return np.asarray(values, dtype=float)[job_of_row]
 
     alpha_grad = per_row([p.alpha_grad for p in params])
     beta_grad = per_row([p.beta_grad for p in params])
@@ -203,110 +235,56 @@ def build_tput_cells(
         np.power(work, 1.0 / gamma_c, out=work)
         t_iter = np.multiply(hi, work, out=work)
         tput = np.divide(m_cells, t_iter, out=t_iter)  # (2, T, C)
-
-    # Split per job (views into the shared base arrays — no copies).
-    out: List[TputCells] = []
-    cell_starts = np.concatenate([[0], np.cumsum(counts)])
-    for j, cap in enumerate(caps):
-        row_lo = int(offsets[j])
-        row_hi = row_lo + int(cap)
-        a, b = int(cell_starts[row_lo]), int(cell_starts[row_hi])
-        out.append(
-            TputCells(tput[:, :, a:b], m_cells[a:b], counts[row_lo:row_hi])
-        )
-    return out
+    return TputCells(tput, m_cells, counts)
 
 
-def build_speedup_tables_batch(
+def fold_rows(
     models: Sequence[GoodputModel],
-    caps: Sequence[int],
-    points_per_octave: int = 16,
-    type_speeds: Sequence[float] = (1.0,),
-    squeeze: bool = True,
-    cells: Optional[Sequence[TputCells]] = None,
+    rows: Tuple[np.ndarray, np.ndarray],
+    cells: Sequence[TputCells],
     batch_sizes: bool = False,
-) -> list:
-    """Speedup tables for many jobs in one ragged pass.
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``max_m GOODPUT`` of every row of ``cells``: the fold of Eqn. 15.
 
-    A per-job build spends most of its time in numpy dispatch on small
-    ``(K, M)`` arrays, so this batches a whole scheduling round's table
-    builds into a handful of array operations over one ragged
-    feasible-cell axis — the hot path of ``PolluxSched.build_problem``.
-    Passing previously built ``cells`` (see :func:`build_tput_cells`)
-    skips the throughput evaluation entirely and only folds in each job's
-    current efficiency curve — the steady-state round cost while
-    theta_sys is stable.
-
-    ``table[k, flag]`` is the speedup of k GPUs co-located on one node
-    (``flag == SINGLE_NODE``) or spanning two or more (``MULTI_NODE``);
-    row 0 and infeasible cells are 0, and a job whose smallest feasible
-    co-located placement exceeds its cap gets an all-zero table.
-
-    Args:
-        models: One goodput model per job.
-        caps: Per-job maximum GPU count (table row count - 1), each >= 1.
-        points_per_octave: Batch-size grid density (shared).
-        type_speeds: Relative compute speed per GPU type; tables gain a
-            trailing type axis when more than one (or ``squeeze=False``).
-        squeeze: With a single type, drop the trailing type axis so the
-            tables have the flat ``(cap + 1, 2)`` shape.
-        cells: Optional per-job throughput cells to reuse (must have been
-            built with the same caps/grid/type speeds).
-        batch_sizes: Also take each cell's goodput-maximizing batch size
-            (the first maximum on ties): the workload configs read it, the
-            GA does not.
-
-    Returns:
-        One speedup table per job, all views into one shared backing
-        array; with ``batch_sizes`` one ``(speedup_table,
-        batch_size_table)`` pair of equal shapes per job instead.
+    ``cells`` is a sequence of pieces whose rows, in order, are ``rows``
+    (job index into ``models``, k).  Folds each job's current efficiency
+    curve (Eqn. 7, from its phi) into the cells and takes a segmented max
+    per row.  Returns the ``(2, T, R)`` maxima — 0 for a row without a
+    feasible cell and for the multi-node column of k == 1, which cannot
+    span nodes — and with ``batch_sizes`` the batch size of each (the
+    first maximum on ties), else ``None``.  Like the cells, each row comes
+    out the same in any row set.
     """
-    num_jobs = len(models)
-    caps, speeds = _check_batch_args(models, caps, type_speeds)
-    if num_jobs == 0:
-        return []
-    num_types = speeds.size
-    flat = squeeze and num_types == 1
-    ref_type = int(np.argmin(speeds))
-    if cells is None:
-        cells = build_tput_cells(models, caps, points_per_octave, type_speeds)
-    if len(cells) != num_jobs:
-        raise ValueError("cells must align with models")
-
-    offsets = np.concatenate([[0], np.cumsum(caps)[:-1]])
-    num_rows = int(caps.sum())
-    job_of_row = np.repeat(np.arange(num_jobs), caps)
-
-    counts = np.concatenate([c.counts for c in cells])  # (R,)
-    cells_per_job = np.array([c.m_cells.size for c in cells], dtype=np.int64)
+    row_job, k = rows
+    counts = np.concatenate([c.counts for c in cells])
     if batch_sizes:
-        m_cells = np.concatenate([c.m_cells for c in cells])  # (C,)
-
-    # EFFICIENCY_t(m) (Eqn. 7) at each cell, from each job's current phi:
-    # (phi + m0) / (phi + m), the numerator added once per job.
-    phi_job = np.array(
-        [model.efficiency_model.grad_noise_scale for model in models]
-    )
-    m0_job = np.array(
-        [model.efficiency_model.init_batch_size for model in models]
-    )
+        m_cells = np.concatenate([c.m_cells for c in cells])
+    # EFFICIENCY_t(m) (Eqn. 7) at each cell, from its job's current phi:
+    # (phi + m0) / (phi + m), spread per run of one job's rows.
+    phi_job = np.array([model.efficiency_model.grad_noise_scale for model in models])
+    m0_job = np.array([model.efficiency_model.init_batch_size for model in models])
+    run_starts = np.concatenate(([0], np.flatnonzero(row_job[1:] != row_job[:-1]) + 1))
+    run_job = row_job[run_starts]
+    run_cells = np.add.reduceat(counts, run_starts)
     den = np.concatenate([c.m_cells for c in cells])  # (C,)
-    den += np.repeat(phi_job, cells_per_job)
-    eff = np.repeat(phi_job + m0_job, cells_per_job)
+    den += np.repeat(phi_job[run_job], run_cells)
+    eff = np.repeat((phi_job + m0_job)[run_job], run_cells)
     eff /= den
     del den
-    # The concatenation is this call's own copy of the cached cells, so the
-    # curve is multiplied into it in place.  What the fold costs is memory
-    # traffic and, whenever the allocator has trimmed what the last call
-    # freed, first-touch page faults, so the live set stays small: two (C,)
-    # arrays while the curve is built, then one (2, T, C) array beside one
-    # (C,) temporary.
+    # The concatenation is this call's own copy of the cells (which may be
+    # the cache's, read-only), so the curve is multiplied into it in place.
+    # What the fold costs is memory traffic and, whenever the allocator has
+    # trimmed what the last call freed, first-touch page faults, so the
+    # live set stays small: two (C,) arrays while the curve is built, then
+    # one (2, T, C) array beside one (C,) temporary.
     goodput = np.concatenate([c.tput for c in cells], axis=-1)  # (2, T, C)
     goodput *= eff
     del eff
+    num_types = goodput.shape[1]
 
     # Segmented max over each row's cells (rows with no feasible cell —
     # min feasible m needs more than k GPUs — stay zero).
+    num_rows = len(row_job)
     best_val = np.zeros((2, num_types, num_rows), dtype=float)
     best_m = np.zeros_like(best_val) if batch_sizes else None
     if goodput.shape[-1]:
@@ -327,34 +305,97 @@ def build_speedup_tables_batch(
             best_m[:, :, rows_nz] = m_cells[seg_arg]
     del goodput
 
-    # A placement spanning >= 2 nodes needs >= 2 GPUs: zero the k == 1
-    # multi-node cells (row offsets[j] is each job's k == 1 row).
-    best_val[MULTI_NODE, :, offsets] = 0.0
+    # A placement spanning >= 2 nodes needs >= 2 GPUs.
+    single_gpu = np.asarray(k) == 1
+    best_val[MULTI_NODE, :, single_gpu] = 0.0
     if batch_sizes:
-        best_m[MULTI_NODE, :, offsets] = 0.0
+        best_m[MULTI_NODE, :, single_gpu] = 0.0
+    return best_val, best_m
 
-    # Per-job normalization by the smallest feasible co-located placement
-    # on the reference (slowest) type, batched over jobs.
-    min_gpus_job = np.array(
-        [model.limits.min_gpus() for model in models], dtype=np.int64
+
+def normalize_rows(
+    best_val: np.ndarray, row_job: np.ndarray, denom: np.ndarray
+) -> np.ndarray:
+    """SPEEDUP (Eqn. 15) of :func:`fold_rows` maxima, ``(2, T, R)``.
+
+    ``denom`` is each job's maximum at its :func:`normalization_rows` row
+    (slowest type, co-located), 0 where it has none; a job whose
+    denominator is not positive gets all-zero rows.
+    """
+    pos = denom > 0
+    denom_rows = np.where(pos, denom, 1.0)[row_job]
+    return (best_val / denom_rows) * pos[row_job]
+
+
+def build_speedup_tables_batch(
+    models: Sequence[GoodputModel],
+    caps: Sequence[int],
+    points_per_octave: int = 16,
+    type_speeds: Sequence[float] = (1.0,),
+    squeeze: bool = True,
+    cells: Optional[TputCells] = None,
+    batch_sizes: bool = False,
+) -> list:
+    """Whole speedup tables for many jobs: every row, in one ragged pass.
+
+    The eager use of the row kernel (:func:`build_tput_cells`,
+    :func:`fold_rows`, :func:`normalize_rows`) over :func:`all_rows`; the
+    workload configs and the tests read it, and the scheduler's on-demand
+    rows equal its entries bit for bit.  Passing previously built ``cells``
+    of all rows skips the throughput evaluation and only folds in each
+    job's current efficiency curve.
+
+    ``table[k, flag]`` is the speedup of k GPUs co-located on one node
+    (``flag == SINGLE_NODE``) or spanning two or more (``MULTI_NODE``);
+    row 0 and infeasible cells are 0, and a job whose smallest feasible
+    co-located placement exceeds its cap gets an all-zero table.
+
+    Args:
+        models: One goodput model per job.
+        caps: Per-job maximum GPU count (table row count - 1), each >= 1.
+        points_per_octave: Batch-size grid density (shared).
+        type_speeds: Relative compute speed per GPU type; tables gain a
+            trailing type axis when more than one (or ``squeeze=False``).
+        squeeze: With a single type, drop the trailing type axis so the
+            tables have the flat ``(cap + 1, 2)`` shape.
+        cells: Optional throughput cells of :func:`all_rows` to reuse (must
+            have been built with the same caps/grid/type speeds).
+        batch_sizes: Also take each cell's goodput-maximizing batch size
+            (the first maximum on ties): the workload configs read it, the
+            GA does not.
+
+    Returns:
+        One speedup table per job, all views into one shared backing
+        array; with ``batch_sizes`` one ``(speedup_table,
+        batch_size_table)`` pair of equal shapes per job instead.
+    """
+    num_jobs = len(models)
+    caps, speeds = _check_batch_args(models, caps, type_speeds)
+    if num_jobs == 0:
+        return []
+    num_types = speeds.size
+    flat = squeeze and num_types == 1
+    rows = all_rows(caps)
+    if cells is None:
+        cells = build_tput_cells(models, caps, points_per_octave, type_speeds, rows)
+    if len(cells.counts) != len(rows[0]):
+        raise ValueError("cells must hold every row of every job")
+    best_val, best_m = fold_rows(models, rows, [cells], batch_sizes)
+
+    offsets = np.cumsum(caps) - caps
+    k_ref, has_ref = normalization_rows(models, caps)
+    ref_type = int(np.argmin(speeds))
+    denom = np.where(
+        has_ref, best_val[SINGLE_NODE, ref_type, offsets + k_ref - 1], 0.0
     )
-    has_ref = min_gpus_job <= caps
-    denom_job = np.zeros(num_jobs, dtype=float)
-    ref_rows = offsets + np.minimum(min_gpus_job, caps) - 1
-    denom_job[has_ref] = best_val[SINGLE_NODE, ref_type, ref_rows[has_ref]]
-    # Jobs whose denominator degenerates get an all-zero speedup table;
-    # dividing by 1 keeps them zero only after masking, so zero the rows
-    # explicitly.
-    pos = denom_job > 0
-    denom_rows = np.where(pos, denom_job, 1.0)[job_of_row]
-    sp_val = (best_val / denom_rows) * pos[job_of_row]
+    sp_val = normalize_rows(best_val, rows[0], denom)
 
     # Assemble every job's (cap + 1, 2[, T]) table as a view into one
     # contiguous backing array — one scatter for all jobs instead of a
     # per-job copy loop.  Job j's block spans rows offsets[j] + j ..
     # offsets[j] + j + cap_j; its first row is the all-zero k == 0 row.
-    sp_full = np.zeros((num_rows + num_jobs, 2, num_types), dtype=float)
-    target = np.arange(num_rows) + job_of_row + 1
+    target = rows[0] + offsets[rows[0]] + rows[1]
+    sp_full = np.zeros((len(target) + num_jobs, 2, num_types), dtype=float)
     sp_full[target] = sp_val.transpose(2, 0, 1)
     if batch_sizes:
         bm_full = np.zeros_like(sp_full)
@@ -371,4 +412,3 @@ def build_speedup_tables_batch(
         else:
             out.append(speedup)
     return out
-

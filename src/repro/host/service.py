@@ -23,8 +23,10 @@ the (optionally scaled) wall clock.
 A live host contains policy faults: an exception out of ``decide_resize``,
 ``schedule`` or the application of their decisions is logged under
 ``repro.host``, recorded on the round, and the loop carries on with the
-allocations it had.  A finite replay (the simulator) raises instead, so a
-reproduction run never papers over a bug.
+allocations it had.  After ``_CIRCUIT_THRESHOLD`` consecutive failures the
+circuit opens: the host keeps ticking and batch-tuning but calls the
+policy no more until it is restarted.  A finite replay (the simulator)
+raises instead, so a reproduction run never papers over a bug.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ from .backend import ClusterBackend
 __all__ = ["LATENCY_BUCKETS", "RoundMetrics", "HostMetrics", "PolicyHost"]
 
 logger = logging.getLogger("repro.host")
+
+#: Consecutive contained policy failures (``decide_resize``, ``schedule``
+#: or applying their decision) after which a live host opens its circuit
+#: and stops calling the policy.  A success in between resets the count.
+_CIRCUIT_THRESHOLD = 5
 
 #: Upper bounds (seconds) of the dispatch latency histogram's buckets:
 #: sub-millisecond cheap rounds up to multi-second GA rounds on big clusters.
@@ -103,11 +110,16 @@ class HostMetrics:
     recent ``history_limit`` :class:`RoundMetrics` (a bounded deque);
     :meth:`summary` aggregates over the *whole* run via running counters,
     so the totals stay exact no matter how much history was dropped, and
-    so does :meth:`latency_histogram`.
+    so does :meth:`latency_histogram`.  ``circuit_open`` is set by the host
+    once it has stopped calling the policy; ``last_round_time`` is the host
+    time of the last recorded round (``None`` before the first).
     """
 
     def __init__(self, history_limit: int = 4096):
         self.rounds: Deque[RoundMetrics] = deque(maxlen=history_limit)
+        self.circuit_open = False
+        self.last_round_time: Optional[float] = None
+        self._last_error_round = 0  # 1-based index of the last failed round
         self._rounds = 0
         self._scheduling_rounds = 0
         self._decisions_applied = 0
@@ -123,6 +135,7 @@ class HostMetrics:
     def record(self, round_: RoundMetrics) -> None:
         self.rounds.append(round_)
         self._rounds += 1
+        self.last_round_time = round_.time
         self._restarts_triggered += round_.restarts_triggered
         # Latency covers every dispatch round — autoscale-only rounds run
         # the expensive resize probes, so excluding them would hide the
@@ -136,6 +149,7 @@ class HostMetrics:
             self._resizes += 1
         if round_.error is not None:
             self._policy_errors += 1
+            self._last_error_round = self._rounds
         if round_.scheduled:
             self._scheduling_rounds += 1
             self._decisions_applied += round_.decisions_applied
@@ -148,11 +162,17 @@ class HostMetrics:
             "restarts_triggered": self._restarts_triggered,
             "resizes": self._resizes,
             "policy_errors": self._policy_errors,
+            "circuit_open": self.circuit_open,
             "mean_latency_s": (
                 self._latency_sum / self._rounds if self._rounds else 0.0
             ),
             "max_latency_s": self._latency_max,
         }
+
+    def error_within(self, rounds: int) -> bool:
+        """Whether any of the last ``rounds`` recorded rounds failed."""
+        last = self._last_error_round
+        return last > 0 and self._rounds - last < rounds
 
     def latency_histogram(self) -> Tuple[List[int], float]:
         """Cumulative round counts at each :data:`LATENCY_BUCKETS` bound and
@@ -191,6 +211,7 @@ class PolicyHost:
         self._next_schedule = 0.0
         self._next_agent = 0.0
         self._next_autoscale = 0.0
+        self._failure_streak = 0
 
     # ------------------------------------------------------------------
     # Lifecycle events (called by the backend, on the host's loop thread)
@@ -237,32 +258,36 @@ class PolicyHost:
         restarts_before = sum(j.num_restarts for j in jobs)
 
         errors: List[str] = []
+        # An open circuit skips the policy; its timers still advance.
         autoscale_fired = False
         if caps.autoscales and now >= self._next_autoscale:
             autoscale_fired = True
-            with self._contained("decide_resize", now, errors):
-                state = build_cluster_state(backend.cluster(), jobs, caps)
-                request = policy.decide_resize(now, state)
-                if request is not None:
-                    backend.resize(int(request.num_nodes), request.grow_node_spec)
+            if not self.metrics.circuit_open:
+                with self._contained("decide_resize", now, errors):
+                    state = build_cluster_state(backend.cluster(), jobs, caps)
+                    request = policy.decide_resize(now, state)
+                    if request is not None:
+                        backend.resize(int(request.num_nodes), request.grow_node_spec)
             # Re-read the cadence after the decision: a policy may adapt
             # its own interval inside decide_resize().
             self._next_autoscale = now + policy.capabilities.autoscale_interval
 
         tuned_this_round = False
-        if now >= self._next_schedule:
-            scheduled = True
-            with self._contained("schedule", now, errors):
-                state = build_cluster_state(backend.cluster(), jobs, caps)
-                decision = policy.schedule(now, state)
-                apply_decision(
-                    decision,
-                    jobs,
-                    caps,
-                    apply_allocations=backend.apply_allocations,
-                    resize_cluster=backend.resize,
-                )
-                applied = len(decision.allocations)
+        schedule_due = now >= self._next_schedule
+        if schedule_due:
+            if not self.metrics.circuit_open:
+                scheduled = True
+                with self._contained("schedule", now, errors):
+                    state = build_cluster_state(backend.cluster(), jobs, caps)
+                    decision = policy.schedule(now, state)
+                    apply_decision(
+                        decision,
+                        jobs,
+                        caps,
+                        apply_allocations=backend.apply_allocations,
+                        resize_cluster=backend.resize,
+                    )
+                    applied = len(decision.allocations)
             self._next_schedule = now + cfg.scheduling_interval
             if caps.adapts_batch_size:
                 tune_batch_sizes(jobs)
@@ -286,7 +311,7 @@ class PolicyHost:
                 nodes_after,
                 now,
             )
-        if scheduled or resized or agent_fired or autoscale_fired:
+        if schedule_due or resized or agent_fired or autoscale_fired:
             restarts_after = sum(j.num_restarts for j in jobs)
             self.metrics.record(
                 RoundMetrics(
@@ -311,8 +336,9 @@ class PolicyHost:
         its timers as usual, so a failing policy is retried on its next
         cadence instead of in a hot loop.  The policy's decision is not
         applied, or — if application itself raised — applied only up to
-        the failure.  A finite backend re-raises: the simulator stops on
-        a policy bug.
+        the failure.  The ``_CIRCUIT_THRESHOLD``-th failure in a row opens
+        the circuit (logged once).  A finite backend re-raises: the
+        simulator stops on a policy bug.
         """
         try:
             yield
@@ -325,6 +351,18 @@ class PolicyHost:
                 now,
             )
             errors.append(f"{event}: {type(exc).__name__}: {exc}")
+            self._failure_streak += 1
+            if self._failure_streak == _CIRCUIT_THRESHOLD:
+                self.metrics.circuit_open = True
+                logger.error(
+                    "circuit open at host time %.1f s after %d consecutive "
+                    "policy failures; the host keeps ticking without calling "
+                    "the policy until it is restarted",
+                    now,
+                    _CIRCUIT_THRESHOLD,
+                )
+        else:
+            self._failure_streak = 0
 
     def run(self) -> SimResult:
         """Dispatch until the backend drains (or :meth:`stop` is called).

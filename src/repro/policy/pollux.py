@@ -127,8 +127,8 @@ class PolluxPolicy(Policy):
             )
         # One set of job infos serves both the in-band utility check and
         # the probes, and the probes share the live scheduler's surface
-        # cache: each job's throughput cells are built at most once per
-        # (theta_sys, cap, type set), while its table folds per call.
+        # cache: each table row's throughput cells are built at most once
+        # per (theta_sys, cap, type set), while rows fold per call.
         infos = _infos(state.jobs)
         matrix = np.stack([snap.allocation for snap in state.jobs])
         utility = self.utility_of(infos, matrix)
@@ -158,7 +158,8 @@ class PolluxPolicy(Policy):
     def last_phase_timings(self) -> Dict[str, float]:
         """Per-phase wall-clock of the last scheduling round, in ms.
 
-        Keys: ``table_ms`` (speedup-table builds), the GA engine's
+        Keys: ``table_ms`` (speedup-table rows, the GA's on-demand fills
+        included), the GA engine's
         ``repair_ms``/``fitness_ms``/``select_ms``/``mutate_ms``, and
         ``total_ms`` (see :attr:`PolluxSched.last_phase_timings`).
         """

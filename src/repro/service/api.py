@@ -39,6 +39,15 @@ from .tenants import (
 
 __all__ = ["ServiceError", "SchedulerService"]
 
+#: Recorded rounds ``/healthz`` looks back over: a policy error in any of
+#: them reads ``degraded``.
+_HEALTH_WINDOW_ROUNDS = 10
+
+#: A running loop whose last round is older than this many shortest timers
+#: (host seconds) reads ``dead``: the host clock moves only as the loop
+#: dispatches, so a fresh round is due within one timer.
+_STALE_TIMERS = 3
+
 
 class ServiceError(Exception):
     """An API error with an HTTP status code (and optional Retry-After)."""
@@ -346,28 +355,53 @@ class SchedulerService:
 
         ``status`` is ``"ok"`` while the dispatch loop runs (a drain in
         progress included) and for a host whose loop is not on a thread of
-        its own; ``"stopped"`` once the loop has ended after the host's
-        ``stop()`` or ``drain()``; and ``"dead"`` when the loop ``start()``
-        launched has ended without either being requested.  The HTTP layer
+        its own; ``"degraded"`` when a policy call failed in one of the
+        last ``_HEALTH_WINDOW_ROUNDS`` recorded rounds or the host's
+        circuit is open; ``"stopped"`` once the loop has ended after the
+        host's ``stop()`` or ``drain()``; and ``"dead"`` when the loop
+        ``start()`` launched has ended without either being requested, or
+        is alive but its last round (``last_round_age_s``, host seconds) is
+        older than ``_STALE_TIMERS`` shortest timers.  The HTTP layer
         answers 503 for anything but ``"ok"``.
         """
         host = self.host
+        metrics = host.metrics
+        now = self.backend.now()
+        last = metrics.last_round_time
+        age = now - (last if last is not None else 0.0)
         status = "ok"
         if not host.running:
             if host.stopping or host.draining:
                 status = "stopped"
             elif host.started:
                 status = "dead"
-        summary = host.metrics.summary()
+        elif age > _STALE_TIMERS * self._shortest_timer():
+            status = "dead"
+        if status == "ok" and (
+            metrics.circuit_open or metrics.error_within(_HEALTH_WINDOW_ROUNDS)
+        ):
+            status = "degraded"
+        summary = metrics.summary()
         return {
             "status": status,
             "running": host.running,
             "policy": host.policy.name,
             "backend": type(self.backend).__name__,
-            "host_time_s": self.backend.now(),
+            "host_time_s": now,
+            "last_round_age_s": age,
             "rounds": summary["rounds"],
+            "circuit_open": summary["circuit_open"],
             "active_jobs": len(self.backend.jobs()),
         }
+
+    def _shortest_timer(self) -> float:
+        """The host's shortest dispatch cadence, in host seconds."""
+        config = self.backend.config
+        timers = [config.scheduling_interval, config.agent_interval]
+        caps = self.host.policy.capabilities
+        if caps.autoscales:
+            timers.append(caps.autoscale_interval)
+        return min(timers)
 
     # ------------------------------------------------------------------
     # Status rendering

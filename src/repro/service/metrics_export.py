@@ -139,6 +139,13 @@ def render_metrics(service: "SchedulerService") -> str:
     for name, help_, value in counters:
         _header(lines, name, "counter", help_)
         _sample(lines, name, value)
+    _header(
+        lines,
+        "scheduler_policy_circuit_open",
+        "gauge",
+        "1 once consecutive policy failures stopped the host calling the policy.",
+    )
+    _sample(lines, "scheduler_policy_circuit_open", 1 if summary["circuit_open"] else 0)
 
     name = "scheduler_dispatch_latency_seconds"
     _header(lines, name, "histogram", "Wall-clock policy dispatch latency per round.")

@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.host.service
 import repro.policy
 from repro.cluster import ClusterSpec
 from repro.core import AutoscaleConfig, GAConfig, PolluxSchedConfig
@@ -760,6 +761,101 @@ class TestLiveContainment:
             host.stop(timeout=30.0)
         assert "decide_resize: ValueError: bad size" in host.metrics.rounds[0].error
         assert backend.cluster().num_nodes == 2
+
+    def test_circuit_opens_after_consecutive_failures(self, caplog, monkeypatch):
+        """The threshold-th failure in a row opens the circuit: logged once,
+        the policy is called no more, and the host keeps ticking and
+        batch-tuning."""
+        cluster = ClusterSpec.homogeneous(2, 4)
+        threshold = repro.host.service._CIRCUIT_THRESHOLD
+
+        class Broken(repro.policy.Policy):
+            name = "broken"
+            capabilities = repro.policy.PolicyCapabilities(
+                autoscales=True, autoscale_interval=60.0, adapts_batch_size=True
+            )
+
+            def __init__(self):
+                self.calls = 0
+
+            def schedule(self, now, state):
+                self.calls += 1
+                raise RuntimeError("policy bug")
+
+            def decide_resize(self, now, state):
+                self.calls += 1
+                raise ValueError("bad size")
+
+        tuned = []
+        tune = repro.host.service.tune_batch_sizes
+        monkeypatch.setattr(
+            repro.host.service,
+            "tune_batch_sizes",
+            lambda jobs: tuned.append(1) or tune(jobs),
+        )
+        caplog.set_level(logging.INFO, logger="repro.host")
+        policy = Broken()
+        host = PolicyHost(policy, fast_threaded(cluster, quantum_seconds=0.015))
+        host.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while not host.metrics.circuit_open:
+                assert time.monotonic() < deadline, "circuit never opened"
+                time.sleep(0.01)
+            opened_at = host.metrics.summary()["rounds"]
+            tuned_at = len(tuned)
+            while host.metrics.summary()["rounds"] < opened_at + 5:
+                assert time.monotonic() < deadline, "dispatch stopped"
+                time.sleep(0.01)
+            assert host.running
+        finally:
+            host.stop(timeout=30.0)
+        assert policy.calls == threshold
+        summary = host.metrics.summary()
+        assert summary["circuit_open"] is True
+        assert summary["policy_errors"] == len(
+            [r for r in host.metrics.rounds if r.error is not None]
+        )
+        rounds = list(host.metrics.rounds)
+        last_failed = max(i for i, r in enumerate(rounds) if r.error is not None)
+        after = rounds[last_failed + 1 :]
+        assert len(after) >= 4
+        assert all(r.error is None and not r.scheduled for r in after)
+        assert len(tuned) > tuned_at
+        circuit = [
+            r for r in caplog.records if r.getMessage().startswith("circuit open")
+        ]
+        assert len(circuit) == 1 and circuit[0].levelno == logging.ERROR
+
+    def test_a_success_resets_the_failure_count(self):
+        cluster = ClusterSpec.homogeneous(2, 4)
+        threshold = repro.host.service._CIRCUIT_THRESHOLD
+
+        class Alternating(repro.policy.Policy):
+            """Fails ``threshold - 1`` calls in a row, then succeeds once."""
+
+            name = "alternating"
+
+            def __init__(self):
+                self.calls = 0
+
+            def schedule(self, now, state):
+                self.calls += 1
+                if self.calls % threshold:
+                    raise RuntimeError("policy bug")
+                return repro.policy.ScheduleDecision()
+
+        policy = Alternating()
+        host = PolicyHost(policy, fast_threaded(cluster, quantum_seconds=0.015))
+        host.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while policy.calls < 3 * threshold:
+                assert time.monotonic() < deadline, "dispatch stopped"
+                time.sleep(0.01)
+        finally:
+            host.stop(timeout=30.0)
+        assert not host.metrics.summary()["circuit_open"]
 
     def test_resize_and_drain_are_logged(self, caplog):
         cluster = ClusterSpec.homogeneous(2, 4)

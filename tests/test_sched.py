@@ -222,14 +222,12 @@ def _with_theta(job, factor):
 
 
 class TestBlockedTableBuilds:
-    """``_tables_batched`` builds its misses ``_TABLE_BLOCK_JOBS`` at a time:
-    same tables, same cache traffic as one pass over all of them."""
+    """A round's speedup table is built in blocks of (job, K) rows — the
+    prefill, then one fill per lookup that reaches new rows: every entry
+    equals one eager pass over all rows, and the cache traffic is that of
+    a round that builds every row."""
 
-    BLOCK = sched_module._TABLE_BLOCK_JOBS
-
-    @pytest.mark.parametrize(
-        "count", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 2]  # 63 64 65 130
-    )
+    @pytest.mark.parametrize("count", [63, 64, 65, 130])
     @pytest.mark.parametrize("typed", [False, True])
     def test_same_tables_and_cache_state_as_one_pass(
         self, count, typed, monkeypatch
@@ -238,10 +236,11 @@ class TestBlockedTableBuilds:
             cluster = ClusterSpec.heterogeneous((("v100", 4, 4), ("t4", 4, 4)))
         else:
             cluster = ClusterSpec.homogeneous(8, 4)
-        speeds = cluster.type_speeds()
+        speeds = tuple(float(s) for s in cluster.type_speeds())
         # A cache smaller than a round's distinct cells keys, so stores
         # evict and the LRU order is part of what is compared.
         monkeypatch.setattr(surfacecache_module, "INITIAL_MAXSIZE", count // 2)
+        monkeypatch.setattr(sched_module, "_CACHE_SLOTS_PER_JOB", 0)
         blocked = PolluxSched(cluster)
         one_pass = PolluxSched(cluster)
 
@@ -255,27 +254,39 @@ class TestBlockedTableBuilds:
         ]
         mixed[5:8] = _varied_jobs(3, cluster.num_nodes, seed=1, prefix="new")
 
+        rng = np.random.default_rng(count)
         for jobs in (all_miss, cells_hit, mixed):
-            caps = [
-                job.report.exploration_cap(cluster.total_gpus) for job in jobs
-            ]
-            got = blocked._tables_batched(jobs, caps, speeds)
             with monkeypatch.context() as patch:
-                patch.setattr(sched_module, "_TABLE_BLOCK_JOBS", 10**9)
-                want = one_pass._tables_batched(jobs, caps, speeds)
+                patch.setattr(sched_module, "_EAGER_MAX_ROWS", 0)
+                got = blocked.build_problem(jobs)
+            with monkeypatch.context() as patch:
+                patch.setattr(sched_module, "_EAGER_MAX_ROWS", 10**9)
+                want = one_pass.build_problem(jobs)
+            for _ in range(3):  # each block reaches some new rows
+                population = rng.integers(0, 3, (4, len(jobs), cluster.num_nodes))
+                np.testing.assert_array_equal(
+                    got.speedups(population), want.speedups(population)
+                )
+            filled = got._filled.reshape(len(jobs), -1)
+            np.testing.assert_array_equal(
+                got.tables[filled], want.tables[filled]
+            )
+            assert not got.tables[~filled].any()
+            caps = [job.report.exploration_cap(cluster.total_gpus) for job in jobs]
             direct = build_speedup_tables_batch(
                 [job.report.goodput_model() for job in jobs],
                 caps,
                 points_per_octave=sched_module.TABLE_POINTS_PER_OCTAVE,
-                type_speeds=tuple(float(s) for s in speeds),
+                type_speeds=speeds,
+                squeeze=False,
             )
-            for table, reference, built in zip(got, want, direct):
-                np.testing.assert_array_equal(table, reference)
-                np.testing.assert_array_equal(table, built)
+            for j, (table, cap) in enumerate(zip(direct, caps)):
+                np.testing.assert_array_equal(want.tables[j, : cap + 1], table)
             stats = blocked.surface_cache.stats
             ref_stats = one_pass.surface_cache.stats
-            for field in stats.__slots__:
+            for field in ("misses", "evictions", "cells_hits", "cells_misses"):
                 assert getattr(stats, field) == getattr(ref_stats, field), field
+            assert stats.rows_folded < ref_stats.rows_folded
             assert list(blocked.surface_cache._entries) == list(
                 one_pass.surface_cache._entries
             )

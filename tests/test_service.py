@@ -23,6 +23,7 @@ import pytest
 
 import repro.host.replay
 import repro.policy
+import repro.service.api
 from repro.cluster import ClusterSpec
 from repro.core import GAConfig, PolluxSchedConfig
 from repro.host import PolicyHost, ReplayBackend, ThreadedBackend, ThreadedConfig
@@ -618,6 +619,98 @@ class TestHTTPStack:
             assert json.loads(body)["status"] == "stopped"
         finally:
             server.close()
+            host.stop()
+
+    def test_healthz_degrades_on_errors_and_recovers(self):
+        """A policy error in one of the last rounds reads ``degraded``
+        (503); enough rounds without one bring ``ok`` back."""
+        cluster = ClusterSpec.homogeneous(2, 4)
+        window = repro.service.api._HEALTH_WINDOW_ROUNDS
+
+        class Flaky(repro.policy.Policy):
+            """Fails every other call while ``failing``: never often enough
+            in a row to open the circuit."""
+
+            name = "flaky"
+
+            def __init__(self):
+                self.calls = 0
+                self.failing = True
+
+            def schedule(self, now, state):
+                self.calls += 1
+                if self.failing and self.calls % 2:
+                    raise RuntimeError("policy bug")
+                return repro.policy.ScheduleDecision()
+
+        policy = Flaky()
+        host = PolicyHost(policy, fast_threaded(cluster))
+        service = SchedulerService(host)
+        server = ServiceServer(service).start()
+        try:
+            host.start()
+            deadline = time.monotonic() + 30.0
+            while host.metrics.summary()["policy_errors"] < 2:
+                assert time.monotonic() < deadline, "no failed round"
+                time.sleep(0.005)
+            status, body, _ = http(f"{server.url}/healthz")
+            health = json.loads(body)
+            assert status == 503 and health["status"] == "degraded"
+            assert health["circuit_open"] is False
+            assert health["last_round_age_s"] >= 0.0
+            policy.failing = False
+            settled = host.metrics.summary()["rounds"] + window + 2
+            while host.metrics.summary()["rounds"] < settled:
+                assert time.monotonic() < deadline, "dispatch stopped"
+                time.sleep(0.005)
+            status, body, _ = http(f"{server.url}/healthz")
+            assert status == 200 and json.loads(body)["status"] == "ok"
+        finally:
+            server.close()
+            host.stop()
+
+    def test_healthz_degraded_while_the_circuit_is_open(self):
+        cluster = ClusterSpec.homogeneous(2, 4)
+        host = PolicyHost(quick_policy("tiresias", cluster), fast_threaded(cluster))
+        service = SchedulerService(host)
+        assert service.healthz()["status"] == "ok"  # a loop not on its thread
+        assert "\nscheduler_policy_circuit_open 0\n" in render_metrics(service)
+        host.metrics.circuit_open = True
+        health = service.healthz()
+        assert health["status"] == "degraded" and health["circuit_open"] is True
+        assert "\nscheduler_policy_circuit_open 1\n" in render_metrics(service)
+
+    def test_healthz_is_dead_over_a_stale_loop(self):
+        """A loop thread that is alive but whose last round is older than
+        three shortest timers reads ``dead``."""
+        cluster = ClusterSpec.homogeneous(2, 4)
+        backend = fast_threaded(cluster)
+        stall, stalled, release = (threading.Event() for _ in range(3))
+        advance = backend.advance
+
+        def stalling_advance(until):
+            if stall.is_set():
+                stalled.set()
+                release.wait(10.0)
+            else:
+                advance(until)
+
+        backend.advance = stalling_advance
+        host = PolicyHost(quick_policy("tiresias", cluster), backend)
+        service = SchedulerService(host)
+        try:
+            host.start()
+            stall.set()
+            assert stalled.wait(10.0)
+            assert service.healthz()["status"] == "ok"
+            config = backend.config
+            shortest = min(config.scheduling_interval, config.agent_interval)
+            backend.engine.now = host.metrics.last_round_time + 3 * shortest + 1.0
+            health = service.healthz()
+            assert health["running"] is True and health["status"] == "dead"
+            assert health["last_round_age_s"] == 3 * shortest + 1.0
+        finally:
+            release.set()
             host.stop()
 
     def test_metrics_scrape_parses(self, served):

@@ -59,17 +59,15 @@ def reference_build_surfaces_batch(
     ref_type = int(np.argmin(speeds))
     if cells is None:
         cells = build_tput_cells(models, caps, points_per_octave, type_speeds)
-    if len(cells) != num_jobs:
-        raise ValueError("cells must align with models")
 
     offsets = np.concatenate([[0], np.cumsum(caps)[:-1]])
     num_rows = int(caps.sum())
     job_of_row = np.repeat(np.arange(num_jobs), caps)
 
-    tput = np.concatenate([c.tput for c in cells], axis=-1)  # (2, T, C)
-    m_cells = np.concatenate([c.m_cells for c in cells])  # (C,)
-    counts = np.concatenate([c.counts for c in cells])  # (R,)
-    cells_per_job = np.array([c.m_cells.size for c in cells], dtype=np.int64)
+    tput, m_cells, counts = cells.tput, cells.m_cells, cells.counts
+    if counts.shape != (num_rows,):
+        raise ValueError("cells must hold every row of every job")
+    cells_per_job = np.add.reduceat(counts, offsets)
     cell_job = np.repeat(np.arange(num_jobs), cells_per_job)
 
     phi_job = np.array(
@@ -204,8 +202,7 @@ class TestFoldAgainstParent:
         )
         # The cached cells are folded from a copy, never written.
         again = build_tput_cells(models, caps, type_speeds=speeds)
-        for kept, fresh in zip(cells, again):
-            np.testing.assert_array_equal(kept.tput, fresh.tput)
+        np.testing.assert_array_equal(cells.tput, again.tput)
 
     def test_no_job_has_a_feasible_cell(self):
         limits = BatchSizeLimits(
@@ -233,11 +230,9 @@ class TestFoldAgainstParent:
         single = np.array([1.0, 2.0, 3.0, 0.5, 2.0, 4.0, 8.0])
         # goodput: [1, 1, .75 | .5, 1, 1, 1] and [2, 1, 2 | 1, 1, 1, 1]
         multi = np.array([2.0, 2.0, 8.0, 1.0, 2.0, 4.0, 8.0])
-        cells = [
-            TputCells(
-                np.stack([single, multi])[:, None, :], m_cells, np.array([3, 4])
-            )
-        ]
+        cells = TputCells(
+            np.stack([single, multi])[:, None, :], m_cells, np.array([3, 4])
+        )
         got = build_speedup_tables_batch([model], [2], cells=cells)
         assert_same_tables(got, reference_speedup_tables([model], [2], cells=cells))
         [speedup] = got
@@ -253,7 +248,7 @@ class TestFoldAgainstParent:
 
     def test_round_dense_tables_hash_equal(self):
         # The 256 jobs of the ledger's round_dense workload at seed 1, in
-        # the scheduler's blocks of 64.
+        # blocks of 64 jobs.
         cluster = ClusterSpec.homogeneous(64, 8)
         state = inputs.synthetic_state(cluster, 256, inputs.sub_seed(1, "state"))
         reports = [snap.agent_report for snap in state.jobs]

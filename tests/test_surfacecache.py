@@ -26,6 +26,7 @@ from repro.core.speedup import (
     build_speedup_tables_batch,
     build_tput_cells,
 )
+from repro.core.surfacecache import RowCells
 from repro.sim import SimConfig, Simulator
 from repro.workload import MODEL_ZOO, TraceConfig, generate_trace
 from repro.policy import ClusterState, JobSnapshot, PolluxPolicy, snapshot_job
@@ -52,28 +53,29 @@ def _job(job_id: str, report: AgentReport, num_nodes: int) -> SchedJobInfo:
 
 
 def _get(cache, report, cap, speeds=(1.0,)):
-    """One job's cells through the two-phase protocol, as the scheduler
-    runs it."""
+    """One job's entry through the two-phase protocol, every row built."""
     key = cache.cells_key(report, cap, speeds)
     cells = cache.lookup(key)
     if cells is None:
-        [cells] = build_tput_cells(
+        cells = cache.store(key, RowCells(cap))
+        built = build_tput_cells(
             [report.goodput_model()],
             [cap],
             points_per_octave=TABLE_POINTS_PER_OCTAVE,
             type_speeds=speeds,
         )
-        cells = cache.store(key, cells)
+        cells.add(range(1, cap + 1), built)
     return cells
 
 
 def _fold(report, cap, cells=None):
-    """The report's flat speedup table, folded from ``cells`` if given."""
+    """The report's flat speedup table, folded from entry ``cells`` if
+    given."""
     [table] = build_speedup_tables_batch(
         [report.goodput_model()],
         [cap],
         points_per_octave=TABLE_POINTS_PER_OCTAVE,
-        cells=None if cells is None else [cells],
+        cells=None if cells is None else cells.full,
     )
     return table
 
@@ -149,7 +151,9 @@ class TestSurfaceCache:
 
     def test_cached_cells_are_readonly(self):
         cells = _get(SurfaceCache(), _report(), 8)
-        for array in (cells.tput, cells.m_cells, cells.counts):
+        assert cells.has(8)
+        tput, m_cells = cells.row(8)  # splits the whole job into row views
+        for array in (cells.full.tput, cells.full.counts, tput, m_cells):
             with pytest.raises(ValueError):
                 array[0] = 99
 
@@ -468,7 +472,11 @@ class TestCacheSizing:
             ]
 
         def tables(sched, jobs):
-            return [job.speedup_table for job in sched.build_problem(jobs).jobs]
+            problem = sched.build_problem(jobs)
+            return [
+                problem.tables[j, : cap + 1, :, 0]
+                for j, cap in enumerate(problem.max_gpus)
+            ]
 
         warm = PolluxSched(cluster, config, seed=0)
         tables(warm, jobs_at(0.0))  # populate the cells cache
