@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import _lbfgsb
 
 __all__ = [
     "ThroughputParams",
@@ -41,6 +40,7 @@ __all__ = [
     "ProfileEntry",
     "ExplorationState",
     "fit_throughput_params",
+    "load_fit_kernel",
     "project_throughput_params",
     "t_iter_scalar",
     "throughput_scalar",
@@ -325,6 +325,21 @@ _LBFGSB_MAXFUN = 15000
 _TASK_FG, _TASK_NEW_X, _TASK_CONVERGENCE = 3, 1, 4
 
 
+def load_fit_kernel():
+    """Import and return scipy's L-BFGS-B kernel module (``_lbfgsb``).
+
+    The import loads all of ``scipy.optimize``, about 0.6 s and 45-50 MB of
+    RSS, so nothing imports it at module level: a process that only
+    schedules (external reports, Tiresias, Optimus, cell workers) never
+    pays for it.  The first fit does; a live host calls this up front
+    (:meth:`repro.host.PolicyHost.start`) so that its first fit does not
+    import under the dispatch lock.  Later calls cost a module lookup.
+    """
+    from scipy.optimize import _lbfgsb
+
+    return _lbfgsb
+
+
 def _run_lbfgsb(
     objective, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray
 ) -> Tuple[np.ndarray, int]:
@@ -359,10 +374,11 @@ def _run_lbfgsb(
     lsave = np.zeros(4, dtype=np.int32)
     isave = np.zeros(44, dtype=np.int32)
     dsave = np.zeros(29)
+    setulb = load_fit_kernel().setulb
     nfev = 0
     nit = 0
     while True:
-        _lbfgsb.setulb(
+        setulb(
             m,
             x,
             low,

@@ -41,6 +41,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Deque, Iterator, List, Optional, Tuple
 
+from ..core.throughput import load_fit_kernel
 from ..policy.base import Policy
 from ..policy.dispatch import (
     apply_decision,
@@ -450,6 +451,11 @@ class PolicyHost:
             self.policy.name,
             type(self.backend).__name__,
         )
+        if self.policy.capabilities.needs_agent:
+            # Import the theta fit's kernel (all of scipy.optimize, ~0.6 s)
+            # here rather than in the loop's first fit, under the dispatch
+            # lock.
+            load_fit_kernel()
         self._thread = threading.Thread(
             target=self.run, name="policy-host", daemon=True
         )

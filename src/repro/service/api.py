@@ -21,6 +21,7 @@ service end-to-end; the API surface is summarized in ``README.md``.
 
 from __future__ import annotations
 
+import logging
 import threading
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -38,6 +39,8 @@ from .tenants import (
 )
 
 __all__ = ["ServiceError", "SchedulerService"]
+
+logger = logging.getLogger("repro.service")
 
 #: Recorded rounds ``/healthz`` looks back over: a policy error in any of
 #: them reads ``degraded``.
@@ -105,7 +108,7 @@ class SchedulerService:
     # ------------------------------------------------------------------
 
     def _account(self, tenant: str) -> TenantAccount:
-        """The tenant's account, created on first use (caller holds lock)."""
+        """The tenant's account, created on first submit (caller holds lock)."""
         account = self._accounts.get(tenant)
         if account is None:
             account = TenantAccount(tenant, quota_eq=self.default_quota)
@@ -153,6 +156,13 @@ class SchedulerService:
             demand_eq = float(num_gpus)
             if not account.can_admit(demand_eq):
                 account.rejected_total += 1
+                logger.info(
+                    "quota rejection: tenant %s demand %g + %g > quota %g",
+                    tenant,
+                    account.demand_eq,
+                    demand_eq,
+                    account.quota_eq,
+                )
                 raise ServiceError(
                     429,
                     (
@@ -336,7 +346,10 @@ class SchedulerService:
         self.reconcile()
         allocated = self.allocated_equivalents().get(tenant, 0.0)
         with self._lock:
-            account = self._account(tenant)
+            account = self._accounts.get(tenant)
+            if account is None:
+                # A read creates no account: each one is a /metrics series.
+                account = TenantAccount(tenant, quota_eq=self.default_quota)
             active = sum(1 for e in account.entries if e.state == "submitted")
             return {
                 "tenant": tenant,

@@ -11,6 +11,7 @@ simulator's decision digest bit-for-bit even while reads hammer the API.
 """
 
 import json
+import logging
 import math
 import re
 from pathlib import Path
@@ -176,6 +177,42 @@ class TestSchedulerService:
             assert service.tenant_usage("small")["rejected_total"] == 1
         finally:
             host.stop()
+
+    def test_quota_rejection_is_logged(self, caplog):
+        caplog.set_level(logging.INFO, logger="repro.service")
+        service, host = make_service(quotas={"small": 2.0})
+        try:
+            service.submit("small", {"model": "neumf-movielens", "num_gpus": 2})
+            with pytest.raises(ServiceError):
+                service.submit("small", {"model": "neumf-movielens", "num_gpus": 1})
+        finally:
+            host.stop()
+        rejections = [
+            r
+            for r in caplog.records
+            if r.name == "repro.service" and r.levelno == logging.INFO
+        ]
+        assert [r.getMessage() for r in rejections] == [
+            "quota rejection: tenant small demand 2 + 1 > quota 2"
+        ]
+
+    def test_reading_an_unknown_tenant_creates_no_account(self):
+        """A tenant read answers with the default quota and zero counters,
+        and adds no per-tenant series to /metrics: only submit creates."""
+        service, host = make_service(default_quota=4.0)
+        try:
+            service.submit("teamA", {"model": "neumf-movielens"})
+            before = set(re.findall(r'tenant="([^"]+)"', render_metrics(service)))
+            for name in ("probe-1", "probe-2", "probe-3"):
+                usage = service.tenant_usage(name)
+                assert usage["quota_gpu_equivalents"] == 4.0
+                assert usage["demand_gpu_equivalents"] == 0.0
+                assert usage["active_jobs"] == usage["submitted_total"] == 0
+                assert usage["rejected_total"] == usage["completed_total"] == 0
+            after = set(re.findall(r'tenant="([^"]+)"', render_metrics(service)))
+        finally:
+            host.stop()
+        assert before == after == {"teamA"}
 
     def test_duplicate_name_conflicts(self):
         service, host = make_service()
