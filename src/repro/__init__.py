@@ -12,7 +12,7 @@ Public API overview:
 - :mod:`repro.workload` — the Table 1 model zoo and trace generation.
 - :mod:`repro.sim` — the discrete-time cluster simulator.
 - :mod:`repro.policy` — the Policy API v1: Pollux + Tiresias /
-  Optimus+Oracle / Or et al. behind one event-driven interface, plus the
+  Optimus+Oracle / Or et al. behind one periodic interface, plus the
   string-keyed registry (``repro.policy.create("pollux", ...)``).
 - :mod:`repro.host` — the wall-clock host: ``PolicyHost`` drives any
   registered policy in real time over live (``ThreadedBackend``) or

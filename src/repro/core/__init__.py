@@ -18,7 +18,6 @@ from .throughput import (
     fit_throughput_params,
     project_throughput_params,
     t_iter_scalar,
-    throughput_scalar,
 )
 
 __all__ = [
@@ -55,5 +54,4 @@ __all__ = [
     "fit_throughput_params",
     "project_throughput_params",
     "t_iter_scalar",
-    "throughput_scalar",
 ]

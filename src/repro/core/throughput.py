@@ -43,7 +43,6 @@ __all__ = [
     "load_fit_kernel",
     "project_throughput_params",
     "t_iter_scalar",
-    "throughput_scalar",
     "GAMMA_MIN",
     "GAMMA_MAX",
 ]
@@ -281,17 +280,6 @@ def t_iter_scalar(
     return float(
         hi * np.power(1.0 + np.power(ratio, gamma), 1.0 / gamma)
     )
-
-
-def throughput_scalar(
-    params: ThroughputParams,
-    num_nodes: int,
-    num_gpus: int,
-    batch_size: float,
-    speed: float = 1.0,
-) -> float:
-    """Scalar fast path for :meth:`ThroughputModel.throughput` (Eqn. 8)."""
-    return batch_size / t_iter_scalar(params, num_nodes, num_gpus, batch_size, speed)
 
 
 #: Floor under ``max(T_grad, T_sync)``: keeps the ratio, the logs and the

@@ -14,19 +14,18 @@ Three pieces:
 
 - :class:`~repro.host.service.PolicyHost` — the dispatch loop.  Builds
   frozen :class:`~repro.policy.views.ClusterState` snapshots at the
-  configured cadence (plus lifecycle snapshots on submit/complete
-  events), honors :class:`~repro.policy.base.PolicyCapabilities` (agent
-  reports only for ``needs_agent`` policies, cadenced ``decide_resize``
-  before the same round's ``schedule``, agent-cadence batch re-tuning
-  for ``adapts_batch_size``), applies
+  configured cadence, honors
+  :class:`~repro.policy.base.PolicyCapabilities` (agent reports only for
+  ``needs_agent`` policies, cadenced ``decide_resize`` before the same
+  round's ``schedule``, agent-cadence batch re-tuning for
+  ``adapts_batch_size``), applies
   :class:`~repro.policy.base.ScheduleDecision`\\ s through the backend
   with restart accounting, and records structured per-round metrics
   (dispatch latency, decisions applied, restarts triggered).  Lifecycle:
   blocking ``run()``, or ``start()`` / ``drain()`` / ``stop()`` around a
   background thread.
 - :class:`~repro.host.backend.ClusterBackend` — the mechanism protocol
-  (node inventory, active jobs, allocation apply, resize, lifecycle
-  events, time).
+  (node inventory, active jobs, allocation apply, resize, time).
 - One mechanism, two modes: :class:`~repro.host.replay.ReplayBackend`
   replays a recorded trace at a configurable time-compression factor
   through the simulator's :class:`~repro.sim.engine.ClusterEngine` (its

@@ -14,12 +14,9 @@ compression paces against the wall clock.  Job objects returned by
 :meth:`ClusterBackend.jobs` are duck-typed against
 :class:`repro.sim.job.SimJob` (the attribute shape
 :func:`repro.policy.views.snapshot_job` consumes), so the host builds
-policy snapshots with one set of builders for every backend.
-
-Lifecycle events (job submitted / completed) flow from the backend to the
-host through ``host.dispatch_event(kind, time, job)``; both backends in
-this package deliver them synchronously at the exact engine point they
-occur.
+policy snapshots with one set of builders for every backend.  A policy
+learns of a job's arrival or departure only from the next round's
+snapshot.
 """
 
 from __future__ import annotations
@@ -57,9 +54,8 @@ class ClusterBackend(Protocol):
         """Bind to the host and begin serving.
 
         The backend keeps ``host`` to read the policy's live capabilities
-        (``host.policy.capabilities``), sample scheduling telemetry
-        (``host.policy.last_utility``), and deliver lifecycle events
-        (``host.dispatch_event``).  Backends apply the policy's
+        (``host.policy.capabilities``) and sample scheduling telemetry
+        (``host.policy.last_utility``).  Backends apply the policy's
         ``adapts_batch_size`` contract here: jobs of non-adaptive policies
         train at their submitted fixed batch size.
         """
@@ -107,20 +103,18 @@ class ClusterBackend(Protocol):
 
         This package's backends step their engine tick by tick, paced at
         ``tick/compression`` wall seconds per tick (a paced backend more
-        than a tick late gives the lost time up).  Lifecycle events are
-        delivered to ``host.dispatch_event`` during the call, in event
-        order.  Returns early when the active set empties (so a replay
-        can fast-forward) or the backend is stopped/drained.
+        than a tick late gives the lost time up).  Returns early when the
+        active set empties (so a replay can fast-forward) or the backend is
+        stopped/drained.
         """
         ...
 
     def drain_events(self) -> None:
-        """Deliver any queued lifecycle events to the host, in order.
+        """No-op, called by the host before every dispatch round and on exit.
 
-        The host calls this before every dispatch round so a policy never
-        sees a job in a snapshot before its ``on_job_submitted`` event.
-        A no-op for backends that deliver events synchronously, as both
-        backends in this package do.
+        Kept only because the perf ledger's ``service_live`` workload wraps
+        it (``benchmarks/e2e/wl_service.py``); once that wrap goes, the
+        method and its two call sites go too.
         """
         ...
 
@@ -138,10 +132,10 @@ class ClusterBackend(Protocol):
         """Cancel a job by name (the service's ``DELETE /v1/jobs`` path).
 
         An active job is finished immediately at the current host time
-        (allocation zeroed, a ``completed`` lifecycle event delivered to
-        the policy through the normal event path); a queued-but-unadmitted
-        submission is dropped and the policy never sees it.  Returns False
-        when the name is unknown or the job already completed.
+        (allocation zeroed, absent from the next round's snapshot); a
+        queued-but-unadmitted submission is dropped and the policy never
+        sees it.  Returns False when the name is unknown or the job already
+        completed.
         """
         ...
 

@@ -115,7 +115,6 @@ class ReplayBackend:
             if not host.policy.capabilities.adapts_batch_size:
                 for job in self.engine.jobs:
                     job.batch_size = float(job.spec.fixed_batch_size)
-            self.engine.event_sink = host.dispatch_event
             self.engine._admit_submitted()
             self._wall_start = time.monotonic()
 
@@ -181,7 +180,7 @@ class ReplayBackend:
         This is the simulator's tick loop: each tick is one
         :meth:`~repro.sim.engine.ClusterEngine.run_one_tick` (observe/
         advance with profiling gated on the policy's live ``needs_agent``,
-        completion events, timeline sample, clock, admission), run under
+        completions, timeline sample, clock, admission), run under
         the dispatch lock.  A finite replay returns early at an idle gap
         of a whole tick or more so the host can fast-forward its timers
         through :meth:`idle_fast_forward`.
@@ -252,8 +251,7 @@ class ReplayBackend:
         return False
 
     def drain_events(self) -> None:
-        """No-op: engine events are delivered synchronously at the exact
-        tick point they occur (the bit-for-bit schedule)."""
+        """No-op (see :meth:`~repro.host.backend.ClusterBackend.drain_events`)."""
 
     # -- mechanism ------------------------------------------------------
 
@@ -265,7 +263,7 @@ class ReplayBackend:
         self.engine._apply_allocations(allocations, jobs)
 
     def resize(self, num_nodes: int, grow_node_spec: Optional[NodeSpec]) -> None:
-        self.engine._resize_cluster(num_nodes, grow_with=grow_node_spec)
+        self.engine._resize(num_nodes, grow_with=grow_node_spec)
 
     # -- results --------------------------------------------------------
 

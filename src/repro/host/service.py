@@ -43,12 +43,7 @@ from typing import Deque, Iterator, List, Optional, Tuple
 
 from ..core.throughput import load_fit_kernel
 from ..policy.base import Policy
-from ..policy.dispatch import (
-    apply_decision,
-    build_cluster_state,
-    relay_job_event,
-    tune_batch_sizes,
-)
+from ..policy.dispatch import apply_decision, build_cluster_state, tune_batch_sizes
 from ..sim.metrics import SimResult
 from .backend import ClusterBackend
 
@@ -215,16 +210,6 @@ class PolicyHost:
         self._failure_streak = 0
 
     # ------------------------------------------------------------------
-    # Lifecycle events (called by the backend, on the host's loop thread)
-    # ------------------------------------------------------------------
-
-    def dispatch_event(self, kind: str, now: float, job) -> None:
-        """Relay a backend lifecycle event to the policy (see
-        :func:`~repro.policy.dispatch.relay_job_event`: report-free
-        snapshots)."""
-        relay_job_event(self.policy, kind, now, job)
-
-    # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
 
@@ -243,13 +228,9 @@ class PolicyHost:
         t0 = time.perf_counter()
         scheduled = False
         applied = 0
-        # Deliver queued lifecycle events first: a policy must see
-        # on_job_submitted for every job that can appear in a snapshot
-        # (asynchronous backends queue events between advance() calls).
         backend.drain_events()
-        # Read the round's clock AFTER draining, under the lock: the
-        # policy must never receive a dispatch `now` earlier than a
-        # lifecycle event it was just delivered.
+        # Read the round's clock under the dispatch lock: no tick can move
+        # it between this read and the round's decisions.
         now = backend.now()
         # One fetch serves the whole round: the host holds the backend's
         # dispatch lock, so the active set cannot change mid-round.
@@ -282,11 +263,7 @@ class PolicyHost:
                     state = build_cluster_state(backend.cluster(), jobs, caps)
                     decision = policy.schedule(now, state)
                     apply_decision(
-                        decision,
-                        jobs,
-                        caps,
-                        apply_allocations=backend.apply_allocations,
-                        resize_cluster=backend.resize,
+                        decision, jobs, apply_allocations=backend.apply_allocations
                     )
                     applied = len(decision.allocations)
             self._next_schedule = now + cfg.scheduling_interval
@@ -301,8 +278,6 @@ class PolicyHost:
                 tune_batch_sizes(jobs)
             self._next_agent = now + cfg.agent_interval
 
-        # Covers both resize paths: cadenced decide_resize and a resize
-        # bundled in the ScheduleDecision (applied by apply_decision).
         nodes_after = backend.cluster().num_nodes
         resized = nodes_after != nodes_before
         if resized:
@@ -401,8 +376,6 @@ class PolicyHost:
                     until = min(until, self._next_autoscale)
                 backend.advance(until)
         finally:
-            # A completion queued between the backend's last drain and the
-            # loop's drained() break must still reach the policy.
             backend.drain_events()
             backend.stop()
             # Release whatever the policy holds (shard-cell threads,
@@ -431,9 +404,9 @@ class PolicyHost:
         """Cancel a job by name, under the backend's dispatch lock.
 
         Routes to :meth:`~repro.host.backend.ClusterBackend.cancel`: an
-        active job is completed immediately and its ``completed``
-        lifecycle event reaches the policy through the normal event path.
-        Returns False for unknown or already-completed jobs.
+        active job is completed immediately and is absent from the next
+        round's snapshot.  Returns False for unknown or already-completed
+        jobs.
         """
         with self.backend.dispatch_lock():
             return self.backend.cancel(name)

@@ -1,8 +1,8 @@
-"""Policy API v1: event-driven, host-agnostic scheduling policies.
+"""Policy API v1: periodic, host-agnostic scheduling policies.
 
 This package is the repo's policy/mechanism seam (in the spirit of Blox,
 Agarwal et al.): scheduling *policies* consume frozen snapshot views and
-return decisions; *hosts* own the event loop, job runtime state,
+return decisions; *hosts* own the dispatch loop, job runtime state,
 profiling, and the application of decisions.  There is one host loop —
 :class:`repro.host.PolicyHost`, using the helpers in
 :mod:`repro.policy.dispatch` — and the discrete-time simulator
@@ -57,15 +57,9 @@ Writing a new policy
     mapping job names to per-node GPU vectors; omitted jobs keep their
     current allocation.  Policies that fix batch sizes themselves (rather
     than via per-job agents) return them in ``batch_sizes``; autoscaling
-    policies may bundle a ``resize`` request or answer
-    ``decide_resize``.
+    policies answer ``decide_resize``.
 
-3.  **React to lifecycle events** (optional): ``on_job_submitted`` /
-    ``on_job_completed`` fire as jobs enter and leave the active set —
-    useful for policies that keep cross-event state (queues, histories)
-    without rescanning every snapshot.
-
-4.  **Register** it so benchmarks and sweep scripts can construct it by
+3.  **Register** it so benchmarks and sweep scripts can construct it by
     name with uniform ``cluster``/``seed`` kwargs::
 
         register("random", RandomPolicy, description="uniform random")
@@ -95,7 +89,6 @@ from .base import (
 from .dispatch import (
     apply_decision,
     build_cluster_state,
-    relay_job_event,
     tune_batch_sizes,
 )
 from .registry import available, canonical, create, describe, register
@@ -121,7 +114,6 @@ __all__ = [
     "snapshot_job",
     "build_cluster_state",
     "apply_decision",
-    "relay_job_event",
     "tune_batch_sizes",
     "create",
     "register",

@@ -1,17 +1,18 @@
-"""The Policy API: capabilities, decisions, and the event-driven base class.
+"""The Policy API: capabilities, decisions, and the policy base class.
 
 This is the seam between scheduling *policy* and cluster *mechanism* (in the
 Blox sense): a policy consumes frozen :mod:`~repro.policy.views` snapshots
-and returns a :class:`ScheduleDecision`; the host (today the discrete-time
-simulator, tomorrow a wall-clock service) owns the event loop, the job
-runtime state, and the application of decisions.
+and returns a :class:`ScheduleDecision`; the host
+(:class:`repro.host.PolicyHost`, which runs the discrete-time simulator,
+trace replays and the wall-clock service alike) owns the dispatch loop, the
+job runtime state, and the application of decisions.
 
 A policy declares what it needs from its host in a
 :class:`PolicyCapabilities` descriptor instead of loose class attributes,
 and autoscaling is part of the same interface — a policy with
 ``capabilities.autoscales`` gets a cadenced :meth:`Policy.decide_resize`
-event and may also piggyback a :class:`ClusterResizeRequest` on any
-:class:`ScheduleDecision` — rather than a parallel hook protocol object.
+event that returns a :class:`ClusterResizeRequest` — rather than a
+parallel hook protocol object.
 
 See the package docstring (:mod:`repro.policy`) for a writing-a-new-policy
 walkthrough.
@@ -26,7 +27,7 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from ..cluster.spec import NodeSpec
-from .views import ClusterState, JobSnapshot
+from .views import ClusterState
 
 __all__ = [
     "PolicyCapabilities",
@@ -51,9 +52,9 @@ class PolicyCapabilities:
       ``agent_report=None``.
     - ``autoscales``: the policy issues cluster-resize requests.  The host
       invokes :meth:`Policy.decide_resize` every ``autoscale_interval``
-      seconds (before the scheduling event of the same tick) and honors
-      ``ScheduleDecision.resize``.  When False the host never resizes on
-      the policy's behalf and ignores any resize request.
+      seconds (before the scheduling event of the same tick) and applies
+      the :class:`ClusterResizeRequest` it returns.  When False the host
+      never resizes on the policy's behalf.
     - ``autoscale_interval``: cadence of the resize event, in seconds
       (only meaningful with ``autoscales``).
     """
@@ -93,17 +94,11 @@ class ScheduleDecision:
     - ``allocations``: job name -> per-node GPU vector, for any subset of
       the *active* jobs in the state the policy was shown; omitted jobs
       keep their current allocation.  Vectors are indexed against the
-      cluster the policy was shown (pre-resize).
+      cluster the policy was shown.
     - ``batch_sizes``: job name -> batch size the host should apply before
       the jobs next run.  Used by policies that fix batch sizes themselves
       (e.g. Or et al.'s throughput-optimal choice) instead of delegating
       to per-job agents via ``adapts_batch_size``.
-    - ``resize``: optional cluster-resize request, applied by the host
-      *after* the allocations (and only when the policy's capabilities
-      declare ``autoscales``).  Policies on a periodic resize cadence
-      normally use :meth:`Policy.decide_resize` instead and leave this
-      None; bundling is for policies that decide sizes and allocations in
-      one optimization.
 
     Mappings are stored behind read-only proxies; build a new decision
     rather than mutating one.
@@ -111,7 +106,6 @@ class ScheduleDecision:
 
     allocations: Mapping[str, np.ndarray] = field(default_factory=dict)
     batch_sizes: Mapping[str, float] = field(default_factory=dict)
-    resize: Optional[ClusterResizeRequest] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -123,17 +117,17 @@ class ScheduleDecision:
 
 
 class Policy:
-    """Base class for scheduling policies (event-driven, host-agnostic).
+    """Base class for scheduling policies (periodic, host-agnostic).
 
     Subclasses set ``name`` and ``capabilities``, implement
-    :meth:`schedule`, and may override the lifecycle events and
-    :meth:`decide_resize`.  Policies are stateful objects: the host
-    constructs one per run (usually via :func:`repro.policy.create`) and
-    delivers events in wall-clock order.
+    :meth:`schedule`, and may override :meth:`decide_resize`.  Policies
+    are stateful objects: the host constructs one per run (usually via
+    :func:`repro.policy.create`) and calls it in host-time order.
 
-    Event order within one host tick: ``on_job_submitted`` for newly
-    admitted jobs, then ``decide_resize`` (if due), then ``schedule`` (if
-    due), then ``on_job_completed`` for jobs that finished during the tick.
+    Call order within one host round: ``decide_resize`` (if due), then
+    ``schedule`` (if due).  Each call gets a fresh snapshot of the active
+    jobs, so a job's arrival or departure shows as its appearance in or
+    absence from ``state.jobs``.
     """
 
     #: Registry/display name; also recorded in simulation results.
@@ -153,14 +147,8 @@ class Policy:
     last_utility: float = 0.0
 
     # ------------------------------------------------------------------
-    # Lifecycle events
+    # Lifecycle
     # ------------------------------------------------------------------
-
-    def on_job_submitted(self, now: float, job: JobSnapshot) -> None:
-        """A job entered the active set.  Default: no-op."""
-
-    def on_job_completed(self, now: float, job: JobSnapshot) -> None:
-        """A job finished and left the active set.  Default: no-op."""
 
     def close(self) -> None:
         """Release any resources the policy holds.  Default: no-op.

@@ -72,7 +72,6 @@ class OptimusPolicy(Policy):
         self.max_gpus_per_job = max_gpus_per_job
         self.reallocation_interval = reallocation_interval
         self.seed = seed
-        self._prev_counts: Dict[str, int] = {}
         self._last_realloc = -float("inf")
         self._last_job_set: frozenset = frozenset()
 
@@ -211,7 +210,6 @@ class OptimusPolicy(Policy):
                 allocations[job.name] = np.zeros(
                     cluster.num_nodes, dtype=np.int64
                 )
-        self._prev_counts = counts
         return ScheduleDecision(allocations=allocations)
 
 

@@ -254,8 +254,8 @@ class SchedulerService:
         """The ``DELETE /v1/jobs/{id}`` operation (tenant-isolated).
 
         The job is cancelled through the host's cancel hook, which finishes
-        it and delivers its ``completed`` lifecycle event to the policy.
-        409 when the job already reached a terminal state.
+        it; the next scheduling round no longer sees it.  409 when the job
+        already reached a terminal state.
         """
         self.check_tenant(tenant)
         with self._lock:

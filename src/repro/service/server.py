@@ -7,8 +7,8 @@ in front of a service and serves the JSON API:
 ===========================  ===================================================
 ``POST /v1/jobs``            Submit a job (tenant from the ``X-Tenant`` header)
 ``GET /v1/jobs/{id}``        Job status (tenant-isolated; 404 across tenants)
-``DELETE /v1/jobs/{id}``     Cancel (a backend completion event through the
-                             host's cancel hook)
+``DELETE /v1/jobs/{id}``     Cancel (the job finishes now, through the host's
+                             cancel hook)
 ``GET /v1/tenants/{t}``      Usage vs quota for one tenant
 ``GET /healthz``             Liveness + host/policy/backend identity (503
                              unless the status is ``ok``)

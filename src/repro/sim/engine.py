@@ -28,17 +28,12 @@ one dispatch loop and one tick, so a replay — or a live run over a
 preloaded trace without idle gaps — reproduces the simulator's decision
 stream on the same trace by construction (``tests/test_host.py`` still
 pins it).
-
-Lifecycle events (admission/completion) are reported through
-:attr:`ClusterEngine.event_sink` at the exact points the tick reaches
-them, so hosts relay them to the policy without perturbing the event
-schedule.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -58,10 +53,8 @@ __all__ = ["ClusterEngine"]
 class ClusterEngine:
     """Mechanism state for one workload trace on one (resizable) cluster.
 
-    Construction admits nothing: call :meth:`_admit_submitted` once the
-    host is ready to receive lifecycle events.  ``event_sink`` (if set)
-    is called as ``event_sink(kind, now, job)`` with ``kind`` in
-    ``{"submitted", "completed"}`` at the exact moment the event occurs.
+    Construction admits nothing: the host admits the jobs due at time 0
+    through :meth:`_admit_submitted` when it starts.
     """
 
     def __init__(
@@ -74,8 +67,6 @@ class ClusterEngine:
         self.config = config
         self._rng = np.random.default_rng(config.seed)
         self.now = 0.0
-        #: Host-facing lifecycle sink: ``sink(kind, now, job)``.
-        self.event_sink: Optional[Callable[[str, float, SimJob], None]] = None
         # Submission-time-ordered bookkeeping: `self.jobs` is sorted by
         # (submission_time, name), so admission is a pointer walk instead
         # of a full rescan each tick, and `_active` drops jobs as they
@@ -141,10 +132,9 @@ class ClusterEngine:
         """Cancel an active or not-yet-admitted job by name.
 
         An active job finishes at the current engine time (allocation
-        zeroed, a ``completed`` event through :attr:`event_sink`, the
-        path a natural completion takes); a queued one is dropped before
-        admission, so no host ever sees it.  False for unknown or
-        completed jobs.
+        zeroed and dropped from the active list, as a natural completion
+        is); a queued one is dropped before admission, so no host ever
+        sees it.  False for unknown or completed jobs.
         """
         for job in self._active:
             if job.name == name:
@@ -152,8 +142,6 @@ class ClusterEngine:
                 job.allocation = np.zeros_like(job.allocation)
                 self._active.remove(job)
                 self._alloc_version += 1
-                if self.event_sink is not None:
-                    self.event_sink("completed", self.now, job)
                 return True
         for idx in range(self._next_submit_idx, len(self.jobs)):
             if self.jobs[idx].name == name:
@@ -187,12 +175,7 @@ class ClusterEngine:
         return self._next_submit_idx < len(self.jobs)
 
     def _admit_submitted(self) -> None:
-        """Move newly submitted jobs into the active list (in order).
-
-        Emits ``submitted`` lifecycle events through :attr:`event_sink`
-        (hosts attach report-free snapshots — agent reports belong only to
-        scheduling/autoscale dispatch events).
-        """
+        """Move newly submitted jobs into the active list (in order)."""
         jobs = self.jobs
         idx = self._next_submit_idx
         while idx < len(jobs) and jobs[idx].submission_time <= self.now:
@@ -200,8 +183,6 @@ class ClusterEngine:
             self._active.append(job)
             idx += 1
             self._alloc_version += 1
-            if self.event_sink is not None:
-                self.event_sink("submitted", self.now, job)
         self._next_submit_idx = idx
 
     def idle_gap_ticks(self) -> float:
@@ -278,7 +259,7 @@ class ClusterEngine:
         if allocations:
             self._alloc_version += 1
 
-    def _resize_cluster(
+    def _resize(
         self, num_nodes: int, grow_with: Optional["NodeSpec"] = None
     ) -> None:
         """Grow or shrink the cluster; jobs that lose GPUs restart.
@@ -358,14 +339,12 @@ class ClusterEngine:
             return
         job.progress = new_progress
 
-    def step_tick(self, profile: bool, seconds: float) -> List[SimJob]:
+    def step_tick(self, profile: bool, seconds: float) -> None:
         """Observe (optionally) and advance every active job by ``seconds``.
 
         ``profile`` gates agent profiling (hosts pass the policy's
         ``needs_agent`` capability).  Jobs that complete during the tick
-        are dropped from the active list, reported through
-        :attr:`event_sink` as ``completed`` events at the tick's start
-        time, and returned.  The engine clock is *not* advanced — sampling
+        are dropped from the active list.  The engine clock is *not* advanced — sampling
         and clock advancement are separate so hosts control their exact
         interleaving (see :meth:`sample_tick`).
         """
@@ -391,16 +370,9 @@ class ClusterEngine:
                 self._observe(job, slowdown)
             self._advance(job, seconds, slowdown)
 
-        completed: List[SimJob] = []
         if self._alloc_cache is None or self._alloc_cache[0] != self._alloc_version:
             # A job completed this tick (its allocation was zeroed).
             self._active = [j for j in active if not j.complete]
-            for job in active:
-                if job.complete:
-                    completed.append(job)
-                    if self.event_sink is not None:
-                        self.event_sink("completed", self.now, job)
-        return completed
 
     def run_one_tick(
         self, profile: bool, utility: float, seconds: float
@@ -408,9 +380,9 @@ class ClusterEngine:
         """One complete engine tick of :meth:`repro.host.ReplayBackend.advance`.
 
         Sequence (order is part of the decision-stream contract):
-        observe/advance (:meth:`step_tick`, emitting completion events),
-        utilization sample, clock advance by ``seconds``, admission
-        (emitting submission events at the new time).  A simulation steps
+        observe/advance (:meth:`step_tick`, dropping completed jobs),
+        utilization sample, clock advance by ``seconds``, admission at the
+        new time.  A simulation steps
         ``config.tick_seconds``; a live host stretches or shortens the step
         before a timer to land on it.  Returns the tick's sample; the
         caller accounts node-seconds (``cluster.num_nodes * seconds`` —

@@ -407,7 +407,7 @@ class TestHeterogeneousSimulation:
         job_b.allocation = np.array([0, 0, 0, 2])  # on a dropped node
         restarts_a = job_a.num_restarts
         restarts_b = job_b.num_restarts
-        sim._resize_cluster(2)
+        sim._resize(2)
         assert sim.cluster.num_nodes == 2
         assert job_a.num_restarts == restarts_a
         np.testing.assert_array_equal(job_a.allocation, [2, 0])

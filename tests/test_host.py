@@ -277,22 +277,24 @@ class TestPolicyHost:
     def test_bundled_resize_counted_in_metrics(self):
         cluster = ClusterSpec.homogeneous(2, 4)
 
-        class BundlingPolicy(repro.policy.Policy):
-            name = "bundling"
+        class Growing(repro.policy.Policy):
+            name = "growing"
             capabilities = repro.policy.PolicyCapabilities(autoscales=True)
 
             def schedule(self, now, state):
-                return repro.policy.ScheduleDecision(
-                    resize=repro.policy.ClusterResizeRequest(4)
-                )
+                return repro.policy.ScheduleDecision()
+
+            def decide_resize(self, now, state):
+                return repro.policy.ClusterResizeRequest(4)
 
         trace = [JobSpec("j0", MODEL_ZOO["resnet18-cifar10"], 0.0, 2, 256)]
         host = PolicyHost(
-            BundlingPolicy(),
+            Growing(),
             ReplayBackend(cluster, trace, SimConfig(seed=1, max_hours=0.25)),
         )
-        host.run()
+        result = host.run()
         assert host.metrics.summary()["resizes"] >= 1
+        assert result.timeline[-1].num_nodes == 4
 
     def test_agent_only_rounds_recorded(self):
         # With agent_interval < scheduling_interval, agent-cadence rounds
@@ -380,16 +382,16 @@ class TestThreadedBackend:
             ThreadedConfig(time_scale=2400.0, quantum_seconds=0.01),
             trace=trace,
         )
-        submitted = []
+        # Job name -> (round time it first appeared in, submission time).
+        first_seen = {}
 
         class Recorder(repro.policy.Policy):
             name = "recorder"
             capabilities = repro.policy.PolicyCapabilities()
 
-            def on_job_submitted(self, now, job):
-                submitted.append((job.name, now))
-
             def schedule(self, now, state):
+                for snap in state.jobs:
+                    first_seen.setdefault(snap.name, (now, snap.submission_time))
                 allocations = {
                     snap.name: np.array([snap.fixed_num_gpus, 0])
                     for snap in state.jobs
@@ -400,10 +402,10 @@ class TestThreadedBackend:
         host.start()
         result = host.drain(timeout=120.0)
         assert result is not None
-        names = [name for name, _ in submitted]
-        assert names == ["t-0", "t-1"]
-        # The late job was admitted no earlier than its recorded time.
-        assert dict(submitted)["t-1"] >= 300.0
+        assert list(first_seen) == ["t-0", "t-1"]
+        # No job reached a round before its recorded submission time.
+        assert all(now >= submitted for now, submitted in first_seen.values())
+        assert first_seen["t-1"][0] >= 300.0
 
     def test_non_adaptive_policy_keeps_fixed_batch_size(self):
         cluster = ClusterSpec.homogeneous(2, 4)
@@ -626,16 +628,14 @@ class TestLiveMechanism:
             )
         else:
             backend = ReplayBackend(cluster, trace, SimConfig(seed=1, max_hours=10.0))
-        seen = []
+        seen = set()
 
         class Recorder(repro.policy.Policy):
             name = "recorder"
             capabilities = repro.policy.PolicyCapabilities()
 
-            def on_job_submitted(self, now, job):
-                seen.append(job.name)
-
             def schedule(self, now, state):
+                seen.update(snap.name for snap in state.jobs)
                 allocations = {
                     snap.name: np.array([snap.fixed_num_gpus, 0])
                     for snap in state.jobs
@@ -648,7 +648,7 @@ class TestLiveMechanism:
         host.start()
         result = host.drain(timeout=120.0)
         assert result is not None
-        assert seen == ["early"]
+        assert seen == {"early"}
         assert [r.name for r in result.records] == ["early"]
 
     def test_completed_live_job_is_a_record(self):
@@ -865,9 +865,10 @@ class TestLiveContainment:
             capabilities = repro.policy.PolicyCapabilities(autoscales=True)
 
             def schedule(self, now, state):
-                return repro.policy.ScheduleDecision(
-                    resize=repro.policy.ClusterResizeRequest(3)
-                )
+                return repro.policy.ScheduleDecision()
+
+            def decide_resize(self, now, state):
+                return repro.policy.ClusterResizeRequest(3)
 
         caplog.set_level(logging.INFO, logger="repro.host")
         host = PolicyHost(Growing(), fast_threaded(cluster))

@@ -37,7 +37,6 @@ from repro.core.throughput import (
     _run_lbfgsb,
     fit_throughput_params,
     t_iter_scalar,
-    throughput_scalar,
 )
 from repro.workload.gns import GNSTrajectory
 from fit_reference import reference_fit
@@ -67,9 +66,6 @@ class TestScalarThroughputPaths:
             speed = float(rng.uniform(0.5, 4.0))
             assert t_iter_scalar(p, nodes, gpus, m, speed) == float(
                 model.t_iter(nodes, gpus, m, speed)
-            )
-            assert throughput_scalar(p, nodes, gpus, m, speed) == float(
-                model.throughput(nodes, gpus, m, speed)
             )
 
     def test_goodput_scalar_bit_identical(self):

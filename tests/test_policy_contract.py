@@ -8,7 +8,7 @@ handling, snapshot immutability, and capabilities that every *host*
 actually honors (profiling, batch-size tuning, autoscale dispatch).  The
 capability/dispatch sections run parameterized over both hosts — the
 discrete-time simulator and the wall-clock PolicyHost on a replayed trace
-— pinning that capability handling and lifecycle events behave
+— pinning that capability handling and resize dispatch behave
 identically no matter which host drives the policy.
 """
 
@@ -22,7 +22,6 @@ from repro.cluster import ClusterSpec, validate_allocation_matrix
 from repro.core import AutoscaleConfig, GAConfig, PolluxSchedConfig
 from repro.host import PolicyHost, ReplayBackend
 from repro.policy import (
-    ClusterResizeRequest,
     ClusterState,
     Policy,
     PolicyCapabilities,
@@ -335,24 +334,15 @@ class TestHostsHonorCapabilities:
 
 
 # ----------------------------------------------------------------------
-# Dispatch: lifecycle events and resize handling
+# Dispatch: resize cadence and agent reports
 # ----------------------------------------------------------------------
 
 
-class _RecordingPolicy(Policy):
-    """First-fit allocator that records lifecycle/dispatch events."""
+class _FirstFitPolicy(Policy):
+    """First-fit allocator: every job gets its requested GPUs if they fit."""
 
-    name = "recording"
+    name = "first-fit"
     capabilities = PolicyCapabilities()
-
-    def __init__(self):
-        self.events = []
-
-    def on_job_submitted(self, now, job):
-        self.events.append(("submitted", now, job.name, job.agent_report))
-
-    def on_job_completed(self, now, job):
-        self.events.append(("completed", now, job.name))
 
     def schedule(self, now, state):
         # Give every job its requested GPUs so jobs can finish.
@@ -373,71 +363,12 @@ class _RecordingPolicy(Policy):
         return ScheduleDecision(allocations=allocations)
 
 
-class _ResizingPolicy(_RecordingPolicy):
-    """Bundles a resize request with every scheduling decision."""
-
-    name = "resizing"
-
-    def __init__(self, target_nodes, autoscales):
-        super().__init__()
-        self.target_nodes = target_nodes
-        self.capabilities = PolicyCapabilities(autoscales=autoscales)
-
-    def schedule(self, now, state):
-        decision = super().schedule(now, state)
-        return ScheduleDecision(
-            allocations=decision.allocations,
-            resize=ClusterResizeRequest(self.target_nodes),
-        )
-
-
 @pytest.mark.parametrize("host", HOSTS)
 class TestDispatch:
-    def test_lifecycle_events_fire(self, host):
-        cluster = ClusterSpec.homogeneous(2, 4)
-        policy = _RecordingPolicy()
-        run_host(
-            host,
-            cluster,
-            policy,
-            _trace(cluster, 2, gpus=4),
-            SimConfig(seed=0, max_hours=20.0),
-        )
-        submitted = [e for e in policy.events if e[0] == "submitted"]
-        completed = [e for e in policy.events if e[0] == "completed"]
-        assert [e[2] for e in submitted] == ["job-0", "job-1"]
-        # Lifecycle snapshots are report-free by contract.
-        assert all(e[3] is None for e in submitted)
-        assert sorted(e[2] for e in completed) == ["job-0", "job-1"]
-
-    def test_bundled_resize_honored_with_capability(self, host):
-        cluster = ClusterSpec.homogeneous(2, 4)
-        policy = _ResizingPolicy(target_nodes=4, autoscales=True)
-        result, _ = run_host(
-            host,
-            cluster,
-            policy,
-            _trace(cluster, 1),
-            SimConfig(seed=0, max_hours=0.5),
-        )
-        assert result.timeline[-1].num_nodes == 4
-
-    def test_bundled_resize_ignored_without_capability(self, host):
-        cluster = ClusterSpec.homogeneous(2, 4)
-        policy = _ResizingPolicy(target_nodes=4, autoscales=False)
-        result, _ = run_host(
-            host,
-            cluster,
-            policy,
-            _trace(cluster, 1),
-            SimConfig(seed=0, max_hours=0.5),
-        )
-        assert result.timeline[-1].num_nodes == 2
-
     def test_decide_resize_cadence(self, host):
         calls = []
 
-        class CadencePolicy(_RecordingPolicy):
+        class CadencePolicy(_FirstFitPolicy):
             capabilities = PolicyCapabilities(
                 autoscales=True, autoscale_interval=120.0
             )
@@ -462,7 +393,7 @@ class TestDispatch:
         cluster = ClusterSpec.homogeneous(2, 4)
         seen = []
 
-        class AgentPolicy(_RecordingPolicy):
+        class AgentPolicy(_FirstFitPolicy):
             capabilities = PolicyCapabilities(
                 adapts_batch_size=True, needs_agent=True
             )
