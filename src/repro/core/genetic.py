@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -400,12 +400,15 @@ class GeneticOptimizer:
       random distributed job — with the distributed set updated in place
       between passes (see :meth:`_repair_interference` for why single-pass
       resolution over-removes).
-    - **One scan per population.**  The wide repair hands the non-zero
-      cells it found to interference repair, which hands on the ones it
-      left, and fitness scores the population from them: a repaired
-      population is scanned once.  Narrow populations keep the dense
-      reductions.  :meth:`run` repairs the arrays it owns in place, and
-      crossover builds its offspring with one gather of parent rows.
+    - **One scan per population, one buffer set per run.**  The wide
+      repair hands the non-zero cells it found to interference repair,
+      which hands on the ones it left, and fitness scores the population
+      from them: a repaired population is scanned once.  Narrow
+      populations keep the dense reductions.  :meth:`run` allocates its
+      population-sized arrays once, a ``(3P, J, N)`` selection pool and
+      the survivors, and every generation writes into them: mutation and
+      crossover (one gather of parent rows) fill the pool's slices,
+      repair works on them in place and selection gathers from the pool.
     - **Explore, then recombine.**  Each generation mutates the
       population, scores the repaired mutants, and recombines tournament
       winners *of the mutants* — the order matters (crossover of two good
@@ -467,23 +470,34 @@ class GeneticOptimizer:
     # Operators
     # ------------------------------------------------------------------
 
-    def _mutate(self, population: np.ndarray) -> np.ndarray:
+    def _mutate(
+        self, population: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Mutate each element with probability 1/N to a random feasible value.
 
         On uniform-capacity clusters ``Generator.integers`` takes a scalar
         upper bound, which is substantially cheaper than the
         broadcast-array bound (same distribution, different stream — which
         of the two runs is fixed by the cluster, not by a switch).
+
+        The mutants are written to ``out`` (a C-contiguous int64 array of
+        ``population``'s shape, not ``population`` itself) when given, else
+        to a new array.  ``out``'s memory, read as float64, first holds the
+        mask's uniforms: the same block ``rng.random(shape)`` draws.
         """
         caps = self.problem.capacities
         prob = 1.0 / max(self.problem.num_nodes, 1)
         shape = population.shape
-        mask = self.rng.random(shape) < prob
+        if out is None:
+            out = np.empty(shape, dtype=np.int64)
+        mask = self.rng.random(out=out.view(np.float64)) < prob
         if caps.size and caps.min() == caps.max():
             random_vals = self.rng.integers(0, int(caps[0]) + 1, size=shape)
         else:
             random_vals = self.rng.integers(0, caps[None, None, :] + 1, size=shape)
-        return np.where(mask, random_vals, population)
+        np.copyto(out, population)
+        np.copyto(out, random_vals, where=mask)
+        return out
 
     def _tournament(self, fitness: np.ndarray, count: int) -> np.ndarray:
         """Indices of ``count`` winners of size-k tournaments."""
@@ -493,11 +507,19 @@ class GeneticOptimizer:
         winner_slot = np.argmax(fitness[entrants], axis=1)
         return entrants[np.arange(count), winner_slot]
 
-    def _crossover(self, population: np.ndarray, fitness: np.ndarray) -> np.ndarray:
+    def _crossover(
+        self,
+        population: np.ndarray,
+        fitness: np.ndarray,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Produce offspring by randomly mixing rows of tournament winners.
 
         Offspring row ``j`` is row ``j`` of parent a or of parent b, so the
-        offspring are one gather from the population's ``(P * J, N)`` rows.
+        offspring are one gather from the population's ``(P * J, N)`` rows,
+        into ``out`` when given.  The row indices are in range by
+        construction; ``mode="clip"`` only spares the gather the buffered
+        copy ``mode="raise"`` makes of ``out``.
         """
         count, num_jobs, num_nodes = population.shape
         parents_a = self._tournament(fitness, count)
@@ -505,7 +527,9 @@ class GeneticOptimizer:
         take_a = self.rng.random((count, num_jobs)) < 0.5
         rows = np.where(take_a, parents_a[:, None], parents_b[:, None])
         rows = rows * num_jobs + np.arange(num_jobs)
-        return population.reshape(count * num_jobs, num_nodes).take(rows, axis=0)
+        return population.reshape(count * num_jobs, num_nodes).take(
+            rows, axis=0, out=out, mode="clip"
+        )
 
     # ------------------------------------------------------------------
     # Vectorized repair
@@ -553,7 +577,7 @@ class GeneticOptimizer:
         keep_mask = self.problem.type_masks[dominant]  # (V, N)
         pop[where_p, where_j] = pop[where_p, where_j] * keep_mask
 
-    def _repair_caps_capacity(self, pop: np.ndarray) -> None:
+    def _repair_caps_capacity(self, pop: np.ndarray) -> Optional[np.ndarray]:
         """Fused job-cap + node-capacity repair in one batched pass.
 
         Both violation sets are detected on the *same* input matrix and
@@ -829,14 +853,18 @@ class GeneticOptimizer:
         return self._seed(initial)[0]
 
     def _seed(
-        self, initial: Optional[np.ndarray]
+        self, initial: Optional[np.ndarray], out: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """:meth:`seed_population` and the support its repair returned."""
+        """:meth:`seed_population`, built in ``out`` (a C-contiguous int64
+        ``(P, J, N)`` array) when given, and the support its repair
+        returned."""
         p_size = self.config.population_size
         num_jobs = self.problem.num_jobs
         num_nodes = self.problem.num_nodes
-        members: List[np.ndarray] = [self.problem.current.copy()]
+        pop = np.empty((p_size, num_jobs, num_nodes), np.int64) if out is None else out
+        pop[0] = self.problem.current
         anchor = self.problem.current
+        filled = 1
         if initial is not None:
             init = np.asarray(initial, dtype=np.int64)
             if init.ndim != 3 or init.shape[1:] != (num_jobs, num_nodes):
@@ -846,16 +874,12 @@ class GeneticOptimizer:
                 )
             if len(init):
                 anchor = init[0]
-                members.extend(init[: p_size - 1])
-        fill = p_size - len(members)
-        if fill > 0:
-            neighbors = np.repeat(anchor[None], fill, axis=0)
-            members.append(self._mutate(neighbors).reshape(fill, num_jobs, num_nodes))
-            pop = np.concatenate(
-                [np.stack(members[:-1]), members[-1]]
-            ).astype(np.int64)
-        else:
-            pop = np.stack(members[:p_size]).astype(np.int64)
+                bootstrap = init[: p_size - 1]
+                pop[1 : 1 + len(bootstrap)] = bootstrap
+                filled += len(bootstrap)
+        if filled < p_size:
+            neighbors = pop[filled:]
+            self._mutate(np.broadcast_to(anchor, neighbors.shape), out=neighbors)
         return pop, self._repair_in_place(pop)
 
     def run(
@@ -864,7 +888,9 @@ class GeneticOptimizer:
         """Run the GA and return (best matrix, best fitness, population).
 
         The returned population is fitness-sorted descending, so element 0
-        of the next round's bootstrap is this round's best allocation.
+        of the next round's bootstrap is this round's best allocation.  It
+        is the array selection gathers the survivors into, not a view of
+        the pool, so holding it keeps no other buffer of the run alive.
         """
         self._reset_timings()
         if self.problem.num_jobs == 0:
@@ -875,11 +901,17 @@ class GeneticOptimizer:
             )
 
         p_size = self.config.population_size
-        population, support = self._seed(initial)
-        fitness = self._timed_fitness(population, support)
+        pool = np.empty(
+            (3 * p_size, self.problem.num_jobs, self.problem.num_nodes), np.int64
+        )
+        # The population's, the mutants' and the offspring's slices.
+        current, mutated, offspring = np.split(pool, 3)
+        population = np.empty_like(current)
+        _, support = self._seed(initial, out=current)
+        fitness = self._timed_fitness(current, support)
         t0 = time.perf_counter()
         order = np.argsort(-fitness, kind="stable")
-        population = population[order]
+        current.take(order, axis=0, out=population, mode="clip")
         fitness = fitness[order]
         self.phase_ms["select_ms"] += (time.perf_counter() - t0) * 1000.0
 
@@ -895,18 +927,18 @@ class GeneticOptimizer:
             # exactly where such moves pay (benchmarked: elite-crossover
             # variants cost several percent avg JCT on overloaded traces).
             t0 = time.perf_counter()
-            mutated = self._mutate(population)
+            self._mutate(population, out=mutated)
             self.phase_ms["mutate_ms"] += (time.perf_counter() - t0) * 1000.0
             support = self._repair_in_place(mutated)
             mutated_fitness = self._timed_fitness(mutated, support)
             t0 = time.perf_counter()
-            offspring = self._crossover(mutated, mutated_fitness)
+            self._crossover(mutated, mutated_fitness, out=offspring)
             self.phase_ms["select_ms"] += (time.perf_counter() - t0) * 1000.0
             support = self._repair_in_place(offspring)
             offspring_fitness = self._timed_fitness(offspring, support)
 
             t0 = time.perf_counter()
-            pool = np.concatenate([population, mutated, offspring])
+            np.copyto(current, population)
             pool_fitness = np.concatenate(
                 [fitness, mutated_fitness, offspring_fitness]
             )
@@ -914,7 +946,7 @@ class GeneticOptimizer:
             # so an equally-fit incumbent (restart-free) allocation is
             # never displaced by a reshuffled twin.
             keep = np.argsort(-pool_fitness, kind="stable")[:p_size]
-            population = pool[keep]
+            pool.take(keep, axis=0, out=population, mode="clip")
             fitness = pool_fitness[keep]
             self.phase_ms["select_ms"] += (time.perf_counter() - t0) * 1000.0
 

@@ -9,6 +9,7 @@ operator cases live in ``tests/test_genetic.py``.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -500,17 +501,22 @@ class RescanOptimizerV2(GeneticOptimizer):
     row at full width and ``_repair_interference`` ignores any support it is
     handed and re-reduces the whole ``(P, J, N)`` tensor on every pass.
     ``_crossover`` selects between two gathered parent populations with
-    ``np.where``.  No repair returns a support, so the oracle's fitness is
-    the dense one.  The shipped methods must return the same arrays *and*
-    leave the generator in the same state.
+    ``np.where``, and copies the result into ``out`` when given.  No repair
+    returns a support, so the oracle's fitness is the dense one.  The
+    shipped methods must return the same arrays *and* leave the generator
+    in the same state.
     """
 
-    def _crossover(self, population, fitness):
+    def _crossover(self, population, fitness, out=None):
         count = population.shape[0]
         parents_a = population[self._tournament(fitness, count)]
         parents_b = population[self._tournament(fitness, count)]
         take_a = self.rng.random((count, self.problem.num_jobs, 1)) < 0.5
-        return np.where(take_a, parents_a, parents_b)
+        offspring = np.where(take_a, parents_a, parents_b)
+        if out is None:
+            return offspring
+        np.copyto(out, offspring)
+        return out
 
     def _repair_caps_capacity(self, pop):
         num_jobs = self.problem.num_jobs
@@ -898,3 +904,70 @@ class TestSupportHandOff:
             got = shipped._crossover(pop, fitness)
             np.testing.assert_array_equal(got, oracle._crossover(pop, fitness))
             assert shipped.rng.bit_generator.state == oracle.rng.bit_generator.state
+
+
+class TestBufferStreamIdentity:
+    """The operators' ``out=`` forms write the arrays the allocating calls
+    return into the buffer they are given, and draw the same numbers."""
+
+    @pytest.mark.parametrize(
+        "num_jobs, num_nodes, mixed",
+        [(1, 1, False), (5, 4, False), (5, 4, True), (70, 8, True), (128, 32, False)],
+    )
+    def test_mutate_into_buffer(self, num_jobs, num_nodes, mixed):
+        data = np.random.default_rng(num_jobs)
+        problem = random_problem(data, num_jobs, num_nodes, 4, False, True)
+        if mixed:  # per-node capacities differ: the array-bound draw
+            half = num_nodes // 2
+            cluster = ClusterSpec.heterogeneous(
+                (("v100", half, 4), ("t4", num_nodes - half, 8))
+            )
+            problem = AllocationProblem(cluster, problem.jobs)
+        for trial in range(3):
+            pop = random_population(data, 6, problem, 0.3, 4)
+            buf = np.full(pop.shape, -1, dtype=np.int64)
+            want_opt, got_opt = engine_pair(problem, seed=trial)
+            want = want_opt._mutate(pop)
+            assert got_opt._mutate(pop, out=buf) is buf
+            np.testing.assert_array_equal(buf, want)
+            assert got_opt.rng.bit_generator.state == want_opt.rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "members, num_jobs, num_nodes", [(1, 1, 3), (4, 5, 1), (16, 70, 8)]
+    )
+    def test_crossover_into_buffer(self, members, num_jobs, num_nodes):
+        data = np.random.default_rng(num_jobs)
+        problem = random_problem(data, num_jobs, num_nodes, 4, False, True)
+        for trial in range(5):
+            pop = random_population(data, members, problem, 0.3, 4)
+            fitness = data.random(members)
+            buf = np.full(pop.shape, -1, dtype=np.int64)
+            want_opt, got_opt = engine_pair(problem, seed=trial)
+            want = want_opt._crossover(pop, fitness)
+            assert got_opt._crossover(pop, fitness, out=buf) is buf
+            np.testing.assert_array_equal(buf, want)
+            assert got_opt.rng.bit_generator.state == want_opt.rng.bit_generator.state
+
+
+class TestRunMemoryBound:
+    def test_run_peak_and_ownership(self):
+        """A run holds four populations' bytes in its buffers (the 3P pool
+        and the survivors), plus the transient draw blocks of one repair,
+        ~3 more at this shape.  Allocating its temporaries in every
+        generation, the same run peaked at 9.0x."""
+        data = np.random.default_rng(4)
+        problem = random_problem(data, 128, 32, 8, False, True)
+        config = GAConfig(population_size=16, generations=4, patience=0)
+        opt = GeneticOptimizer(problem, config, rng=np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            best, _, population = opt.run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert population.shape == (16, 128, 32)
+        assert peak <= 8.0 * population.nbytes
+        # What the scheduler keeps for the next round holds no buffer.
+        assert population.base is None and best.base is None
+        assert not np.shares_memory(best, population)
+        assert opt.seed_population().base is None
