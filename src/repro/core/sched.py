@@ -16,9 +16,7 @@ scheduling rounds to bootstrap the next optimization (Sec. 4.3).
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -245,17 +243,10 @@ class PolluxSched:
         #: ``table_ms`` (speedup-table rows: the prefill and every fill
         #: the GA's lookups make, which ``fitness_ms`` leaves out), the GA
         #: engine's ``repair_ms``/``fitness_ms``/``select_ms``/``mutate_ms``, and
-        #: ``total_ms``; under a :attr:`ga_gate` also ``wait_ms``, the wait
-        #: for it, which ``total_ms`` leaves out.  Lets perf regressions
-        #: localize to a phase: the perf ledger's traced runs read it every
-        #: round into its ``core.*_ms_mean`` rows (``benchmarks/e2e/``).
+        #: ``total_ms``.  Lets perf regressions localize to a phase: the
+        #: perf ledger's traced runs read it every round into its
+        #: ``core.*_ms_mean`` rows (``benchmarks/e2e/``).
         self.last_phase_timings: Dict[str, float] = {}
-        #: Lock held around the GA (not the prefill; the GA's on-demand
-        #: table fills run under it), or None.  Set by
-        #: whoever runs several schedulers on threads of one interpreter
-        #: (``repro.shard.executor.ThreadCellExecutor``): two GAs at once
-        #: trade the GIL at every numpy call and finish no sooner.
-        self.ga_gate: Optional[threading.Lock] = None
         #: Shared throughput-cell cache.  An explicitly passed cache (e.g.
         #: the live scheduler's, handed to an autoscaler probe) wins over a
         #: fresh one of its own; see surfacecache.py.
@@ -395,11 +386,7 @@ class PolluxSched:
                 ga_config = replace(ga_config, patience=0)
             self._resized_since_round = False
         optimizer = GeneticOptimizer(problem, ga_config, rng=self._rng)
-        gate = self.ga_gate
-        t_gate = time.perf_counter()
-        with gate if gate is not None else nullcontext():
-            t_ga = time.perf_counter()
-            best, _, population = optimizer.run(initial=initial)
+        best, _, population = optimizer.run(initial=initial)
 
         self._population = population
         self._population_job_ids = list(job_ids)
@@ -409,10 +396,6 @@ class PolluxSched:
             **optimizer.phase_ms,
             "total_ms": (time.perf_counter() - t_start) * 1000.0,
         }
-        if gate is not None:
-            wait_ms = (t_ga - t_gate) * 1000.0
-            self.last_phase_timings["wait_ms"] = wait_ms
-            self.last_phase_timings["total_ms"] -= wait_ms
         return {jid: best[j].copy() for j, jid in enumerate(job_ids)}
 
     def utility(self, jobs: Sequence[SchedJobInfo], matrix: np.ndarray) -> float:

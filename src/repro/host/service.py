@@ -378,9 +378,8 @@ class PolicyHost:
         finally:
             backend.drain_events()
             backend.stop()
-            # Release whatever the policy holds (shard-cell threads,
-            # worker processes, cached cells) — the host owns the policy
-            # lifecycle.
+            # Release whatever the policy holds (worker processes, cached
+            # cells) — the host owns the policy lifecycle.
             policy.close()
         self.result = backend.collect_result(policy.name)
         return self.result

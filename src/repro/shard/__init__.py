@@ -6,11 +6,12 @@ package cuts the cluster into *cells* — disjoint single-GPU-type node sets
 — and runs one warm-started :class:`~repro.core.sched.PolluxSched` per
 cell, behind the ordinary Policy API as ``pollux-sharded``.  The GA's cost
 is superlinear in (jobs × nodes), so C size-balanced cells do roughly
-1/C² of the work each, ~1/C in total.  That matrix shrink is the win; the
-cell rounds additionally fan out over as many threads (or worker
-processes) as the host has usable cores, never more
+1/C² of the work each, ~1/C in total.  That matrix shrink is the win.
+By default the cells run one after another on the calling thread; with
+``execution="process"`` they fan out over as many worker processes as the
+host has usable cores, never more
 (:func:`~repro.shard.executor.fanout_width` states the rule and what was
-measured: on one core the cells simply run one after another).
+measured).
 
 Scaling out, step by step
 -------------------------
@@ -63,14 +64,12 @@ Execution backends
 Cell rounds run behind a :class:`~repro.shard.executor.CellExecutor`,
 selected with ``ShardedPolicy(execution=...)``:
 
-- ``"thread"`` (default): in-process schedulers on a ``shard-cell``
-  thread pool.  Threads overlap what releases the GIL for long stretches,
-  which is a cold table build (``np.power``); the GA is a run of short
-  numpy calls that trades the GIL at each one, so the executor lets one
-  cell into its GA at a time (the wait is each cell's ``wait_ms``) and a
-  warm round costs what the cells cost one after another.  Zero
-  serialization cost; right for small cell counts, short rounds, or
-  introspection (``cell_schedulers``).
+- ``"thread"`` (default): in-process schedulers, and the cells run one
+  after another on the calling thread; no thread is started.  The GA is a
+  run of short numpy calls that trades the GIL at each one, so two cell
+  GAs on threads of one interpreter finish no sooner than one after the
+  other.  Zero serialization cost; right for small cell counts, short
+  rounds, or introspection (``cell_schedulers``).
 - ``"process"``: persistent worker processes, each owning its cells' warm
   :class:`~repro.core.sched.PolluxSched` (GA population,
   ``SurfaceCache``/``TputCells``, RNG state all stay worker-side across

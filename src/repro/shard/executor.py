@@ -5,16 +5,15 @@ PolluxSched` instances and runs one optimize round per cell when asked.
 Two implementations:
 
 - :class:`ThreadCellExecutor` (default): schedulers live in-process and
-  multi-cell rounds run on a ``shard-cell`` thread pool, table builds
-  side by side and one cell's GA at a time.
+  the cells run one after another on the calling thread.
 - :class:`ProcessCellExecutor`: persistent worker processes each own their
   cells' warm schedulers (GA population, ``SurfaceCache``/``TputCells``,
   RNG state all live worker-side across rounds, never re-pickled).  The
   parent ships compact per-round deltas (:mod:`repro.shard.wire`) and
   receives allocations plus per-phase timings back.
 
-Both fan a round out over :func:`fanout_width` threads or processes — the
-one rule for how wide, and the measurements behind it, are on that
+The process backend fans a round out over :func:`fanout_width` workers —
+the one rule for how wide, and the measurements behind it, are on that
 function.
 
 Both backends produce bit-identical decision streams at a fixed seed: each
@@ -35,9 +34,7 @@ from __future__ import annotations
 import logging
 import multiprocessing as mp
 import os
-import threading
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -76,22 +73,16 @@ def _usable_cores() -> int:
 
 
 def fanout_width(num_cells: int, max_workers: Optional[int] = None) -> int:
-    """Threads or worker processes one round's cells fan out over.
+    """Worker processes one round's cells fan out over (process backend).
 
     ``min(num_cells, usable cores)``: a cell round is CPU-bound from start
     to finish, so a worker beyond the core count adds no throughput, only
-    contention (on 2 cores with 8 cells of 128 jobs, 8 ungated threads ran
-    a steady round in 623-755 ms against 475-566 ms for two, with 12x the
-    system time and 1.5x the peak RSS).  Width 1 means no pool at all: the
-    cells run one after another in the caller.
-
-    Worker processes run whole cell rounds side by side.  Threads overlap
-    only what releases the GIL for long stretches, a cold table build's
-    ``np.power``; two GAs at once trade the GIL at every numpy call (1.3x
-    the wall and 1.8x the CPU of one after the other, 11-12 thousand
-    context switches a round), so :class:`ThreadCellExecutor` runs one GA
-    at a time and its width is how many table builds may run beside it.
-    Measurements: ROADMAP.md ("Measured findings to keep").
+    contention.  Worker processes run whole cell rounds side by side, each
+    with its own interpreter lock and heap.  Threads of one interpreter do
+    not: two cell GAs at once trade the GIL at every numpy call (1.3x the
+    wall and 1.8x the CPU of one after the other), so
+    :class:`ThreadCellExecutor` does not fan out at all.  Measurements:
+    ROADMAP.md ("Measured findings to keep").
 
     ``max_workers`` overrides the core count (still capped at the cell
     count): pass it when the cores are shared with other work or when the
@@ -107,9 +98,10 @@ class CellResult:
     """One cell's round outcome, as returned by an executor.
 
     ``phase_timings`` carries the cell scheduler's own per-phase wall
-    clock, plus (process executor only) ``ipc_ms`` — the round-trip time
-    not accounted for by worker-side compute, i.e. serialization plus
-    pipe transfer plus queueing.  ``fallback`` marks a round that ran on
+    clock (``PolluxSched.last_phase_timings``), plus (process executor
+    only) ``ipc_ms`` — the round-trip time not accounted for by
+    worker-side compute, i.e. serialization plus pipe transfer plus
+    queueing.  ``fallback`` marks a round that ran on
     the parent-side fallback scheduler after a worker failure.
     """
 
@@ -117,6 +109,19 @@ class CellResult:
     utility: float
     phase_timings: Dict[str, float] = field(default_factory=dict)
     fallback: bool = False
+
+
+def _cell_round(
+    sched: PolluxSched, jobs: Sequence[SchedJobInfo], fallback: bool = False
+) -> CellResult:
+    """Run one ``sched.optimize`` round and wrap its outcome."""
+    allocations = sched.optimize(jobs)
+    return CellResult(
+        allocations=allocations,
+        utility=float(sched.last_utility),
+        phase_timings=dict(sched.last_phase_timings),
+        fallback=fallback,
+    )
 
 
 class CellExecutor:
@@ -127,14 +132,14 @@ class CellExecutor:
     layout change), after which all warm state is deliberately cold, just
     like the pre-executor code.  :meth:`run_rounds` runs one optimize
     round per cell and must return one :class:`CellResult` per cell, in
-    cell order.  :meth:`close` releases threads/processes; a closed
-    executor revives lazily on the next :meth:`run_rounds`.
+    cell order.  :meth:`close` releases worker processes and cached
+    cells; a closed executor revives lazily on the next :meth:`run_rounds`.
     """
 
     #: Rounds that fell back in-process after a worker failure (telemetry).
     fallback_rounds: int = 0
-    #: Threads or worker processes the last round actually ran on
-    #: (telemetry; see :func:`fanout_width`).
+    #: Worker processes the last round actually ran on (telemetry; see
+    #: :func:`fanout_width`); always 1 for the in-process executor.
     width: int = 1
 
     def configure(
@@ -161,76 +166,36 @@ class CellExecutor:
 
 
 class ThreadCellExecutor(CellExecutor):
-    """In-process cell rounds on a ``shard-cell`` thread pool, GAs gated.
+    """In-process cell rounds: the cells run on the calling thread.
 
-    At width 1 (:func:`fanout_width`: one cell, or one usable core) the
-    cells run inline in the caller, one after another.  Wider rounds map
-    over a lazily created pool of that many threads, and the cell
-    schedulers share one lock as their ``ga_gate``: a cell builds its
-    tables as soon as a pool thread is free, then queues for the lock and
-    runs its GA alone.  A warm round costs what it costs inline; a cold
-    one overlaps each table build with a neighbour's GA.  The queueing is
-    each cell's ``wait_ms`` phase and part of no other, ``total_ms``
-    included (like ``ipc_ms`` under the process executor).  A GA that
-    raises releases the lock.
-
-    ``close()`` shuts the pool down (with ``wait=True``, so no
-    ``shard-cell`` thread outlives the policy) and drops the schedulers'
-    cached cells; their GA populations survive, and the pool is recreated
-    on the next round if the policy keeps going.
+    One round runs the cells one after another, in cell order, and starts
+    no thread (its ``width`` is always 1).  Threads would buy nothing:
+    two GAs of one interpreter trade the GIL at every numpy call and
+    finish no sooner than one after the other.  ``close()`` drops the
+    schedulers' cached cells; their GA populations survive, so a closed
+    executor keeps its warm state if the policy keeps going.
     """
 
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = max_workers
-        self.fallback_rounds = 0
+    def __init__(self):
         self._scheds: List[PolluxSched] = []
-        self._cells: Tuple[Cell, ...] = ()
-        self._cluster: Optional[ClusterSpec] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
 
     @property
     def schedulers(self) -> Tuple[PolluxSched, ...]:
         return tuple(self._scheds)
 
     def configure(self, cluster, cells, config, seed):
-        self._cluster = cluster
-        self._cells = tuple(cells)
         self._scheds = [
             PolluxSched(cell.subspec(cluster), config, seed=seed + i)
-            for i, cell in enumerate(self._cells)
+            for i, cell in enumerate(cells)
         ]
-        width = fanout_width(len(self._cells), self.max_workers)
-        if width != self.width:
-            self.close()
-        self.width = width
-        if width > 1:
-            gate = threading.Lock()
-            for sched in self._scheds:
-                sched.ga_gate = gate
 
     def run_rounds(self, rounds):
-        def cell_round(idx: int) -> CellResult:
-            sched = self._scheds[idx]
-            sched.set_cluster(self._cells[idx].subspec(self._cluster))
-            allocations = sched.optimize(rounds[idx])
-            return CellResult(
-                allocations=allocations,
-                utility=float(sched.last_utility),
-                phase_timings=dict(sched.last_phase_timings),
-            )
-
-        if self.width == 1:
-            return [cell_round(idx) for idx in range(len(rounds))]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.width, thread_name_prefix="shard-cell"
-            )
-        return list(self._pool.map(cell_round, range(len(rounds))))
+        return [
+            _cell_round(sched, jobs)
+            for sched, jobs in zip(self._scheds, rounds, strict=True)
+        ]
 
     def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         for sched in self._scheds:
             sched.surface_cache.clear()
 
@@ -520,13 +485,7 @@ class ProcessCellExecutor(CellExecutor):
                 seed=self._seed + idx,
             )
             self._fallback_scheds[idx] = sched
-        allocations = sched.optimize(jobs)
-        return CellResult(
-            allocations=allocations,
-            utility=float(sched.last_utility),
-            phase_timings=dict(sched.last_phase_timings),
-            fallback=True,
-        )
+        return _cell_round(sched, jobs, fallback=True)
 
     def _replace_dead_workers(self) -> None:
         ctx = None
@@ -575,9 +534,20 @@ def make_executor(
     start_method: Optional[str] = None,
     round_timeout: Optional[float] = None,
 ) -> CellExecutor:
-    """Build the executor for ``ShardedPolicy(execution=...)``."""
+    """Build the executor for ``ShardedPolicy(execution=...)``.
+
+    ``max_workers``, ``start_method`` and ``round_timeout`` configure the
+    worker processes; passing any of them with ``execution="thread"``
+    raises ``ValueError`` rather than being ignored.
+    """
     if execution == "thread":
-        return ThreadCellExecutor(max_workers=max_workers)
+        if (max_workers, start_method, round_timeout) != (None, None, None):
+            raise ValueError(
+                "max_workers, start_method and round_timeout apply to "
+                "execution='process' only; the thread executor runs its "
+                "cells on the calling thread"
+            )
+        return ThreadCellExecutor()
     if execution == "process":
         return ProcessCellExecutor(
             max_workers=max_workers,

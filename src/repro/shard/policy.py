@@ -40,20 +40,22 @@ class ShardedPolicy(Policy):
             :class:`~repro.shard.partition.TypeCellPartitioner` (one cell
             per GPU type).
         execution: Cell-round backend: ``"thread"`` (default, in-process
-            schedulers on a ``shard-cell`` thread pool) or ``"process"``
-            (persistent worker processes, one warm scheduler per cell,
-            fed compact deltas — see :mod:`repro.shard.executor`).  Both
-            produce the same decision stream bit-for-bit at a fixed seed.
-        max_workers: Concurrency width for cell rounds (threads or worker
-            processes), capped at the cell count; defaults to the usable
-            core count (:func:`~repro.shard.executor.fanout_width`).
-        start_method: ``multiprocessing`` start method for
-            ``execution="process"`` (``None`` = fork where available,
-            else spawn); ignored by the thread backend.
-        round_timeout: Per-round worker reply timeout in seconds for
-            ``execution="process"``; a timed-out worker's cells fall back
-            to an in-process round (never a lost dispatch).  ``None``
-            (default) waits indefinitely, like the thread backend.
+            schedulers whose cells run one after another on the calling
+            thread) or ``"process"`` (persistent worker processes, one
+            warm scheduler per cell, fed compact deltas — see
+            :mod:`repro.shard.executor`).  Both produce the same decision
+            stream bit-for-bit at a fixed seed.  The next three arguments
+            configure the worker processes; passed with ``"thread"``,
+            any of them raises ``ValueError``.
+        max_workers: Worker process count, capped at the cell count;
+            defaults to the usable core count
+            (:func:`~repro.shard.executor.fanout_width`).
+        start_method: ``multiprocessing`` start method (``None`` = fork
+            where available, else spawn).
+        round_timeout: Per-round worker reply timeout in seconds; a
+            timed-out worker's cells fall back to an in-process round
+            (never a lost dispatch).  ``None`` (default) waits
+            indefinitely.
         migrate_every: Balance check cadence in rounds (0 disables
             migration).
         migration_threshold: Minimum donor/receiver load ratio (jobs per
@@ -86,7 +88,6 @@ class ShardedPolicy(Policy):
             partitioner if partitioner is not None else TypeCellPartitioner()
         )
         self.execution = execution
-        self.max_workers = max_workers
         self.migrate_every = int(migrate_every)
         self.migration_threshold = float(migration_threshold)
         self.capabilities = PolicyCapabilities(
@@ -95,7 +96,7 @@ class ShardedPolicy(Policy):
         self.last_utility = 0.0
         self.last_phase_timings: Dict[str, float] = {}
         #: Cluster-level round report: per-cell utility/timings, per-phase
-        #: sum and max aggregates and the fan-out width the round ran at
+        #: sum and max aggregates and the worker count the round ran on
         #: (see :meth:`_update_telemetry`).
         self.last_round_report: Dict[str, object] = {}
         #: Jobs migrated between cells so far (telemetry).
@@ -150,7 +151,7 @@ class ShardedPolicy(Policy):
         self._executor.configure(cluster, self._cells, self.config, self.seed)
 
     def close(self) -> None:
-        """Release executor resources (threads or worker processes).
+        """Release executor resources (worker processes, cached cells).
 
         Idempotent, and not final: a closed policy revives its executor
         on the next :meth:`schedule` (the process backend with cold
@@ -302,16 +303,17 @@ class ShardedPolicy(Policy):
         ``last_phase_timings`` stays the per-phase *sum* across cells
         (the unsharded policy's shape).  The richer
         :attr:`last_round_report` adds the per-phase max (the critical
-        path under a concurrent executor), the full per-cell breakdown —
-        including ``ipc_ms`` under the process executor and ``wait_ms``
-        under the thread pool's GA gate, neither inside ``total_ms`` — and the
-        executor's cumulative fallback count, so a regression localizes
-        to a phase *and* a cell under either backend.  ``width`` is the
-        number of threads or worker processes the round ran on:
-        ``sum.total_ms / (max.total_ms * width)`` reads as the fan-out's
-        efficiency, and a width above the host's core count is itself
-        the finding (cell wall clocks then stretch to the whole round,
-        so that ratio looks healthy while the work is serialized).
+        path under the process executor), the full per-cell breakdown —
+        including ``ipc_ms`` under the process executor, not inside
+        ``total_ms`` — and the executor's cumulative fallback count, so a
+        regression localizes to a phase *and* a cell under either
+        backend.  ``width`` is the number of worker processes the round
+        ran on (always 1 under the thread executor, whose cells run on
+        the calling thread): ``sum.total_ms / (max.total_ms * width)``
+        reads as the fan-out's efficiency, and a width above the host's
+        core count is itself the finding (cell wall clocks then stretch
+        to the whole round, so that ratio looks healthy while the work is
+        serialized).
         """
         total_cap = float(self._capacity_eq.sum())
         self.last_utility = float(

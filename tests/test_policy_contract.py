@@ -36,7 +36,7 @@ ALL_POLICIES = repro.policy.available()
 
 #: The contract parameterization: every registered policy, plus the
 #: sharded policy under its process executor (same registry name, worker
-#: processes instead of shard-cell threads — the contract must hold
+#: processes instead of the calling thread — the contract must hold
 #: identically under either backend).  ``make_policy`` resolves the
 #: ``+process`` suffix.
 CONTRACT_POLICIES = tuple(ALL_POLICIES) + ("pollux-sharded+process",)

@@ -474,7 +474,6 @@ class TestMetricsExport:
             "fitness",
             "select",
             "mutate",
-            "wait",
             "ipc",
             "total",
         }

@@ -1,24 +1,21 @@
 """Executor-backend tests for the sharded policy.
 
-Pins the PR's central guarantee: ``execution="process"`` (persistent
-worker processes fed per-round deltas) reproduces the threaded executor's
+Pins the central guarantee: ``execution="process"`` (persistent worker
+processes fed per-round deltas) reproduces the in-process executor's
 decision stream **bit-for-bit** at a fixed seed — including across phi
 drift (the PHI delta path), theta re-fits (the FULL path), mid-run
-resizes, and worker counts below the cell count —
-and that the fan-out width (``fanout_width``: cores, or ``max_workers``)
-never moves a decision under either backend.  The thread pool's GA gate
-(one cell in ``GeneticOptimizer.run`` at a time) is held to: no overlap,
-released on error, its wait reported as ``wait_ms`` and nowhere else.
-Also covers the failure and lifecycle semantics: worker crash/timeout
-falls back in-process without losing a dispatch, and ``close()`` tears
-down threads/processes idempotently with lazy revival.
+resizes, and worker counts below the cell count — and that the worker
+count (``fanout_width``: cores, or ``max_workers``) never moves a
+decision.  The in-process executor runs its cells on the calling thread
+at any core count and starts no thread.  Also covers the failure and
+lifecycle semantics: worker crash/timeout falls back in-process without
+losing a dispatch, and ``close()`` tears down processes idempotently with
+lazy revival.
 """
 
 import dataclasses
 import hashlib
-import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -26,7 +23,7 @@ import pytest
 import repro.policy
 import repro.shard.executor as executor_module
 from repro.cluster import ClusterSpec
-from repro.core import AgentReport, GAConfig, GeneticOptimizer, PolluxSchedConfig
+from repro.core import AgentReport, GAConfig, PolluxSched, PolluxSchedConfig
 from repro.policy.views import ClusterState, JobSnapshot
 from repro.shard import (
     ProcessCellExecutor,
@@ -255,6 +252,15 @@ def eventful_stream(execution, **kw):
     return policy, decisions
 
 
+def stream_digest(decisions):
+    sha = hashlib.sha256()
+    for decision in decisions:
+        for name in sorted(decision):
+            sha.update(name.encode())
+            sha.update(np.ascontiguousarray(decision[name]).tobytes())
+    return sha.hexdigest()
+
+
 class TestFanoutWidth:
     def test_rule(self, monkeypatch):
         set_cores(monkeypatch, 2)
@@ -270,7 +276,7 @@ class TestFanoutWidth:
 
     @pytest.fixture(scope="class")
     def sequential(self):
-        return eventful_stream("thread", max_workers=1)[1]
+        return eventful_stream("thread")[1]
 
     @pytest.mark.parametrize(
         "cores, max_workers, width",
@@ -287,31 +293,36 @@ class TestFanoutWidth:
         self, monkeypatch, sequential, cores, max_workers, width
     ):
         set_cores(monkeypatch, cores)
-        policy, decisions = eventful_stream("thread", max_workers=max_workers)
+        policy, decisions = eventful_stream("process", max_workers=max_workers)
         assert policy.last_round_report["width"] == width
         assert_streams_equal(sequential, decisions)
 
-    def test_one_core_runs_inline(self, monkeypatch):
-        set_cores(monkeypatch, 1)
+    @pytest.mark.parametrize("cores", [1, 2, 8])
+    def test_cells_run_inline(self, monkeypatch, cores):
+        set_cores(monkeypatch, cores)
+        caller = threading.get_ident()
+        ran_on = []
+        real_optimize = PolluxSched.optimize
+
+        def optimize(self, jobs):
+            ran_on.append(threading.get_ident())
+            return real_optimize(self, jobs)
+
+        monkeypatch.setattr(PolluxSched, "optimize", optimize)
         baseline = len(shard_threads())
         policy = make_sharded("thread", cells=4)
         state = make_state(CLUSTER, 10)
         for r in range(3):
             decision = policy.schedule(60.0 * r, state)
             state = next_state(state, decision, drift=0.01)
-            assert policy._executor._pool is None
             assert len(shard_threads()) == baseline
+            report = policy.last_round_report
+            assert report["width"] == 1
+            timings = [report["sum"], report["max"], policy.last_phase_timings]
+            timings += [cell["timings"] for cell in report["per_cell"]]
+            assert all("wait_ms" not in t and "total_ms" in t for t in timings)
         policy.close()
-
-    def test_pool_is_as_wide_as_the_cores(self, monkeypatch):
-        set_cores(monkeypatch, 2)
-        baseline = len(shard_threads())
-        policy = make_sharded("thread", cells=4)
-        policy.schedule(0.0, make_state(CLUSTER, 10))
-        assert len(shard_threads()) == baseline + 2
-        assert policy.last_round_report["width"] == 2
-        policy.close()
-        assert len(shard_threads()) == baseline
+        assert ran_on == [caller] * 12
 
     @pytest.mark.parametrize("cores, workers", [(1, 1), (2, 2), (8, 4)])
     def test_process_workers_follow_the_cores(
@@ -323,126 +334,14 @@ class TestFanoutWidth:
         assert policy.last_round_report["width"] == workers
         assert_streams_equal(sequential, decisions)
 
-
-# ----------------------------------------------------------------------
-# The GA gate: table builds side by side, one cell's GA at a time
-# ----------------------------------------------------------------------
-
-
-def stream_digest(decisions):
-    sha = hashlib.sha256()
-    for decision in decisions:
-        for name in sorted(decision):
-            sha.update(name.encode())
-            sha.update(np.ascontiguousarray(decision[name]).tobytes())
-    return sha.hexdigest()
-
-
-def slow_ga(monkeypatch, seconds, intervals=None, fail_first=False):
-    """Make every ``GeneticOptimizer.run`` sleep first (the GIL released, so
-    ungated GAs would overlap), noting ``(enter, exit)`` in ``intervals``."""
-    real_run = GeneticOptimizer.run
-    failed = []
-
-    def run(self, *args, **kwargs):
-        enter = time.perf_counter()
-        try:
-            time.sleep(seconds)
-            if fail_first and not failed:
-                failed.append(True)
-                raise RuntimeError("GA blew up")
-            return real_run(self, *args, **kwargs)
-        finally:
-            if intervals is not None:
-                intervals.append((enter, time.perf_counter()))
-
-    monkeypatch.setattr(GeneticOptimizer, "run", run)
-
-
-class TestGaGate:
-    def test_inline_gated_and_process_digests_equal(self, monkeypatch):
+    def test_thread_and_process_digests_equal(self, monkeypatch):
         set_cores(monkeypatch, 2)
         digests = {}
-        for label, execution, kw in [
-            ("inline", "thread", {"max_workers": 1}),
-            ("gated", "thread", {}),
-            ("process", "process", {}),
-        ]:
-            policy, decisions = eventful_stream(execution, **kw)
-            assert policy.last_round_report["width"] == (
-                1 if label == "inline" else 2
-            )
-            digests[label] = stream_digest(decisions)
-        assert digests["inline"] == digests["gated"] == digests["process"]
-
-    @pytest.mark.parametrize("width", [2, 4])
-    def test_no_two_gas_overlap(self, monkeypatch, width):
-        # Width 4 is twice this host's cores; the short switch interval
-        # makes the threads trade places as often as they can.
-        intervals = []
-        slow_ga(monkeypatch, 0.005, intervals)
-        policy = make_sharded("thread", cells=4, max_workers=width)
-        assert policy.last_round_report == {}
-        state = make_state(CLUSTER, 12)
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for r in range(3):
-                decision = policy.schedule(60.0 * r, state)
-                state = next_state(state, decision, drift=0.01)
-        finally:
-            sys.setswitchinterval(switch)
-            policy.close()
-        assert policy.last_round_report["width"] == width
-        assert len(intervals) == 12
-        intervals.sort()
-        for (_, earlier_exit), (later_enter, _) in zip(intervals, intervals[1:]):
-            assert later_enter >= earlier_exit
-
-    def test_a_failing_ga_releases_the_gate(self, monkeypatch):
-        slow_ga(monkeypatch, 0.0, fail_first=True)
-        policy = make_sharded("thread", max_workers=2)
-        state = make_state(CLUSTER, 8)
-        with pytest.raises(RuntimeError, match="GA blew up"):
-            policy.schedule(0.0, state)
-        policy.close()  # joins the cell that did not fail
-        gates = {id(sched.ga_gate) for sched in policy.cell_schedulers}
-        assert len(gates) == 1
-        assert not policy.cell_schedulers[0].ga_gate.locked()
-        done = []
-        worker = threading.Thread(
-            target=lambda: done.append(policy.schedule(60.0, state)), daemon=True
-        )
-        worker.start()
-        worker.join(timeout=60)
-        assert not worker.is_alive()
-        assert set(done[0].allocations) == {snap.name for snap in state.jobs}
-        policy.close()
-
-    def test_wait_is_its_own_phase(self, monkeypatch):
-        slow_ga(monkeypatch, 0.2)
-        state = make_state(CLUSTER, 8)
-        gated = make_sharded("thread", max_workers=2)
-        gated.schedule(0.0, state)
-        gated.close()
-        report = gated.last_round_report
-        # One cell slept through its GA while the other queued behind it.
-        assert report["sum"]["wait_ms"] > 100.0
-        assert 100.0 < report["max"]["wait_ms"] <= report["sum"]["wait_ms"]
-        assert gated.last_phase_timings["wait_ms"] == report["sum"]["wait_ms"]
-        # ... and the queueing is in no other phase: each cell's total is
-        # its tables plus one 200 ms GA, not two.
-        assert 200.0 <= report["max"]["total_ms"] < 350.0
-        for cell in report["per_cell"]:
-            timings = cell["timings"]
-            assert timings["table_ms"] < 100.0
-            assert timings["total_ms"] >= timings["table_ms"] + 200.0
-
-        inline = make_sharded("thread", max_workers=1)
-        inline.schedule(0.0, state)
-        inline.close()
-        assert "wait_ms" not in inline.last_round_report["sum"]
-        assert "wait_ms" not in inline.last_round_report["max"]
+        for execution, width in [("thread", 1), ("process", 2)]:
+            policy, decisions = eventful_stream(execution)
+            assert policy.last_round_report["width"] == width
+            digests[execution] = stream_digest(decisions)
+        assert digests["thread"] == digests["process"]
 
 
 # ----------------------------------------------------------------------
@@ -522,22 +421,21 @@ class TestLifecycle:
         policy = make_sharded("thread")
         state = make_state(CLUSTER, 6)
         policy.schedule(0.0, state)
-        # Repeated repartitions (node-layout changes) must not stack pools.
+        # Repeated repartitions (node-layout changes) start no thread.
         for num_nodes in (10, 12, 14):
             grown = ClusterSpec.homogeneous(num_nodes, 4)
             policy.schedule(0.0, make_state(grown, 6))
-            assert len(shard_threads()) <= baseline + 2
+            assert len(shard_threads()) == baseline
         policy.close()
         assert len(shard_threads()) == baseline
-        # Revival after close still works (lazy pool recreation).
+        # Revival after close still works.
         decision = policy.schedule(0.0, make_state(CLUSTER, 6))
         assert decision.allocations
         policy.close()
 
     def test_thread_scheduler_state_survives_close(self):
-        # close() releases the pool and the cached cells; warm GA
-        # populations stay, so a close mid-stream does not perturb
-        # decisions.
+        # close() drops the cached cells; warm GA populations stay, so a
+        # close mid-stream does not perturb decisions.
         uninterrupted = stream(make_sharded("thread"), CLUSTER)
         policy = make_sharded("thread")
         state = make_state(CLUSTER, 10)
@@ -674,6 +572,16 @@ class TestExecutorKwargsViaRegistry:
         assert isinstance(policy._executor, ProcessCellExecutor)
         assert policy._executor.round_timeout == 30.0
         policy.close()
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("max_workers", 2), ("start_method", "spawn"), ("round_timeout", 5.0)],
+    )
+    def test_process_options_rejected_with_thread(self, option, value):
+        # The thread executor has no workers: an option it would ignore
+        # is an error, not a silent no-op.
+        with pytest.raises(ValueError, match=f"{option}.*'process'"):
+            make_sharded("thread", **{option: value})
 
     def test_default_execution_is_thread(self):
         policy = repro.policy.create(
