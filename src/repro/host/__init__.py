@@ -4,13 +4,13 @@ The paper's scheduler is a *service*, not just a trace simulator: a
 periodic optimization loop running against live job state, with per-job
 agents reporting asynchronously (Sec. 5).  This package is that service
 for the repo's :mod:`repro.policy` interface, following the Blox-style
-policy/mechanism split: one fixed loop, many clusters.  The discrete-time
-simulator is this loop too — :meth:`repro.sim.Simulator.run` is
+policy/mechanism split.  The discrete-time simulator is this loop too —
+:meth:`repro.sim.Simulator.run` is
 ``PolicyHost(policy, ReplayBackend.over(sim)).run()`` — so the same
 registry-constructed ``Policy`` objects drive a simulation, a trace
 replay and a real-time cluster unchanged.
 
-Three pieces:
+Two pieces:
 
 - :class:`~repro.host.service.PolicyHost` — the dispatch loop.  Builds
   frozen :class:`~repro.policy.views.ClusterState` snapshots at the
@@ -24,8 +24,6 @@ Three pieces:
   (dispatch latency, decisions applied, restarts triggered).  Lifecycle:
   blocking ``run()``, or ``start()`` / ``drain()`` / ``stop()`` around a
   background thread.
-- :class:`~repro.host.backend.ClusterBackend` — the mechanism protocol
-  (node inventory, active jobs, allocation apply, resize, time).
 - One mechanism, two modes: :class:`~repro.host.replay.ReplayBackend`
   replays a recorded trace at a configurable time-compression factor
   through the simulator's :class:`~repro.sim.engine.ClusterEngine` (its
@@ -73,10 +71,8 @@ same :class:`~repro.sim.engine.ClusterEngine`::
     assert decision_digest(result) == decision_digest(simulator_result)
 
 ``tests/test_host.py`` pins this for every registered policy.  A finite
-``compression`` paces the replay against the wall clock (e.g.
-``compression=3600`` replays an hour of trace per second) — useful for
-watching a policy behave in "fast real time" before pointing it at live
-jobs.
+``compression`` paces the replay against the wall clock (``3600`` replays
+an hour of trace per second).
 
 Serving the host
 ----------------
@@ -88,13 +84,11 @@ guide (start/drain/stop, backend choice, time compression, the full
 metrics reference) and ``README.md`` for the repo overview.
 """
 
-from .backend import ClusterBackend
 from .replay import ReplayBackend
 from .service import HostMetrics, PolicyHost, RoundMetrics
 from .threaded import ThreadedBackend, ThreadedConfig
 
 __all__ = [
-    "ClusterBackend",
     "HostMetrics",
     "PolicyHost",
     "RoundMetrics",

@@ -16,6 +16,14 @@ trace therefore reproduces the simulator's decision stream on the same
 trace and seed by construction; ``tests/test_host.py`` pins it
 digest-for-digest all the same.
 
+It is also the one cluster :class:`~repro.host.service.PolicyHost`
+drives.  Time is *host time*: the engine clock in seconds since
+:meth:`ReplayBackend.start`, paced against the wall clock by a finite
+compression.  :meth:`ReplayBackend.jobs` returns the engine's
+:class:`~repro.sim.job.SimJob`\\ s, the shape
+:func:`repro.policy.views.snapshot_job` consumes.  A policy learns of an
+arrival or a departure only from the next round's snapshot.
+
 The live :class:`~repro.host.threaded.ThreadedBackend` is this class with
 ``finite = False``; the class attribute is the only switch between the
 two modes:
@@ -110,6 +118,9 @@ class ReplayBackend:
     # -- lifecycle ------------------------------------------------------
 
     def start(self, host: "PolicyHost") -> None:
+        """Bind to ``host`` (its policy's live capabilities and utility are
+        read every tick); a non-adaptive policy's jobs train at their
+        submitted batch size."""
         with self._lock:
             self._host = host
             if not host.policy.capabilities.adapts_batch_size:
@@ -117,9 +128,6 @@ class ReplayBackend:
                     job.batch_size = float(job.spec.fixed_batch_size)
             self.engine._admit_submitted()
             self._wall_start = time.monotonic()
-
-    def stop(self) -> None:
-        """Nothing persistent to tear down (idempotent)."""
 
     # -- inventory ------------------------------------------------------
 
@@ -251,12 +259,18 @@ class ReplayBackend:
         return False
 
     def drain_events(self) -> None:
-        """No-op (see :meth:`~repro.host.backend.ClusterBackend.drain_events`)."""
+        """No-op the host calls before every round and on exit, kept only
+        for the perf ledger's wrap of it (``benchmarks/e2e/wl_service.py``);
+        it and its two call sites go with that wrap."""
 
     # -- mechanism ------------------------------------------------------
 
     def dispatch_lock(self):
-        """The lock every tick, round and service read holds."""
+        """The lock every tick, round and service read holds.
+
+        Rounds and service reads take it through this method, which the
+        perf ledger wraps on the instance to time rounds; this class's own
+        methods take the lock directly."""
         return self._lock
 
     def apply_allocations(self, allocations, jobs: Sequence) -> None:

@@ -4,7 +4,7 @@ The service owns the dispatch loop the paper's deployed scheduler runs
 (Sec. 5), and the only one in the repo: at a fixed scheduling cadence
 (and, for autoscaling policies, a resize cadence) it builds frozen
 snapshot views of the cluster state, invokes the policy, and applies the
-returned decisions through a :class:`~repro.host.backend.ClusterBackend`.
+returned decisions through a :class:`~repro.host.replay.ReplayBackend`.
 It honors :class:`~repro.policy.base.PolicyCapabilities` — agent reports
 are attached to snapshots only for ``needs_agent`` policies,
 ``decide_resize`` fires on the declared cadence before the same round's
@@ -12,13 +12,9 @@ scheduling event, batch-size re-tuning runs on the agent cadence for
 ``adapts_batch_size`` policies — through the helpers in
 :mod:`repro.policy.dispatch`.
 
-The discrete-time simulator runs on this loop: :meth:`repro.sim.Simulator.
-run` drives its engine through a :class:`~repro.host.replay.ReplayBackend`
-at infinite compression, so a replay of a recorded trace reproduces the
-simulator's decision stream by construction (``tests/test_host.py`` pins
-it).  Driven by a :class:`~repro.host.threaded.ThreadedBackend`, the same
-policy object schedules live submissions on that engine, paced against
-the (optionally scaled) wall clock.
+The discrete-time simulator is this loop over a :class:`~repro.host.replay.
+ReplayBackend` at infinite compression; over a :class:`~repro.host.threaded.
+ThreadedBackend` the same policy object schedules live submissions.
 
 A live host contains policy faults: an exception out of ``decide_resize``,
 ``schedule`` or the application of their decisions is logged under
@@ -45,7 +41,7 @@ from ..core.throughput import load_fit_kernel
 from ..policy.base import Policy
 from ..policy.dispatch import apply_decision, build_cluster_state, tune_batch_sizes
 from ..sim.metrics import SimResult
-from .backend import ClusterBackend
+from .replay import ReplayBackend
 
 __all__ = ["LATENCY_BUCKETS", "RoundMetrics", "HostMetrics", "PolicyHost"]
 
@@ -196,7 +192,7 @@ class PolicyHost:
     ``config.scheduling_interval`` and ``config.agent_interval``.
     """
 
-    def __init__(self, policy: Policy, backend: ClusterBackend):
+    def __init__(self, policy: Policy, backend: ReplayBackend):
         self.policy = policy
         self.backend = backend
         self.metrics = HostMetrics()
@@ -377,7 +373,6 @@ class PolicyHost:
                 backend.advance(until)
         finally:
             backend.drain_events()
-            backend.stop()
             # Release whatever the policy holds (worker processes, cached
             # cells) — the host owns the policy lifecycle.
             policy.close()
@@ -402,7 +397,7 @@ class PolicyHost:
     def cancel_job(self, name: str) -> bool:
         """Cancel a job by name, under the backend's dispatch lock.
 
-        Routes to :meth:`~repro.host.backend.ClusterBackend.cancel`: an
+        Routes to :meth:`~repro.host.replay.ReplayBackend.cancel`: an
         active job is completed immediately and is absent from the next
         round's snapshot.  Returns False for unknown or already-completed
         jobs.
@@ -472,8 +467,8 @@ class PolicyHost:
     def stopping(self) -> bool:
         """Whether :meth:`stop` was requested.
 
-        Backends check this inside :meth:`~repro.host.backend.
-        ClusterBackend.advance` so a stop interrupts long waits instead of
+        The backend checks this inside :meth:`~repro.host.replay.
+        ReplayBackend.advance` so a stop interrupts long waits instead of
         blocking until the next dispatch timer.
         """
         return self._stop.is_set()

@@ -53,7 +53,8 @@ _STALE_TIMERS = 3
 
 
 class ServiceError(Exception):
-    """An API error with an HTTP status code (and optional Retry-After)."""
+    """An API error with an HTTP status code (and optional Retry-After,
+    in wall seconds)."""
 
     def __init__(self, status: int, message: str, retry_after: Optional[float] = None):
         super().__init__(message)
@@ -170,7 +171,11 @@ class SchedulerService:
                         f"{account.demand_eq:g} + {demand_eq:g} > "
                         f"{account.quota_eq:g} GPU-equivalents"
                     ),
-                    retry_after=self.backend.config.scheduling_interval,
+                    # One scheduling round, in wall seconds.
+                    retry_after=(
+                        self.backend.config.scheduling_interval
+                        / self.backend.compression
+                    ),
                 )
             now = self.backend.now()
             spec = JobSpec(

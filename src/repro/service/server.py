@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
@@ -88,10 +89,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
-            self.send_header("Retry-After", str(int(max(retry_after, 1))))
+            self.send_header("Retry-After", str(max(math.ceil(retry_after), 1)))
         self.end_headers()
-        self.wfile.write(body)
+        # Counted before the body goes out: a client that scrapes /metrics
+        # as soon as its response arrives sees its own request.
         self.service.observe_http(self.command, status)
+        self.wfile.write(body)
 
     def _send_json(self, status: int, payload: object, **kwargs) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")

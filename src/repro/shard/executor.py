@@ -218,6 +218,17 @@ class _WorkerHandle:
         self.sent_at = 0.0
 
 
+def _spawn(ctx, name: str):
+    """Start one worker process; returns it and the parent's pipe end."""
+    parent_conn, child_conn = ctx.Pipe(duplex=True)
+    process = ctx.Process(
+        target=_worker_main, args=(child_conn,), name=name, daemon=True
+    )
+    process.start()
+    child_conn.close()
+    return process, parent_conn
+
+
 def _worker_main(conn) -> None:
     """Worker loop: owns warm ``PolluxSched`` instances for its cells.
 
@@ -335,18 +346,8 @@ class ProcessCellExecutor(CellExecutor):
             self._stop_workers()
             ctx = self._context()
             for rank in range(num_workers):
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                process = ctx.Process(
-                    target=_worker_main,
-                    args=(child_conn,),
-                    name=f"shard-cell-worker-{rank}",
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                self._workers.append(
-                    _WorkerHandle(process, parent_conn, [])
-                )
+                process, conn = _spawn(ctx, f"shard-cell-worker-{rank}")
+                self._workers.append(_WorkerHandle(process, conn, []))
         for handle in self._workers:
             handle.cell_indices = []
         for idx in range(len(self._cells)):
@@ -495,17 +496,7 @@ class ProcessCellExecutor(CellExecutor):
             self._kill_worker(handle)
             if ctx is None:
                 ctx = self._context()
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            process = ctx.Process(
-                target=_worker_main,
-                args=(child_conn,),
-                name=handle.process.name,
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            handle.process = process
-            handle.conn = parent_conn
+            handle.process, handle.conn = _spawn(ctx, handle.process.name)
             handle.alive = True
             for idx in handle.cell_indices:
                 # The dead worker's report cache died with it: next round

@@ -52,10 +52,10 @@ def fast_threaded(cluster, **kwargs):
     return ThreadedBackend(cluster, ThreadedConfig(**defaults))
 
 
-def make_service(cluster=None, policy="tiresias", **service_kwargs):
+def make_service(cluster=None, policy="tiresias", time_scale=2400.0, **service_kwargs):
     """A started host+service on a fast threaded backend."""
     cluster = cluster or ClusterSpec.homogeneous(2, 4)
-    backend = fast_threaded(cluster)
+    backend = fast_threaded(cluster, time_scale=time_scale)
     host = PolicyHost(quick_policy(policy, cluster), backend)
     host.start()
     return SchedulerService(host, **service_kwargs), host
@@ -173,7 +173,8 @@ class TestSchedulerService:
             with pytest.raises(ServiceError) as err:
                 service.submit("small", {"model": "neumf-movielens", "num_gpus": 1})
             assert err.value.status == 429
-            assert err.value.retry_after == host.backend.config.scheduling_interval
+            # One scheduling round in wall seconds: 60 s / 2400.
+            assert err.value.retry_after == pytest.approx(60.0 / 2400.0)
             assert service.tenant_usage("small")["rejected_total"] == 1
         finally:
             host.stop()
@@ -539,8 +540,9 @@ def http(url, method="GET", body=None, tenant=None):
 
 
 @pytest.fixture()
-def served():
-    service, host = make_service(quotas={"capped": 1.0})
+def served(request):
+    time_scale = getattr(request, "param", 2400.0)
+    service, host = make_service(quotas={"capped": 1.0}, time_scale=time_scale)
     server = ServiceServer(service).start()
     try:
         yield server.url
@@ -596,6 +598,23 @@ class TestHTTPStack:
         assert status == 429
         assert int(headers["Retry-After"]) >= 1
         assert "quota" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize(
+        ("served", "retry_after"),
+        [(1.0, "60"), (7.0, "9"), (2400.0, "1")],
+        indirect=["served"],
+    )
+    def test_retry_after_is_one_round_in_wall_seconds(self, served, retry_after):
+        # The 60 s scheduling interval over time_scale, rounded up, at least 1.
+        for expected in (201, 429):
+            status, _, headers = http(
+                f"{served}/v1/jobs",
+                "POST",
+                {"model": "neumf-movielens"},
+                tenant="capped",
+            )
+            assert status == expected
+        assert headers["Retry-After"] == retry_after
 
     def test_cross_tenant_get_is_404(self, served):
         status, _, _ = http(
@@ -761,6 +780,23 @@ class TestHTTPStack:
         assert headers["Content-Type"].startswith("text/plain; version=0.0.4")
         samples = assert_valid_exposition(body)
         assert samples > 20
+        assert 'scheduler_http_requests_total{method="POST",code="201"} 1' in body
+
+    def test_request_counted_before_response_arrives(self, served, monkeypatch):
+        # A slow counter must hold the response back, not the count: the
+        # scrape right after the POST returns has to see the POST.
+        observe = SchedulerService.observe_http
+
+        def slow_observe(self, method, status):
+            time.sleep(0.2)
+            observe(self, method, status)
+
+        monkeypatch.setattr(SchedulerService, "observe_http", slow_observe)
+        status, _, _ = http(
+            f"{served}/v1/jobs", "POST", {"model": "neumf-movielens"}, tenant="t"
+        )
+        assert status == 201
+        _, body, _ = http(f"{served}/metrics")
         assert 'scheduler_http_requests_total{method="POST",code="201"} 1' in body
 
 
