@@ -63,7 +63,11 @@ __all__ = ["GAConfig", "JobGAInfo", "AllocationProblem", "GeneticOptimizer"]
 #: jobs) read +4.4% on its steady round over ten pairs.  The switch also
 #: decides the support hand-off: only the wide caps repair finds a
 #: population's non-zero cells, and only then do interference repair and
-#: fitness read those cells instead of reducing the whole tensor.
+#: fitness read those cells instead of reducing the whole tensor.  And it
+#: picks the GA's draw layout: narrow populations draw a full block per
+#: mutation and per removal (the pinned streams), wide ones one number per
+#: value read — at 16 x 256 x 64 a full mutation block is 2 MB for ~4k
+#: values read.
 _SPARSE_MIN_WIDTH = 64
 
 
@@ -425,9 +429,14 @@ class GeneticOptimizer:
       fitness has plateaued for that many generations — warm-started
       rounds finish in a few generations, cold starts run their budget.
 
-    The engine is deterministic under a fixed seed, and its random stream
-    is part of the pinned decision stream (``docs/operating.md``): a pure
-    performance change must not add, drop or reorder a draw.  ``phase_ms``
+    The engine is deterministic under a fixed seed, and on narrow
+    populations (rows under ``_SPARSE_MIN_WIDTH``, every pinned digest's)
+    its random stream is part of the pinned decision stream
+    (``docs/operating.md``): a pure performance change must not add, drop
+    or reorder a draw there.  Wide populations draw one number per value
+    they read (:meth:`_mutate`, :meth:`_repair_on_support`); their stream
+    may change with the same distribution, under the benchmarked tier.
+    ``phase_ms``
     accumulates wall-clock per GA phase (``repair_ms``/``fitness_ms``/
     ``select_ms``/``mutate_ms``) across one :meth:`run`; timing
     instrumentation consumes no randomness.
@@ -480,18 +489,41 @@ class GeneticOptimizer:
         broadcast-array bound (same distribution, different stream — which
         of the two runs is fixed by the cluster, not by a switch).
 
+        Two draw layouts, one distribution.  A narrow population (rows
+        under ``_SPARSE_MIN_WIDTH``) draws one uniform per cell for the
+        mask and one value per cell.  A wide one draws only what it reads:
+        the number of mutated cells, ``Binomial(P * J * N, 1/N)``, then
+        that many distinct cells uniformly, which together mark each cell
+        independently with probability 1/N, then one value per marked
+        cell.  At 16 x 256 x 64 a mutant touches ~4k of 262k cells.
+
         The mutants are written to ``out`` (a C-contiguous int64 array of
         ``population``'s shape, not ``population`` itself) when given, else
-        to a new array.  ``out``'s memory, read as float64, first holds the
-        mask's uniforms: the same block ``rng.random(shape)`` draws.
+        to a new array.  On the narrow layout ``out``'s memory, read as
+        float64, first holds the mask's uniforms: the same block
+        ``rng.random(shape)`` draws.
         """
         caps = self.problem.capacities
-        prob = 1.0 / max(self.problem.num_nodes, 1)
+        num_nodes = self.problem.num_nodes
+        prob = 1.0 / max(num_nodes, 1)
         shape = population.shape
+        uniform = caps.size and caps.min() == caps.max()
         if out is None:
             out = np.empty(shape, dtype=np.int64)
+        if max(self.problem.num_jobs, num_nodes) >= _SPARSE_MIN_WIDTH:
+            cells = out.size
+            pos = self.rng.choice(
+                cells, self.rng.binomial(cells, prob), replace=False, shuffle=False
+            )
+            if uniform:
+                values = self.rng.integers(0, int(caps[0]) + 1, size=pos.size)
+            else:
+                values = self.rng.integers(0, caps[pos % num_nodes] + 1)
+            np.copyto(out, population)
+            out.reshape(-1)[pos] = values
+            return out
         mask = self.rng.random(out=out.view(np.float64)) < prob
-        if caps.size and caps.min() == caps.max():
+        if uniform:
             random_vals = self.rng.integers(0, int(caps[0]) + 1, size=shape)
         else:
             random_vals = self.rng.integers(0, caps[None, None, :] + 1, size=shape)
@@ -581,12 +613,11 @@ class GeneticOptimizer:
         """Fused job-cap + node-capacity repair in one batched pass.
 
         Both violation sets are detected on the *same* input matrix and
-        resolved by one :func:`_largest_remainder` call: over-cap job rows
-        (length N) and over-capacity node columns (length J) share one
-        ``rng.random`` block of ``max(J, N)`` columns, so the proportional
-        split, the randomized largest-remainder rounding, and the argsort
-        behind it all run once over the combined violation set instead of
-        twice sequentially.
+        resolved by one :func:`_largest_remainder` call over over-cap job
+        rows (length N) and over-capacity node columns (length J) together,
+        so the proportional split, the randomized largest-remainder
+        rounding, and the argsort behind it all run once over the combined
+        violation set instead of twice sequentially.
 
         Application stays order-correct: row removals land first (exact —
         every over-cap job ends at or below its cap, and later column
@@ -595,8 +626,8 @@ class GeneticOptimizer:
         entries no row removal touched applies the fused draw as-is (its
         total already equals the excess).  Columns that overlapped a row
         removal are *redrawn* against the post-row-removal state with a
-        second proportional removal and a second ``rng.random`` block —
-        exactly what the sequential form did for every column.  The redraw
+        second proportional removal on fresh random keys — exactly what the
+        sequential form did for every column.  The redraw
         matters: a deterministic fix-up (e.g. clipping plus argmax
         give-back) skews removals toward the largest allocations and
         measurably degrades seed-averaged JCT parity, while the
@@ -604,14 +635,18 @@ class GeneticOptimizer:
         Column removals only subtract, so already-satisfied row caps stay
         satisfied.
 
-        Two forms, one result.  Populations narrower than
+        Two forms, one distribution.  Populations narrower than
         ``_SPARSE_MIN_WIDTH`` pad the violating rows and columns into one
-        dense counts matrix (:meth:`_batched_remove`); wider ones read and
-        write only the population's non-zero cells
-        (:meth:`_repair_on_support`) — a mutated 16 x 256 x 64 population
-        is ~2.5% non-zero.  Both draw the same blocks in the same order and
-        leave the same arrays; the wide form returns the support it
-        repaired, the dense one ``None``.
+        dense counts matrix (:meth:`_batched_remove`) and draw one
+        ``rng.random`` block of ``max(J, N)`` columns for it, and a second
+        block for the redraw.  Wider ones read and write only the
+        population's non-zero cells (:meth:`_repair_on_support`) — a
+        mutated 16 x 256 x 64 population is ~2.5% non-zero — and draw one
+        key per entry, for the fused pass and again for the redraw, in the
+        counts matrices' row-major order.  Each entry gets an iid uniform
+        key either way, so the two forms draw the same distribution in
+        different streams.  The wide form returns the support it repaired,
+        the dense one ``None``.
         """
         num_jobs = self.problem.num_jobs
         num_nodes = self.problem.num_nodes
@@ -669,16 +704,17 @@ class GeneticOptimizer:
         row — over-cap rows take theirs in flat order, over-capacity columns
         through a stable sort on ``member * N + node`` — so the stable sort
         in :func:`_largest_remainder` breaks key ties as it does on the full
-        row.  Keys are gathered from the full-width draw blocks the dense
-        form makes, so the arrays and the random stream are its own.
+        row.  Each entry draws its own key, one ``rng.random`` over all
+        entries in that order (row vectors first, then columns), and the
+        redraw one per entry it redistributes: a uniform key per non-zero
+        cell, as the dense form's per-cell block gives the cells it reads.
         """
         num_members, num_jobs, num_nodes = pop.shape
         flat = pop.reshape(-1)
         cell = np.flatnonzero(flat != 0)
         count = flat[cell]
         member_job, node = np.divmod(cell, num_nodes)
-        member, job = np.divmod(member_job, num_jobs)
-        member_node = member * num_nodes + node
+        member_node = member_job // num_jobs * num_nodes + node
         row_excess = np.bincount(
             member_job, count, num_members * num_jobs
         ).astype(np.int64) - np.tile(self.problem.max_gpus, num_members)
@@ -700,12 +736,11 @@ class GeneticOptimizer:
         key = member_node[col_ent].astype(np.min_scalar_type(num_members * num_nodes))
         col_ent = col_ent[np.argsort(key, kind="stable")]
         col_vec = (np.cumsum(col_over) - 1)[member_node[col_ent]]
-        draws = self.rng.random((n_rows + n_cols, max(num_nodes, num_jobs)))
         vec = np.concatenate([row_vec, n_rows + col_vec])
         removal = _remove_on_entries(
             vec,
             count[np.concatenate([row_ent, col_ent])],
-            draws[vec, np.concatenate([node[row_ent], job[col_ent]])],
+            self.rng.random(vec.size),
             np.concatenate([row_excess[row_over], col_excess[col_over]]),
         )
 
@@ -728,12 +763,10 @@ class GeneticOptimizer:
                 # The redraw's support is the column's post-row-removal
                 # one: an entry a row removal zeroed sheds nothing.
                 sel = np.flatnonzero(live[col_vec] & (held > 0))
-                live_vec = (np.cumsum(live) - 1)[col_vec[sel]]
-                redraw = self.rng.random((int(live.sum()), num_jobs))
                 take[sel] = _remove_on_entries(
-                    live_vec,
+                    (np.cumsum(live) - 1)[col_vec[sel]],
                     held[sel],
-                    redraw[live_vec, job[col_ent[sel]]],
+                    self.rng.random(sel.size),
                     need[live],
                 )
         flat[col_cell] = held - take

@@ -498,7 +498,9 @@ class RescanOptimizerV2(GeneticOptimizer):
 
     ``_repair_caps_capacity`` gathers every violating row and column at
     full width into one dense counts matrix, ``_batched_remove`` sorts every
-    row at full width and ``_repair_interference`` ignores any support it is
+    row at full width (on a wide population with one key per non-zero cell
+    of the counts matrix, drawn in row-major order and scattered into the
+    key matrix, see ``_keys``) and ``_repair_interference`` ignores any support it is
     handed and re-reduces the whole ``(P, J, N)`` tensor on every pass.
     ``_crossover`` selects between two gathered parent populations with
     ``np.where``, and copies the result into ``out`` when given.  No repair
@@ -540,7 +542,7 @@ class RescanOptimizerV2(GeneticOptimizer):
         excess = np.concatenate(
             [row_excess[row_p, row_j], col_excess[col_p, col_n]]
         )
-        removal = self._batched_remove(counts, excess)
+        removal = self._batched_remove(counts, excess, width)
 
         if n_rows:
             pop[row_p, row_j] -= removal[:n_rows, :num_nodes]
@@ -555,10 +557,23 @@ class RescanOptimizerV2(GeneticOptimizer):
                 take[redo] = 0
                 live = redo[need[redo] > 0]
                 if len(live):
-                    take[live] = self._batched_remove(cols[live], need[live])
+                    take[live] = self._batched_remove(
+                        cols[live], need[live], width
+                    )
             pop[col_p, :, col_n] = cols - take
 
-    def _batched_remove(self, counts, excess):
+    def _keys(self, counts, width):
+        """One key per cell below ``_SPARSE_MIN_WIDTH``; from it, one per
+        non-zero cell in row-major order, which is the order in which the
+        shipped wide repair lists its entries."""
+        if width < _SPARSE_MIN_WIDTH:
+            return self.rng.random(counts.shape)
+        keys = np.zeros(counts.shape)
+        nonzero = counts != 0
+        keys[nonzero] = self.rng.random(int(nonzero.sum()))
+        return keys
+
+    def _batched_remove(self, counts, excess, width=0):
         c = counts.astype(float)
         total = c.sum(axis=1)
         ideal = np.minimum(excess[:, None] * (c / total[:, None]), c)
@@ -566,7 +581,7 @@ class RescanOptimizerV2(GeneticOptimizer):
         frac = ideal - base
         base = base.astype(np.int64)
         extra = excess - base.sum(axis=1)  # (V,)
-        keys = np.where(frac > 0.0, self.rng.random(c.shape), -1.0)
+        keys = np.where(frac > 0.0, self._keys(counts, width), -1.0)
         order = np.argsort(-keys, axis=1, kind="stable")
         ranks = np.empty_like(order)
         v_idx = np.arange(order.shape[0])[:, None]
@@ -949,12 +964,108 @@ class TestBufferStreamIdentity:
             assert got_opt.rng.bit_generator.state == want_opt.rng.bit_generator.state
 
 
+class TestWideDraws:
+    """Wide populations draw one number per value they read; the
+    distribution is the narrow layout's, whose stream stays pinned."""
+
+    @staticmethod
+    def _mutated_cells(problem, members, seeds):
+        """(cell fraction mutated, values, their nodes) over ``seeds``:
+        mutants of a population of -1s, a value no draw returns."""
+        shape = (members, problem.num_jobs, problem.num_nodes)
+        hits, values, nodes = 0, [], []
+        for seed in seeds:
+            opt = GeneticOptimizer(problem, rng=np.random.default_rng(seed))
+            mutant = opt._mutate(np.full(shape, -1, dtype=np.int64))
+            cell = np.flatnonzero(mutant.reshape(-1) != -1)
+            hits += cell.size
+            values.append(mutant.reshape(-1)[cell])
+            nodes.append(cell % problem.num_nodes)
+        return hits, np.concatenate(values), np.concatenate(nodes)
+
+    @staticmethod
+    def _assert_within_4_sigma(count, trials, prob):
+        sigma = np.sqrt(trials * prob * (1.0 - prob))
+        assert abs(count - trials * prob) <= 4.0 * sigma, (count, trials, prob)
+
+    @pytest.mark.parametrize(
+        "members, num_jobs, num_nodes, mixed",
+        [(16, 256, 64, False), (16, 128, 32, True)],
+    )
+    def test_mutation_rate_and_values(self, members, num_jobs, num_nodes, mixed):
+        data = np.random.default_rng(num_jobs)
+        problem = random_problem(data, num_jobs, num_nodes, 8, False, True)
+        if mixed:  # two types, 4- and 8-GPU nodes: the array-bound draw
+            half = num_nodes // 2
+            cluster = ClusterSpec.heterogeneous(
+                (("v100", half, 4), ("t4", num_nodes - half, 8))
+            )
+            problem = AllocationProblem(cluster, problem.jobs)
+        seeds = range(5)
+        hits, values, nodes = self._mutated_cells(problem, members, seeds)
+        cells = len(seeds) * members * num_jobs * num_nodes
+        self._assert_within_4_sigma(hits, cells, 1.0 / num_nodes)
+        caps = problem.capacities[nodes]
+        assert values.min() >= 0 and (values <= caps).all()
+        for cap in np.unique(caps):
+            drawn = values[caps == cap]
+            for value in range(cap + 1):
+                self._assert_within_4_sigma(
+                    np.count_nonzero(drawn == value), drawn.size, 1.0 / (cap + 1)
+                )
+
+    def test_narrow_mutation_draws_unchanged(self):
+        data = np.random.default_rng(0)
+        problem = random_problem(data, 10, 4, 8, False, True)
+        pop = random_population(data, 24, problem, 0.3, 8)
+        opt = GeneticOptimizer(problem, rng=np.random.default_rng(17))
+        got = opt._mutate(pop)
+        replay = np.random.default_rng(17)
+        mask = replay.random(pop.shape) < 1.0 / 4
+        values = replay.integers(0, 9, size=pop.shape)
+        np.testing.assert_array_equal(got, np.where(mask, values, pop))
+        assert opt.rng.bit_generator.state == replay.bit_generator.state
+
+    def test_wide_and_narrow_repairs_agree(self, monkeypatch):
+        """Caps + capacity repair of one over-full population: the mean
+        removal per cell over 200 seeds of the wide (per-entry keys) form
+        against the narrow (per-cell block) one.  Each mean is within 5
+        standard errors of the other, and so is the total, which is fixed
+        by the excesses up to the redraws."""
+        import repro.core.genetic as genetic
+
+        data = np.random.default_rng(8)
+        problem = random_problem(data, 70, 8, 4, False, False)
+        pop = random_population(data, 4, problem, 0.3, 6)
+
+        def removals():
+            out = []
+            for seed in range(200):
+                opt = GeneticOptimizer(problem, rng=np.random.default_rng(seed))
+                out.append(pop - opt._repair(pop))
+            return np.array(out, dtype=float)
+
+        wide = removals()
+        monkeypatch.setattr(genetic, "_SPARSE_MIN_WIDTH", 10**6)
+        narrow = removals()
+        assert (wide >= 0).all() and (narrow >= 0).all()
+        assert not np.array_equal(wide, narrow)  # two streams
+        stderr = np.sqrt((wide.var(axis=0) + narrow.var(axis=0)) / len(wide))
+        diff = np.abs(wide.mean(axis=0) - narrow.mean(axis=0))
+        assert (diff <= 5.0 * stderr + 1e-12).all(), diff.max()
+        totals = wide.sum(axis=(1, 2, 3)), narrow.sum(axis=(1, 2, 3))
+        total_err = np.sqrt((totals[0].var() + totals[1].var()) / len(wide))
+        assert abs(totals[0].mean() - totals[1].mean()) <= 5.0 * total_err + 1e-12
+
+
 class TestRunMemoryBound:
     def test_run_peak_and_ownership(self):
         """A run holds four populations' bytes in its buffers (the 3P pool
-        and the survivors), plus the transient draw blocks of one repair,
-        ~3 more at this shape.  Allocating its temporaries in every
-        generation, the same run peaked at 9.0x."""
+        and the survivors), plus one repair's entry arrays and packed
+        largest-remainder temporaries, ~2 more at this shape (6.03x
+        measured).  Drawing full-width blocks in every mutation and repair,
+        the same run peaked at 6.9x; allocating its temporaries in every
+        generation, at 9.0x."""
         data = np.random.default_rng(4)
         problem = random_problem(data, 128, 32, 8, False, True)
         config = GAConfig(population_size=16, generations=4, patience=0)
@@ -966,7 +1077,7 @@ class TestRunMemoryBound:
         finally:
             tracemalloc.stop()
         assert population.shape == (16, 128, 32)
-        assert peak <= 8.0 * population.nbytes
+        assert peak <= 6.5 * population.nbytes
         # What the scheduler keeps for the next round holds no buffer.
         assert population.base is None and best.base is None
         assert not np.shares_memory(best, population)

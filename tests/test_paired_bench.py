@@ -87,3 +87,23 @@ def test_rows_and_table_from_result_objects():
     assert "| round_sharded | round_steady_ms_p50 | 100 [97.75, 102.2] |" in table[2]
     assert "| -30.0% | 4.5 | 10/10 | yes |" in table[2]
     assert "| 0/10, 10 ties | no |" in table[3]
+
+
+def test_seeds_assigned_round_robin_and_utility_by_seed():
+    seeds = [21, 22, 23]
+    assert [paired_bench.seed_of(seeds, pair) for pair in range(7)] == [
+        21, 22, 23, 21, 22, 23, 21,
+    ]
+    assert paired_bench.seed_of([5], 3) == 5
+    # Seed 21 runs pairs 0 and 3, seed 22 pairs 1 and 4, seed 23 pair 2.
+    parent = [result(round_utility_mean=v) for v in (0.5, 0.6, 0.8, 0.7, 0.6)]
+    change = [result(round_utility_mean=v) for v in (0.6, 0.6, 0.8, 0.8, 0.6)]
+    lines = paired_bench.utility_by_seed("round_dense", parent, change, seeds)
+    lines = lines.splitlines()
+    assert lines == [
+        "round_dense round_utility_mean by seed (parent -> change):",
+        "  seed 21: 0.6000 -> 0.7000 (+16.67%)",
+        "  seed 22: 0.6000 -> 0.6000 (+0.00%)",
+        "  seed 23: 0.8000 -> 0.8000 (+0.00%)",
+        "  mean over 3 seeds: 0.6667 -> 0.7000 (+5.00%)",
+    ]

@@ -16,8 +16,14 @@ won, and whether the numbers would carry a claimed gain — the change
 better in at least nine tenths of the pairs (ties count for neither side)
 *and* the medians apart by more than the parent's inter-quartile distance.
 
+``--seed 21,22,...`` runs pair ``i`` at ``seeds[i % len(seeds)]`` on both
+sides (one seed runs every pair).  Under the table each workload's ``round_utility_mean`` is printed
+per seed (the mean of that seed's pairs on each side) with the mean over
+the seeds and its delta: the readout for a change that moves the random
+stream, where one seed's utility says little.
+
 Run:  python tools/paired_bench.py <git-ref> [--workload W ...]
-          [--pairs 10] [--seed N] [--out runs.json]
+          [--pairs 10] [--seed N[,N,...]] [--out runs.json]
 """
 
 from __future__ import annotations
@@ -88,6 +94,42 @@ def rows_for(workload: str, parent, change, metrics) -> List[Dict]:
     return rows
 
 
+def seed_of(seeds: Sequence[int], pair: int) -> int:
+    """The seed both sides of pair ``pair`` run at."""
+    return seeds[pair % len(seeds)]
+
+
+def utility_by_seed(workload: str, parent, change, seeds: Sequence[int]) -> str:
+    """``round_utility_mean`` per seed, parent -> change, and over the seeds.
+
+    ``parent`` and ``change`` are paired as in :func:`rows_for`; a seed's
+    value on a side is the mean over the pairs that ran it.
+    """
+    by_seed: Dict[int, tuple] = {}
+    for pair, (p_run, c_run) in enumerate(zip(parent, change)):
+        sides = by_seed.setdefault(seed_of(seeds, pair), ([], []))
+        sides[0].append(p_run["metrics"]["round_utility_mean"]["value"])
+        sides[1].append(c_run["metrics"]["round_utility_mean"]["value"])
+
+    def line(label, p_value, c_value):
+        delta = (c_value - p_value) / p_value if p_value else 0.0
+        return f"  {label}: {p_value:.4f} -> {c_value:.4f} ({delta:+.2%})"
+
+    lines = [f"{workload} round_utility_mean by seed (parent -> change):"]
+    means = []
+    for seed, (p_values, c_values) in by_seed.items():
+        means.append((statistics.fmean(p_values), statistics.fmean(c_values)))
+        lines.append(line(f"seed {seed}", *means[-1]))
+    lines.append(
+        line(
+            f"mean over {len(means)} seeds",
+            statistics.fmean(m[0] for m in means),
+            statistics.fmean(m[1] for m in means),
+        )
+    )
+    return "\n".join(lines)
+
+
 def format_table(rows: Sequence[Dict]) -> str:
     def spread(triple):
         med, q1, q3 = triple
@@ -146,7 +188,12 @@ def main(argv=None) -> int:
     parser.add_argument("ref", help="git ref of the parent side")
     parser.add_argument("--workload", action="append", choices=known)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument(
+        "--seed",
+        type=lambda text: [int(seed) for seed in text.split(",")],
+        default=[1],
+        help="comma-separated seeds; pair i runs at seeds[i %% len(seeds)]",
+    )
     parser.add_argument("--seconds", type=float, default=contract["run_seconds"])
     parser.add_argument("--out", type=Path, help="write every run's object here")
     args = parser.parse_args(argv)
@@ -162,7 +209,9 @@ def main(argv=None) -> int:
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result = run_once(sides[side], workload, args.seed, args.seconds)
+                    result = run_once(
+                        sides[side], workload, seed_of(args.seed, pair), args.seconds
+                    )
                     runs[workload][side].append(result)
                     print(
                         f"{workload} pair {pair + 1}/{args.pairs} {side}: "
@@ -176,6 +225,8 @@ def main(argv=None) -> int:
         if args.out is not None:
             args.out.write_text(json.dumps(runs))
     print(format_table(rows))
+    for workload, by_side in runs.items():
+        print(utility_by_seed(workload, **by_side, seeds=args.seed))
     flat = [run for by_side in runs.values() for side in by_side.values() for run in side]
     bad = sum(not run["correct"] or run["failed"] > 0 for run in flat)
     print(f"{len(flat)} runs, {bad} incorrect or with failed operations")
