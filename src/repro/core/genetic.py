@@ -63,11 +63,14 @@ __all__ = ["GAConfig", "JobGAInfo", "AllocationProblem", "GeneticOptimizer"]
 #: jobs) read +4.4% on its steady round over ten pairs.  The switch also
 #: decides the support hand-off: only the wide caps repair finds a
 #: population's non-zero cells, and only then do interference repair and
-#: fitness read those cells instead of reducing the whole tensor.  And it
-#: picks the GA's draw layout: narrow populations draw a full block per
-#: mutation and per removal (the pinned streams), wide ones one number per
-#: value read — at 16 x 256 x 64 a full mutation block is 2 MB for ~4k
-#: values read.
+#: fitness read those cells instead of reducing the whole tensor; handed
+#: them, interference repair resolves every node at once by a fixed point
+#: instead of one pass per violating node (on ``round_dense`` 4.2 sweeps
+#: a call where the passes were 29.6).  And it picks the GA's draw
+#: layout: narrow populations draw a full block per mutation, per removal
+#: and per interference pass (the pinned streams), wide ones one number
+#: per value read — at 16 x 256 x 64 a full mutation block is 2 MB for
+#: ~4k values read — and one interference key per candidate cell.
 _SPARSE_MIN_WIDTH = 64
 
 
@@ -399,11 +402,13 @@ class GeneticOptimizer:
       Narrow populations stack the violating vectors into one dense counts
       matrix; once rows are ``_SPARSE_MIN_WIDTH`` wide the repair reads and
       writes only the population's non-zero cells, a few percent of it.
-      Interference repair runs node-major passes batched over the whole
-      population — every member's first violating node keeps one uniformly
-      random distributed job — with the distributed set updated in place
-      between passes (see :meth:`_repair_interference` for why single-pass
-      resolution over-removes).
+      Interference repair is node-major — every member's violating nodes,
+      in order, each keep one uniformly random distributed job — with the
+      distributed set updated between nodes (see
+      :meth:`_repair_interference` for why single-pass resolution
+      over-removes): narrow populations run one pass per violating node,
+      batched over the population, wide ones iterate the whole
+      population's drop set to the same fixed point in a few sweeps.
     - **One scan per population, one buffer set per run.**  The wide
       repair hands the non-zero cells it found to interference repair,
       which hands on the ones it left, and fitness scores the population
@@ -434,8 +439,10 @@ class GeneticOptimizer:
     its random stream is part of the pinned decision stream
     (``docs/operating.md``): a pure performance change must not add, drop
     or reorder a draw there.  Wide populations draw one number per value
-    they read (:meth:`_mutate`, :meth:`_repair_on_support`); their stream
-    may change with the same distribution, under the benchmarked tier.
+    they read (:meth:`_mutate`, :meth:`_repair_on_support`) and one
+    interference key per candidate cell (:meth:`_interference_on_support`);
+    their stream may change with the same distribution, under the
+    benchmarked tier.
     ``phase_ms``
     accumulates wall-clock per GA phase (``repair_ms``/``fitness_ms``/
     ``select_ms``/``mutate_ms``) across one :meth:`run`; timing
@@ -787,53 +794,41 @@ class GeneticOptimizer:
     ) -> Optional[np.ndarray]:
         """Node-major interference resolution, batched over the population.
 
-        Each pass picks every member's *first* still-violating node, keeps
-        one of its distributed jobs (uniformly at random via
-        max-of-iid-uniform keys), and drops the others from that node — all
-        members at once.  The distributed-job set is kept current between
-        passes, so a job that fell to a single node stops being evicted
-        elsewhere: resolving everything in one pass from the *pre-repair*
-        distributed set over-removes (a job conflicted at several nodes
-        would lose all of them at once), which measurably under-allocates
-        saturated clusters.  At most one pass per node.
+        Every member's nodes are fixed in ascending order: a node with two
+        or more distributed jobs keeps one of them (uniformly at random via
+        max-of-iid-uniform keys) and drops the others from that node.  A
+        job that fell to a single node stops being distributed, so it is
+        not evicted at a later node: resolving everything at once from the
+        *pre-repair* distributed set over-removes (a job conflicted at
+        several nodes would lose all of them at once), which measurably
+        under-allocates saturated clusters.
 
-        The population is reduced once, into ``cnt`` (nodes each job
-        occupies), ``dist_present`` (the job is distributed and on the node)
-        and ``share`` (distributed jobs on each node); a pass then costs
-        what it repairs.  With ``support``, the ascending flat indices of
-        ``pop``'s non-zero cells, that reduction is two ``bincount`` calls
-        and one scatter over those cells; without it, it reduces the whole
-        ``(P, J, N)`` tensor.  A pass moves the state in three places only:
-        the fixed node is left with its one kept job, every dropped job
+        With ``support``, the ascending flat indices of ``pop``'s non-zero
+        cells (the wide populations' repair), the whole population is
+        resolved at once by :meth:`_interference_on_support`.  Without it
+        each pass picks every member's *first* still-violating node, all
+        members at once, drawing one ``rng.random((V, J))`` block per pass:
+        at most one pass per node.  The population is reduced once, into
+        ``cnt`` (nodes each job occupies), ``dist_present`` (the job is
+        distributed and on the node) and ``share`` (distributed jobs on
+        each node); a pass then moves the state in three places only: the
+        fixed node is left with its one kept job, every dropped job
         occupies one node fewer, and a job that just fell to a single node
         stops counting as distributed on the one node it still holds.
         Members of fewer than ``_SPARSE_MIN_WIDTH`` cells re-reduce before
-        every pass instead, which is cheaper there.  Either way the per-pass
-        ``rng.random((V, J))`` block and the first-violating-node order are
-        those of a full rescan, and so are the result and the random
-        stream.  Returns ``support`` minus the cells it zeroed, or ``None``
-        when given none.
+        every pass instead, which is cheaper there.  Either way the result
+        and the random stream are a full rescan's.  Returns the support
+        minus the cells it zeroed, or ``None`` when given none.
         """
         num_members, num_jobs, num_nodes = pop.shape
         if num_jobs < 2 or num_nodes < 2:
             return support  # a conflict takes two jobs that each span two nodes
+        if support is not None:
+            return self._interference_on_support(pop, support)
         sparse = num_jobs * num_nodes >= _SPARSE_MIN_WIDTH
         member_idx = np.arange(num_members)
         for n_pass in range(num_nodes):
-            if n_pass == 0 and support is not None:
-                member_job = support // num_nodes
-                cnt = np.bincount(member_job, minlength=num_members * num_jobs)
-                dist = support[cnt[member_job] >= 2]
-                dist_present = np.zeros(pop.shape, dtype=bool)
-                dist_present.reshape(-1)[dist] = True
-                member_node = (
-                    dist // (num_jobs * num_nodes) * num_nodes + dist % num_nodes
-                )
-                share = np.bincount(
-                    member_node, minlength=num_members * num_nodes
-                ).reshape(num_members, num_nodes)
-                cnt = cnt.reshape(num_members, num_jobs)
-            elif n_pass == 0 or not sparse:
+            if n_pass == 0 or not sparse:
                 present = pop > 0
                 cnt = present.sum(axis=-1)  # (P, J)
                 dist_present = present & (cnt >= 2)[:, :, None]  # (P, J, N)
@@ -862,9 +857,78 @@ class GeneticOptimizer:
                 # A single-node row's one positive entry is its argmax.
                 last_n = np.argmax(pop[p_s, j_s], axis=1)
                 np.subtract.at(share, (p_s, last_n), 1)
-        if support is None:
-            return None
-        return support[pop.take(support) != 0]
+        return None
+
+    def _interference_on_support(
+        self, pop: np.ndarray, support: np.ndarray
+    ) -> np.ndarray:
+        """The node-major resolution of :meth:`_repair_interference` for
+        every member at once, on the population's non-zero cells.
+
+        ``pop`` must be C-contiguous (it is written through one flat view)
+        and ``support`` lists its non-zero cells in ascending flat order;
+        returns ``support`` minus the cells it zeroed.
+
+        Only a *candidate* cell can be dropped: a cell of a job on two or
+        more nodes, at a node that starts with two or more such jobs (drops
+        only shrink those counts, so no other node ever violates).  A
+        population with none draws nothing.  Otherwise each candidate draws
+        one uniform key, in support order, and the drop set is iterated to
+        a fixed point from the empty set (:func:`_interference_sweep`): a
+        candidate is still distributed when its node is reached if its job
+        started on ``cnt0`` nodes and ``cnt0 - (its drops at lower nodes)
+        >= 2``, and every node with two or more such candidates keeps the
+        highest key (ties to the lowest job) and drops the rest.  Decisions
+        at node n read only drops at nodes below n, so sweep t decides the
+        nodes below t as the sequential node-major loop does with the same
+        keys: the fixed point is unique, it is that loop's result, and it is
+        reached within N + 1 sweeps (4.2 a call on ``round_dense``, whose
+        pass loop took 29.6 passes).  Each node's keys are read at that
+        node only, and which jobs are still distributed there depends on
+        lower nodes' keys only, so every decision keeps a uniformly random
+        one of the jobs distributed there at that moment: the pass loop's
+        distribution, in a different stream.
+        """
+        num_members, num_jobs, num_nodes = pop.shape
+        member_job = support // num_nodes
+        cnt = np.bincount(member_job, minlength=num_members * num_jobs)
+        dist = np.flatnonzero(cnt[member_job] >= 2)
+        cell = support[dist]
+        member_node = cell // (num_jobs * num_nodes) * num_nodes + cell % num_nodes
+        hot = np.bincount(member_node, minlength=num_members * num_nodes) >= 2
+        cand = hot[member_node]
+        if not cand.any():
+            return support
+        pos = dist[cand]  # candidates' positions in ``support``
+        key = self.rng.random(pos.size)
+        cand_node = member_node[cand]
+        cand_job = member_job[pos]
+        # Each (member, job)'s candidates are one run in support order, and
+        # the (member, node) groups are runs of ``order``, which sorts them
+        # by descending key, ties to the lower job as in the pass loop's
+        # argmax.  A quicksort of the keys and a radix sort of the groups
+        # give that order in a fifth of a stable lexsort's time (3k
+        # candidates) unless two keys tie, which a generator's 53-bit
+        # uniforms almost never do; then the lexsort does.
+        order = np.argsort(-key)
+        sorted_key = key[order]
+        if (sorted_key[1:] == sorted_key[:-1]).any():
+            order = np.lexsort((-key, cand_node))
+        else:
+            group = cand_node[order].astype(np.min_scalar_type(cand_node.max()))
+            order = order[np.argsort(group, kind="stable")]
+        run_start = _run_starts(cand_job)
+        group_start = _run_starts(cand_node[order])
+        starts = cnt[cand_job]
+        drop = np.zeros(pos.size, dtype=bool)
+        for _ in range(num_nodes + 1):
+            swept = _interference_sweep(drop, starts, run_start, order, group_start)
+            if np.array_equal(swept, drop):
+                break
+            drop = swept
+        cut = pos[drop]
+        pop.reshape(-1)[support[cut]] = 0
+        return np.delete(support, cut)
 
     # ------------------------------------------------------------------
     # Warm start and main loop
@@ -1041,6 +1105,38 @@ def _largest_remainder(
         removal[rows, pick] += 1
         deficit[rows] -= 1
     return removal
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Per element, the index at which its run of equal neighbours starts."""
+    index = np.arange(values.size)
+    index[1:][values[1:] == values[:-1]] = 0
+    return np.maximum.accumulate(index)
+
+
+def _interference_sweep(
+    drop: np.ndarray,
+    starts: np.ndarray,
+    run_start: np.ndarray,
+    order: np.ndarray,
+    group_start: np.ndarray,
+) -> np.ndarray:
+    """One sweep of :meth:`GeneticOptimizer._interference_on_support`.
+
+    Per candidate: ``drop`` marks the current drop set, ``starts`` the
+    nodes its job starts on, and ``run_start`` where its job's run starts.
+    ``order`` lists the candidates by (member, node) group, highest key
+    first, and ``group_start`` is where each of its positions' group
+    starts.  Returns the drops that ``drop``'s drops at lower nodes imply.
+    """
+    before = np.cumsum(drop) - drop
+    before -= before[run_start]  # the job's drops at lower nodes
+    still = (starts - before >= 2)[order]
+    seen = np.cumsum(still) - still
+    seen -= seen[group_start]  # still-distributed jobs with a higher key
+    swept = np.empty_like(drop)
+    swept[order] = still & (seen > 0)
+    return swept
 
 
 def _remove_on_entries(

@@ -5,6 +5,7 @@ their result objects, fed canned.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -107,3 +108,38 @@ def test_seeds_assigned_round_robin_and_utility_by_seed():
         "  seed 23: 0.8000 -> 0.8000 (+0.00%)",
         "  mean over 3 seeds: 0.6667 -> 0.7000 (+5.00%)",
     ]
+
+
+def test_decision_digests_read_from_the_detail_line():
+    def stdout(digest):
+        inputs = {"hash": "ab12"} if digest is None else {"decision_digest": digest}
+        detail = {"workload": "trace_sim", "inputs": inputs}
+        return [
+            "== trace_sim seed=1 seconds=20 trace=0 ==",
+            paired_bench.DETAIL_PREFIX + json.dumps(detail),
+            json.dumps({"correct": True}),
+        ]
+
+    assert paired_bench.decision_digest(stdout("9a95" * 16)) == "9a95" * 16
+    assert paired_bench.decision_digest(stdout(None)) is None
+    assert paired_bench.decision_digest(stdout("x")[::2]) is None  # no detail line
+
+    def runs(*digests):
+        out = []
+        for digest in digests:
+            run = result(round_utility_mean=0.5)
+            run["decision_digest"] = paired_bench.decision_digest(stdout(digest))
+            out.append(run)
+        return out
+
+    equal = paired_bench.digest_agreement(
+        "trace_sim", runs("aa", "bb", "cc"), runs("aa", "bb", "cc")
+    )
+    assert equal == "trace_sim decision digest equal in 3/3 pairs"
+    differ = paired_bench.digest_agreement(
+        "trace_sim", runs("aa", "bb", "cc"), runs("aa", "b0", "cc")
+    )
+    assert differ == "trace_sim decision digest equal in 2/3 pairs"
+    # A workload that reports no digest prints no line.
+    none = runs(None, None)
+    assert paired_bench.digest_agreement("round_dense", none, none) is None

@@ -20,7 +20,10 @@ better in at least nine tenths of the pairs (ties count for neither side)
 sides (one seed runs every pair).  Under the table each workload's ``round_utility_mean`` is printed
 per seed (the mean of that seed's pairs on each side) with the mean over
 the seeds and its delta: the readout for a change that moves the random
-stream, where one seed's utility says little.
+stream, where one seed's utility says little.  A workload whose runs
+report ``inputs.decision_digest`` on their ``E2E_DETAIL`` line
+(``trace_sim``) also prints in how many pairs the two sides' digests are
+equal: a change that claims to keep the decisions shows it there.
 
 Run:  python tools/paired_bench.py <git-ref> [--workload W ...]
           [--pairs 10] [--seed N[,N,...]] [--out runs.json]
@@ -36,12 +39,15 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 REPO = Path(__file__).resolve().parent.parent
 
 #: Share of the pairs the change must win before a gain may be claimed.
 CLAIM_WIN_SHARE = 0.9
+
+#: How ``benchmarks/e2e/run.py`` starts the stdout line of a run's detail.
+DETAIL_PREFIX = "E2E_DETAIL "
 
 
 def quartiles(values: Sequence[float]):
@@ -130,6 +136,30 @@ def utility_by_seed(workload: str, parent, change, seeds: Sequence[int]) -> str:
     return "\n".join(lines)
 
 
+def decision_digest(lines: Sequence[str]) -> Optional[str]:
+    """``inputs.decision_digest`` from a run's ``E2E_DETAIL`` stdout line,
+    or ``None`` when the run has no such line or no digest."""
+    for line in lines:
+        if line.startswith(DETAIL_PREFIX):
+            detail = json.loads(line[len(DETAIL_PREFIX):])
+            return detail.get("inputs", {}).get("decision_digest")
+    return None
+
+
+def digest_agreement(workload: str, parent, change) -> Optional[str]:
+    """In how many pairs both sides' decision digests are equal, over the
+    pairs where both have one; ``None`` when no pair has two."""
+    digests = [
+        (p_run.get("decision_digest"), c_run.get("decision_digest"))
+        for p_run, c_run in zip(parent, change)
+    ]
+    digests = [pair for pair in digests if None not in pair]
+    if not digests:
+        return None
+    equal = sum(p == c for p, c in digests)
+    return f"{workload} decision digest equal in {equal}/{len(digests)} pairs"
+
+
 def format_table(rows: Sequence[Dict]) -> str:
     def spread(triple):
         med, q1, q3 = triple
@@ -154,7 +184,8 @@ def format_table(rows: Sequence[Dict]) -> str:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> Dict:
-    """One ledger run in ``tree``; the object on its last stdout line."""
+    """One ledger run in ``tree``: the object on its last stdout line, with
+    the run's ``decision_digest`` (:func:`decision_digest`) added."""
     proc = subprocess.run(
         [
             "python3", "benchmarks/e2e/run.py",
@@ -170,7 +201,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> Dict:
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{workload} failed in {tree} (exit {proc.returncode})")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    result["decision_digest"] = decision_digest(lines)
+    return result
 
 
 def export_ref(ref: str, target: Path) -> None:
@@ -227,6 +261,9 @@ def main(argv=None) -> int:
     print(format_table(rows))
     for workload, by_side in runs.items():
         print(utility_by_seed(workload, **by_side, seeds=args.seed))
+        agreement = digest_agreement(workload, **by_side)
+        if agreement is not None:
+            print(agreement)
     flat = [run for by_side in runs.values() for side in by_side.values() for run in side]
     bad = sum(not run["correct"] or run["failed"] > 0 for run in flat)
     print(f"{len(flat)} runs, {bad} incorrect or with failed operations")
